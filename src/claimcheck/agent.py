@@ -223,6 +223,7 @@ def assess_sufficiency(claim, subgraph, gateway, web_passages=()):
 @dataclass
 class _EpisodeState:
     config: EpisodeConfig
+    has_web: bool = True  # a web provider exists to run webSearch
     has_init: bool = False
     expand_count: int = 0
     web_count: int = 0
@@ -232,7 +233,7 @@ class _EpisodeState:
         return self.expand_count < self.config.n_hops - self.config.n_init
 
     def web_allowed(self):
-        return self.web_count < self.config.max_web_searches
+        return self.has_web and self.web_count < self.config.max_web_searches
 
 
 def coerce_action(requested, state: _EpisodeState):
@@ -368,7 +369,7 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
     gateway = LlmGateway(llm_backend, policy)
     budget = kg_mod.RetrievalBudget(k=config.k, n_hops=config.n_hops)
     trajectory = Trajectory(claim=claim)
-    state = _EpisodeState(config=config)
+    state = _EpisodeState(config=config, has_web=web_provider is not None)
     web_passages = []
     evidence_ids = set()
     verdict_calls = 0
@@ -447,9 +448,7 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
                 state.web_count += 1
                 query = web_mod.formulate_query(claim, subgraph, gateway)
                 action.payload = query
-                docs = []
-                if web_provider is not None:
-                    docs = web_mod.search(query, config.web_results, web_provider)
+                docs = web_mod.search(query, config.web_results, web_provider)
                 new_evidence = []
                 if docs:
                     passages = web_mod.rank_passages(query, docs)

@@ -1,0 +1,94 @@
+"""Run one function over a few independent items concurrently.
+
+Used for the per-entity expand-and-prune work of a KG hop, whose items spend
+their time waiting on SPARQL and LLM round trips, not on Python computation.
+The caller runs the first item itself; the others go to worker threads that
+start on first use and stay for the life of the process, because starting
+threads for every hop would cost more CPU than the hop's own Python work.
+When the caller is done with its item it also runs any item no worker has
+started yet, which saves thread hand-offs when the items finish quickly.
+"""
+
+from __future__ import annotations
+
+import queue
+import threading
+
+
+class _Task:
+    __slots__ = ("fn", "item", "lock", "finished", "result", "error")
+
+    def __init__(self, fn, item):
+        self.fn = fn
+        self.item = item
+        self.lock = threading.Lock()
+        self.finished = False
+        self.result = None
+        self.error = None
+
+    def run_once(self):
+        """Run the task unless it has run; a call that finds it running waits
+        for it. Returns whether this call ran it."""
+        with self.lock:
+            if self.finished:
+                return False
+            try:
+                self.result = self.fn(self.item)
+            except BaseException as exc:  # re-raised by fan_out in the caller
+                self.error = exc
+            self.finished = True
+            return True
+
+
+class _Workers:
+    """Daemon threads taking tasks off one queue. There are always at least
+    as many threads as unfinished tasks, so a queued task never waits behind
+    another caller's task."""
+
+    def __init__(self):
+        self._tasks = queue.SimpleQueue()
+        self._lock = threading.Lock()
+        self._threads = 0
+        self._pending = 0
+
+    def submit(self, tasks):
+        with self._lock:
+            self._pending += len(tasks)
+            missing = self._pending - self._threads
+            self._threads += max(0, missing)
+        for _ in range(missing):
+            threading.Thread(target=self._work, name="claimcheck-fanout", daemon=True).start()
+        for task in tasks:
+            self._tasks.put(task)
+
+    def run(self, task):
+        if task.run_once():
+            with self._lock:
+                self._pending -= 1
+
+    def _work(self):
+        while True:
+            self.run(self._tasks.get())
+
+
+_workers = _Workers()
+
+
+def fan_out(fn, items):
+    """``[fn(item) for item in items]``, with the items run concurrently.
+
+    The caller runs the first item, then any item no worker has taken yet.
+    Waits for every item, then raises the exception of the first item in
+    input order that raised one. A list of one item runs inline."""
+    items = list(items)
+    if len(items) <= 1:
+        return [fn(item) for item in items]
+    tasks = [_Task(fn, item) for item in items]
+    _workers.submit(tasks[1:])
+    tasks[0].run_once()
+    for task in tasks[1:]:
+        _workers.run(task)
+    for task in tasks:
+        if task.error is not None:
+            raise task.error
+    return [task.result for task in tasks]

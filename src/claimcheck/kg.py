@@ -6,6 +6,12 @@ at most ``k`` frontier entities are expanded (one graph query each), every
 expanded entity's relations are pruned by one LLM scoring call, and one more
 LLM call prunes the hop's union down to the top ``k`` relations overall.
 
+A hop's ``k`` expand-and-prune pairs do not depend on each other and run
+concurrently (see ``fanout``); the hop prune waits for all of them and sees
+their survivors in expansion order, so results do not depend on timing. LLM
+load stays bounded by ``HttpBackend``'s semaphore and token bucket; the graph
+backend may see all ``2k`` relation fetches of a hop at once.
+
 Budget accounting follows the expansion model: one "query" = one entity
 expansion (its incoming and outgoing template executions count together), so an
 episode uses at most ``k*N`` expansions and ``N + k*N`` pruning LLM calls.
@@ -18,6 +24,8 @@ import json
 import os
 import random
 import re
+import tempfile
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -29,6 +37,7 @@ from .errors import (
     QueryTimeout,
     TransportError,
 )
+from .fanout import fan_out
 from .graph import EntityId, KnowledgeSubgraph, RelationId, Triplet
 from .llm import LlmRequest, ResponseSchema
 from .policy import EXPANSION_PRUNE, RELATION_PRUNE
@@ -57,22 +66,26 @@ class RelationCandidate:
 
 @dataclass
 class RetrievalBudget:
-    """Per-episode counters against the k*N / N+k*N expansion model."""
+    """Per-episode counters against the k*N / N+k*N expansion model; safe to
+    charge from a hop's concurrent expansions."""
 
     k: int = 4
     n_hops: int = 4
     sparql_queries_used: int = 0
     llm_calls_used: int = 0
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def charge_expansion(self):
-        if self.sparql_queries_used >= self.k * self.n_hops:
-            raise BudgetExhausted(
-                f"expansion budget k*N={self.k * self.n_hops} exhausted"
-            )
-        self.sparql_queries_used += 1
+        with self._lock:
+            if self.sparql_queries_used >= self.k * self.n_hops:
+                raise BudgetExhausted(
+                    f"expansion budget k*N={self.k * self.n_hops} exhausted"
+                )
+            self.sparql_queries_used += 1
 
     def charge_llm(self):
-        self.llm_calls_used += 1
+        with self._lock:
+            self.llm_calls_used += 1
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +216,16 @@ class SparqlCache:
         return None
 
     def put(self, query, payload):
-        tmp = self._path(query) + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, ensure_ascii=False)
-        os.replace(tmp, self._path(query))
+        # a temporary file of its own per write: concurrent writers of one
+        # query each replace the entry whole
+        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, ensure_ascii=False)
+            os.replace(tmp, self._path(query))
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 OUTGOING_QUERY = """\
@@ -417,8 +436,9 @@ def select_objects(candidate, claim, max_objects=MAX_OBJECTS_PER_RELATION):
 def expand_hop(subgraph, claim, budget, frontier, gateway, backend):
     """One beam-search hop over ``frontier``. Returns (subgraph, new_frontier).
 
-    Expands at most k previously-unexpanded entities (claim-overlap preferred),
-    prunes per entity and then per hop, and appends surviving triplets."""
+    Expands at most k previously-unexpanded entities (claim-overlap preferred)
+    and prunes each one's relations, concurrently; then prunes the hop's
+    survivors, in expansion order, and appends the surviving triplets."""
     if not frontier:
         raise ValueError("expand_hop requires a nonempty frontier")
     tokens = _claim_tokens(claim)
@@ -434,18 +454,18 @@ def expand_hop(subgraph, claim, budget, frontier, gateway, backend):
     if not to_expand:
         return subgraph, set()
 
-    survivors = []
-    for entity_id in to_expand:
+    def expand_and_prune(entity_id):
         entity = EntityId(entity_id, subgraph.label_of(entity_id))
         candidates = expand_entity(entity, backend, budget)
         subgraph.expanded.add(entity_id)
-        if candidates:
-            survivors.extend(
-                prune_relations(
-                    claim, candidates, budget.k, gateway, budget,
-                    template_id=EXPANSION_PRUNE, entity=entity,
-                )
-            )
+        if not candidates:
+            return []
+        return prune_relations(
+            claim, candidates, budget.k, gateway, budget,
+            template_id=EXPANSION_PRUNE, entity=entity,
+        )
+
+    survivors = [c for kept in fan_out(expand_and_prune, to_expand) for c in kept]
 
     retained = []
     if survivors:

@@ -124,7 +124,9 @@ class ScriptedBackend:
     """Deterministic backend for tests and offline runs.
 
     Lookup order: fingerprint table, ``responder`` callable (gets the rendered
-    request text), FIFO ``sequence``, then ``default``.
+    request text), FIFO ``sequence``, then ``default``. Concurrent calls, such
+    as a KG hop's per-entity prunes, take ``sequence`` entries in the order
+    they arrive.
     """
 
     def __init__(self, by_fingerprint=None, responder=None, sequence=None, default=None):
@@ -132,6 +134,7 @@ class ScriptedBackend:
         self.responder = responder
         self.sequence = deque(sequence or [])
         self.default = default
+        self._lock = threading.Lock()
 
     def generate(self, text, temperature, max_tokens):
         fp = fingerprint(text, temperature, max_tokens)
@@ -141,8 +144,9 @@ class ScriptedBackend:
             out = self.responder(text)
             if out is not None:
                 return out
-        if self.sequence:
-            return self.sequence.popleft()
+        with self._lock:
+            if self.sequence:
+                return self.sequence.popleft()
         if self.default is not None:
             return self.default
         raise ScriptMiss(fp, text)
@@ -175,6 +179,7 @@ class CassetteBackend:
 
     def __init__(self, path):
         self._by_fp = {}
+        self._lock = threading.Lock()
         with open(path, encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
@@ -188,9 +193,8 @@ class CassetteBackend:
         queue = self._by_fp.get(fp)
         if not queue:
             raise ScriptMiss(fp, text)
-        if len(queue) > 1:
-            return queue.popleft()
-        return queue[0]
+        with self._lock:
+            return queue.popleft() if len(queue) > 1 else queue[0]
 
 
 class TokenBucket:
@@ -272,7 +276,7 @@ class LlmGateway:
     """Renders templates against a policy and talks to one backend.
 
     ``call_count`` counts every backend invocation, including structured-output
-    repair retries.
+    repair retries. Both counters are safe to update from concurrent calls.
     """
 
     def __init__(self, backend, policy):
@@ -280,6 +284,7 @@ class LlmGateway:
         self.policy = policy
         self.call_count = 0
         self.retry_count = 0
+        self._lock = threading.Lock()
 
     def render(self, request: LlmRequest) -> str:
         template = self.policy.template(request.template_id)
@@ -288,7 +293,8 @@ class LlmGateway:
     def complete(self, request: LlmRequest, rendered=None) -> LlmResponse:
         text = rendered if rendered is not None else self.render(request)
         raw = self.backend.generate(text, request.temperature, request.max_output_tokens)
-        self.call_count += 1
+        with self._lock:
+            self.call_count += 1
         return LlmResponse(
             raw_text=raw,
             input_tokens=len(text.split()),
@@ -302,7 +308,8 @@ class LlmGateway:
             if attempt == 0:
                 text = base
             else:
-                self.retry_count += 1
+                with self._lock:
+                    self.retry_count += 1
                 text = (
                     f"{base}\n\n[repair attempt {attempt}] Your previous reply could not "
                     "be parsed. Respond with valid JSON only, matching the requested fields."

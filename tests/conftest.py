@@ -5,6 +5,10 @@ from __future__ import annotations
 
 import json
 import re
+import sys
+import threading
+import time
+from collections import deque
 
 import pytest
 
@@ -215,6 +219,53 @@ class OracleResponder:
             return json.dumps({"critiques": []})
 
         return None
+
+
+class YieldingDeque(deque):
+    """A deque whose length check lets other threads run, so an unlocked
+    check-then-pop on it races."""
+
+    def __len__(self):
+        n = super().__len__()
+        time.sleep(0)
+        return n
+
+
+class YieldingInt(int):
+    """An int whose addition lets other threads run, so an unlocked ``+=``
+    on it loses updates."""
+
+    def __add__(self, other):
+        time.sleep(0)
+        return YieldingInt(int(self) + other)
+
+
+def hammer(call, n_threads=8, calls_per_thread=40):
+    """Results of ``call()`` from many threads at once, switching threads as
+    often as the interpreter allows; raises the first error any thread met."""
+    results, errors = [], []
+
+    def worker():
+        try:
+            for _ in range(calls_per_thread):
+                results.append(call())
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    if errors:
+        raise errors[0]
+    return results
 
 
 @pytest.fixture

@@ -29,7 +29,7 @@ from claimcheck.kg import FixtureKgBackend
 from claimcheck.llm import LlmGateway, ScriptedBackend
 from claimcheck.policy import default_policy
 
-from conftest import OracleResponder, build_corpus
+from conftest import OracleResponder, build_corpus, build_dense_graph
 
 
 def make_runner(claims, graph, responder=None, **config_kwargs):
@@ -83,6 +83,15 @@ class TestCoercion:
         state.last_hint = NEED_WEB
         kind, _ = coerce_action("retrieveMoar", state)
         assert kind == WEB_SEARCH
+
+    def test_web_illegal_without_provider(self):
+        state = _EpisodeState(config=EpisodeConfig(), has_web=False)
+        state.has_init = True
+        state.last_hint = NEED_WEB
+        kind, warning = coerce_action(WEB_SEARCH, state)
+        assert kind == EXPAND_KG and warning
+        state.expand_count = 3
+        assert coerce_action(WEB_SEARCH, state)[0] == VERDICT_ACTION
 
     def test_action_kind_validated(self):
         with pytest.raises(ValueError):
@@ -187,6 +196,19 @@ class TestEpisode:
         assert c["core_llm_calls"] == c["prune_llm_calls"] + c["verdict_llm_calls"]
         assert c["llm_calls"] >= c["core_llm_calls"]
         assert c["web_searches"] == 0
+
+    def test_no_web_steps_without_provider(self):
+        graph, claim = build_dense_graph(fanout=4, depth=4, n_roots=4)
+
+        def run(max_web_searches):
+            llm = ScriptedBackend(responder=OracleResponder(sufficiency="never", action="webSearch"))
+            config = EpisodeConfig(max_web_searches=max_web_searches)
+            return EpisodeRunner(default_policy(), config, llm, FixtureKgBackend(data=graph)).run(claim)[1]
+
+        traj = run(max_web_searches=2)
+        assert WEB_SEARCH not in traj.action_kinds()
+        assert traj.counters["llm_calls"] == 29
+        assert traj.to_json() == run(max_web_searches=0).to_json()
 
     def test_web_search_on_unlinkable_claim(self):
         graph, claims = build_corpus(1)

@@ -1,12 +1,22 @@
+import os
 import random
+import sys
+import time
 
 import pytest
 
-from claimcheck.errors import AllMentionsUnlinkable, BudgetExhausted, EmptyClaim
+from claimcheck.agent import EpisodeConfig, run_episode
+from claimcheck.errors import (
+    AllMentionsUnlinkable,
+    BudgetExhausted,
+    EmptyClaim,
+    TransportError,
+)
 from claimcheck.graph import EntityId, RelationId
 from claimcheck.kg import (
     RelationCandidate,
     RetrievalBudget,
+    SparqlCache,
     expand_entity,
     expand_kg,
     extract_mentions,
@@ -18,7 +28,7 @@ from claimcheck.kg import (
 from claimcheck.llm import LlmGateway, ScriptedBackend
 from claimcheck.policy import default_policy
 
-from conftest import OracleResponder, build_corpus
+from conftest import OracleResponder, YieldingInt, build_corpus, build_dense_graph, hammer
 from claimcheck.kg import FixtureKgBackend
 
 
@@ -100,6 +110,22 @@ class TestFetchRelations:
         budget = RetrievalBudget(k=4, n_hops=4)
         expand_entity(EntityId("Q76"), small_graph_backend, budget)
         assert budget.sparql_queries_used == 1
+
+    def test_concurrent_charges(self):
+        budget = RetrievalBudget(k=4, n_hops=4)
+        budget.sparql_queries_used = budget.llm_calls_used = YieldingInt(0)
+
+        def charge():
+            budget.charge_llm()
+            try:
+                budget.charge_expansion()
+            except BudgetExhausted:
+                return False
+            return True
+
+        charged = hammer(charge, n_threads=8, calls_per_thread=4)
+        assert charged.count(True) == budget.sparql_queries_used == 16
+        assert budget.llm_calls_used == 32
 
     def test_expansion_budget_cap(self, small_graph_backend):
         budget = RetrievalBudget(k=1, n_hops=1)
@@ -289,3 +315,116 @@ class TestRetrieval:
             return subgraph.to_json()
 
         assert run() == run()
+
+
+class TestSparqlCache:
+    def test_concurrent_writers_of_one_query(self, tmp_path):
+        cache = SparqlCache(str(tmp_path))
+        payload = {"results": {"bindings": [{"p": {"value": "P31"}}] * 50}}
+        hammer(lambda: cache.put("SELECT ?x", payload), n_threads=2, calls_per_thread=200)
+        assert cache.get("SELECT ?x") == payload
+        assert [n for n in os.listdir(tmp_path) if n.endswith(".tmp")] == []
+
+
+# -- a hop's concurrent expand-and-prune ----------------------------------------
+
+DENSE_GRAPH, DENSE_CLAIM = build_dense_graph(fanout=4, depth=4, n_roots=4)
+
+
+def hold(seed, max_ms, *request):
+    """Sleep for a delay hashed from (seed, request); seed None sleeps not at all."""
+    if seed is not None:
+        key = "|".join(str(part) for part in (seed,) + request)
+        time.sleep(random.Random(key).random() * max_ms / 1000.0)
+
+
+class SlowLlm:
+    """Delays each call by its hashed latency and records every prompt."""
+
+    def __init__(self, seed=None, max_ms=2.0, responder=None):
+        self.backend = ScriptedBackend(responder=responder or OracleResponder(sufficiency="never"))
+        self.seed, self.max_ms, self.prompts = seed, max_ms, []
+
+    def generate(self, text, temperature, max_tokens):
+        hold(self.seed, self.max_ms, text)
+        self.prompts.append(text)
+        return self.backend.generate(text, temperature, max_tokens)
+
+
+class SlowKg:
+    """Delays each relation fetch by its hashed latency and records it."""
+
+    def __init__(self, seed=None, max_ms=2.0):
+        self.backend = FixtureKgBackend(data=DENSE_GRAPH)
+        self.seed, self.max_ms, self.fetches = seed, max_ms, []
+
+    def search_entities(self, text, limit=5):
+        return self.backend.search_entities(text, limit)
+
+    def relations_of(self, entity_id, direction, *args, **kwargs):
+        hold(self.seed, self.max_ms, entity_id, direction)
+        self.fetches.append((entity_id, direction))
+        return self.backend.relations_of(entity_id, direction, *args, **kwargs)
+
+
+def dense_outputs(seed):
+    """Subgraph, hop-prune prompts and trajectory of the dense claim."""
+    llm, kg = SlowLlm(seed), SlowKg(seed)
+    gateway = LlmGateway(llm, default_policy())
+    subgraph = init_kg_retrieval(DENSE_CLAIM, 4, 4, RetrievalBudget(k=4, n_hops=4), gateway, kg)
+    hop_prompts = [p for p in llm.prompts if p.startswith("Score each candidate")]
+    _, trajectory = run_episode(
+        DENSE_CLAIM, default_policy(), EpisodeConfig(), SlowLlm(seed), SlowKg(seed)
+    )
+    return subgraph.to_json(), hop_prompts, trajectory.to_json()
+
+
+class TestConcurrentHop:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_output_does_not_depend_on_latency(self, seed):
+        reference = dense_outputs(None)
+        assert len(reference[1]) == 4
+        assert dense_outputs(seed) == reference
+
+    def test_counters_match_backend_calls(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(50):
+                llm, kg = SlowLlm(seed, max_ms=0.3), SlowKg(seed, max_ms=0.3)
+                _, trajectory = run_episode(DENSE_CLAIM, default_policy(), EpisodeConfig(), llm, kg)
+                counters = trajectory.counters
+                assert counters["llm_calls"] == len(llm.prompts), seed
+                assert counters["sparql_queries"] * 2 == len(kg.fetches) == 32, seed
+                assert counters["core_llm_calls"] == 21, seed
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_failed_prune_propagates_first_error_after_every_task(self):
+        # the second hop expands the four first children of the roots, by id
+        first = init_kg_retrieval(
+            DENSE_CLAIM, 4, 1, RetrievalBudget(), LlmGateway(SlowLlm(), default_policy()), SlowKg()
+        )
+        hop2 = sorted(first.frontier)
+        assert len(hop2) == 4
+        failing = {first.label_of(hop2[1]): 0.03, first.label_of(hop2[3]): 0.0}
+        oracle = OracleResponder(sufficiency="never")
+
+        def responder(text):
+            for label, delay in failing.items():
+                if f"relation of entity {label} for" in text:
+                    time.sleep(delay)  # the later entity in order fails first
+                    raise TransportError(f"prune of {label} failed")
+            return oracle(text)
+
+        llm, kg = SlowLlm(responder=responder), SlowKg()
+        result, trajectory = run_episode(DENSE_CLAIM, default_policy(), EpisodeConfig(), llm, kg)
+        assert result.forced and trajectory.forced_reason == "transport_error"
+        assert trajectory.steps[-1][1].note.endswith(f"prune of {first.label_of(hop2[1])} failed")
+        # every task of the failed hop expanded and asked for its prune; no
+        # hop prune followed; the gateway counts the calls that returned
+        assert {e for e, _ in kg.fetches} >= set(hop2)
+        assert trajectory.counters["sparql_queries"] == 8
+        assert sum(p.startswith("Score each relation of entity") for p in llm.prompts) == 8
+        assert sum(p.startswith("Score each candidate") for p in llm.prompts) == 1
+        assert trajectory.counters["llm_calls"] == len(llm.prompts) - len(failing)

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,8 @@ from claimcheck.llm import (
     fingerprint,
 )
 from claimcheck.policy import PromptPolicy
+
+from conftest import YieldingDeque, YieldingInt, hammer
 
 
 def make_policy(*templates):
@@ -85,6 +88,25 @@ class TestScriptedBackend:
             gateway.complete(LlmRequest(template_id="q"))
         assert gateway.call_count == 3
 
+    def test_sequence_pops_are_atomic(self):
+        for _ in range(5):
+            backend = ScriptedBackend(default="rest")
+            backend.sequence = YieldingDeque(f"r{i}" for i in range(300))
+            results = hammer(lambda: backend.generate("q", 0.0, 16))
+            assert Counter(results) == Counter([f"r{i}" for i in range(300)] + ["rest"] * 20)
+
+    def test_counters_under_concurrent_calls(self):
+        # every request needs exactly one repair
+        backend = ScriptedBackend(
+            responder=lambda text: '{"action":"a","label":"b"}' if "repair" in text else "bad"
+        )
+        gateway = LlmGateway(backend, make_policy(PromptTemplate(id="q", text="Q")))
+        gateway.call_count = gateway.retry_count = YieldingInt(0)
+        schema = ResponseSchema(required=("action", "label"))
+        hammer(lambda: gateway.complete_structured(LlmRequest(template_id="q"), schema))
+        assert gateway.call_count == 2 * 320
+        assert gateway.retry_count == 320
+
 
 class TestStructured:
     schema = ResponseSchema(required=("action", "label"))
@@ -151,6 +173,19 @@ class TestCassette:
         assert set(entry) == {"fp", "request_text", "response_text"}
         assert entry["request_text"] == "ping"
         assert entry["response_text"] == "pong"
+
+    def test_concurrent_replay_keeps_the_last_response(self, tmp_path):
+        cassette = tmp_path / "cassette.jsonl"
+        fp = fingerprint("q", 0.0, 16)
+        cassette.write_text("".join(
+            json.dumps({"fp": fp, "request_text": "q", "response_text": f"r{i}"}) + "\n"
+            for i in range(100)
+        ))
+        for _ in range(5):
+            backend = CassetteBackend(str(cassette))
+            backend._by_fp[fp] = YieldingDeque(backend._by_fp[fp])
+            results = hammer(lambda: backend.generate("q", 0.0, 16))
+            assert Counter(results) == Counter([f"r{i}" for i in range(99)] + ["r99"] * 221)
 
     def test_replay_miss(self, tmp_path):
         cassette = tmp_path / "cassette.jsonl"
