@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import kg as kg_mod
 from . import web as web_mod
-from .errors import EmptyClaim, ParseFailure, TransportError
+from .errors import AllItemsFailed, EmptyClaim, ParseFailure, TransportError
 from .graph import KnowledgeSubgraph, passage_item_id
 from .llm import LlmGateway, LlmRequest, ResponseSchema
 from .policy import ACTION_SELECT, FORCED_VERDICT, SUFFICIENCY, VERDICT
@@ -224,13 +224,14 @@ def assess_sufficiency(claim, subgraph, gateway, web_passages=()):
 class _EpisodeState:
     config: EpisodeConfig
     has_web: bool = True  # a web provider exists to run webSearch
+    has_frontier: bool = True  # a frontier entity is left to run expandKG on
     has_init: bool = False
     expand_count: int = 0
     web_count: int = 0
     last_hint: str = UNKNOWN
 
     def expand_allowed(self):
-        return self.expand_count < self.config.n_hops - self.config.n_init
+        return self.has_frontier and self.expand_count < self.config.n_hops - self.config.n_init
 
     def web_allowed(self):
         return self.has_web and self.web_count < self.config.max_web_searches
@@ -382,6 +383,7 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
 
     def observe(subgraph, kind):
         nonlocal evidence_ids
+        state.has_frontier = bool(subgraph.frontier - subgraph.expanded)
         current = snapshot_ids(subgraph)
         added = sorted(current - evidence_ids)
         evidence_ids = current
@@ -461,7 +463,7 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
                         web_triplets = web_mod.to_triplets(
                             new_evidence, claim, gateway, kg_backend
                         )
-                    except Exception:
+                    except (AllItemsFailed, TransportError):
                         web_triplets = []
                     subgraph = web_mod.integrate(subgraph, web_triplets, new_evidence)
                     web_passages.extend(new_evidence)

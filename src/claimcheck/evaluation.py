@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .agent import EXPAND_KG, INIT_KG, VERDICT_ACTION, WEB_SEARCH
-from .errors import DatasetParseError, SingleClassGold, UnknownLabel
+from .errors import AllItemsFailed, DatasetParseError, SingleClassGold, UnknownLabel
 
 SUPPORTED = "Supported"
 REFUTED = "Refuted"
@@ -200,7 +200,8 @@ class EvalReport:
 
 
 def run_benchmark(records, runner, parallelism=1, collect_trajectories=None) -> EvalReport:
-    """One episode per record; per-record failures are recorded, not fatal."""
+    """One episode per record; per-record failures are recorded, not fatal,
+    unless every episode failed (``AllItemsFailed``)."""
     if not records:
         raise ValueError("run_benchmark requires a nonempty record list")
 
@@ -223,6 +224,12 @@ def run_benchmark(records, runner, parallelism=1, collect_trajectories=None) -> 
                 outcomes[record.id] = run_one(record)
             except Exception as exc:
                 failed.append({"id": record.id, "error": str(exc)})
+    if not outcomes:
+        first = failed[0]
+        raise AllItemsFailed(
+            f"every episode failed ({len(failed)} of {len(records)}); "
+            f"first, {first['id']}: {first['error']}"
+        )
 
     predictions, golds = [], []
     error_counts = {cls: 0 for cls in ERROR_CLASSES}

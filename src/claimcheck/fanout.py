@@ -1,10 +1,13 @@
 """Run one function over a few independent items concurrently.
 
-Used for the per-entity expand-and-prune work of a KG hop, whose items spend
-their time waiting on SPARQL and LLM round trips, not on Python computation.
+Used for the per-entity expand-and-prune work of a KG hop
+(``kg.expand_hop``), and in the web step for the passage batches of
+``web.filter_evidence`` and the per-passage extract-and-link items of
+``web.to_triplets``. Their items spend their time waiting on SPARQL and LLM
+round trips, not on Python computation.
 The caller runs the first item itself; the others go to worker threads that
 start on first use and stay for the life of the process, because starting
-threads for every hop would cost more CPU than the hop's own Python work.
+threads for every call would cost more CPU than the call's own Python work.
 When the caller is done with its item it also runs any item no worker has
 started yet, which saves thread hand-offs when the items finish quickly.
 """

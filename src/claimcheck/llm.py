@@ -276,7 +276,8 @@ class LlmGateway:
     """Renders templates against a policy and talks to one backend.
 
     ``call_count`` counts every backend invocation, including structured-output
-    repair retries. Both counters are safe to update from concurrent calls.
+    repair retries and calls that raise. Both counters are safe to update from
+    concurrent calls.
     """
 
     def __init__(self, backend, policy):
@@ -292,9 +293,9 @@ class LlmGateway:
 
     def complete(self, request: LlmRequest, rendered=None) -> LlmResponse:
         text = rendered if rendered is not None else self.render(request)
-        raw = self.backend.generate(text, request.temperature, request.max_output_tokens)
         with self._lock:
             self.call_count += 1
+        raw = self.backend.generate(text, request.temperature, request.max_output_tokens)
         return LlmResponse(
             raw_text=raw,
             input_tokens=len(text.split()),

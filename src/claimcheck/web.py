@@ -1,6 +1,10 @@
 """Open-web evidence: search, BM25 coarse ranking, LLM fine filtering, and
 fusion of surviving evidence into the knowledge subgraph.
 
+The filter's passage batches and the per-passage triplet extractions do not
+depend on each other and run concurrently (see ``fanout``); their outputs are
+gathered in input order, so results do not depend on timing.
+
 KG-origin facts are anchors: fusion only ever adds web triplets or entity
 annotations, never removes or edits existing graph content.
 """
@@ -16,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import AllItemsFailed, ParseFailure, ProviderQuotaExceeded, TransportError
+from .fanout import fan_out
 from .graph import (
     EntityId,
     KnowledgeSubgraph,
@@ -235,13 +240,13 @@ _STANCES = {"supports", "refutes", "neutral"}
 
 
 def filter_evidence(claim, passages, gateway, threshold=DEFAULT_CONSISTENCY_THRESHOLD):
-    """One batched LLM call per <=8 passages; keeps entries whose consistency
-    confidence clears the threshold."""
+    """One batched LLM call per <=8 passages, the batches run concurrently;
+    keeps entries whose consistency confidence clears the threshold, in batch
+    order and, within a batch, in the order of the reply's judgments."""
     if not passages:
         raise ValueError("filter_evidence requires a nonempty passage list")
-    retained = []
-    for start in range(0, len(passages), FILTER_BATCH_SIZE):
-        batch = passages[start : start + FILTER_BATCH_SIZE]
+
+    def judge(batch):
         listing = "\n".join(f"{i}. {p.text}" for i, p in enumerate(batch))
         payload = gateway.complete_structured(
             LlmRequest(
@@ -250,6 +255,7 @@ def filter_evidence(claim, passages, gateway, threshold=DEFAULT_CONSISTENCY_THRE
             ),
             _FILTER_SCHEMA,
         )
+        kept = []
         for row in payload["judgments"]:
             try:
                 idx = int(row["index"])
@@ -265,14 +271,20 @@ def filter_evidence(claim, passages, gateway, threshold=DEFAULT_CONSISTENCY_THRE
             if stance not in _STANCES:
                 stance = "neutral"
             if confidence >= threshold:
-                retained.append(
+                kept.append(
                     FilteredEvidence(
                         passage=batch[idx],
                         consistency_confidence=confidence,
                         stance=stance,
                     )
                 )
-    return retained
+        return kept
+
+    batches = [
+        passages[start : start + FILTER_BATCH_SIZE]
+        for start in range(0, len(passages), FILTER_BATCH_SIZE)
+    ]
+    return [ev for kept in fan_out(judge, batches) for ev in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +313,13 @@ def _link_surface(surface, kg_backend):
 
 
 def to_triplets(evidence, claim, gateway, kg_backend=None) -> list:
-    """Structured extraction per evidence item; items whose extraction fails
-    are skipped, and only a total wipe-out is an error."""
+    """Structured extraction and linking per evidence item, the items run
+    concurrently; triplets come out in evidence order. Items whose extraction
+    fails are skipped, and only a total wipe-out is an error."""
     if not evidence:
         raise ValueError("to_triplets requires nonempty evidence")
-    out = []
-    for item in evidence:
+
+    def extract(item):
         try:
             payload = gateway.complete_structured(
                 LlmRequest(
@@ -316,20 +329,20 @@ def to_triplets(evidence, claim, gateway, kg_backend=None) -> list:
                 _EXTRACT_SCHEMA,
             )
         except ParseFailure:
-            continue
+            return None
         subject = _link_surface(str(payload["subject"]), kg_backend)
         obj = _link_surface(str(payload["object"]), kg_backend)
         relation = synthetic_relation(str(payload["relation"]))
-        out.append(
-            WebTriplet(
-                triplet=Triplet(
-                    subject, relation, obj,
-                    origin="web", confidence=item.consistency_confidence,
-                ),
-                provenance=item.passage.source_url,
-                confidence=item.consistency_confidence,
-            )
+        return WebTriplet(
+            triplet=Triplet(
+                subject, relation, obj,
+                origin="web", confidence=item.consistency_confidence,
+            ),
+            provenance=item.passage.source_url,
+            confidence=item.consistency_confidence,
         )
+
+    out = [wt for wt in fan_out(extract, evidence) if wt is not None]
     if not out:
         raise AllItemsFailed("no evidence item produced a triplet")
     return out

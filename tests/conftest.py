@@ -4,6 +4,7 @@ scripted responder that plays the role of the LLM for every prompt kind."""
 from __future__ import annotations
 
 import json
+import random
 import re
 import sys
 import threading
@@ -15,6 +16,7 @@ import pytest
 from claimcheck.kg import FixtureKgBackend
 from claimcheck.llm import ScriptedBackend
 from claimcheck.policy import SUFFICIENCY, default_policy
+from claimcheck.web import FixtureSearchProvider
 
 _CLAIM_RE = re.compile(r"^Claim(?: under review)?: (.*)$", re.MULTILINE)
 
@@ -266,6 +268,57 @@ def hammer(call, n_threads=8, calls_per_thread=40):
     if errors:
         raise errors[0]
     return results
+
+
+def hold(seed, max_ms, *request):
+    """Sleep for a delay hashed from (seed, request); seed None sleeps not at all."""
+    if seed is not None:
+        key = "|".join(str(part) for part in (seed,) + request)
+        time.sleep(random.Random(key).random() * max_ms / 1000.0)
+
+
+class SlowLlm:
+    """Answers from ``responder``, delays each call by its hashed latency and
+    records every prompt."""
+
+    def __init__(self, responder, seed=None, max_ms=2.0):
+        self.backend = ScriptedBackend(responder=responder)
+        self.seed, self.max_ms, self.prompts = seed, max_ms, []
+
+    def generate(self, text, temperature, max_tokens):
+        hold(self.seed, self.max_ms, text)
+        self.prompts.append(text)
+        return self.backend.generate(text, temperature, max_tokens)
+
+
+class SlowKg:
+    """A fixture graph that delays each entity search and relation fetch by its
+    hashed latency, and records the relation fetches."""
+
+    def __init__(self, graph, seed=None, max_ms=2.0):
+        self.backend = FixtureKgBackend(data=graph)
+        self.seed, self.max_ms, self.fetches = seed, max_ms, []
+
+    def search_entities(self, text, limit=5):
+        hold(self.seed, self.max_ms, text)
+        return self.backend.search_entities(text, limit)
+
+    def relations_of(self, entity_id, direction, *args, **kwargs):
+        hold(self.seed, self.max_ms, entity_id, direction)
+        self.fetches.append((entity_id, direction))
+        return self.backend.relations_of(entity_id, direction, *args, **kwargs)
+
+
+class SlowSearch:
+    """Canned search results, delayed per query by its hashed latency."""
+
+    def __init__(self, results, seed=None, max_ms=2.0):
+        self.provider = FixtureSearchProvider(data=results)
+        self.seed, self.max_ms = seed, max_ms
+
+    def search(self, query_text, m):
+        hold(self.seed, self.max_ms, query_text)
+        return self.provider.search(query_text, m)
 
 
 @pytest.fixture

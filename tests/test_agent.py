@@ -23,11 +23,12 @@ from claimcheck.agent import (
     trajectory_from_jsonable,
     write_trajectories,
 )
-from claimcheck.errors import EmptyClaim
+from claimcheck.errors import EmptyClaim, ScriptMiss, TransportError
 from claimcheck.graph import KnowledgeSubgraph
 from claimcheck.kg import FixtureKgBackend
 from claimcheck.llm import LlmGateway, ScriptedBackend
 from claimcheck.policy import default_policy
+from claimcheck.web import FixtureSearchProvider
 
 from conftest import OracleResponder, build_corpus, build_dense_graph
 
@@ -92,6 +93,15 @@ class TestCoercion:
         assert kind == EXPAND_KG and warning
         state.expand_count = 3
         assert coerce_action(WEB_SEARCH, state)[0] == VERDICT_ACTION
+
+    def test_expand_illegal_without_frontier(self):
+        state = _EpisodeState(config=EpisodeConfig(), has_frontier=False)
+        state.has_init = True
+        state.last_hint = NEED_KG
+        kind, warning = coerce_action(EXPAND_KG, state)
+        assert kind == WEB_SEARCH and warning
+        state.has_web = False
+        assert coerce_action(EXPAND_KG, state)[0] == VERDICT_ACTION
 
     def test_action_kind_validated(self):
         with pytest.raises(ValueError):
@@ -210,6 +220,49 @@ class TestEpisode:
         assert traj.counters["llm_calls"] == 29
         assert traj.to_json() == run(max_web_searches=0).to_json()
 
+    def test_unlinkable_claim_without_web_goes_to_verdict(self):
+        graph, claims = build_corpus(1)
+        _, traj = make_runner(claims, graph).run("Martians Landed in Ohio.")
+        assert traj.action_kinds() == [INIT_KG, VERDICT_ACTION]
+        assert traj.counters["llm_calls"] == 2
+        assert traj.counters["sparql_queries"] == 0
+
+    def web_runner(self, responder):
+        graph, claims = build_corpus(1)
+        web_data = {
+            "Martians Landed in Ohio.": [
+                {"url": "https://n.example/a", "snippet": "Martians Landed | visited | Ohio Field"},
+                {"url": "https://n.example/b", "snippet": "Ohio Field | hosts | Martians Landed"},
+            ]
+        }
+        oracle = OracleResponder(specs=claims, verdict="refute_all")
+        llm = ScriptedBackend(responder=lambda text: responder(oracle, text))
+        return EpisodeRunner(
+            default_policy(), EpisodeConfig(), llm, FixtureKgBackend(data=graph),
+            web_provider=FixtureSearchProvider(data=web_data),
+        )
+
+    def test_extraction_transport_error_keeps_passages(self):
+        def responder(oracle, text):
+            if "Extract the main factual statement" in text:
+                raise TransportError("extraction endpoint down")
+            return oracle(text)
+
+        result, traj = self.web_runner(responder).run("Martians Landed in Ohio.")
+        assert not result.forced and traj.forced_reason == ""
+        web_step = traj.steps[traj.action_kinds().index(WEB_SEARCH)][1]
+        assert web_step.added_triplets == 0
+        assert web_step.added_item_ids == ["p:https://n.example/a#0", "p:https://n.example/b#1"]
+
+    def test_extraction_script_miss_propagates(self):
+        def responder(oracle, text):
+            if "Extract the main factual statement" in text:
+                return None
+            return oracle(text)
+
+        with pytest.raises(ScriptMiss):
+            self.web_runner(responder).run("Martians Landed in Ohio.")
+
     def test_web_search_on_unlinkable_claim(self):
         graph, claims = build_corpus(1)
         web_data = {
@@ -217,8 +270,6 @@ class TestEpisode:
                 {"url": "https://n.example/a", "snippet": "Martians Landed | visited | Ohio Field"}
             ]
         }
-        from claimcheck.web import FixtureSearchProvider
-
         backend = FixtureKgBackend(data=graph)
         responder = OracleResponder(specs=claims, verdict="refute_all")
         runner = EpisodeRunner(

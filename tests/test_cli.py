@@ -100,6 +100,23 @@ class TestEval:
         report = json.loads(report_path.read_text())
         assert report["n"] == 2 and report["balanced_accuracy"] == 1.0
 
+    def test_eval_every_episode_failing_exits_2(self, workspace, capsys):
+        tmp_path, kg_path, claims = workspace
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text(
+            "\n".join(
+                json.dumps({"id": c["id"], "claim": c["claim"], "label": c["gold_label"]})
+                for c in claims
+            )
+        )
+        # an empty script misses on every episode's first LLM call
+        script = write_script(tmp_path, [])
+        code = main(["eval", str(dataset), "--kg", kg_path, "--llm-script", script])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: every episode failed (2 of 2)")
+        assert "no scripted response" in err and len(err.splitlines()) == 1
+
     def test_eval_missing_dataset_exits_2(self, workspace):
         tmp_path, kg_path, _ = workspace
         script = write_script(tmp_path, episode_script("Supported"))

@@ -14,7 +14,7 @@ from claimcheck.agent import (
     Trajectory,
     VerdictResult,
 )
-from claimcheck.errors import DatasetParseError, SingleClassGold, UnknownLabel
+from claimcheck.errors import AllItemsFailed, DatasetParseError, SingleClassGold, UnknownLabel
 from claimcheck.evaluation import (
     ERROR_CLASSES,
     EXCEED_MAX_STEPS,
@@ -218,6 +218,12 @@ class TestRunBenchmark:
         assert report.n == 6
         assert {f["id"] for f in report.failed_records} == {"c001", "c002"}
         assert "backend on fire" in report.failed_records[0]["error"]
+
+    def test_every_episode_failing_raises(self):
+        runner, records, claims = corpus_runner(n=2)
+        poisoned = FailingRunner(runner, {c["claim"] for c in claims})
+        with pytest.raises(AllItemsFailed, match="every episode failed .2 of 2.*backend on fire"):
+            run_benchmark(records, poisoned)
 
     def test_parallel_matches_serial(self):
         runner, records, _ = corpus_runner()

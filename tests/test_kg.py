@@ -28,7 +28,15 @@ from claimcheck.kg import (
 from claimcheck.llm import LlmGateway, ScriptedBackend
 from claimcheck.policy import default_policy
 
-from conftest import OracleResponder, YieldingInt, build_corpus, build_dense_graph, hammer
+from conftest import (
+    OracleResponder,
+    SlowKg,
+    SlowLlm,
+    YieldingInt,
+    build_corpus,
+    build_dense_graph,
+    hammer,
+)
 from claimcheck.kg import FixtureKgBackend
 
 
@@ -329,52 +337,18 @@ class TestSparqlCache:
 # -- a hop's concurrent expand-and-prune ----------------------------------------
 
 DENSE_GRAPH, DENSE_CLAIM = build_dense_graph(fanout=4, depth=4, n_roots=4)
-
-
-def hold(seed, max_ms, *request):
-    """Sleep for a delay hashed from (seed, request); seed None sleeps not at all."""
-    if seed is not None:
-        key = "|".join(str(part) for part in (seed,) + request)
-        time.sleep(random.Random(key).random() * max_ms / 1000.0)
-
-
-class SlowLlm:
-    """Delays each call by its hashed latency and records every prompt."""
-
-    def __init__(self, seed=None, max_ms=2.0, responder=None):
-        self.backend = ScriptedBackend(responder=responder or OracleResponder(sufficiency="never"))
-        self.seed, self.max_ms, self.prompts = seed, max_ms, []
-
-    def generate(self, text, temperature, max_tokens):
-        hold(self.seed, self.max_ms, text)
-        self.prompts.append(text)
-        return self.backend.generate(text, temperature, max_tokens)
-
-
-class SlowKg:
-    """Delays each relation fetch by its hashed latency and records it."""
-
-    def __init__(self, seed=None, max_ms=2.0):
-        self.backend = FixtureKgBackend(data=DENSE_GRAPH)
-        self.seed, self.max_ms, self.fetches = seed, max_ms, []
-
-    def search_entities(self, text, limit=5):
-        return self.backend.search_entities(text, limit)
-
-    def relations_of(self, entity_id, direction, *args, **kwargs):
-        hold(self.seed, self.max_ms, entity_id, direction)
-        self.fetches.append((entity_id, direction))
-        return self.backend.relations_of(entity_id, direction, *args, **kwargs)
+DENSE_ORACLE = OracleResponder(sufficiency="never")
 
 
 def dense_outputs(seed):
     """Subgraph, hop-prune prompts and trajectory of the dense claim."""
-    llm, kg = SlowLlm(seed), SlowKg(seed)
+    llm, kg = SlowLlm(DENSE_ORACLE, seed), SlowKg(DENSE_GRAPH, seed)
     gateway = LlmGateway(llm, default_policy())
     subgraph = init_kg_retrieval(DENSE_CLAIM, 4, 4, RetrievalBudget(k=4, n_hops=4), gateway, kg)
     hop_prompts = [p for p in llm.prompts if p.startswith("Score each candidate")]
     _, trajectory = run_episode(
-        DENSE_CLAIM, default_policy(), EpisodeConfig(), SlowLlm(seed), SlowKg(seed)
+        DENSE_CLAIM, default_policy(), EpisodeConfig(),
+        SlowLlm(DENSE_ORACLE, seed), SlowKg(DENSE_GRAPH, seed),
     )
     return subgraph.to_json(), hop_prompts, trajectory.to_json()
 
@@ -391,7 +365,8 @@ class TestConcurrentHop:
         sys.setswitchinterval(1e-6)
         try:
             for seed in range(50):
-                llm, kg = SlowLlm(seed, max_ms=0.3), SlowKg(seed, max_ms=0.3)
+                llm = SlowLlm(DENSE_ORACLE, seed, max_ms=0.3)
+                kg = SlowKg(DENSE_GRAPH, seed, max_ms=0.3)
                 _, trajectory = run_episode(DENSE_CLAIM, default_policy(), EpisodeConfig(), llm, kg)
                 counters = trajectory.counters
                 assert counters["llm_calls"] == len(llm.prompts), seed
@@ -403,28 +378,28 @@ class TestConcurrentHop:
     def test_failed_prune_propagates_first_error_after_every_task(self):
         # the second hop expands the four first children of the roots, by id
         first = init_kg_retrieval(
-            DENSE_CLAIM, 4, 1, RetrievalBudget(), LlmGateway(SlowLlm(), default_policy()), SlowKg()
+            DENSE_CLAIM, 4, 1, RetrievalBudget(),
+            LlmGateway(SlowLlm(DENSE_ORACLE), default_policy()), SlowKg(DENSE_GRAPH),
         )
         hop2 = sorted(first.frontier)
         assert len(hop2) == 4
         failing = {first.label_of(hop2[1]): 0.03, first.label_of(hop2[3]): 0.0}
-        oracle = OracleResponder(sufficiency="never")
 
         def responder(text):
             for label, delay in failing.items():
                 if f"relation of entity {label} for" in text:
                     time.sleep(delay)  # the later entity in order fails first
                     raise TransportError(f"prune of {label} failed")
-            return oracle(text)
+            return DENSE_ORACLE(text)
 
-        llm, kg = SlowLlm(responder=responder), SlowKg()
+        llm, kg = SlowLlm(responder), SlowKg(DENSE_GRAPH)
         result, trajectory = run_episode(DENSE_CLAIM, default_policy(), EpisodeConfig(), llm, kg)
         assert result.forced and trajectory.forced_reason == "transport_error"
         assert trajectory.steps[-1][1].note.endswith(f"prune of {first.label_of(hop2[1])} failed")
         # every task of the failed hop expanded and asked for its prune; no
-        # hop prune followed; the gateway counts the calls that returned
+        # hop prune followed; the gateway counts the calls that raised too
         assert {e for e, _ in kg.fetches} >= set(hop2)
         assert trajectory.counters["sparql_queries"] == 8
         assert sum(p.startswith("Score each relation of entity") for p in llm.prompts) == 8
         assert sum(p.startswith("Score each candidate") for p in llm.prompts) == 1
-        assert trajectory.counters["llm_calls"] == len(llm.prompts) - len(failing)
+        assert trajectory.counters["llm_calls"] == len(llm.prompts)

@@ -4,7 +4,13 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from claimcheck.errors import MissingBinding, ParseFailure, SchemaViolation, ScriptMiss
+from claimcheck.errors import (
+    MissingBinding,
+    ParseFailure,
+    SchemaViolation,
+    ScriptMiss,
+    TransportError,
+)
 from claimcheck.llm import (
     CassetteBackend,
     CassetteRecorder,
@@ -87,6 +93,18 @@ class TestScriptedBackend:
         for _ in range(3):
             gateway.complete(LlmRequest(template_id="q"))
         assert gateway.call_count == 3
+
+    def test_call_counter_counts_calls_that_raise(self):
+        def responder(text):
+            raise TransportError("connection reset")
+
+        gateway = LlmGateway(
+            ScriptedBackend(responder=responder), make_policy(PromptTemplate(id="q", text="Q"))
+        )
+        for _ in range(2):
+            with pytest.raises(TransportError):
+                gateway.complete(LlmRequest(template_id="q"))
+        assert gateway.call_count == 2
 
     def test_sequence_pops_are_atomic(self):
         for _ in range(5):

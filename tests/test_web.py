@@ -1,11 +1,17 @@
 import json
 import math
 import random
+import re
+import threading
+import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from claimcheck.errors import AllItemsFailed
+from claimcheck.agent import EpisodeConfig, EpisodeRunner, WEB_SEARCH
+from claimcheck.errors import AllItemsFailed, TransportError
+from claimcheck.evaluation import DatasetRecord, run_benchmark
 from claimcheck.graph import EntityId, KnowledgeSubgraph, RelationId, Triplet
 from claimcheck.llm import LlmGateway, ScriptedBackend
 from claimcheck.policy import default_policy
@@ -27,6 +33,8 @@ from claimcheck.web import (
     to_triplets,
     tokenize,
 )
+
+from conftest import OracleResponder, SlowKg, SlowLlm, SlowSearch, build_corpus
 
 
 def gateway(default=None, sequence=None, responder=None):
@@ -234,12 +242,15 @@ class TestToTriplets:
         assert t.subject.label == "Paris" and t.object.label == "France"
 
     def test_failed_items_skipped(self):
-        gw = gateway(
-            sequence=["garbage", "garbage", "garbage",
-                      json.dumps({"subject": "A", "relation": "r", "object": "B"})]
-        )
+        def responder(text):
+            if "Passage: one" in text:
+                return "garbage"
+            return json.dumps({"subject": "A", "relation": "r", "object": "B"})
+
+        gw = gateway(responder=responder)
         out = to_triplets([make_evidence("one"), make_evidence("two")], "c", gw)
         assert len(out) == 1
+        assert gw.call_count == 4  # "one" fails its ask and both repairs
 
     def test_all_failed_raises(self):
         gw = gateway(default="not json at all")
@@ -347,3 +358,148 @@ class TestIntegrate:
     def test_passage_mentions_annotate_entities(self):
         after = integrate(base_subgraph(), [], [make_evidence("Barack Obama gave a speech.")])
         assert any("speech" in n for n in after.annotations["Q76"])
+
+
+# -- the web step's concurrent filter batches and extractions -------------------
+
+
+def listed_passages(text):
+    return re.findall(r"^(\d+)\. (.*)$", text.split("Passages:\n", 1)[-1], re.MULTILINE)
+
+
+def keep_statements(text):
+    """Keeps the passages that state a triplet; extracts it, except from S4's."""
+    if "Judge each passage" in text:
+        return json.dumps({"judgments": [
+            {"index": int(i), "confidence": 0.9 if "|" in p else 0.1, "stance": "supports"}
+            for i, p in listed_passages(text)
+        ]})
+    passage = re.search(r"^Passage: (.*)$", text, re.MULTILINE).group(1)
+    if passage.startswith("S4 "):
+        return "garbage"
+    subject, relation, obj = passage.split(" | ")
+    return json.dumps({"subject": subject, "relation": relation, "object": obj})
+
+
+def web_corpus(n=4, per_claim=10):
+    """Claims whose people link to the graph but whose facts are only on the
+    web: each search returns the decisive statement among ``per_claim`` hits."""
+    graph, claims = build_corpus(n)
+    graph = dict(graph, triples=[])
+    results = {}
+    for c in claims:
+        person = c["support"].split(" | ")[0]
+        decisive = c["support"] if c["gold_label"] == "Supported" else c["refute"]
+        snippets = [decisive] + [
+            f"{person} visited Town{j} Delta in {1990 + j}." for j in range(per_claim - 1)
+        ]
+        results[c["claim"]] = [
+            {"url": f"https://{c['id']}.example/{j}", "snippet": s} for j, s in enumerate(snippets)
+        ]
+    return graph, claims, results
+
+
+WEB_GRAPH, WEB_CLAIMS, WEB_RESULTS = web_corpus()
+
+
+def web_outputs(seed):
+    """Report, trajectories and prompt counts of a two-client eval over the
+    web corpus."""
+    llm = SlowLlm(OracleResponder(specs=WEB_CLAIMS), seed)
+    runner = EpisodeRunner(
+        default_policy(), EpisodeConfig(), llm, SlowKg(WEB_GRAPH, seed),
+        web_provider=SlowSearch(WEB_RESULTS, seed),
+    )
+    records = [DatasetRecord(c["id"], c["claim"], c["gold_label"]) for c in WEB_CLAIMS]
+    trajectories = []
+    report = run_benchmark(records, runner, parallelism=2, collect_trajectories=trajectories)
+    kinds = Counter(
+        "filter" if "Judge each passage" in p
+        else "extract" if "Extract the main factual statement" in p
+        else "other"
+        for p in llm.prompts
+    )
+    return report.to_json(), [t.to_json() for t in trajectories], kinds
+
+
+class TestConcurrentWebStep:
+    def passages(self, n):
+        return [
+            Passage(text=f"S{i} | r{i} | O{i}" if i % 3 else f"noise {i}", source_url=f"u{i}",
+                    index=i)
+            for i in range(n)
+        ]
+
+    def test_filter_batches_overlap(self):
+        # serial batches would break the barrier after its timeout
+        barrier = threading.Barrier(3, timeout=5)
+
+        def responder(text):
+            barrier.wait()
+            return json.dumps({"judgments": []})
+
+        assert filter_evidence("c", self.passages(17), gateway(responder=responder)) == []
+
+    def test_extractions_overlap(self):
+        barrier = threading.Barrier(4, timeout=5)
+
+        def responder(text):
+            barrier.wait()
+            return json.dumps({"subject": "A", "relation": "r", "object": "B"})
+
+        evidence = [make_evidence(f"item {i}") for i in range(4)]
+        assert len(to_triplets(evidence, "c", gateway(responder=responder))) == 4
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_order_does_not_depend_on_latency(self, seed):
+        passages = self.passages(20)
+        gw = LlmGateway(SlowLlm(keep_statements, seed, max_ms=3.0), default_policy())
+        kept = filter_evidence("c", passages, gw)
+        assert [e.passage.text for e in kept] == [p.text for p in passages if "|" in p.text]
+        triplets = to_triplets(kept, "c", gw)
+        assert [(wt.triplet.subject.label, wt.provenance) for wt in triplets] == [
+            (f"S{i}", f"u{i}") for i in range(20) if i % 3 and i != 4
+        ]
+
+    def test_first_error_in_input_order_wins(self):
+        def responder(text):
+            if "item 1" in text:
+                time.sleep(0.03)
+                raise TransportError("item 1 failed")
+            if "item 3" in text:
+                raise TransportError("item 3 failed")  # raises first in time
+            return json.dumps({"subject": "A", "relation": "r", "object": "B"})
+
+        llm = SlowLlm(responder)
+        evidence = [make_evidence(f"item {i}") for i in range(4)]
+        with pytest.raises(TransportError, match="item 1 failed"):
+            to_triplets(evidence, "c", LlmGateway(llm, default_policy()))
+        assert len(llm.prompts) == 4  # every item still asked
+
+    def test_first_failed_filter_batch_wins(self):
+        def responder(text):
+            first = listed_passages(text)[0][1]
+            if first == "noise 0":
+                time.sleep(0.03)
+                raise TransportError("batch 0 failed")
+            if first == "S16 | r16 | O16":
+                raise TransportError("batch 2 failed")  # raises first in time
+            return json.dumps({"judgments": []})
+
+        llm = SlowLlm(responder)
+        with pytest.raises(TransportError, match="batch 0 failed"):
+            filter_evidence("c", self.passages(17), LlmGateway(llm, default_policy()))
+        assert len(llm.prompts) == 3
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_episodes_do_not_depend_on_latency(self, seed):
+        reference = web_outputs(None)
+        report = json.loads(reference[0])
+        assert report["balanced_accuracy"] == 1.0 and report["failed_records"] == []
+        for trajectory in map(json.loads, reference[1]):
+            assert WEB_SEARCH in [step["action"]["kind"] for step in trajectory["steps"]]
+        kinds = reference[2]
+        assert report["mean_counters"]["llm_calls"] * len(WEB_CLAIMS) == sum(kinds.values())
+        assert kinds["filter"] == 2 * len(WEB_CLAIMS)
+        assert kinds["extract"] == 10 * len(WEB_CLAIMS)
+        assert web_outputs(seed) == reference
