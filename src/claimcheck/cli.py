@@ -30,10 +30,6 @@ def _add_common_flags(parser):
     parser.add_argument("--n-hops", dest="n_hops", type=int, help="max expansion hops")
     parser.add_argument("--max-steps", dest="max_steps", type=int)
     parser.add_argument("--max-web-searches", dest="max_web_searches", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--parallel", type=int, help="episode fan-out for eval")
-    parser.add_argument("--use-gold-evidence", action="store_true", default=None)
-    parser.add_argument("--epochs", type=int)
     parser.add_argument("--out", help="output path for reports")
 
 
@@ -43,7 +39,7 @@ def _config_from_args(args):
         for key in (
             "backend", "llm_script_path", "cassette_path", "kg", "web",
             "policy_path", "k", "n_hops", "max_steps", "max_web_searches",
-            "seed", "parallel", "use_gold_evidence", "epochs", "out",
+            "seed", "parallel", "epochs", "out",
         )
     }
     cfg = load_config(args.config, overrides)
@@ -90,9 +86,6 @@ def cmd_eval(args):
             with open(args.field_map, encoding="utf-8") as fh:
                 field_map = evaluation.FieldMap.from_jsonable(json.load(fh))
         loaded = evaluation.load_dataset(args.dataset, field_map)
-        if cfg.use_gold_evidence and not any(r.evidence_docs for r in loaded.records):
-            print("warning: --use-gold-evidence set but dataset has no evidence; "
-                  "proceeding self-retrieved", file=sys.stderr)
         runner = _build_runner(cfg)
         report = evaluation.run_benchmark(
             loaded.records, runner, parallelism=cfg.parallel or 1
@@ -212,11 +205,14 @@ def build_parser():
     p_eval = sub.add_parser("eval", help="run a benchmark dataset")
     p_eval.add_argument("dataset", help="JSONL dataset file")
     p_eval.add_argument("--field-map", help="JSON field-map file for the dataset family")
+    p_eval.add_argument("--parallel", type=int, help="episodes run at once")
     _add_common_flags(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
     p_opt = sub.add_parser("optimize", help="optimize the prompt policy")
     p_opt.add_argument("claims", help="JSONL labeled claims (>= 150)")
+    p_opt.add_argument("--seed", type=int, help="train/validation split seed")
+    p_opt.add_argument("--epochs", type=int, help="optimizer epochs")
     _add_common_flags(p_opt)
     p_opt.set_defaults(func=cmd_optimize)
 

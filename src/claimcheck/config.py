@@ -38,7 +38,6 @@ class AppConfig:
     policy_path: str = ""
     seed: int = 0
     parallel: int = 1
-    use_gold_evidence: bool = False
     epochs: int = 20
     out: str = ""
 

@@ -7,7 +7,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .agent import EXPAND_KG, INIT_KG, VERDICT_ACTION, WEB_SEARCH
+from .agent import INIT_KG, VERDICT_ACTION
 from .errors import AllItemsFailed, DatasetParseError, SingleClassGold, UnknownLabel
 
 SUPPORTED = "Supported"
@@ -56,7 +56,6 @@ class DatasetRecord:
     id: str
     claim: str
     gold_label: str
-    evidence_docs: list = None
     source: str = ""
 
 
@@ -67,7 +66,6 @@ class FieldMap:
     id_field: str = "id"
     claim_field: str = "claim"
     label_field: str = "label"
-    evidence_field: str = "evidence"
     source: str = ""
     label_map: dict = field(default_factory=dict)  # raw (casefolded) -> Supported/Refuted/""
 
@@ -77,7 +75,6 @@ class FieldMap:
             id_field=data.get("id_field", "id"),
             claim_field=data.get("claim_field", "claim"),
             label_field=data.get("label_field", "label"),
-            evidence_field=data.get("evidence_field", "evidence"),
             source=data.get("source", ""),
             label_map={k.casefold(): v for k, v in data.get("label_map", {}).items()},
         )
@@ -113,15 +110,8 @@ def load_dataset(path, field_map: FieldMap = None) -> DatasetLoadResult:
             if label == "":
                 dropped += 1
                 continue
-            evidence = row.get(field_map.evidence_field)
             records.append(
-                DatasetRecord(
-                    id=rec_id,
-                    claim=claim,
-                    gold_label=label,
-                    evidence_docs=list(evidence) if evidence else None,
-                    source=field_map.source,
-                )
+                DatasetRecord(id=rec_id, claim=claim, gold_label=label, source=field_map.source)
             )
     records.sort(key=lambda r: r.id)
     return DatasetLoadResult(records=records, dropped=dropped)
@@ -165,10 +155,8 @@ def classify_error(trajectory, correct: bool):
         and trajectory.forced_reason == "step_limit"
     ):
         flags.add(EXCEED_MAX_STEPS)
-    for i, kind in enumerate(kinds):
-        if kind == WEB_SEARCH and EXPAND_KG in kinds[:i]:
-            flags.add(INSUFFICIENT_KG)
-            break
+    if trajectory.web_after_expand() is not None:
+        flags.add(INSUFFICIENT_KG)
     if not flags:
         flags.add(OTHER_ERROR)
     return frozenset(flags)

@@ -120,12 +120,6 @@ class KnowledgeSubgraph:
     def is_empty(self) -> bool:
         return not self.triplets and not self.annotations
 
-    def entity_ids(self):
-        return set(self.hop_of)
-
-    def relation_ids(self) -> set:
-        return {t.relation.id for t in self.triplets.values()}
-
     def kg_relation_labels(self) -> dict:
         """Normalized relation label -> RelationId, over kg-origin triplets."""
         out = {}

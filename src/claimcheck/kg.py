@@ -177,10 +177,6 @@ class FixtureKgBackend:
         ]
         return sorted(hits, key=lambda e: e.id)[:limit]
 
-    def entity_label(self, entity_id):
-        entity = self.entities.get(entity_id)
-        return entity.label if entity else entity_id
-
     def relations_of(self, entity_id, direction, limit=RELATION_FETCH_LIMIT):
         """Grouped adjacency: list of (RelationId, [neighbor EntityId])."""
         table = self._out if direction == "outgoing" else self._in
@@ -276,7 +272,7 @@ class WikidataBackend:
                     url, params=params, headers=self.headers, timeout=self.timeout
                 )
             except self._requests.Timeout as exc:
-                raise QueryTimeout(str(exc)) from exc
+                last = QueryTimeout(str(exc))
             except self._requests.RequestException as exc:
                 last = TransportError(str(exc))
             else:

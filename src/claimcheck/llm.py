@@ -60,14 +60,6 @@ class LlmRequest:
 
 
 @dataclass
-class LlmResponse:
-    raw_text: str
-    parsed: object = None
-    input_tokens: int = 0
-    output_tokens: int = 0
-
-
-@dataclass
 class ResponseSchema:
     """Required top-level fields and optional allowed value sets."""
 
@@ -291,16 +283,12 @@ class LlmGateway:
         template = self.policy.template(request.template_id)
         return template.render(request.bindings)
 
-    def complete(self, request: LlmRequest, rendered=None) -> LlmResponse:
+    def complete(self, request: LlmRequest, rendered=None) -> str:
+        """The backend's reply text."""
         text = rendered if rendered is not None else self.render(request)
         with self._lock:
             self.call_count += 1
-        raw = self.backend.generate(text, request.temperature, request.max_output_tokens)
-        return LlmResponse(
-            raw_text=raw,
-            input_tokens=len(text.split()),
-            output_tokens=len(raw.split()),
-        )
+        return self.backend.generate(text, request.temperature, request.max_output_tokens)
 
     def complete_structured(self, request: LlmRequest, schema: ResponseSchema):
         base = self.render(request)
@@ -315,9 +303,9 @@ class LlmGateway:
                     f"{base}\n\n[repair attempt {attempt}] Your previous reply could not "
                     "be parsed. Respond with valid JSON only, matching the requested fields."
                 )
-            response = self.complete(request, rendered=text)
+            reply = self.complete(request, rendered=text)
             try:
-                payload = extract_json(response.raw_text)
+                payload = extract_json(reply)
                 schema.validate(payload)
                 return payload
             except ParseFailure as exc:

@@ -8,12 +8,11 @@ validation improvement, and the best accepted candidate wins.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 
 from .agent import EXPAND_KG, INIT_KG, SUFFICIENT, WEB_SEARCH
-from .errors import InsufficientData, ParseFailure
+from .errors import InsufficientData, ParseFailure, TransportError
 from .llm import LlmGateway, LlmRequest, PromptTemplate, ResponseSchema
 from .policy import ACTION_SELECT, REFLECT, SUFFICIENCY, VERDICT, PromptPolicy
 
@@ -61,27 +60,6 @@ class Critique:
     tag: str
     step_index: int
     text: str
-
-
-@dataclass
-class ExperienceRecord:
-    state_digest: str
-    action: str
-    observation_digest: str
-    reward: float
-    critiques: list = field(default_factory=list)
-
-    def to_jsonable(self):
-        return {
-            "state_digest": self.state_digest,
-            "action": self.action,
-            "observation_digest": self.observation_digest,
-            "reward": self.reward,
-            "critiques": [
-                {"tag": c.tag, "step_index": c.step_index, "text": c.text}
-                for c in self.critiques
-            ],
-        }
 
 
 @dataclass
@@ -184,17 +162,15 @@ def rule_based_critiques(trajectory, gold_label) -> list:
                 text="wrong verdict with no graph expansion beyond the initial retrieval",
             )
         )
-    if not correct and expansions >= 1:
-        for i, kind in enumerate(kinds):
-            if kind == WEB_SEARCH and EXPAND_KG in kinds[:i]:
-                out.append(
-                    Critique(
-                        tag=INSUFFICIENT_COVERAGE,
-                        step_index=i,
-                        text="web retrieval was still needed after graph expansion",
-                    )
-                )
-                break
+    web_index = trajectory.web_after_expand()
+    if not correct and web_index is not None:
+        out.append(
+            Critique(
+                tag=INSUFFICIENT_COVERAGE,
+                step_index=web_index,
+                text="web retrieval was still needed after graph expansion",
+            )
+        )
     if correct:
         saw_sufficient = False
         for i, (action, obs) in enumerate(trajectory.steps):
@@ -213,7 +189,10 @@ def rule_based_critiques(trajectory, gold_label) -> list:
 
 
 def reflect(trajectory, gold_label, gateway=None) -> list:
-    """One structured critique call plus the deterministic rule-based tags."""
+    """One structured critique call plus the deterministic rule-based tags.
+
+    A reply that cannot be parsed or a failed transport yields no LLM
+    critiques; rows that are not objects or lack an integer step are skipped."""
     critiques = []
     if gateway is not None and trajectory.verdict is not None:
         steps_text = "\n".join(
@@ -222,7 +201,7 @@ def reflect(trajectory, gold_label, gateway=None) -> list:
             for i, (action, obs) in enumerate(trajectory.steps)
         )
         try:
-            payload = gateway.complete_structured(
+            rows = gateway.complete_structured(
                 LlmRequest(
                     template_id=REFLECT,
                     bindings={
@@ -233,39 +212,23 @@ def reflect(trajectory, gold_label, gateway=None) -> list:
                     },
                 ),
                 _REFLECT_SCHEMA,
-            )
-            for row in payload["critiques"]:
-                tag = row.get("tag", OTHER)
-                if tag not in CRITIQUE_TAGS:
-                    tag = OTHER
+            )["critiques"]
+        except (ParseFailure, TransportError):
+            rows = []
+        for row in rows if isinstance(rows, list) else ():
+            if not isinstance(row, dict):
+                continue
+            try:
                 step_index = int(row.get("step_index", 0))
-                step_index = max(0, min(step_index, len(trajectory.steps) - 1))
-                critiques.append(Critique(tag=tag, step_index=step_index, text=str(row.get("text", ""))))
-        except Exception:
-            pass
+            except (TypeError, ValueError, OverflowError):
+                continue
+            tag = str(row.get("tag", OTHER))
+            if tag not in CRITIQUE_TAGS:
+                tag = OTHER
+            step_index = max(0, min(step_index, len(trajectory.steps) - 1))
+            critiques.append(Critique(tag=tag, step_index=step_index, text=str(row.get("text", ""))))
     critiques.extend(rule_based_critiques(trajectory, gold_label))
     return critiques
-
-
-def experience_record(trajectory, gold_label, critiques) -> ExperienceRecord:
-    reward = compute_reward(trajectory, gold_label)
-    final_action = trajectory.steps[-1][0].kind if trajectory.steps else ""
-    return ExperienceRecord(
-        state_digest=json.dumps(
-            {"claim": trajectory.claim, "actions": trajectory.action_kinds()},
-            sort_keys=True,
-        ),
-        action=final_action,
-        observation_digest=trajectory.verdict.label if trajectory.verdict else "",
-        reward=reward.total,
-        critiques=list(critiques),
-    )
-
-
-def write_buffer(path, records):
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_jsonable(), ensure_ascii=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +244,9 @@ _TAG_TARGETS = {
 }
 
 
-def textual_gradient(records, current: PromptPolicy, llm_backend, candidate_id=None):
+def textual_gradient(critiques, current: PromptPolicy, llm_backend, candidate_id=None):
     """One meta-model call proposing revised text for the templates implicated
     by the batch's critique tags; untouched templates stay byte-identical."""
-    critiques = [c for rec in records for c in rec.critiques]
     if not critiques:
         raise ValueError("textual_gradient requires a batch with critiques")
 
@@ -374,21 +336,19 @@ def optimize(initial, claims, config, runner_factory, reflection_backend, meta_b
     best, best_val = initial, current_val
 
     for epoch in range(1, config.epochs + 1):
-        records = []
+        critiques = []
         runner = runner_factory(current)
         for record in train:
             _, trajectory = runner.run(record["claim"])
             gateway = LlmGateway(reflection_backend, current)
-            critiques = reflect(trajectory, record["gold_label"], gateway)
-            records.append(experience_record(trajectory, record["gold_label"], critiques))
+            critiques.extend(reflect(trajectory, record["gold_label"], gateway))
 
         entry = {"epoch": epoch, "policy_id": None, "val_reward": None, "accepted": False}
-        batch = [r for r in records if r.critiques]
         candidate = None
-        if batch:
+        if critiques:
             try:
                 candidate = textual_gradient(
-                    batch, current, meta_backend, candidate_id=f"candidate-{epoch}"
+                    critiques, current, meta_backend, candidate_id=f"candidate-{epoch}"
                 )
             except ParseFailure:
                 candidate = None

@@ -80,7 +80,6 @@ class WebTriplet:
     triplet: Triplet
     provenance: str
     confidence: float
-    schema_aligned: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +211,20 @@ def bm25_scores(query_tokens, docs_tokens, k1=BM25_K1, b=BM25_B):
     return scores
 
 
-def rank_passages(query: WebQuery, documents) -> list:
+def rank_passages(query: WebQuery, documents, first_index=0) -> list:
     """Snippet-level passages scored by BM25 against the query; descending
-    score, ties by (url, passage index)."""
+    score, ties by (url, passage index). Passages are numbered from
+    ``first_index``, so an episode that numbers each search on from the last
+    keeps its passage ids unique."""
     if not documents:
         raise ValueError("rank_passages requires a nonempty document list")
     passages = []
     for doc in documents:
         text = " ".join(doc.snippet.split())[:MAX_PASSAGE_CHARS]
         if text:
-            passages.append(Passage(text=text, source_url=doc.url, index=len(passages)))
+            passages.append(
+                Passage(text=text, source_url=doc.url, index=first_index + len(passages))
+            )
     if not passages:
         return []
     scores = bm25_scores(tokenize(query.text), [tokenize(p.text) for p in passages])
@@ -371,7 +374,6 @@ def integrate(subgraph: KnowledgeSubgraph, web_triplets, evidence=()) -> Knowled
 
     for wt in web_triplets:
         t = wt.triplet
-        aligned = None
         if t.relation.id in kg_relation_ids:
             aligned = t.relation
         else:
@@ -383,7 +385,6 @@ def integrate(subgraph: KnowledgeSubgraph, web_triplets, evidence=()) -> Knowled
             )
             if candidate.key in result.triplets:
                 continue  # already known, KG version wins
-            wt.schema_aligned = True
             result.add_triplet(candidate)
         elif t.key in result.triplets:
             continue  # already merged on a previous pass
@@ -394,8 +395,6 @@ def integrate(subgraph: KnowledgeSubgraph, web_triplets, evidence=()) -> Knowled
                 known_notes.add(note)
                 result.add_annotation(target, note)
         else:
-            if t.key in result.triplets:
-                continue
             result.add_triplet(
                 Triplet(t.subject, t.relation, t.object, origin="web", confidence=wt.confidence)
             )

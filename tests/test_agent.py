@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -28,7 +29,7 @@ from claimcheck.graph import KnowledgeSubgraph
 from claimcheck.kg import FixtureKgBackend
 from claimcheck.llm import LlmGateway, ScriptedBackend
 from claimcheck.policy import default_policy
-from claimcheck.web import FixtureSearchProvider
+from claimcheck.web import FixtureSearchProvider, WebDocument
 
 from conftest import OracleResponder, build_corpus, build_dense_graph
 
@@ -263,6 +264,53 @@ class TestEpisode:
         with pytest.raises(ScriptMiss):
             self.web_runner(responder).run("Martians Landed in Ohio.")
 
+    def test_second_search_of_same_urls_gets_new_ids(self):
+        class ChangingSearch:
+            """The same two URLs on every search, with new snippets each time."""
+
+            def __init__(self):
+                self.calls = 0
+
+            def search(self, query_text, m):
+                self.calls += 1
+                return [
+                    WebDocument(url=f"https://n.example/{name}", title="", provider_rank=i + 1,
+                                snippet=f"Martians Landed | visit {self.calls} | Ohio Field {name}")
+                    for i, name in enumerate("ab")
+                ]
+
+        graph, claims = build_corpus(1)
+        oracle = OracleResponder(specs=claims, action=WEB_SEARCH, verdict="refute_all")
+        prompts = []
+
+        def responder(text):
+            prompts.append(text)
+            return oracle(text)
+
+        _, traj = run_episode(
+            "Martians Landed in Ohio.", default_policy(), EpisodeConfig(max_web_searches=2),
+            ScriptedBackend(responder=responder), FixtureKgBackend(data=graph), ChangingSearch(),
+        )
+        assert traj.action_kinds() == [INIT_KG, WEB_SEARCH, WEB_SEARCH, VERDICT_ACTION]
+        first, second = (
+            [i for i in obs.added_item_ids if i.startswith("p:")] for _, obs in traj.steps[1:3]
+        )
+        assert first == ["p:https://n.example/a#0", "p:https://n.example/b#1"]
+        assert second == ["p:https://n.example/a#2", "p:https://n.example/b#3"]
+        verdict_prompt = [p for p in prompts if "Decide whether the claim" in p][-1]
+        cited = re.findall(r"^\[(p:[^\]]+)\]", verdict_prompt, re.MULTILINE)
+        assert cited == first + second
+
+    def test_forced_verdict_script_miss_propagates(self):
+        graph, claims = build_corpus(1)
+        oracle = OracleResponder(specs=claims)
+
+        def responder(text):
+            return None if "retrieval budget is exhausted" in text else oracle(text)
+
+        with pytest.raises(ScriptMiss):
+            make_runner(claims, graph, responder=responder, max_steps=1).run(claims[0]["claim"])
+
     def test_web_search_on_unlinkable_claim(self):
         graph, claims = build_corpus(1)
         web_data = {
@@ -304,6 +352,17 @@ class TestEpisode:
         a = make_runner(claims, graph).run(claims[2]["claim"])[1].to_json()
         b = make_runner(claims, graph).run(claims[2]["claim"])[1].to_json()
         assert a == b
+
+
+class TestTrajectory:
+    def test_web_after_expand(self):
+        def kinds(*names):
+            t = Trajectory(claim="c")
+            t.steps = [(Action(name), None) for name in names]
+            return t.web_after_expand()
+
+        assert kinds(INIT_KG, WEB_SEARCH, EXPAND_KG, VERDICT_ACTION) is None
+        assert kinds(INIT_KG, EXPAND_KG, EXPAND_KG, WEB_SEARCH, WEB_SEARCH) == 3
 
 
 class TestSerialization:

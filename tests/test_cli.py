@@ -3,7 +3,7 @@ import json
 import pytest
 
 from claimcheck.agent import EpisodeConfig, EpisodeRunner, write_trajectories
-from claimcheck.cli import main
+from claimcheck.cli import build_parser, main
 from claimcheck.kg import FixtureKgBackend
 from claimcheck.llm import ScriptedBackend
 from claimcheck.policy import default_policy
@@ -209,3 +209,14 @@ class TestConfigPrecedence:
         code = main(["check", claims[0]["claim"], "--config", str(config),
                      "--kg", kg_path, "--llm-script", script])
         assert code == 2
+
+
+class TestFlags:
+    def test_flags_belong_to_their_subcommand(self, capsys):
+        parser = build_parser()
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["check", "c", "--parallel", "2"])
+        assert exc.value.code == 2
+        assert parser.parse_args(["eval", "d.jsonl", "--parallel", "2"]).parallel == 2
+        args = parser.parse_args(["optimize", "c.jsonl", "--seed", "1", "--epochs", "1"])
+        assert (args.seed, args.epochs) == (1, 1)

@@ -5,11 +5,13 @@ import time
 
 import pytest
 
+from claimcheck import kg
 from claimcheck.agent import EpisodeConfig, run_episode
 from claimcheck.errors import (
     AllMentionsUnlinkable,
     BudgetExhausted,
     EmptyClaim,
+    QueryTimeout,
     TransportError,
 )
 from claimcheck.graph import EntityId, RelationId
@@ -17,6 +19,7 @@ from claimcheck.kg import (
     RelationCandidate,
     RetrievalBudget,
     SparqlCache,
+    WikidataBackend,
     expand_entity,
     expand_kg,
     extract_mentions,
@@ -332,6 +335,45 @@ class TestSparqlCache:
         hammer(lambda: cache.put("SELECT ?x", payload), n_threads=2, calls_per_thread=200)
         assert cache.get("SELECT ?x") == payload
         assert [n for n in os.listdir(tmp_path) if n.endswith(".tmp")] == []
+
+
+class TestWikidataRetry:
+    class StubRequests:
+        """Stands in for ``requests``: each ``get`` pops its next outcome."""
+
+        class RequestException(Exception):
+            pass
+
+        class Timeout(RequestException):
+            pass
+
+        def __init__(self, outcomes):
+            self.outcomes = list(outcomes)
+            self.gets = 0
+
+        def get(self, url, params=None, headers=None, timeout=None):
+            self.gets += 1
+            outcome = self.outcomes.pop(0)
+            if outcome == "timeout":
+                raise self.Timeout("read timed out")
+            return type("Response", (), {"status_code": 200, "json": lambda self: outcome})()
+
+    def backend(self, monkeypatch, outcomes):
+        monkeypatch.setattr(kg.time, "sleep", lambda seconds: None)
+        wikidata = WikidataBackend()
+        wikidata._requests = self.StubRequests(outcomes)
+        return wikidata
+
+    def test_timeout_is_retried(self, monkeypatch):
+        wikidata = self.backend(monkeypatch, ["timeout", {"search": [{"id": "Q1", "label": "X"}]}])
+        assert wikidata.search_entities("X") == [EntityId("Q1", "X")]
+        assert wikidata._requests.gets == 2
+
+    def test_second_timeout_raises_query_timeout(self, monkeypatch):
+        wikidata = self.backend(monkeypatch, ["timeout", "timeout"])
+        with pytest.raises(QueryTimeout):
+            wikidata.search_entities("X")
+        assert wikidata._requests.gets == 2
 
 
 # -- a hop's concurrent expand-and-prune ----------------------------------------

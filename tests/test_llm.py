@@ -71,15 +71,15 @@ class TestScriptedBackend:
         fp = fingerprint(text, 0.0, 1024)
         backend = ScriptedBackend(by_fingerprint={fp: "SUFFICIENT"})
         gateway = LlmGateway(backend, make_policy(PromptTemplate(id="v", text="Verify: {claim}")))
-        resp = gateway.complete(LlmRequest(template_id="v", bindings={"claim": "X"}))
-        assert resp.raw_text == "SUFFICIENT"
+        reply = gateway.complete(LlmRequest(template_id="v", bindings={"claim": "X"}))
+        assert reply == "SUFFICIENT"
 
     def test_determinism_same_request_twice(self):
         fp = fingerprint("Q", 0.0, 1024)
         backend = ScriptedBackend(by_fingerprint={fp: "A"})
         gateway = LlmGateway(backend, make_policy(PromptTemplate(id="q", text="Q")))
         req = LlmRequest(template_id="q")
-        assert gateway.complete(req).raw_text == gateway.complete(req).raw_text == "A"
+        assert gateway.complete(req) == gateway.complete(req) == "A"
 
     def test_script_miss(self):
         backend = ScriptedBackend()
@@ -171,14 +171,14 @@ class TestCassette:
         )
         gw = LlmGateway(recorder, policy)
         originals = [
-            gw.complete(LlmRequest(template_id="a")).raw_text,
-            gw.complete(LlmRequest(template_id="b")).raw_text,
+            gw.complete(LlmRequest(template_id="a")),
+            gw.complete(LlmRequest(template_id="b")),
         ]
 
         replay = LlmGateway(CassetteBackend(str(cassette)), policy)
         replayed = [
-            replay.complete(LlmRequest(template_id="a")).raw_text,
-            replay.complete(LlmRequest(template_id="b")).raw_text,
+            replay.complete(LlmRequest(template_id="a")),
+            replay.complete(LlmRequest(template_id="b")),
         ]
         assert replayed == originals == ["first", "second"]
 

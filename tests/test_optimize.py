@@ -15,7 +15,7 @@ from claimcheck.agent import (
     Trajectory,
     VerdictResult,
 )
-from claimcheck.errors import InsufficientData
+from claimcheck.errors import InsufficientData, ScriptMiss
 from claimcheck.kg import FixtureKgBackend
 from claimcheck.llm import LlmGateway, ScriptedBackend
 from claimcheck.optimize import (
@@ -25,7 +25,6 @@ from claimcheck.optimize import (
     PREMATURE_TERMINATION,
     REDUNDANT_RETRIEVAL,
     Critique,
-    ExperienceRecord,
     OptimizationConfig,
     compute_reward,
     optimize,
@@ -145,6 +144,28 @@ class TestReflect:
         assert critiques[1].step_index == 1  # clamped into range
         assert PREMATURE_TERMINATION in tags  # rule tag still present
 
+    def test_reflection_script_miss_propagates(self):
+        gw = LlmGateway(ScriptedBackend(), default_policy())
+        t = traj([INIT_KG, VERDICT_ACTION], label="Refuted")
+        with pytest.raises(ScriptMiss):
+            reflect(t, "Supported", gw)
+
+    def test_malformed_critique_rows_skipped(self):
+        reply = {"critiques": [
+            {"tag": CONTRADICTION_MISHANDLED, "step_index": 1, "text": "a"},
+            "not an object",
+            {"tag": OTHER, "step_index": "last", "text": "b"},
+            {"tag": REDUNDANT_RETRIEVAL, "step_index": 0, "text": "c"},
+        ]}
+        gw = LlmGateway(ScriptedBackend(default=json.dumps(reply)), default_policy())
+        t = traj([INIT_KG, VERDICT_ACTION], label="Refuted")
+        critiques = reflect(t, "Supported", gw)
+        assert [(c.tag, c.text) for c in critiques] == [
+            (CONTRADICTION_MISHANDLED, "a"),
+            (REDUNDANT_RETRIEVAL, "c"),
+            (PREMATURE_TERMINATION, "wrong verdict with no graph expansion beyond the initial retrieval"),
+        ]
+
     def test_reflection_failure_swallowed(self):
         gw = LlmGateway(ScriptedBackend(default="not json"), default_policy())
         t = traj([INIT_KG, VERDICT_ACTION], label="Refuted")
@@ -153,12 +174,7 @@ class TestReflect:
 
 
 def records_with(tag):
-    return [
-        ExperienceRecord(
-            state_digest="s", action=VERDICT_ACTION, observation_digest="Refuted",
-            reward=0.0, critiques=[Critique(tag=tag, step_index=0, text="x")],
-        )
-    ]
+    return [Critique(tag=tag, step_index=0, text="x")]
 
 
 class TestTextualGradient:
@@ -192,11 +208,8 @@ class TestTextualGradient:
         assert textual_gradient(records_with(OTHER), current, backend) is None
 
     def test_empty_critique_batch_rejected(self):
-        rec = ExperienceRecord(
-            state_digest="s", action="a", observation_digest="o", reward=1.0
-        )
         with pytest.raises(ValueError):
-            textual_gradient([rec], default_policy(), self.meta_backend({}))
+            textual_gradient([], default_policy(), self.meta_backend({}))
 
 
 class TestOptimize:

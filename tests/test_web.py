@@ -5,6 +5,7 @@ import re
 import threading
 import time
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -166,6 +167,13 @@ class TestRanking:
         with pytest.raises(ValueError):
             rank_passages(WebQuery(text="q"), [])
 
+    def test_first_index_numbers_passages_on(self):
+        query = WebQuery(text="cat sat")
+        plain = rank_passages(query, self.docs())
+        offset = rank_passages(query, self.docs(), first_index=3)
+        assert [p.source_url for p in offset] == [p.source_url for p in plain]
+        assert [p.index for p in offset] == [p.index + 3 for p in plain]
+
     def test_fixture_provider_and_search_limit(self):
         provider = FixtureSearchProvider(
             data={"q": [{"url": f"u{i}", "snippet": "s"} for i in range(5)]}
@@ -300,6 +308,17 @@ class TestIntegrate:
         assert len(after.triplets) == 1
         assert after.triplets[("Q76", "P19", "Q18094")].origin == "kg"
 
+    def test_web_triplets_argument_unchanged(self):
+        wts = [
+            web_triplet(EntityId("W:1", "Michelle Obama"), RelationId("WR:1", "place of birth"),
+                        EntityId("W:2", "Chicago")),
+            web_triplet(EntityId("Q76", "Barack Obama"), RelationId("WR:2", "favorite food"),
+                        EntityId("W:3", "Broccoli")),
+        ]
+        before = [asdict(wt) for wt in wts]
+        integrate(base_subgraph(), wts)
+        assert [asdict(wt) for wt in wts] == before
+
     def test_label_match_becomes_schema_aligned(self):
         before = base_subgraph()
         wt = web_triplet(
@@ -308,7 +327,6 @@ class TestIntegrate:
             EntityId("W:2", "Chicago"),
         )
         after = integrate(before, [wt])
-        assert wt.schema_aligned is True
         added = after.triplets[("W:1", "P19", "W:2")]
         assert added.origin == "web" and added.confidence == 0.7
 
