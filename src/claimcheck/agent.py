@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from . import kg as kg_mod
 from . import web as web_mod
 from .errors import AllItemsFailed, EmptyClaim, ParseFailure, TransportError
-from .graph import KnowledgeSubgraph, passage_item_id
+from .graph import passage_item_id
 from .llm import LlmGateway, LlmRequest, ResponseSchema
 from .policy import ACTION_SELECT, FORCED_VERDICT, SUFFICIENCY, VERDICT
 
@@ -201,24 +201,40 @@ def _normalize_label(raw) -> str:
     return "Refuted"
 
 
-def _evidence_text(subgraph, web_passages):
-    lines = [f"[{item_id}] {text}" for item_id, text in subgraph.evidence_lines()]
-    for ev in web_passages:
-        item_id = passage_item_id(ev.passage.source_url, ev.passage.index)
-        lines.append(f"[{item_id}] ({ev.stance}, {ev.consistency_confidence:.2f}) {ev.passage.text}")
-    return "\n".join(lines) if lines else "(no evidence)"
+@dataclass(frozen=True)
+class Evidence:
+    """One listing of an episode's evidence: the item ids a verdict may cite,
+    and the prompt block that shows exactly those items."""
+
+    ids: frozenset = frozenset()
+    text: str = "(no evidence)"
+
+    @classmethod
+    def of(cls, subgraph, web_passages=()):
+        ids, lines = [], []
+        for item_id, text in subgraph.evidence_lines():
+            ids.append(item_id)
+            lines.append(f"[{item_id}] {text}")
+        for ev in web_passages:
+            item_id = passage_item_id(ev.passage.source_url, ev.passage.index)
+            ids.append(item_id)
+            lines.append(
+                f"[{item_id}] ({ev.stance}, {ev.consistency_confidence:.2f}) {ev.passage.text}"
+            )
+        if not lines:
+            return cls()
+        return cls(frozenset(ids), "\n".join(lines))
 
 
-def assess_sufficiency(claim, subgraph, gateway, web_passages=()):
-    """One LLM call mapping the evidence to sufficient/need_kg/need_web; an
-    empty subgraph short-circuits to need_web with no call."""
-    if subgraph.is_empty() and not web_passages:
+def assess_sufficiency(claim, evidence, gateway):
+    """One LLM call mapping the evidence to sufficient/need_kg/need_web; no
+    evidence at all short-circuits to need_web with no call."""
+    if not evidence.ids:
         return NEED_WEB
     try:
         payload = gateway.complete_structured(
             LlmRequest(
-                template_id=SUFFICIENCY,
-                bindings={"claim": claim, "evidence": _evidence_text(subgraph, web_passages)},
+                template_id=SUFFICIENCY, bindings={"claim": claim, "evidence": evidence.text}
             ),
             _SUFFICIENCY_SCHEMA,
         )
@@ -242,6 +258,9 @@ class _EpisodeState:
 
     def web_allowed(self):
         return self.has_web and self.web_count < self.config.max_web_searches
+
+    def retrieval_allowed(self):
+        return self.expand_allowed() or self.web_allowed()
 
 
 def coerce_action(requested, state: _EpisodeState):
@@ -278,7 +297,10 @@ def coerce_action(requested, state: _EpisodeState):
 
 def select_action(claim, trajectory, policy_gateway, state: _EpisodeState):
     """One structured call to the action-selection prompt, then legality
-    coercion. An empty trajectory always yields the initial KG retrieval."""
+    coercion. An empty trajectory always yields the initial KG retrieval.
+    When verdict is the only legal action it is returned with no call."""
+    if state.has_init and not state.retrieval_allowed():
+        return Action(VERDICT_ACTION)
     history = " -> ".join(a.kind for a, _ in trajectory.steps) or "(none)"
     try:
         payload = policy_gateway.complete_structured(
@@ -314,25 +336,21 @@ def _validated_verdict(payload, evidence_ids, trajectory, forced):
     return VerdictResult(label=label, justification=justification, citations=citations, forced=forced)
 
 
-def verdict(claim, subgraph, web_passages, gateway, evidence_ids, trajectory):
+def verdict(claim, evidence, gateway, trajectory):
     payload = gateway.complete_structured(
-        LlmRequest(
-            template_id=VERDICT,
-            bindings={"claim": claim, "evidence": _evidence_text(subgraph, web_passages)},
-        ),
+        LlmRequest(template_id=VERDICT, bindings={"claim": claim, "evidence": evidence.text}),
         _VERDICT_SCHEMA,
     )
-    return _validated_verdict(payload, evidence_ids, trajectory, forced=False)
+    return _validated_verdict(payload, evidence.ids, trajectory, forced=False)
 
 
-def force_verdict(claim, subgraph, web_passages, gateway, evidence_ids, trajectory):
+def force_verdict(claim, evidence, gateway, trajectory):
     """Falls back to a deterministic Refuted verdict when even the forced
     prompt cannot be parsed or its transport fails."""
     try:
         payload = gateway.complete_structured(
             LlmRequest(
-                template_id=FORCED_VERDICT,
-                bindings={"claim": claim, "evidence": _evidence_text(subgraph, web_passages)},
+                template_id=FORCED_VERDICT, bindings={"claim": claim, "evidence": evidence.text}
             ),
             _VERDICT_SCHEMA,
         )
@@ -340,7 +358,7 @@ def force_verdict(claim, subgraph, web_passages, gateway, evidence_ids, trajecto
         return VerdictResult(
             label="Refuted", justification="insufficient evidence", citations=[], forced=True
         )
-    return _validated_verdict(payload, evidence_ids, trajectory, forced=True)
+    return _validated_verdict(payload, evidence.ids, trajectory, forced=True)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +388,12 @@ class EpisodeRunner:
 
 
 def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=None):
-    """Execute one full episode; returns (VerdictResult, Trajectory)."""
+    """Execute one full episode; returns (VerdictResult, Trajectory).
+
+    A TransportError, or a reply that stays unparseable where no fallback
+    exists (a prune, a web query), ends the episode in a forced verdict once
+    the claim is accepted: the step in progress is recorded with the error,
+    then one terminal verdict step follows."""
     if not claim or not claim.strip():
         raise EmptyClaim("claim is empty")
     gateway = LlmGateway(llm_backend, policy)
@@ -379,21 +402,14 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
     state = _EpisodeState(config=config, has_web=web_provider is not None)
     web_passages = []
     ranked = 0  # passages ranked so far, so that every passage id is new
-    evidence_ids = set()
-
-    def snapshot_ids(subgraph):
-        ids = {item_id for item_id, _ in subgraph.evidence_lines()}
-        for ev in web_passages:
-            ids.add(passage_item_id(ev.passage.source_url, ev.passage.index))
-        return ids
+    evidence = Evidence()  # listed by the latest observation
 
     def observe(subgraph, kind):
-        nonlocal evidence_ids
+        nonlocal evidence
         state.has_frontier = bool(subgraph.frontier - subgraph.expanded)
-        current = snapshot_ids(subgraph)
-        added = sorted(current - evidence_ids)
-        evidence_ids = current
-        hint = assess_sufficiency(claim, subgraph, gateway, web_passages)
+        previous, evidence = evidence, Evidence.of(subgraph, web_passages)
+        added = sorted(evidence.ids - previous.ids)
+        hint = assess_sufficiency(claim, evidence, gateway)
         if hint == UNKNOWN:
             hint_effective = NEED_KG if state.expand_allowed() else NEED_WEB
             trajectory.warnings.append(
@@ -409,38 +425,31 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
             added_item_ids=added,
         )
 
-    # forced first action: initial KG retrieval
-    subgraph = kg_mod.init_kg_retrieval(
-        claim, config.k, config.n_init, budget, gateway, kg_backend
-    )
-    state.has_init = True
-    trajectory.steps.append((Action(INIT_KG, claim), observe(subgraph, "subgraph_delta")))
-
     result = None
-    transport_note = ""
-    while result is None:
-        if len(trajectory.steps) >= config.max_steps:
-            result = force_verdict(
-                claim, subgraph, web_passages, gateway, evidence_ids, trajectory
-            )
-            trajectory.forced_reason = "step_limit"
-            trajectory.steps.append(
-                (Action(VERDICT_ACTION), Observation(kind="terminal", note="step limit"))
-            )
-            break
+    action = Action(INIT_KG, claim)  # the step in progress
+    try:
+        subgraph = kg_mod.init_kg_retrieval(
+            claim, config.k, config.n_init, budget, gateway, kg_backend
+        )
+        state.has_init = True
+        trajectory.steps.append((action, observe(subgraph, "subgraph_delta")))
 
-        action = select_action(claim, trajectory, gateway, state)
+        while result is None:
+            if len(trajectory.steps) >= config.max_steps:
+                result = force_verdict(claim, evidence, gateway, trajectory)
+                trajectory.forced_reason = "step_limit"
+                trajectory.steps.append(
+                    (Action(VERDICT_ACTION), Observation(kind="terminal", note="step limit"))
+                )
+                break
 
-        try:
+            action = None  # a failed action choice records no step
+            action = select_action(claim, trajectory, gateway, state)
             if action.kind == VERDICT_ACTION:
                 try:
-                    result = verdict(
-                        claim, subgraph, web_passages, gateway, evidence_ids, trajectory
-                    )
+                    result = verdict(claim, evidence, gateway, trajectory)
                 except ParseFailure:
-                    result = force_verdict(
-                        claim, subgraph, web_passages, gateway, evidence_ids, trajectory
-                    )
+                    result = force_verdict(claim, evidence, gateway, trajectory)
                     trajectory.forced_reason = "parse_failure"
                 trajectory.steps.append(
                     (action, Observation(kind="terminal", sufficiency_hint=state.last_hint))
@@ -472,15 +481,15 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
                     subgraph = web_mod.integrate(subgraph, web_triplets, new_evidence)
                     web_passages.extend(new_evidence)
                 trajectory.steps.append((action, observe(subgraph, "web_evidence")))
-        except TransportError as exc:
-            transport_note = str(exc)
-            result = force_verdict(
-                claim, subgraph, web_passages, gateway, evidence_ids, trajectory
-            )
-            trajectory.forced_reason = trajectory.forced_reason or "transport_error"
-            trajectory.steps.append(
-                (action, Observation(kind="terminal", note=f"transport error: {transport_note}"))
-            )
+    except (ParseFailure, TransportError) as exc:
+        failure = "transport error" if isinstance(exc, TransportError) else "parse failure"
+        note = f"{failure}: {exc}"
+        if action is not None and action.kind != VERDICT_ACTION:
+            kind = "web_evidence" if action.kind == WEB_SEARCH else "subgraph_delta"
+            trajectory.steps.append((action, Observation(kind=kind, note=note)))
+        result = force_verdict(claim, evidence, gateway, trajectory)
+        trajectory.forced_reason = failure.replace(" ", "_")
+        trajectory.steps.append((Action(VERDICT_ACTION), Observation(kind="terminal", note=note)))
 
     trajectory.verdict = result
     trajectory.counters = {

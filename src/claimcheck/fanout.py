@@ -1,7 +1,9 @@
 """Run one function over a few independent items concurrently.
 
-Used for the per-entity expand-and-prune work of a KG hop
-(``kg.expand_hop``), and in the web step for the passage batches of
+Used in the KG layer for the per-entity expand-and-prune work of a hop
+(``kg.expand_hop``), the outgoing and incoming fetches of one expansion
+(``kg.expand_entity``) and the per-mention entity searches
+(``kg.link_entities``); in the web step for the passage batches of
 ``web.filter_evidence`` and the per-passage extract-and-link items of
 ``web.to_triplets``. Their items spend their time waiting on SPARQL and LLM
 round trips, not on Python computation.

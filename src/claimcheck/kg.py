@@ -7,10 +7,12 @@ expanded entity's relations are pruned by one LLM scoring call, and one more
 LLM call prunes the hop's union down to the top ``k`` relations overall.
 
 A hop's ``k`` expand-and-prune pairs do not depend on each other and run
-concurrently (see ``fanout``); the hop prune waits for all of them and sees
-their survivors in expansion order, so results do not depend on timing. LLM
-load stays bounded by ``HttpBackend``'s semaphore and token bucket; the graph
-backend may see all ``2k`` relation fetches of a hop at once.
+concurrently (see ``fanout``), and so do each expansion's outgoing and
+incoming fetches and the claim's per-mention entity searches. Results are
+gathered in input order (expansion, direction, mention), so they do not
+depend on timing. LLM load stays bounded by ``HttpBackend``'s semaphore and
+token bucket; the graph backend may see all ``2k`` relation fetches of a hop
+at once.
 
 Budget accounting follows the expansion model: one "query" = one entity
 expansion (its incoming and outgoing template executions count together), so an
@@ -267,6 +269,8 @@ class WikidataBackend:
     def _get(self, url, params):
         last = None
         for attempt in range(2):
+            if attempt:
+                time.sleep(0.5 + random.random() * 0.5)
             try:
                 resp = self._requests.get(
                     url, params=params, headers=self.headers, timeout=self.timeout
@@ -279,7 +283,6 @@ class WikidataBackend:
                 if resp.status_code == 200:
                     return resp.json()
                 last = TransportError(f"status {resp.status_code} from {url}")
-            time.sleep(0.5 + random.random() * 0.5)
         raise last
 
     def search_entities(self, text, limit=5):
@@ -332,13 +335,14 @@ class WikidataBackend:
 
 
 def link_entities(mentions, backend) -> list:
-    """Top backend hit per mention, deduplicated in first-occurrence order."""
+    """Top backend hit per mention, deduplicated in first-occurrence order.
+    The mentions' searches run concurrently."""
     if not mentions:
         raise AllMentionsUnlinkable("no mentions to link")
+    found = fan_out(lambda mention: backend.search_entities(mention.surface), mentions)
     linked = []
     seen = set()
-    for mention in mentions:
-        hits = backend.search_entities(mention.surface)
+    for mention, hits in zip(mentions, found):
         if not hits:
             continue
         top = hits[0]
@@ -370,11 +374,14 @@ def fetch_relations(entity, direction, backend, limit=MAX_OBJECTS_PER_RELATION):
 
 
 def expand_entity(entity, backend, budget, limit=MAX_OBJECTS_PER_RELATION):
-    """Both directional fetches of one entity; charges one expansion."""
+    """Both directional fetches of one entity, run concurrently, outgoing
+    candidates first; charges one expansion."""
     budget.charge_expansion()
-    return fetch_relations(entity, "outgoing", backend, limit) + fetch_relations(
-        entity, "incoming", backend, limit
+    outgoing, incoming = fan_out(
+        lambda direction: fetch_relations(entity, direction, backend, limit),
+        ("outgoing", "incoming"),
     )
+    return outgoing + incoming
 
 
 def _candidate_lines(candidates):

@@ -13,6 +13,7 @@ from collections import deque
 
 import pytest
 
+from claimcheck.errors import TransportError
 from claimcheck.kg import FixtureKgBackend
 from claimcheck.llm import ScriptedBackend
 from claimcheck.policy import SUFFICIENCY, default_policy
@@ -321,6 +322,31 @@ class SlowSearch:
         return self.provider.search(query_text, m)
 
 
+class FaultyLlm:
+    """Wraps an LLM backend: the calls at seeded indices raise TransportError
+    or reply with text that does not parse. Counts every call it gets."""
+
+    def __init__(self, backend, seed, rate=0.1, horizon=64):
+        rng = random.Random(seed)
+        self.backend = backend
+        self.faults = {
+            i: rng.choice(("transport", "garbage")) for i in range(horizon) if rng.random() < rate
+        }
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def generate(self, text, temperature, max_tokens):
+        with self._lock:
+            index = self.calls
+            self.calls += 1
+        fault = self.faults.get(index)
+        if fault == "transport":
+            raise TransportError(f"injected fault at call {index}")
+        if fault == "garbage":
+            return "*** not json ***"
+        return self.backend.generate(text, temperature, max_tokens)
+
+
 @pytest.fixture
 def oracle_corpus():
     graph, claims = build_corpus(20, depth=1)
@@ -329,31 +355,33 @@ def oracle_corpus():
     return backend, llm, claims
 
 
+SMALL_GRAPH = {
+    "entities": [
+        {"id": "Q76", "label": "Barack Obama"},
+        {"id": "Q114", "label": "Kenya"},
+        {"id": "Q30", "label": "United States"},
+        {"id": "Q18094", "label": "Honolulu"},
+        {"id": "Q3139", "label": "Nairobi"},
+    ],
+    "relations": [
+        {"id": "P19", "label": "place of birth"},
+        {"id": "P27", "label": "country of citizenship"},
+        {"id": "P36", "label": "capital"},
+    ],
+    "triples": [
+        ["Q76", "P19", "Q18094"],
+        ["Q76", "P27", "Q30"],
+        ["Q114", "P36", "Q3139"],
+    ],
+    "links": {
+        "Barack Obama": "Q76",
+        "Kenya": "Q114",
+        "United States": "Q30",
+        "Honolulu": "Q18094",
+    },
+}
+
+
 @pytest.fixture
 def small_graph_backend():
-    data = {
-        "entities": [
-            {"id": "Q76", "label": "Barack Obama"},
-            {"id": "Q114", "label": "Kenya"},
-            {"id": "Q30", "label": "United States"},
-            {"id": "Q18094", "label": "Honolulu"},
-            {"id": "Q3139", "label": "Nairobi"},
-        ],
-        "relations": [
-            {"id": "P19", "label": "place of birth"},
-            {"id": "P27", "label": "country of citizenship"},
-            {"id": "P36", "label": "capital"},
-        ],
-        "triples": [
-            ["Q76", "P19", "Q18094"],
-            ["Q76", "P27", "Q30"],
-            ["Q114", "P36", "Q3139"],
-        ],
-        "links": {
-            "Barack Obama": "Q76",
-            "Kenya": "Q114",
-            "United States": "Q30",
-            "Honolulu": "Q18094",
-        },
-    }
-    return FixtureKgBackend(data=data)
+    return FixtureKgBackend(data=SMALL_GRAPH)

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 
 import pytest
@@ -13,6 +14,7 @@ from claimcheck.agent import (
     WEB_SEARCH,
     Action,
     EpisodeConfig,
+    Evidence,
     EpisodeRunner,
     Trajectory,
     VerdictResult,
@@ -21,17 +23,26 @@ from claimcheck.agent import (
     coerce_action,
     read_trajectories,
     run_episode,
+    select_action,
     trajectory_from_jsonable,
     write_trajectories,
 )
 from claimcheck.errors import EmptyClaim, ScriptMiss, TransportError
+from claimcheck.evaluation import DatasetRecord, run_benchmark
 from claimcheck.graph import KnowledgeSubgraph
 from claimcheck.kg import FixtureKgBackend
 from claimcheck.llm import LlmGateway, ScriptedBackend
 from claimcheck.policy import default_policy
 from claimcheck.web import FixtureSearchProvider, WebDocument
 
-from conftest import OracleResponder, build_corpus, build_dense_graph
+from conftest import (
+    FaultyLlm,
+    OracleResponder,
+    SlowKg,
+    SlowLlm,
+    build_corpus,
+    build_dense_graph,
+)
 
 
 def make_runner(claims, graph, responder=None, **config_kwargs):
@@ -108,11 +119,19 @@ class TestCoercion:
         with pytest.raises(ValueError):
             Action("sing")
 
+    def test_no_call_when_verdict_is_the_only_legal_action(self):
+        state = _EpisodeState(config=EpisodeConfig(), has_web=False, has_frontier=False)
+        state.has_init = True
+        gw = LlmGateway(ScriptedBackend(), default_policy())  # any call would miss
+        trajectory = Trajectory(claim="c")
+        assert select_action("c", trajectory, gw, state).kind == VERDICT_ACTION
+        assert gw.call_count == 0 and trajectory.warnings == []
+
 
 class TestSufficiency:
     def test_empty_subgraph_short_circuits(self):
         gw = LlmGateway(ScriptedBackend(), default_policy())  # any call would miss
-        assert assess_sufficiency("c", KnowledgeSubgraph(), gw) == NEED_WEB
+        assert assess_sufficiency("c", Evidence.of(KnowledgeSubgraph()), gw) == NEED_WEB
         assert gw.call_count == 0
 
     def test_unparseable_reply_is_unknown(self):
@@ -127,7 +146,7 @@ class TestSufficiency:
             claims[0]["claim"], 4, 1, RetrievalBudget(), oracle, backend
         )
         broken = LlmGateway(ScriptedBackend(default="not json"), default_policy())
-        assert assess_sufficiency(claims[0]["claim"], subgraph, broken) == "unknown"
+        assert assess_sufficiency(claims[0]["claim"], Evidence.of(subgraph), broken) == "unknown"
 
 
 class TestEpisode:
@@ -218,14 +237,14 @@ class TestEpisode:
 
         traj = run(max_web_searches=2)
         assert WEB_SEARCH not in traj.action_kinds()
-        assert traj.counters["llm_calls"] == 29
+        assert traj.counters["llm_calls"] == 28
         assert traj.to_json() == run(max_web_searches=0).to_json()
 
     def test_unlinkable_claim_without_web_goes_to_verdict(self):
         graph, claims = build_corpus(1)
         _, traj = make_runner(claims, graph).run("Martians Landed in Ohio.")
         assert traj.action_kinds() == [INIT_KG, VERDICT_ACTION]
-        assert traj.counters["llm_calls"] == 2
+        assert traj.counters["llm_calls"] == 1
         assert traj.counters["sparql_queries"] == 0
 
     def web_runner(self, responder):
@@ -352,6 +371,165 @@ class TestEpisode:
         a = make_runner(claims, graph).run(claims[2]["claim"])[1].to_json()
         b = make_runner(claims, graph).run(claims[2]["claim"])[1].to_json()
         assert a == b
+
+
+DEPTH2_GRAPH, DEPTH2_CLAIMS = build_corpus(6, depth=2)
+
+
+def depth2_episode(responder, claim=DEPTH2_CLAIMS[0]["claim"], wrap=None):
+    """(result, trajectory, prompts) of one depth-2 episode; ``wrap`` wraps
+    the LLM backend the episode sees."""
+    llm = SlowLlm(responder)
+    result, trajectory = run_episode(
+        claim, default_policy(), EpisodeConfig(), wrap(llm) if wrap else llm,
+        FixtureKgBackend(data=DEPTH2_GRAPH),
+    )
+    return result, trajectory, llm.prompts
+
+
+def failing_verdict(reply):
+    oracle = OracleResponder(specs=DEPTH2_CLAIMS)
+
+    def responder(text):
+        if "Decide whether the claim" in text:
+            if isinstance(reply, Exception):
+                raise reply
+            return reply
+        return oracle(text)
+
+    return responder
+
+
+class TestVerdictRequests:
+    @pytest.mark.parametrize("responder, kinds", [
+        (OracleResponder(specs=DEPTH2_CLAIMS), [INIT_KG, EXPAND_KG, VERDICT_ACTION]),
+        # the policy keeps expanding after 'sufficient'
+        (OracleResponder(specs=DEPTH2_CLAIMS, sufficiency="always", action=EXPAND_KG),
+         [INIT_KG, EXPAND_KG, EXPAND_KG, VERDICT_ACTION]),
+    ], ids=["oracle", "expand-after-sufficient"])
+    def test_one_verdict_request_per_episode(self, responder, kinds):
+        _, trajectory, prompts = depth2_episode(responder)
+        assert trajectory.action_kinds() == kinds
+        assert sum("Decide whether the claim" in p for p in prompts) == 1
+        assert trajectory.counters["llm_calls"] == len(prompts)
+        assert trajectory.counters["verdict_llm_calls"] == 1
+
+    def test_verdict_script_miss_propagates(self):
+        with pytest.raises(ScriptMiss):
+            depth2_episode(failing_verdict(None))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_eval_equals_zero_latency_serial_run(self, seed):
+        records = [DatasetRecord(c["id"], c["claim"], c["gold_label"]) for c in DEPTH2_CLAIMS]
+
+        def outputs(llm, kg, parallelism):
+            runner = EpisodeRunner(default_policy(), EpisodeConfig(), llm, kg)
+            trajectories = []
+            report = run_benchmark(
+                records, runner, parallelism=parallelism, collect_trajectories=trajectories
+            )
+            return report.to_json(), [t.to_json() for t in trajectories]
+
+        oracle = OracleResponder(specs=DEPTH2_CLAIMS)
+        serial = SlowLlm(oracle)
+        slow = SlowLlm(oracle, seed, max_ms=3.0)
+        reference = outputs(serial, FixtureKgBackend(data=DEPTH2_GRAPH), 1)
+        assert outputs(slow, SlowKg(DEPTH2_GRAPH, seed), 2) == reference
+        assert sorted(slow.prompts) == sorted(serial.prompts)
+
+
+class TestTransportErrors:
+    # the depth-2 episode's calls, one at a time: 1-2 the initial prunes,
+    # 3 sufficiency, 4 action_select, 5-6 the expansion's prunes,
+    # 7 sufficiency, 8 action_select, 9 verdict
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_any_call_ends_in_one_forced_verdict(self, n):
+        oracle = OracleResponder(specs=DEPTH2_CLAIMS)
+        calls = []
+
+        def responder(text):
+            calls.append(text)
+            if len(calls) == n:
+                raise TransportError(f"call {n} failed")
+            return oracle(text)
+
+        result, trajectory, prompts = depth2_episode(responder)
+        note = f"transport error: call {n} failed"
+        kinds = [INIT_KG] if n <= 4 else [INIT_KG, EXPAND_KG]
+        assert trajectory.action_kinds() == kinds + [VERDICT_ACTION]
+        in_progress = {1: 0, 2: 0, 3: 0, 5: 1, 6: 1, 7: 1}.get(n)
+        assert [obs.note for _, obs in trajectory.steps] == [
+            note if i == in_progress else "" for i in range(len(kinds))
+        ] + [note]
+        assert result.forced and trajectory.verdict is result
+        assert trajectory.forced_reason == "transport_error"
+        assert trajectory.counters["llm_calls"] == len(prompts) == n + 1
+
+    def test_forced_verdict_shows_the_items_it_checks(self):
+        # the sufficiency call after the expansion fails: the forced verdict
+        # sees the expanded subgraph and may cite its decisive triplet
+        oracle = OracleResponder(specs=DEPTH2_CLAIMS)
+        calls = []
+
+        def responder(text):
+            calls.append(text)
+            if len(calls) == 7:
+                raise TransportError("sufficiency endpoint down")
+            return oracle(text)
+
+        result, trajectory, prompts = depth2_episode(responder)
+        forced_prompt = prompts[-1]
+        assert "retrieval budget is exhausted" in forced_prompt
+        listed = re.findall(r"^\[([^\]]+)\]", forced_prompt, re.MULTILINE)
+        assert len(listed) == 2 and result.citations and set(result.citations) <= set(listed)
+        assert not any("dropped citation" in w for w in trajectory.warnings)
+        assert result.label == DEPTH2_CLAIMS[0]["gold_label"]
+
+
+class TestFaultInjection:
+    def environments(self):
+        envs = []
+        for depth in (1, 2):
+            graph, claims = build_corpus(10, depth=depth)
+            envs.append((graph, claims, [c["claim"] for c in claims]))
+        dense_graph, dense_claim = build_dense_graph(fanout=4, depth=4, n_roots=4)
+        envs.append((dense_graph, [], [dense_claim]))
+        return envs
+
+    def test_every_episode_ends_in_one_verdict_within_budget(self):
+        rng = random.Random(11)
+        environments = self.environments()
+        for episode in range(540):
+            graph, claims, claim_texts = environments[episode % 3]
+            claim = rng.choice(claim_texts)
+            web = None
+            if rng.random() < 0.5:
+                web = FixtureSearchProvider(data={claim: [
+                    {"url": f"https://w.example/{i}", "snippet": c["support"]}
+                    for i, c in enumerate(claims[:3])
+                ]})
+            config = EpisodeConfig(
+                max_steps=rng.choice([3, 4, 6]), max_web_searches=rng.choice([0, 1, 2])
+            )
+            responder = OracleResponder(
+                specs=claims,
+                sufficiency=rng.choice(["oracle", "never", "always"]),
+                action=rng.choice(["follow_hint", WEB_SEARCH, VERDICT_ACTION, EXPAND_KG]),
+            )
+            llm = FaultyLlm(ScriptedBackend(responder=responder), seed=episode,
+                            rate=rng.choice([0.03, 0.1, 0.3]))
+            result, trajectory = run_episode(
+                claim, default_policy(), config, llm, FixtureKgBackend(data=graph), web
+            )
+            kinds = trajectory.action_kinds()
+            assert kinds[0] == INIT_KG and kinds.count(INIT_KG) == 1, episode
+            assert kinds[-1] == VERDICT_ACTION and kinds.count(VERDICT_ACTION) == 1, episode
+            assert result is trajectory.verdict and result.label in ("Supported", "Refuted")
+            assert len(trajectory.steps) <= config.max_steps + 1, episode
+            assert kinds.count(WEB_SEARCH) <= config.max_web_searches, episode
+            assert trajectory.counters["sparql_queries"] <= 16, episode
+            assert trajectory.counters["core_llm_calls"] <= 21, episode
+            assert trajectory.counters["llm_calls"] == llm.calls, episode
 
 
 class TestTrajectory:

@@ -1,6 +1,7 @@
 import os
 import random
 import sys
+import threading
 import time
 
 import pytest
@@ -16,6 +17,7 @@ from claimcheck.errors import (
 )
 from claimcheck.graph import EntityId, RelationId
 from claimcheck.kg import (
+    EntityMention,
     RelationCandidate,
     RetrievalBudget,
     SparqlCache,
@@ -32,6 +34,7 @@ from claimcheck.llm import LlmGateway, ScriptedBackend
 from claimcheck.policy import default_policy
 
 from conftest import (
+    SMALL_GRAPH,
     OracleResponder,
     SlowKg,
     SlowLlm,
@@ -100,6 +103,31 @@ class TestLinking:
         linked = link_entities(mentions, small_graph_backend)
         assert [e.id for e in linked] == ["Q76"]
 
+    SURFACES = ("Kenya", "Zzqx Wobble", "Barack Obama", "kenya", "Honolulu")
+
+    def linked(self, backend):
+        mentions = [EntityMention(surface, (0, 0)) for surface in self.SURFACES]
+        linked = link_entities(mentions, backend)
+        return [e.id for e in linked], [m.candidate_ids for m in mentions]
+
+    def test_mention_searches_overlap(self, small_graph_backend):
+        # serial searches would break the barrier after its timeout
+        barrier = threading.Barrier(len(self.SURFACES), timeout=5)
+
+        class Meeting:
+            def search_entities(self, text, limit=5):
+                barrier.wait()
+                return small_graph_backend.search_entities(text, limit)
+
+        assert self.linked(Meeting()) == (
+            ["Q114", "Q76", "Q18094"], [["Q114"], [], ["Q76"], ["Q114"], ["Q18094"]]
+        )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_link_order_does_not_depend_on_latency(self, seed):
+        reference = self.linked(FixtureKgBackend(data=SMALL_GRAPH))
+        assert self.linked(SlowKg(SMALL_GRAPH, seed, max_ms=5.0)) == reference
+
 
 class TestFetchRelations:
     def test_fixture_outgoing(self, small_graph_backend):
@@ -121,6 +149,26 @@ class TestFetchRelations:
         budget = RetrievalBudget(k=4, n_hops=4)
         expand_entity(EntityId("Q76"), small_graph_backend, budget)
         assert budget.sparql_queries_used == 1
+
+    def test_directional_fetches_overlap(self, small_graph_backend):
+        # serial fetches would break the barrier after its timeout
+        barrier = threading.Barrier(2, timeout=5)
+
+        class Meeting:
+            def relations_of(self, entity_id, direction, limit=kg.RELATION_FETCH_LIMIT):
+                barrier.wait()
+                if direction == "outgoing":
+                    time.sleep(0.01)  # the outgoing fetch finishes last
+                return small_graph_backend.relations_of(entity_id, direction, limit)
+
+        budget = RetrievalBudget()
+        candidates = expand_entity(EntityId("Q30"), Meeting(), budget)
+        assert [(c.direction, c.relation.id) for c in candidates] == [("incoming", "P27")]
+        candidates = expand_entity(EntityId("Q76"), Meeting(), budget)
+        assert [(c.direction, c.relation.id) for c in candidates] == [
+            ("outgoing", "P19"), ("outgoing", "P27")
+        ]
+        assert budget.sparql_queries_used == 2
 
     def test_concurrent_charges(self):
         budget = RetrievalBudget(k=4, n_hops=4)
@@ -359,7 +407,8 @@ class TestWikidataRetry:
             return type("Response", (), {"status_code": 200, "json": lambda self: outcome})()
 
     def backend(self, monkeypatch, outcomes):
-        monkeypatch.setattr(kg.time, "sleep", lambda seconds: None)
+        self.sleeps = []
+        monkeypatch.setattr(kg.time, "sleep", self.sleeps.append)
         wikidata = WikidataBackend()
         wikidata._requests = self.StubRequests(outcomes)
         return wikidata
@@ -368,12 +417,14 @@ class TestWikidataRetry:
         wikidata = self.backend(monkeypatch, ["timeout", {"search": [{"id": "Q1", "label": "X"}]}])
         assert wikidata.search_entities("X") == [EntityId("Q1", "X")]
         assert wikidata._requests.gets == 2
+        assert len(self.sleeps) == 1
 
     def test_second_timeout_raises_query_timeout(self, monkeypatch):
         wikidata = self.backend(monkeypatch, ["timeout", "timeout"])
         with pytest.raises(QueryTimeout):
             wikidata.search_entities("X")
         assert wikidata._requests.gets == 2
+        assert len(self.sleeps) == 1  # between the attempts, not after the last
 
 
 # -- a hop's concurrent expand-and-prune ----------------------------------------
