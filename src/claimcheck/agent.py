@@ -16,7 +16,8 @@ from . import web as web_mod
 from .errors import AllItemsFailed, EmptyClaim, ParseFailure, TransportError
 from .graph import passage_item_id
 from .llm import LlmGateway, LlmRequest, ResponseSchema
-from .policy import ACTION_SELECT, FORCED_VERDICT, SUFFICIENCY, VERDICT
+from .policy import ACTION_SELECT, EXPANSION_PRUNE, FORCED_VERDICT, RELATION_PRUNE
+from .policy import SUFFICIENCY, VERDICT
 
 INIT_KG = "initKGRetrieval"
 EXPAND_KG = "expandKG"
@@ -243,50 +244,32 @@ def assess_sufficiency(claim, evidence, gateway):
     return payload["assessment"]
 
 
-@dataclass
-class _EpisodeState:
-    config: EpisodeConfig
-    has_web: bool = True  # a web provider exists to run webSearch
-    has_frontier: bool = True  # a frontier entity is left to run expandKG on
-    has_init: bool = False
-    expand_count: int = 0
-    web_count: int = 0
-    last_hint: str = UNKNOWN
-
-    def expand_allowed(self):
-        return self.has_frontier and self.expand_count < self.config.n_hops - self.config.n_init
-
-    def web_allowed(self):
-        return self.has_web and self.web_count < self.config.max_web_searches
-
-    def retrieval_allowed(self):
-        return self.expand_allowed() or self.web_allowed()
+def legal_actions(config, subgraph, trajectory, has_web):
+    """The action kinds an episode may take next: ``verdict`` always,
+    ``expandKG`` while hops are left and a frontier entity is unexpanded,
+    ``webSearch`` while a provider exists and searches are left."""
+    legal = {VERDICT_ACTION}
+    if subgraph.hops_done < config.n_hops and subgraph.unexpanded():
+        legal.add(EXPAND_KG)
+    if has_web and trajectory.action_kinds().count(WEB_SEARCH) < config.max_web_searches:
+        legal.add(WEB_SEARCH)
+    return legal
 
 
-def coerce_action(requested, state: _EpisodeState):
-    """Map a (possibly illegal) requested action kind onto a legal one.
+def coerce_action(requested, legal, hint):
+    """Map a (possibly illegal) requested action kind onto one of ``legal``,
+    preferring the kind the sufficiency ``hint`` asks for.
 
     Returns (kind, warning or None)."""
-    if not state.has_init:
-        if requested == INIT_KG:
-            return INIT_KG, None
-        return INIT_KG, f"coerced {requested!r} to {INIT_KG} (first action rule)"
-
-    if requested == VERDICT_ACTION:
-        return VERDICT_ACTION, None
-    if requested == EXPAND_KG and state.expand_allowed():
-        return EXPAND_KG, None
-    if requested == WEB_SEARCH and state.web_allowed():
-        return WEB_SEARCH, None
-
-    # fall through: requested action illegal or unknown
-    if state.last_hint == NEED_KG and state.expand_allowed():
+    if requested in legal:
+        return requested, None
+    if hint == NEED_KG and EXPAND_KG in legal:
         fallback = EXPAND_KG
-    elif state.last_hint == NEED_WEB and state.web_allowed():
+    elif hint == NEED_WEB and WEB_SEARCH in legal:
         fallback = WEB_SEARCH
-    elif state.expand_allowed() and state.last_hint != SUFFICIENT:
+    elif EXPAND_KG in legal and hint != SUFFICIENT:
         fallback = EXPAND_KG
-    elif state.web_allowed() and state.last_hint != SUFFICIENT:
+    elif WEB_SEARCH in legal and hint != SUFFICIENT:
         fallback = WEB_SEARCH
     else:
         fallback = VERDICT_ACTION
@@ -295,29 +278,25 @@ def coerce_action(requested, state: _EpisodeState):
     return fallback, f"coerced unrecognized action {requested!r} to {fallback}"
 
 
-def select_action(claim, trajectory, policy_gateway, state: _EpisodeState):
-    """One structured call to the action-selection prompt, then legality
-    coercion. An empty trajectory always yields the initial KG retrieval.
-    When verdict is the only legal action it is returned with no call."""
-    if state.has_init and not state.retrieval_allowed():
+def select_action(claim, trajectory, policy_gateway, legal, hint):
+    """One structured call to the action-selection prompt, then coercion
+    onto ``legal``. When verdict is the only legal action it is returned
+    with no call."""
+    if legal == {VERDICT_ACTION}:
         return Action(VERDICT_ACTION)
     history = " -> ".join(a.kind for a, _ in trajectory.steps) or "(none)"
     try:
         payload = policy_gateway.complete_structured(
             LlmRequest(
                 template_id=ACTION_SELECT,
-                bindings={
-                    "claim": claim,
-                    "history": history,
-                    "assessment": state.last_hint,
-                },
+                bindings={"claim": claim, "history": history, "assessment": hint},
             ),
             _ACTION_SCHEMA,
         )
         requested = str(payload["action"])
     except ParseFailure:
         requested = "(unparseable)"
-    kind, warning = coerce_action(requested, state)
+    kind, warning = coerce_action(requested, legal, hint)
     if warning:
         trajectory.warnings.append(warning)
     return Action(kind)
@@ -344,6 +323,12 @@ def verdict(claim, evidence, gateway, trajectory):
     return _validated_verdict(payload, evidence.ids, trajectory, forced=False)
 
 
+def _fallback_verdict():
+    return VerdictResult(
+        label="Refuted", justification="insufficient evidence", citations=[], forced=True
+    )
+
+
 def force_verdict(claim, evidence, gateway, trajectory):
     """Falls back to a deterministic Refuted verdict when even the forced
     prompt cannot be parsed or its transport fails."""
@@ -355,9 +340,7 @@ def force_verdict(claim, evidence, gateway, trajectory):
             _VERDICT_SCHEMA,
         )
     except (ParseFailure, TransportError):
-        return VerdictResult(
-            label="Refuted", justification="insufficient evidence", citations=[], forced=True
-        )
+        return _fallback_verdict()
     return _validated_verdict(payload, evidence.ids, trajectory, forced=True)
 
 
@@ -393,30 +376,30 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
     A TransportError, or a reply that stays unparseable where no fallback
     exists (a prune, a web query), ends the episode in a forced verdict once
     the claim is accepted: the step in progress is recorded with the error,
-    then one terminal verdict step follows."""
+    then one terminal verdict step follows. A failed verdict request takes
+    the deterministic fallback verdict, so no episode sends a second one."""
     if not claim or not claim.strip():
         raise EmptyClaim("claim is empty")
     gateway = LlmGateway(llm_backend, policy)
     budget = kg_mod.RetrievalBudget(k=config.k, n_hops=config.n_hops)
     trajectory = Trajectory(claim=claim)
-    state = _EpisodeState(config=config, has_web=web_provider is not None)
+    has_web = web_provider is not None
     web_passages = []
     ranked = 0  # passages ranked so far, so that every passage id is new
     evidence = Evidence()  # listed by the latest observation
+    hint = UNKNOWN  # the latest observation's sufficiency hint
 
     def observe(subgraph, kind):
-        nonlocal evidence
-        state.has_frontier = bool(subgraph.frontier - subgraph.expanded)
+        nonlocal evidence, hint
         previous, evidence = evidence, Evidence.of(subgraph, web_passages)
         added = sorted(evidence.ids - previous.ids)
         hint = assess_sufficiency(claim, evidence, gateway)
         if hint == UNKNOWN:
-            hint_effective = NEED_KG if state.expand_allowed() else NEED_WEB
-            trajectory.warnings.append(
-                f"sufficiency unparseable; falling back to {hint_effective}"
-            )
-            hint = hint_effective
-        state.last_hint = hint
+            # only the subgraph's expandKG rule is read: this step is not in
+            # the trajectory yet
+            expandable = EXPAND_KG in legal_actions(config, subgraph, trajectory, has_web)
+            hint = NEED_KG if expandable else NEED_WEB
+            trajectory.warnings.append(f"sufficiency unparseable; falling back to {hint}")
         return Observation(
             kind=kind,
             added_triplets=sum(1 for i in added if i.startswith("t:")),
@@ -431,7 +414,6 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
         subgraph = kg_mod.init_kg_retrieval(
             claim, config.k, config.n_init, budget, gateway, kg_backend
         )
-        state.has_init = True
         trajectory.steps.append((action, observe(subgraph, "subgraph_delta")))
 
         while result is None:
@@ -444,22 +426,17 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
                 break
 
             action = None  # a failed action choice records no step
-            action = select_action(claim, trajectory, gateway, state)
+            legal = legal_actions(config, subgraph, trajectory, has_web)
+            action = select_action(claim, trajectory, gateway, legal, hint)
             if action.kind == VERDICT_ACTION:
-                try:
-                    result = verdict(claim, evidence, gateway, trajectory)
-                except ParseFailure:
-                    result = force_verdict(claim, evidence, gateway, trajectory)
-                    trajectory.forced_reason = "parse_failure"
+                result = verdict(claim, evidence, gateway, trajectory)
                 trajectory.steps.append(
-                    (action, Observation(kind="terminal", sufficiency_hint=state.last_hint))
+                    (action, Observation(kind="terminal", sufficiency_hint=hint))
                 )
             elif action.kind == EXPAND_KG:
-                state.expand_count += 1
                 kg_mod.expand_kg(claim, subgraph, budget, gateway, kg_backend)
                 trajectory.steps.append((action, observe(subgraph, "subgraph_delta")))
             elif action.kind == WEB_SEARCH:
-                state.web_count += 1
                 query = web_mod.formulate_query(claim, subgraph, gateway)
                 action.payload = query
                 docs = web_mod.search(query, config.web_results, web_provider)
@@ -484,23 +461,27 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
     except (ParseFailure, TransportError) as exc:
         failure = "transport error" if isinstance(exc, TransportError) else "parse failure"
         note = f"{failure}: {exc}"
-        if action is not None and action.kind != VERDICT_ACTION:
-            kind = "web_evidence" if action.kind == WEB_SEARCH else "subgraph_delta"
-            trajectory.steps.append((action, Observation(kind=kind, note=note)))
-        result = force_verdict(claim, evidence, gateway, trajectory)
+        if action is not None and action.kind == VERDICT_ACTION:
+            result = _fallback_verdict()  # the verdict request itself failed
+        else:
+            if action is not None:
+                kind = "web_evidence" if action.kind == WEB_SEARCH else "subgraph_delta"
+                trajectory.steps.append((action, Observation(kind=kind, note=note)))
+            result = force_verdict(claim, evidence, gateway, trajectory)
         trajectory.forced_reason = failure.replace(" ", "_")
         trajectory.steps.append((Action(VERDICT_ACTION), Observation(kind="terminal", note=note)))
 
     trajectory.verdict = result
+    prune = gateway.requests[EXPANSION_PRUNE] + gateway.requests[RELATION_PRUNE]
+    verdicts = gateway.requests[VERDICT] + gateway.requests[FORCED_VERDICT]
     trajectory.counters = {
         "llm_calls": gateway.call_count,
         "llm_retries": gateway.retry_count,
         "sparql_queries": budget.sparql_queries_used,
-        "web_searches": state.web_count,
-        # pruning + verdict calls, the quantity bounded by N + k*N + 1; every
-        # episode ends in exactly one verdict, normal or forced
-        "core_llm_calls": budget.llm_calls_used + 1,
-        "prune_llm_calls": budget.llm_calls_used,
-        "verdict_llm_calls": 1,
+        "web_searches": trajectory.action_kinds().count(WEB_SEARCH),
+        # pruning + verdict requests, the quantity bounded by N + k*N + 1
+        "core_llm_calls": prune + verdicts,
+        "prune_llm_calls": prune,
+        "verdict_llm_calls": verdicts,
     }
     return result, trajectory

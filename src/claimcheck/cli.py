@@ -13,9 +13,15 @@ import sys
 
 from . import agent, evaluation, optimize as opt
 from .agent import EpisodeRunner, INIT_KG, VERDICT_ACTION, read_trajectories
-from .config import build_kg_backend, build_llm_backend, build_web_provider, load_config
-from .errors import ClaimcheckError, ConfigError
-from .policy import PromptPolicy, default_policy
+from .config import (
+    build_kg_backend,
+    build_llm_backend,
+    build_policy,
+    build_web_provider,
+    load_config,
+    load_file,
+)
+from .errors import ClaimcheckError
 
 
 def _add_common_flags(parser):
@@ -48,9 +54,8 @@ def _config_from_args(args):
 
 
 def _build_runner(cfg):
-    policy = PromptPolicy.load(cfg.policy_path) if cfg.policy_path else default_policy()
     return EpisodeRunner(
-        policy=policy,
+        policy=build_policy(cfg),
         config=cfg.episode,
         llm_backend=build_llm_backend(cfg),
         kg_backend=build_kg_backend(cfg),
@@ -59,13 +64,10 @@ def _build_runner(cfg):
 
 
 def cmd_check(args):
-    try:
-        cfg = _config_from_args(args)
-        runner = _build_runner(cfg)
-        verdict_result, trajectory = runner.run(args.claim)
-    except ClaimcheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = _config_from_args(args)
+    verdict_result, trajectory = _build_runner(cfg).run(args.claim)
+    if cfg.out:
+        agent.write_trajectories(cfg.out, [trajectory])
     print(f"Verdict: {verdict_result.label}" + (" (forced)" if verdict_result.forced else ""))
     print(f"Justification: {verdict_result.justification}")
     if verdict_result.citations:
@@ -73,27 +75,19 @@ def cmd_check(args):
         for cite in verdict_result.citations:
             print(f"  - {cite}")
     print("Counters: " + json.dumps(trajectory.counters, sort_keys=True))
-    if cfg.out:
-        agent.write_trajectories(cfg.out, [trajectory])
     return 0 if verdict_result.label == "Supported" else 1
 
 
 def cmd_eval(args):
-    try:
-        cfg = _config_from_args(args)
-        field_map = None
-        if args.field_map:
-            with open(args.field_map, encoding="utf-8") as fh:
-                field_map = evaluation.FieldMap.from_jsonable(json.load(fh))
-        loaded = evaluation.load_dataset(args.dataset, field_map)
-        runner = _build_runner(cfg)
-        report = evaluation.run_benchmark(
-            loaded.records, runner, parallelism=cfg.parallel or 1
-        )
-        report.dropped = loaded.dropped
-    except (ClaimcheckError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = _config_from_args(args)
+    field_map = None
+    if args.field_map:
+        field_map = evaluation.FieldMap.from_jsonable(load_file("field map", args.field_map))
+    loaded = evaluation.load_dataset(args.dataset, field_map)
+    report = evaluation.run_benchmark(
+        loaded.records, _build_runner(cfg), parallelism=cfg.parallel or 1
+    )
+    report.dropped = loaded.dropped
     print(f"balanced_accuracy: {report.balanced_accuracy:.4f}  (n={report.n}, "
           f"dropped={report.dropped})")
     print("error taxonomy:")
@@ -108,33 +102,27 @@ def cmd_eval(args):
 
 
 def cmd_optimize(args):
-    try:
-        cfg = _config_from_args(args)
-        loaded = evaluation.load_dataset(args.claims)
-        claims = [
-            {"id": r.id, "claim": r.claim, "gold_label": r.gold_label}
-            for r in loaded.records
-        ]
-        initial = (
-            PromptPolicy.load(cfg.policy_path) if cfg.policy_path else default_policy()
-        )
-        llm_backend = build_llm_backend(cfg)
-        kg_backend = build_kg_backend(cfg)
-        web_provider = build_web_provider(cfg)
+    cfg = _config_from_args(args)
+    loaded = evaluation.load_dataset(args.claims)
+    claims = [
+        {"id": r.id, "claim": r.claim, "gold_label": r.gold_label}
+        for r in loaded.records
+    ]
+    initial = build_policy(cfg)
+    llm_backend = build_llm_backend(cfg)
+    kg_backend = build_kg_backend(cfg)
+    web_provider = build_web_provider(cfg)
 
-        def runner_factory(policy):
-            return EpisodeRunner(policy, cfg.episode, llm_backend, kg_backend, web_provider)
+    def runner_factory(policy):
+        return EpisodeRunner(policy, cfg.episode, llm_backend, kg_backend, web_provider)
 
-        run = opt.optimize(
-            initial,
-            claims,
-            opt.OptimizationConfig(epochs=cfg.epochs, seed=cfg.seed),
-            runner_factory,
-            llm_backend,
-        )
-    except (ClaimcheckError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    run = opt.optimize(
+        initial,
+        claims,
+        opt.OptimizationConfig(epochs=cfg.epochs, seed=cfg.seed),
+        runner_factory,
+        llm_backend,
+    )
     print(f"initial val reward: {run.initial_val_reward:.4f}")
     print(f"selected val reward: {run.selected_val_reward:.4f} "
           f"({run.selected.policy_id})")
@@ -227,7 +215,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ClaimcheckError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,6 +12,7 @@ from .agent import EpisodeConfig
 from .errors import ConfigError
 from .kg import FixtureKgBackend, WikidataBackend
 from .llm import CassetteBackend, HttpBackend, ScriptedBackend
+from .policy import PromptPolicy, default_policy
 from .web import FixtureSearchProvider, SerperProvider
 
 ENV_PREFIX = "CLAIMCHECK_"
@@ -50,24 +51,51 @@ class AppConfig:
             raise ConfigError("live backend requires an endpoint URL")
         if not self.kg:
             raise ConfigError("kg must be 'live' or a fixture file path")
-        if self.kg != "live" and not os.path.exists(self.kg):
-            raise ConfigError(f"kg fixture not found: {self.kg}")
-        if self.web and self.web != "live" and not os.path.exists(self.web):
-            raise ConfigError(f"web fixture not found: {self.web}")
+        e = self.episode
+        if min(e.k, e.n_hops, e.max_steps) < 1:
+            raise ConfigError(
+                f"k, n_hops and max_steps must be at least 1, got {e.k}, {e.n_hops}, {e.max_steps}"
+            )
+        if not 0 <= e.n_init <= e.n_hops:
+            raise ConfigError(f"n_init must be between 0 and n_hops={e.n_hops}, got {e.n_init}")
+        if e.max_web_searches < 0:
+            raise ConfigError(f"max_web_searches must be at least 0, got {e.max_web_searches}")
         return self
 
 
-_EPISODE_FIELDS = {
-    "k": "k",
-    "n_hops": "n_hops",
-    "n_init": "n_init",
-    "max_steps": "max_steps",
-    "max_web_searches": "max_web_searches",
-}
+_EPISODE_FIELDS = ("k", "n_hops", "n_init", "max_steps", "max_web_searches")
+_INT_FIELDS = _EPISODE_FIELDS + ("seed", "parallel", "epochs")
+
+
+def _json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def load_file(what, path, load=_json):
+    """``load(path)``; a missing, unreadable or malformed file raises a
+    ConfigError that names it."""
+    try:
+        return load(path)
+    except (OSError, ValueError, KeyError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _set(cfg, key, value):
+    target = cfg.episode if key in _EPISODE_FIELDS else cfg
+    if key == "episode" or not hasattr(target, key):
+        raise ConfigError(f"unknown config key {key!r}")
+    if key in _INT_FIELDS:
+        try:
+            value = int(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+    setattr(target, key, value)
 
 
 def load_config(config_path=None, overrides=None) -> AppConfig:
-    """Merge env defaults, an optional JSON file, and CLI overrides."""
+    """Merge env defaults, an optional JSON file, and CLI overrides. The file
+    may nest the episode keys under "episode"."""
     cfg = AppConfig()
     # env layer (endpoints only; secrets are read lazily by the backends)
     env_endpoint = os.environ.get(ENV_PREFIX + "LLM_ENDPOINT")
@@ -75,49 +103,40 @@ def load_config(config_path=None, overrides=None) -> AppConfig:
         cfg.llm_endpoint = env_endpoint
 
     if config_path:
-        try:
-            with open(config_path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
+        data = load_file("config", config_path)
+        if not isinstance(data, dict):
+            raise ConfigError(f"config {config_path} is not a JSON object")
         for key, value in data.items():
-            if key in _EPISODE_FIELDS:
-                setattr(cfg.episode, key, int(value))
-            elif hasattr(cfg, key) and key != "episode":
-                setattr(cfg, key, value)
-            elif key == "episode":
-                for ek, ev in value.items():
-                    if hasattr(cfg.episode, ek):
-                        setattr(cfg.episode, ek, ev)
+            if key == "episode" and isinstance(value, dict):
+                for name, setting in value.items():
+                    if name not in _EPISODE_FIELDS:
+                        raise ConfigError(f"unknown episode config key {name!r}")
+                    _set(cfg, name, setting)
             else:
-                raise ConfigError(f"unknown config key {key!r}")
+                _set(cfg, key, value)
 
     for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key in _EPISODE_FIELDS:
-            setattr(cfg.episode, key, int(value))
-        elif hasattr(cfg, key):
-            setattr(cfg, key, value)
-        else:
-            raise ConfigError(f"unknown override {key!r}")
+        if value is not None:
+            _set(cfg, key, value)
     return cfg
+
+
+def build_policy(cfg: AppConfig):
+    if cfg.policy_path:
+        return load_file("policy", cfg.policy_path, PromptPolicy.load)
+    return default_policy()
 
 
 def build_llm_backend(cfg: AppConfig):
     if cfg.backend == "scripted":
-        try:
-            with open(cfg.llm_script_path, encoding="utf-8") as fh:
-                script = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read LLM script: {exc}") from exc
+        script = load_file("LLM script", cfg.llm_script_path)
         return ScriptedBackend(
             by_fingerprint=script.get("by_fingerprint"),
             sequence=script.get("sequence"),
             default=script.get("default"),
         )
     if cfg.backend == "replay":
-        return CassetteBackend(cfg.cassette_path)
+        return load_file("cassette", cfg.cassette_path, CassetteBackend)
     if cfg.backend == "live":
         return HttpBackend(
             base_url=cfg.llm_endpoint,
@@ -134,7 +153,7 @@ def build_kg_backend(cfg: AppConfig):
             action_api=cfg.kg_action_api,
             cache_dir=cfg.kg_cache_dir or None,
         )
-    return FixtureKgBackend(path=cfg.kg)
+    return load_file("kg fixture", cfg.kg, lambda path: FixtureKgBackend(path=path))
 
 
 def build_web_provider(cfg: AppConfig):
@@ -142,4 +161,4 @@ def build_web_provider(cfg: AppConfig):
         return None
     if cfg.web == "live":
         return SerperProvider(api_key_env=cfg.web_api_key_env)
-    return FixtureSearchProvider(path=cfg.web)
+    return load_file("web fixture", cfg.web, lambda path: FixtureSearchProvider(path=path))

@@ -137,6 +137,10 @@ class KnowledgeSubgraph:
     def max_hop(self) -> int:
         return max(self.hop_of.values(), default=0)
 
+    def unexpanded(self) -> set:
+        """Frontier entities not expanded yet: what another hop would expand."""
+        return self.frontier - self.expanded
+
     def copy(self) -> "KnowledgeSubgraph":
         clone = KnowledgeSubgraph()
         clone.triplets = dict(self.triplets)

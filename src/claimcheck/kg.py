@@ -14,9 +14,10 @@ depend on timing. LLM load stays bounded by ``HttpBackend``'s semaphore and
 token bucket; the graph backend may see all ``2k`` relation fetches of a hop
 at once.
 
-Budget accounting follows the expansion model: one "query" = one entity
+``RetrievalBudget`` counts expansions only: one "query" = one entity
 expansion (its incoming and outgoing template executions count together), so an
-episode uses at most ``k*N`` expansions and ``N + k*N`` pruning LLM calls.
+episode uses at most ``k*N`` expansions. The ``N + k*N`` pruning LLM calls this
+allows are counted by the gateway, which sees every request.
 """
 
 from __future__ import annotations
@@ -68,13 +69,12 @@ class RelationCandidate:
 
 @dataclass
 class RetrievalBudget:
-    """Per-episode counters against the k*N / N+k*N expansion model; safe to
+    """Per-episode count of entity expansions against the k*N limit; safe to
     charge from a hop's concurrent expansions."""
 
     k: int = 4
     n_hops: int = 4
     sparql_queries_used: int = 0
-    llm_calls_used: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def charge_expansion(self):
@@ -84,10 +84,6 @@ class RetrievalBudget:
                     f"expansion budget k*N={self.k * self.n_hops} exhausted"
                 )
             self.sparql_queries_used += 1
-
-    def charge_llm(self):
-        with self._lock:
-            self.llm_calls_used += 1
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +389,7 @@ def _candidate_lines(candidates):
     )
 
 
-def prune_relations(claim, candidates, k, gateway, budget=None, template_id=RELATION_PRUNE, entity=None):
+def prune_relations(claim, candidates, k, gateway, template_id=RELATION_PRUNE, entity=None):
     """Keep the top min(k, n) candidates by one listwise LLM scoring call.
 
     Ties break by ascending (relation id, anchor id)."""
@@ -405,8 +401,6 @@ def prune_relations(claim, candidates, k, gateway, budget=None, template_id=RELA
     payload = gateway.complete_structured(
         LlmRequest(template_id=template_id, bindings=bindings), _SCORES_SCHEMA
     )
-    if budget is not None:
-        budget.charge_llm()
     scores = payload["scores"]
     if not isinstance(scores, list) or len(scores) != len(candidates):
         raise ParseFailure(
@@ -436,14 +430,13 @@ def select_objects(candidate, claim, max_objects=MAX_OBJECTS_PER_RELATION):
     return ranked[:max_objects]
 
 
-def expand_hop(subgraph, claim, budget, frontier, gateway, backend):
-    """One beam-search hop over ``frontier``. Returns (subgraph, new_frontier).
+def expand_hop(subgraph, claim, budget, gateway, backend):
+    """One beam-search hop over the subgraph's unexpanded frontier entities.
+    Returns (subgraph, new_frontier).
 
-    Expands at most k previously-unexpanded entities (claim-overlap preferred)
-    and prunes each one's relations, concurrently; then prunes the hop's
-    survivors, in expansion order, and appends the surviving triplets."""
-    if not frontier:
-        raise ValueError("expand_hop requires a nonempty frontier")
+    Expands at most k of them (claim-overlap preferred) and prunes each one's
+    relations, concurrently; then prunes the hop's survivors, in expansion
+    order, and appends the surviving triplets."""
     tokens = _claim_tokens(claim)
 
     def priority(entity_id):
@@ -451,11 +444,7 @@ def expand_hop(subgraph, claim, budget, frontier, gateway, backend):
         shared = len(tokens & set(re.findall(r"[a-z0-9]+", label.lower())))
         return (-shared, entity_id)
 
-    to_expand = sorted(
-        (e for e in frontier if e not in subgraph.expanded), key=priority
-    )[: budget.k]
-    if not to_expand:
-        return subgraph, set()
+    to_expand = sorted(subgraph.unexpanded(), key=priority)[: budget.k]
 
     def expand_and_prune(entity_id):
         entity = EntityId(entity_id, subgraph.label_of(entity_id))
@@ -464,15 +453,14 @@ def expand_hop(subgraph, claim, budget, frontier, gateway, backend):
         if not candidates:
             return []
         return prune_relations(
-            claim, candidates, budget.k, gateway, budget,
-            template_id=EXPANSION_PRUNE, entity=entity,
+            claim, candidates, budget.k, gateway, template_id=EXPANSION_PRUNE, entity=entity
         )
 
     survivors = [c for kept in fan_out(expand_and_prune, to_expand) for c in kept]
 
     retained = []
     if survivors:
-        retained = prune_relations(claim, survivors, budget.k, gateway, budget)
+        retained = prune_relations(claim, survivors, budget.k, gateway)
 
     new_frontier = set()
     for cand in retained:
@@ -507,19 +495,16 @@ def init_kg_retrieval(claim, k, n_init, budget, gateway, backend):
     for topic in topics:
         subgraph.add_topic_entity(topic)
     for _ in range(n_init):
-        if not subgraph.frontier:
-            break
-        expand_hop(subgraph, claim, budget, subgraph.frontier, gateway, backend)
-        subgraph.hops_done += 1
+        expand_kg(claim, subgraph, budget, gateway, backend)
     return subgraph
 
 
 def expand_kg(claim, subgraph, budget, gateway, backend):
-    """One more hop over the current frontier; errors once N hops are spent."""
+    """One more hop, unless no frontier entity is left unexpanded; errors
+    once N hops are spent."""
     if subgraph.hops_done >= budget.n_hops:
         raise BudgetExhausted(f"hop budget N={budget.n_hops} exhausted")
-    if not subgraph.frontier or all(e in subgraph.expanded for e in subgraph.frontier):
-        return subgraph
-    expand_hop(subgraph, claim, budget, subgraph.frontier, gateway, backend)
-    subgraph.hops_done += 1
+    if subgraph.unexpanded():
+        expand_hop(subgraph, claim, budget, gateway, backend)
+        subgraph.hops_done += 1
     return subgraph

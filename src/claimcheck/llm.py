@@ -1,7 +1,8 @@
 """Chat-completion gateway: prompt templates, backends, structured output, cassettes.
 
 Backends implement ``generate(text, temperature, max_tokens) -> str``.  The
-gateway renders templates, counts calls, and handles structured-output repair.
+gateway renders templates, counts calls and requests, and handles
+structured-output repair.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import os
 import re
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -268,8 +269,9 @@ class LlmGateway:
     """Renders templates against a policy and talks to one backend.
 
     ``call_count`` counts every backend invocation, including structured-output
-    repair retries and calls that raise. Both counters are safe to update from
-    concurrent calls.
+    repair retries and calls that raise. ``requests`` counts structured
+    requests per template id, once per request whatever its repairs or
+    outcome. All counters are safe to update from concurrent calls.
     """
 
     def __init__(self, backend, policy):
@@ -277,6 +279,7 @@ class LlmGateway:
         self.policy = policy
         self.call_count = 0
         self.retry_count = 0
+        self.requests = Counter()
         self._lock = threading.Lock()
 
     def render(self, request: LlmRequest) -> str:
@@ -292,6 +295,8 @@ class LlmGateway:
 
     def complete_structured(self, request: LlmRequest, schema: ResponseSchema):
         base = self.render(request)
+        with self._lock:
+            self.requests[request.template_id] += 1
         last_error = None
         for attempt in range(REPAIR_RETRIES + 1):
             if attempt == 0:

@@ -324,7 +324,7 @@ class SlowSearch:
 
 class FaultyLlm:
     """Wraps an LLM backend: the calls at seeded indices raise TransportError
-    or reply with text that does not parse. Counts every call it gets."""
+    or reply with text that does not parse. Records every prompt it gets."""
 
     def __init__(self, backend, seed, rate=0.1, horizon=64):
         rng = random.Random(seed)
@@ -332,19 +332,26 @@ class FaultyLlm:
         self.faults = {
             i: rng.choice(("transport", "garbage")) for i in range(horizon) if rng.random() < rate
         }
-        self.calls = 0
+        self.prompts = []
         self._lock = threading.Lock()
 
     def generate(self, text, temperature, max_tokens):
         with self._lock:
-            index = self.calls
-            self.calls += 1
+            index = len(self.prompts)
+            self.prompts.append(text)
         fault = self.faults.get(index)
         if fault == "transport":
             raise TransportError(f"injected fault at call {index}")
         if fault == "garbage":
             return "*** not json ***"
         return self.backend.generate(text, temperature, max_tokens)
+
+
+def core_requests(prompts):
+    """Prune and verdict requests among the prompts a backend received; the
+    repairs of a request are not counted."""
+    starts = ("Score each", "Decide whether the claim", "The retrieval budget is exhausted")
+    return sum(p.startswith(starts) and "[repair attempt" not in p for p in prompts)
 
 
 @pytest.fixture

@@ -18,9 +18,9 @@ from claimcheck.agent import (
     EpisodeRunner,
     Trajectory,
     VerdictResult,
-    _EpisodeState,
     assess_sufficiency,
     coerce_action,
+    legal_actions,
     read_trajectories,
     run_episode,
     select_action,
@@ -42,6 +42,7 @@ from conftest import (
     SlowLlm,
     build_corpus,
     build_dense_graph,
+    core_requests,
 )
 
 
@@ -51,80 +52,57 @@ def make_runner(claims, graph, responder=None, **config_kwargs):
     return EpisodeRunner(default_policy(), EpisodeConfig(**config_kwargs), llm, backend)
 
 
+def legal(hops_done=1, frontier=("Q1",), expanded=(), web_steps=0, has_web=True, **config):
+    """The legal action kinds after ``hops_done`` hops and ``web_steps`` searches."""
+    subgraph = KnowledgeSubgraph()
+    subgraph.hops_done, subgraph.frontier, subgraph.expanded = hops_done, set(frontier), set(expanded)
+    trajectory = Trajectory(claim="c")
+    trajectory.steps = [(Action(INIT_KG), None)] + [(Action(WEB_SEARCH), None)] * web_steps
+    return legal_actions(EpisodeConfig(**config), subgraph, trajectory, has_web)
+
+
 class TestCoercion:
-    def fresh(self, **kw):
-        return _EpisodeState(config=EpisodeConfig(**kw))
-
-    def test_first_action_forced_to_init(self):
-        state = self.fresh()
-        kind, warning = coerce_action(VERDICT_ACTION, state)
-        assert kind == INIT_KG and warning
-
-    def test_init_requested_first_is_legal(self):
-        assert coerce_action(INIT_KG, self.fresh()) == (INIT_KG, None)
-
     def test_verdict_always_legal_after_init(self):
-        state = self.fresh()
-        state.has_init = True
-        assert coerce_action(VERDICT_ACTION, state) == (VERDICT_ACTION, None)
+        assert coerce_action(VERDICT_ACTION, legal(), NEED_KG) == (VERDICT_ACTION, None)
+        assert legal(hops_done=4, max_web_searches=0) == {VERDICT_ACTION}
 
     def test_expand_past_hop_budget_coerced(self):
-        state = self.fresh(n_hops=2, n_init=1)
-        state.has_init = True
-        state.expand_count = 1
-        state.last_hint = NEED_KG
-        kind, warning = coerce_action(EXPAND_KG, state)
+        kind, warning = coerce_action(EXPAND_KG, legal(hops_done=2, n_hops=2), NEED_KG)
         assert kind in (WEB_SEARCH, VERDICT_ACTION) and warning
 
     def test_web_past_limit_coerced(self):
-        state = self.fresh(max_web_searches=1)
-        state.has_init = True
-        state.web_count = 1
-        state.last_hint = NEED_WEB
-        kind, warning = coerce_action(WEB_SEARCH, state)
+        kind, warning = coerce_action(WEB_SEARCH, legal(web_steps=1, max_web_searches=1), NEED_WEB)
         assert kind in (EXPAND_KG, VERDICT_ACTION) and warning
 
     def test_everything_exhausted_falls_to_verdict(self):
-        state = self.fresh(n_hops=1, n_init=1, max_web_searches=0)
-        state.has_init = True
-        kind, warning = coerce_action("dance", state)
+        exhausted = legal(n_hops=1, max_web_searches=0)
+        assert exhausted == {VERDICT_ACTION}
+        kind, warning = coerce_action("dance", exhausted, SUFFICIENT)
         assert kind == VERDICT_ACTION and "unrecognized" in warning
 
     def test_unknown_action_follows_hint(self):
-        state = self.fresh()
-        state.has_init = True
-        state.last_hint = NEED_WEB
-        kind, _ = coerce_action("retrieveMoar", state)
+        kind, _ = coerce_action("retrieveMoar", legal(), NEED_WEB)
         assert kind == WEB_SEARCH
 
     def test_web_illegal_without_provider(self):
-        state = _EpisodeState(config=EpisodeConfig(), has_web=False)
-        state.has_init = True
-        state.last_hint = NEED_WEB
-        kind, warning = coerce_action(WEB_SEARCH, state)
+        kind, warning = coerce_action(WEB_SEARCH, legal(has_web=False), NEED_WEB)
         assert kind == EXPAND_KG and warning
-        state.expand_count = 3
-        assert coerce_action(WEB_SEARCH, state)[0] == VERDICT_ACTION
+        assert coerce_action(WEB_SEARCH, legal(hops_done=4, has_web=False), NEED_WEB)[0] == VERDICT_ACTION
 
     def test_expand_illegal_without_frontier(self):
-        state = _EpisodeState(config=EpisodeConfig(), has_frontier=False)
-        state.has_init = True
-        state.last_hint = NEED_KG
-        kind, warning = coerce_action(EXPAND_KG, state)
+        kind, warning = coerce_action(EXPAND_KG, legal(expanded=("Q1",)), NEED_KG)
         assert kind == WEB_SEARCH and warning
-        state.has_web = False
-        assert coerce_action(EXPAND_KG, state)[0] == VERDICT_ACTION
+        no_web = legal(expanded=("Q1",), has_web=False)
+        assert coerce_action(EXPAND_KG, no_web, NEED_KG)[0] == VERDICT_ACTION
 
     def test_action_kind_validated(self):
         with pytest.raises(ValueError):
             Action("sing")
 
     def test_no_call_when_verdict_is_the_only_legal_action(self):
-        state = _EpisodeState(config=EpisodeConfig(), has_web=False, has_frontier=False)
-        state.has_init = True
         gw = LlmGateway(ScriptedBackend(), default_policy())  # any call would miss
         trajectory = Trajectory(claim="c")
-        assert select_action("c", trajectory, gw, state).kind == VERDICT_ACTION
+        assert select_action("c", trajectory, gw, {VERDICT_ACTION}, NEED_KG).kind == VERDICT_ACTION
         assert gw.call_count == 0 and trajectory.warnings == []
 
 
@@ -418,6 +396,17 @@ class TestVerdictRequests:
         with pytest.raises(ScriptMiss):
             depth2_episode(failing_verdict(None))
 
+    def test_unparseable_verdict_keeps_the_core_call_bound(self):
+        graph, claim = build_dense_graph(fanout=4, depth=4, n_roots=4)
+        oracle = OracleResponder(sufficiency="never")
+        llm = SlowLlm(lambda text: "*** not json ***" if "Decide whether" in text else oracle(text))
+        result, trajectory = run_episode(
+            claim, default_policy(), EpisodeConfig(), llm, FixtureKgBackend(data=graph)
+        )
+        assert result.forced and trajectory.forced_reason == "parse_failure"
+        assert (result.label, result.justification) == ("Refuted", "insufficient evidence")
+        assert core_requests(llm.prompts) == trajectory.counters["core_llm_calls"] == 21
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_eval_equals_zero_latency_serial_run(self, seed):
         records = [DatasetRecord(c["id"], c["claim"], c["gold_label"]) for c in DEPTH2_CLAIMS]
@@ -441,7 +430,8 @@ class TestVerdictRequests:
 class TestTransportErrors:
     # the depth-2 episode's calls, one at a time: 1-2 the initial prunes,
     # 3 sufficiency, 4 action_select, 5-6 the expansion's prunes,
-    # 7 sufficiency, 8 action_select, 9 verdict
+    # 7 sufficiency, 8 action_select, 9 verdict; a failed verdict request
+    # takes the fallback verdict, any other failed call a forced verdict request
     @pytest.mark.parametrize("n", range(1, 10))
     def test_any_call_ends_in_one_forced_verdict(self, n):
         oracle = OracleResponder(specs=DEPTH2_CLAIMS)
@@ -463,7 +453,7 @@ class TestTransportErrors:
         ] + [note]
         assert result.forced and trajectory.verdict is result
         assert trajectory.forced_reason == "transport_error"
-        assert trajectory.counters["llm_calls"] == len(prompts) == n + 1
+        assert trajectory.counters["llm_calls"] == len(prompts) == (n if n == 9 else n + 1)
 
     def test_forced_verdict_shows_the_items_it_checks(self):
         # the sufficiency call after the expansion fails: the forced verdict
@@ -529,7 +519,8 @@ class TestFaultInjection:
             assert kinds.count(WEB_SEARCH) <= config.max_web_searches, episode
             assert trajectory.counters["sparql_queries"] <= 16, episode
             assert trajectory.counters["core_llm_calls"] <= 21, episode
-            assert trajectory.counters["llm_calls"] == llm.calls, episode
+            assert trajectory.counters["llm_calls"] == len(llm.prompts), episode
+            assert trajectory.counters["core_llm_calls"] == core_requests(llm.prompts), episode
 
 
 class TestTrajectory:

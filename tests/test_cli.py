@@ -76,6 +76,52 @@ class TestCheck:
         assert row["verdict"]["label"] == "Supported"
 
 
+BAD_INPUTS = {
+    "missing cassette": lambda tmp: ["--backend", "replay", "--cassette", str(tmp / "none.jsonl")],
+    "malformed kg": lambda tmp: ["--kg", write_text(tmp, "{not json")],
+    "malformed policy": lambda tmp: ["--policy", write_text(tmp, "{not json")],
+    "malformed web": lambda tmp: ["--web", write_text(tmp, "{not json")],
+    "out in missing directory": lambda tmp: ["--out", str(tmp / "none" / "traj.jsonl")],
+    "config not an object": lambda tmp: ["--config", write_text(tmp, "[]")],
+    "non-integer episode key": lambda tmp: ["--config", write_text(tmp, '{"episode": {"k": "x"}}')],
+    "unknown episode key": lambda tmp: ["--config", write_text(tmp, '{"episode": {"kk": 4}}')],
+    "episode not an object": lambda tmp: ["--config", write_text(tmp, '{"episode": 4}')],
+    "non-integer seed": lambda tmp: ["--config", write_text(tmp, '{"seed": "x"}')],
+    "max_steps 0": lambda tmp: ["--max-steps", "0"],
+    # with replies for both hops the graph allows, so that only the bound can stop it
+    "n_init above n_hops": lambda tmp: [
+        "--config", write_text(tmp, '{"n_init": 2, "n_hops": 1}'),
+        "--llm-script", write_script(tmp, episode_script("Supported")[:2] * 2
+                                     + episode_script("Supported")[2:], "two-hops.json"),
+    ],
+    "negative web searches": lambda tmp: ["--max-web-searches", "-1"],
+}
+
+
+def write_text(tmp_path, text, name="input.json"):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_exits_2_with_one_error_line(self, workspace, capsys, case):
+        tmp_path, kg_path, claims = workspace
+        script = write_script(tmp_path, episode_script("Supported"))
+        argv = ["check", claims[0]["claim"], "--kg", kg_path, "--llm-script", script]
+        assert main(argv + BAD_INPUTS[case](tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_nested_episode_keys_convert_like_flat_ones(self, workspace):
+        tmp_path, kg_path, claims = workspace
+        script = write_script(tmp_path, episode_script("Supported"))
+        config = write_text(tmp_path, '{"episode": {"k": "4"}}')
+        assert main(["check", claims[0]["claim"], "--config", config,
+                     "--kg", kg_path, "--llm-script", script]) == 0
+
+
 class TestEval:
     def test_eval_two_claims(self, workspace, capsys):
         tmp_path, kg_path, claims = workspace

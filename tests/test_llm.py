@@ -1,9 +1,11 @@
 import json
+import threading
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+from claimcheck import llm
 from claimcheck.errors import (
     MissingBinding,
     ParseFailure,
@@ -19,6 +21,7 @@ from claimcheck.llm import (
     PromptTemplate,
     ResponseSchema,
     ScriptedBackend,
+    TokenBucket,
     extract_json,
     fingerprint,
 )
@@ -120,10 +123,12 @@ class TestScriptedBackend:
         )
         gateway = LlmGateway(backend, make_policy(PromptTemplate(id="q", text="Q")))
         gateway.call_count = gateway.retry_count = YieldingInt(0)
+        gateway.requests["q"] = YieldingInt(0)
         schema = ResponseSchema(required=("action", "label"))
         hammer(lambda: gateway.complete_structured(LlmRequest(template_id="q"), schema))
         assert gateway.call_count == 2 * 320
         assert gateway.retry_count == 320
+        assert gateway.requests == {"q": 320}
 
 
 class TestStructured:
@@ -218,3 +223,51 @@ class TestCassette:
         b = PromptTemplate(id="y", text="Verify: K").render({})
         assert fingerprint(a, 0.0, 64) == fingerprint(b, 0.0, 64)
         assert fingerprint(a, 0.0, 64) != fingerprint(a, 0.5, 64)
+
+
+class FakeClock:
+    """Stands in for the ``time`` module. ``sleep`` wakes its thread at the
+    time it last read plus the delay, so concurrent sleeps overlap."""
+
+    def __init__(self):
+        self.now, self.sleeps = 0.0, []
+        self._lock = threading.Lock()
+        self._read = threading.local()
+
+    def monotonic(self):
+        with self._lock:
+            self._read.at = self.now
+            return self.now
+
+    def sleep(self, seconds):
+        with self._lock:
+            self.sleeps.append(seconds)
+            self.now = max(self.now, getattr(self._read, "at", self.now) + seconds)
+
+
+class TestTokenBucket:
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        clock = FakeClock()
+        monkeypatch.setattr(llm, "time", clock)
+        return clock
+
+    def test_capacity_acquisitions_do_not_sleep(self, clock):
+        bucket = TokenBucket(rate_per_sec=2.0, capacity=3)
+        for _ in range(3):
+            bucket.acquire()
+        assert clock.sleeps == []
+
+    def test_next_acquisition_sleeps_until_a_token_is_full(self, clock):
+        bucket = TokenBucket(rate_per_sec=2.0, capacity=3)
+        for _ in range(3):
+            bucket.acquire()
+        clock.now += 0.25  # refills half a token
+        bucket.acquire()
+        assert clock.sleeps == [(1.0 - 0.5) / 2.0]
+
+    def test_threaded_acquisitions_stay_within_the_rate(self, clock):
+        bucket = TokenBucket(rate_per_sec=4.0, capacity=2)
+        granted = hammer(bucket.acquire, n_threads=8, calls_per_thread=10)
+        assert len(granted) == 80 and clock.now > 0
+        assert len(granted) <= 2 + 4.0 * clock.now + 1e-6
