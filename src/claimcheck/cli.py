@@ -119,7 +119,10 @@ def cmd_optimize(args):
     run = opt.optimize(
         initial,
         claims,
-        opt.OptimizationConfig(epochs=cfg.epochs, seed=cfg.seed),
+        opt.OptimizationConfig(
+            epochs=cfg.epochs, seed=cfg.seed,
+            parallel=cfg.parallel or opt.OptimizationConfig.parallel,
+        ),
         runner_factory,
         llm_backend,
     )
@@ -201,6 +204,8 @@ def build_parser():
     p_opt.add_argument("claims", help="JSONL labeled claims (>= 150)")
     p_opt.add_argument("--seed", type=int, help="train/validation split seed")
     p_opt.add_argument("--epochs", type=int, help="optimizer epochs")
+    p_opt.add_argument("--parallel", type=int,
+                       help=f"episodes run at once (default {opt.OptimizationConfig.parallel})")
     _add_common_flags(p_opt)
     p_opt.set_defaults(func=cmd_optimize)
 

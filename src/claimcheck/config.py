@@ -38,7 +38,7 @@ class AppConfig:
     episode: EpisodeConfig = field(default_factory=EpisodeConfig)
     policy_path: str = ""
     seed: int = 0
-    parallel: int = 1
+    parallel: int | None = None  # episodes run at once; None: the command's default
     epochs: int = 20
     out: str = ""
 
@@ -60,6 +60,8 @@ class AppConfig:
             raise ConfigError(f"n_init must be between 0 and n_hops={e.n_hops}, got {e.n_init}")
         if e.max_web_searches < 0:
             raise ConfigError(f"max_web_searches must be at least 0, got {e.max_web_searches}")
+        if self.parallel is not None and self.parallel < 1:
+            raise ConfigError(f"parallel must be at least 1, got {self.parallel}")
         return self
 
 
@@ -127,14 +129,29 @@ def build_policy(cfg: AppConfig):
     return default_policy()
 
 
+def _scripted_backend(path):
+    script = _json(path)
+    if not isinstance(script, dict):
+        raise ValueError("an LLM script must be a JSON object")
+    replies = script.get("by_fingerprint") or {}
+    sequence = script.get("sequence") or []
+    default = script.get("default")
+    if not (
+        isinstance(replies, dict)
+        and isinstance(sequence, list)
+        and all(isinstance(reply, str) for reply in [*replies.values(), *sequence])
+        and (default is None or isinstance(default, str))
+    ):
+        raise ValueError(
+            "by_fingerprint must map fingerprints to strings, sequence must be a list of "
+            "strings and default a string"
+        )
+    return ScriptedBackend(by_fingerprint=replies, sequence=sequence, default=default)
+
+
 def build_llm_backend(cfg: AppConfig):
     if cfg.backend == "scripted":
-        script = load_file("LLM script", cfg.llm_script_path)
-        return ScriptedBackend(
-            by_fingerprint=script.get("by_fingerprint"),
-            sequence=script.get("sequence"),
-            default=script.get("default"),
-        )
+        return load_file("LLM script", cfg.llm_script_path, _scripted_backend)
     if cfg.backend == "replay":
         return load_file("cassette", cfg.cassette_path, CassetteBackend)
     if cfg.backend == "live":

@@ -4,11 +4,11 @@ taxonomy over episode trajectories."""
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .agent import INIT_KG, VERDICT_ACTION
 from .errors import AllItemsFailed, DatasetParseError, SingleClassGold, UnknownLabel
+from .fanout import run_many
 
 SUPPORTED = "Supported"
 REFUTED = "Refuted"
@@ -188,31 +188,21 @@ class EvalReport:
 
 
 def run_benchmark(records, runner, parallelism=1, collect_trajectories=None) -> EvalReport:
-    """One episode per record; per-record failures are recorded, not fatal,
-    unless every episode failed (``AllItemsFailed``)."""
+    """One episode per record, ``parallelism`` at a time; per-record failures
+    are recorded, not fatal, unless every episode failed (``AllItemsFailed``).
+    The report equals a serial run's."""
     if not records:
         raise ValueError("run_benchmark requires a nonempty record list")
 
     def run_one(record):
-        return runner.run(record.claim)
+        try:
+            return runner.run(record.claim), None
+        except Exception as exc:
+            return None, {"id": record.id, "error": str(exc)}
 
-    outcomes = {}
-    failed = []
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            futures = {record.id: pool.submit(run_one, record) for record in records}
-            for record in records:
-                try:
-                    outcomes[record.id] = futures[record.id].result()
-                except Exception as exc:
-                    failed.append({"id": record.id, "error": str(exc)})
-    else:
-        for record in records:
-            try:
-                outcomes[record.id] = run_one(record)
-            except Exception as exc:
-                failed.append({"id": record.id, "error": str(exc)})
-    if not outcomes:
+    outcomes = run_many(run_one, records, parallelism)
+    failed = [failure for _, failure in outcomes if failure is not None]
+    if len(failed) == len(records):
         first = failed[0]
         raise AllItemsFailed(
             f"every episode failed ({len(failed)} of {len(records)}); "
@@ -223,10 +213,10 @@ def run_benchmark(records, runner, parallelism=1, collect_trajectories=None) -> 
     error_counts = {cls: 0 for cls in ERROR_CLASSES}
     counter_sums = {}
     n_ok = 0
-    for record in records:
-        if record.id not in outcomes:
+    for record, (outcome, _) in zip(records, outcomes):
+        if outcome is None:
             continue
-        verdict_result, trajectory = outcomes[record.id]
+        verdict_result, trajectory = outcome
         if collect_trajectories is not None:
             collect_trajectories.append(trajectory)
         predictions.append(verdict_result.label)

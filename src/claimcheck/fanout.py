@@ -1,7 +1,8 @@
-"""Run one function over a few independent items concurrently.
+"""Run one function over independent items concurrently.
 
-Used in the KG layer for the per-entity expand-and-prune work of a hop
-(``kg.expand_hop``), the outgoing and incoming fetches of one expansion
+``fan_out`` runs every item at once. It is used in the KG layer for the
+per-entity expand-and-prune work of a hop (``kg.expand_hop``), the
+outgoing and incoming fetches of one expansion
 (``kg.expand_entity``) and the per-mention entity searches
 (``kg.link_entities``); in the web step for the passage batches of
 ``web.filter_evidence`` and the per-passage extract-and-link items of
@@ -12,10 +13,16 @@ start on first use and stay for the life of the process, because starting
 threads for every call would cost more CPU than the call's own Python work.
 When the caller is done with its item it also runs any item no worker has
 started yet, which saves thread hand-offs when the items finish quickly.
+
+``run_many`` runs at most ``width`` items at once, for item lists too long
+to start together: the episodes of ``evaluation.run_benchmark`` and the
+training and validation episodes of an ``optimize.optimize`` epoch. It runs
+``width`` lanes through ``fan_out``, each taking the next unstarted item.
 """
 
 from __future__ import annotations
 
+import itertools
 import queue
 import threading
 
@@ -97,3 +104,31 @@ def fan_out(fn, items):
         if task.error is not None:
             raise task.error
     return [task.result for task in tasks]
+
+
+def run_many(fn, items, width):
+    """``[fn(item) for item in items]``, with at most ``width`` items running
+    at once.
+
+    ``width`` lanes run on ``fan_out``'s workers, the caller's thread being
+    one of them; each lane takes the next item not yet taken. Waits for every
+    item, then raises the exception of the first item in input order that
+    raised one. A width of 1 or a list of one item runs inline."""
+    items = list(items)
+    if width <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    results = [None] * len(items)
+    errors = {}
+    take = itertools.count().__next__  # one C call, so each index goes to one lane
+
+    def lane(_):
+        while (i := take()) < len(items):
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # re-raised below, in input order
+                errors[i] = exc
+
+    fan_out(lane, range(min(width, len(items))))
+    if errors:
+        raise errors[min(errors)]
+    return results

@@ -143,23 +143,32 @@ def extract_mentions(claim_text: str) -> list:
 class FixtureKgBackend:
     """In-memory graph loaded from the fixture JSON schema:
     {entities: [{id,label}], relations: [{id,label}], triples: [[s,p,o]],
-    links: {surface -> entity id}}.
+    links: {surface -> entity id}}. Data of another shape raises ValueError.
     """
 
     def __init__(self, data=None, path=None):
         if data is None:
             with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
-        self.entities = {e["id"]: EntityId(e["id"], e.get("label", "")) for e in data["entities"]}
-        self.relations = {
-            r["id"]: RelationId(r["id"], r.get("label", "")) for r in data["relations"]
-        }
-        self.links = {surface.casefold(): eid for surface, eid in data.get("links", {}).items()}
-        self._out = {}
-        self._in = {}
-        for s, p, o in data.get("triples", []):
-            self._out.setdefault(s, {}).setdefault(p, []).append(o)
-            self._in.setdefault(o, {}).setdefault(p, []).append(s)
+        if not isinstance(data, dict):
+            raise ValueError("a KG fixture must be a JSON object")
+        try:
+            self.entities = {
+                e["id"]: EntityId(e["id"], e.get("label", "")) for e in data["entities"]
+            }
+            self.relations = {
+                r["id"]: RelationId(r["id"], r.get("label", "")) for r in data["relations"]
+            }
+            self.links = {
+                surface.casefold(): eid for surface, eid in data.get("links", {}).items()
+            }
+            self._out = {}
+            self._in = {}
+            for s, p, o in data.get("triples", []):
+                self._out.setdefault(s, {}).setdefault(p, []).append(o)
+                self._in.setdefault(o, {}).setdefault(p, []).append(s)
+        except (AttributeError, TypeError) as exc:  # a row or table of the wrong type
+            raise ValueError(f"malformed KG fixture: {exc}") from exc
 
     def search_entities(self, text, limit=5):
         eid = self.links.get(text.casefold())

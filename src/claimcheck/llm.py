@@ -119,7 +119,8 @@ class ScriptedBackend:
     Lookup order: fingerprint table, ``responder`` callable (gets the rendered
     request text), FIFO ``sequence``, then ``default``. Concurrent calls, such
     as a KG hop's per-entity prunes, take ``sequence`` entries in the order
-    they arrive.
+    they arrive; so do concurrent episodes, so a ``sequence`` script shared by
+    ``run_benchmark`` or ``optimize`` episodes needs a width of 1.
     """
 
     def __init__(self, by_fingerprint=None, responder=None, sequence=None, default=None):

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .agent import EXPAND_KG, INIT_KG, SUFFICIENT, WEB_SEARCH
 from .errors import InsufficientData, ParseFailure, TransportError
+from .fanout import run_many
 from .llm import LlmGateway, LlmRequest, PromptTemplate, ResponseSchema
 from .policy import ACTION_SELECT, REFLECT, SUFFICIENCY, VERDICT, PromptPolicy
 
@@ -76,6 +77,7 @@ class OptimizationConfig:
     train_size: int = 100
     val_size: int = 50
     seed: int = 0
+    parallel: int = 2  # episodes run at once
 
 
 @dataclass
@@ -301,21 +303,40 @@ def textual_gradient(critiques, current: PromptPolicy, llm_backend, candidate_id
 # ---------------------------------------------------------------------------
 
 
-def _mean_val_reward(policy, claims, runner_factory):
+def _mean_val_reward(policy, claims, runner_factory, width):
     runner = runner_factory(policy)
-    total = 0.0
-    for record in claims:
+
+    def reward(record):
         _, trajectory = runner.run(record["claim"])
-        total += compute_reward(trajectory, record["gold_label"]).total
+        return compute_reward(trajectory, record["gold_label"]).total
+
+    total = 0.0
+    for value in run_many(reward, claims, width):  # summed in claim order
+        total += value
     return total / len(claims)
+
+
+def _train_critiques(policy, claims, runner_factory, reflection_backend, width):
+    """Every training claim's episode under ``policy`` and its critiques,
+    concatenated in claim order."""
+    runner = runner_factory(policy)
+
+    def critique(record):
+        _, trajectory = runner.run(record["claim"])
+        return reflect(trajectory, record["gold_label"], LlmGateway(reflection_backend, policy))
+
+    return [c for batch in run_many(critique, claims, width) for c in batch]
 
 
 def optimize(initial, claims, config, runner_factory, reflection_backend, meta_backend=None):
     """Hill-climb the prompt policy over labeled claims.
 
     ``claims`` is a list of {"id", "claim", "gold_label"}; ``runner_factory``
-    maps a policy to an episode runner. Returns an OptimizationRun whose
-    selected policy never validates worse than the initial one.
+    maps a policy to an episode runner whose ``run`` may be called from
+    several threads at once: ``config.parallel`` training or validation
+    episodes run at a time, and the run equals a serial one. Returns an
+    OptimizationRun whose selected policy never validates worse than the
+    initial one.
     """
     needed = config.train_size + config.val_size
     if len(claims) < needed:
@@ -331,17 +352,13 @@ def optimize(initial, claims, config, runner_factory, reflection_backend, meta_b
 
     run = OptimizationRun()
     current = initial
-    current_val = _mean_val_reward(initial, val, runner_factory)
+    current_val = _mean_val_reward(initial, val, runner_factory, config.parallel)
     run.initial_val_reward = current_val
     best, best_val = initial, current_val
 
     for epoch in range(1, config.epochs + 1):
-        critiques = []
-        runner = runner_factory(current)
-        for record in train:
-            _, trajectory = runner.run(record["claim"])
-            gateway = LlmGateway(reflection_backend, current)
-            critiques.extend(reflect(trajectory, record["gold_label"], gateway))
+        critiques = _train_critiques(current, train, runner_factory, reflection_backend,
+                                     config.parallel)
 
         entry = {"epoch": epoch, "policy_id": None, "val_reward": None, "accepted": False}
         candidate = None
@@ -353,7 +370,7 @@ def optimize(initial, claims, config, runner_factory, reflection_backend, meta_b
             except ParseFailure:
                 candidate = None
         if candidate is not None:
-            cand_val = _mean_val_reward(candidate, val, runner_factory)
+            cand_val = _mean_val_reward(candidate, val, runner_factory, config.parallel)
             entry["policy_id"] = candidate.policy_id
             entry["val_reward"] = cand_val
             if cand_val > current_val:

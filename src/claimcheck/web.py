@@ -88,12 +88,19 @@ class WebTriplet:
 
 
 class FixtureSearchProvider:
-    """Canned results: JSON mapping query text -> [{url,title,snippet}]."""
+    """Canned results: JSON mapping query text -> [{url,title,snippet}].
+    Data of another shape raises ValueError."""
 
     def __init__(self, data=None, path=None):
         if data is None:
             with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
+        if not (
+            isinstance(data, dict)
+            and all(isinstance(rows, list) for rows in data.values())
+            and all(isinstance(row, dict) and "url" in row for rows in data.values() for row in rows)
+        ):
+            raise ValueError("a web fixture must map query text to lists of {url, title, snippet}")
         self.data = data
 
     def search(self, query_text, m):

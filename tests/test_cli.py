@@ -2,10 +2,13 @@ import json
 
 import pytest
 
+from claimcheck import cli
 from claimcheck.agent import EpisodeConfig, EpisodeRunner, write_trajectories
 from claimcheck.cli import build_parser, main
+from claimcheck.errors import InsufficientData
 from claimcheck.kg import FixtureKgBackend
 from claimcheck.llm import ScriptedBackend
+from claimcheck.optimize import OptimizationConfig
 from claimcheck.policy import default_policy
 
 from conftest import OracleResponder, build_corpus
@@ -95,6 +98,13 @@ BAD_INPUTS = {
                                      + episode_script("Supported")[2:], "two-hops.json"),
     ],
     "negative web searches": lambda tmp: ["--max-web-searches", "-1"],
+    "parallel 0 in config": lambda tmp: ["--config", write_text(tmp, '{"parallel": 0}')],
+    "kg not an object": lambda tmp: ["--kg", write_text(tmp, "[1, 2]")],
+    "web not an object": lambda tmp: ["--web", write_text(tmp, "[1, 2]")],
+    "web rows not objects": lambda tmp: ["--web", write_text(tmp, '{"q": [1, 2]}')],
+    "llm script not an object": lambda tmp: ["--llm-script", write_text(tmp, "[1, 2]")],
+    "llm script replies not strings": lambda tmp: [
+        "--llm-script", write_text(tmp, '{"sequence": [1, 2]}')],
 }
 
 
@@ -163,6 +173,14 @@ class TestEval:
         assert err.startswith("error: every episode failed (2 of 2)")
         assert "no scripted response" in err and len(err.splitlines()) == 1
 
+    def test_eval_parallel_below_1_exits_2(self, workspace, capsys):
+        tmp_path, kg_path, claims = workspace
+        script = write_script(tmp_path, episode_script("Supported"))
+        code = main(["eval", str(tmp_path / "data.jsonl"), "--kg", kg_path,
+                     "--llm-script", script, "--parallel", "-3"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: parallel must be at least 1, got -3\n"
+
     def test_eval_missing_dataset_exits_2(self, workspace):
         tmp_path, kg_path, _ = workspace
         script = write_script(tmp_path, episode_script("Supported"))
@@ -189,6 +207,24 @@ class TestOptimize:
                      "--llm-script", script, "--epochs", "2"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, width", [
+        ([], OptimizationConfig.parallel), (["--parallel", "1"], 1), (["--parallel", "3"], 3),
+    ])
+    def test_parallel_flag_sets_the_width(self, workspace, monkeypatch, flags, width):
+        tmp_path, kg_path, claims = workspace
+        dataset = tmp_path / "claims.jsonl"
+        dataset.write_text(json.dumps({"id": "1", "claim": claims[0]["claim"], "label": "Supported"}))
+        widths = []
+
+        def record_width(_policy, _claims, config, *_backends):
+            widths.append(config.parallel)
+            raise InsufficientData("stop here")
+
+        monkeypatch.setattr(cli.opt, "optimize", record_width)
+        script = write_script(tmp_path, [])
+        assert main(["optimize", str(dataset), "--kg", kg_path, "--llm-script", script] + flags) == 2
+        assert widths == [width]
 
 
 class TestReplay:
@@ -264,5 +300,6 @@ class TestFlags:
             parser.parse_args(["check", "c", "--parallel", "2"])
         assert exc.value.code == 2
         assert parser.parse_args(["eval", "d.jsonl", "--parallel", "2"]).parallel == 2
-        args = parser.parse_args(["optimize", "c.jsonl", "--seed", "1", "--epochs", "1"])
-        assert (args.seed, args.epochs) == (1, 1)
+        args = parser.parse_args(["optimize", "c.jsonl", "--seed", "1", "--epochs", "1",
+                                  "--parallel", "3"])
+        assert (args.seed, args.epochs, args.parallel) == (1, 1, 3)

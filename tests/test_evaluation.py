@@ -232,6 +232,18 @@ class TestRunBenchmark:
         parallel = run_benchmark(records2, runner2, parallelism=4).to_json()
         assert serial == parallel
 
+    def test_parallel_failures_match_serial(self):
+        runner, records, claims = corpus_runner()
+        poisoned = FailingRunner(runner, {claims[0]["claim"], claims[5]["claim"]})
+        serial = run_benchmark(records, poisoned).to_json()
+        assert run_benchmark(records, poisoned, parallelism=3).to_json() == serial
+
+    def test_records_sharing_an_id_keep_their_own_outcomes(self):
+        runner, records, _ = corpus_runner(n=2)
+        twins = [DatasetRecord(id="same", claim=r.claim, gold_label=r.gold_label) for r in records]
+        report = run_benchmark(twins, runner)
+        assert report.n == 2 and report.balanced_accuracy == 1.0
+
     def test_collect_trajectories(self):
         runner, records, _ = corpus_runner(n=4)
         collected = []

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -34,7 +35,14 @@ from claimcheck.optimize import (
 )
 from claimcheck.policy import ACTION_SELECT, SUFFICIENCY, VERDICT, default_policy
 
-from conftest import FLAWED_MARKER, OracleResponder, build_corpus, flawed_policy
+from conftest import (
+    FLAWED_MARKER,
+    OracleResponder,
+    SlowKg,
+    SlowLlm,
+    build_corpus,
+    flawed_policy,
+)
 
 
 def traj(kinds, label="Supported", citations=(), forced=False, forced_reason="",
@@ -247,3 +255,38 @@ class TestOptimize:
         cfg = OptimizationConfig(epochs=2, train_size=5, val_size=3, seed=0)
         run = optimize(default_policy(), claims, cfg, runner_factory, llm)
         assert run.selected_val_reward >= run.initial_val_reward
+
+    @staticmethod
+    def repair_run(llm, kg_backend, claims, parallel):
+        def runner_factory(policy):
+            return EpisodeRunner(policy, EpisodeConfig(), llm, kg_backend)
+
+        cfg = OptimizationConfig(epochs=3, train_size=6, val_size=4, seed=2, parallel=parallel)
+        return optimize(flawed_policy(), claims, cfg, runner_factory, llm).to_jsonable()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_concurrent_epochs_equal_a_serial_run(self, seed):
+        graph, claims = build_corpus(10, depth=2)
+        oracle = OracleResponder(specs=claims, flawed_marker=FLAWED_MARKER)
+        serial = self.repair_run(SlowLlm(oracle), SlowKg(graph), claims, parallel=1)
+        assert OptimizationConfig().parallel > 1
+        slow = self.repair_run(SlowLlm(oracle, seed), SlowKg(graph, seed), claims,
+                               parallel=OptimizationConfig().parallel)
+        assert slow == serial
+        assert any(entry["accepted"] for entry in serial["history"])
+
+    def test_training_script_miss_propagates(self):
+        graph, claims = build_corpus(8, depth=1)
+        kg_backend = FixtureKgBackend(data=graph)
+        llm = ScriptedBackend(responder=OracleResponder(specs=claims))
+        factory_calls = itertools.count()
+
+        def runner_factory(policy):
+            # the first runner validates the initial policy; the second runs
+            # the first epoch's training episodes against an empty script
+            backend = ScriptedBackend() if next(factory_calls) == 1 else llm
+            return EpisodeRunner(policy, EpisodeConfig(), backend, kg_backend)
+
+        cfg = OptimizationConfig(epochs=1, train_size=5, val_size=3)
+        with pytest.raises(ScriptMiss):
+            optimize(default_policy(), claims, cfg, runner_factory, llm)
