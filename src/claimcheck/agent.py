@@ -411,9 +411,7 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
     result = None
     action = Action(INIT_KG, claim)  # the step in progress
     try:
-        subgraph = kg_mod.init_kg_retrieval(
-            claim, config.k, config.n_init, budget, gateway, kg_backend
-        )
+        subgraph = kg_mod.init_kg_retrieval(claim, config.n_init, budget, gateway, kg_backend)
         trajectory.steps.append((action, observe(subgraph, "subgraph_delta")))
 
         while result is None:
@@ -437,7 +435,7 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
                 kg_mod.expand_kg(claim, subgraph, budget, gateway, kg_backend)
                 trajectory.steps.append((action, observe(subgraph, "subgraph_delta")))
             elif action.kind == WEB_SEARCH:
-                query = web_mod.formulate_query(claim, subgraph, gateway)
+                query = web_mod.formulate_query(claim, evidence, gateway)
                 action.payload = query
                 docs = web_mod.search(query, config.web_results, web_provider)
                 new_evidence = []

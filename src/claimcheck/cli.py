@@ -21,7 +21,7 @@ from .config import (
     load_config,
     load_file,
 )
-from .errors import ClaimcheckError
+from .errors import ClaimcheckError, ConfigError
 
 
 def _add_common_flags(parser):
@@ -154,13 +154,9 @@ def _validate_trajectory(trajectory):
 
 
 def cmd_replay(args):
-    try:
-        trajectories = read_trajectories(args.trajectories)
-        if not trajectories:
-            raise ClaimcheckError("trajectory file is empty")
-    except (ClaimcheckError, OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    trajectories = load_file("trajectories", args.trajectories, read_trajectories)
+    if not trajectories:
+        raise ConfigError(f"trajectory file {args.trajectories} is empty")
     any_violation = False
     for i, trajectory in enumerate(trajectories):
         verdict_result = trajectory.verdict

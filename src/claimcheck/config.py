@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from .agent import EpisodeConfig
 from .errors import ConfigError
 from .kg import FixtureKgBackend, WikidataBackend
-from .llm import CassetteBackend, HttpBackend, ScriptedBackend
+from .llm import HttpBackend, ReplyStore, ScriptedBackend
 from .policy import PromptPolicy, default_policy
 from .web import FixtureSearchProvider, SerperProvider
 
@@ -79,7 +79,7 @@ def load_file(what, path, load=_json):
     ConfigError that names it."""
     try:
         return load(path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
@@ -149,11 +149,16 @@ def _scripted_backend(path):
     return ScriptedBackend(by_fingerprint=replies, sequence=sequence, default=default)
 
 
+def _replay_backend(path):
+    os.stat(path)  # a missing cassette is an error, not an empty one
+    return ScriptedBackend(by_fingerprint=ReplyStore(path))
+
+
 def build_llm_backend(cfg: AppConfig):
     if cfg.backend == "scripted":
         return load_file("LLM script", cfg.llm_script_path, _scripted_backend)
     if cfg.backend == "replay":
-        return load_file("cassette", cfg.cassette_path, CassetteBackend)
+        return load_file("cassette", cfg.cassette_path, _replay_backend)
     if cfg.backend == "live":
         return HttpBackend(
             base_url=cfg.llm_endpoint,
@@ -165,11 +170,11 @@ def build_llm_backend(cfg: AppConfig):
 
 def build_kg_backend(cfg: AppConfig):
     if cfg.kg == "live":
-        return WikidataBackend(
+        return load_file("kg cache", cfg.kg_cache_dir, lambda cache_dir: WikidataBackend(
             sparql_endpoint=cfg.kg_endpoint,
             action_api=cfg.kg_action_api,
-            cache_dir=cfg.kg_cache_dir or None,
-        )
+            cache_dir=cache_dir or None,
+        ))
     return load_file("kg fixture", cfg.kg, lambda path: FixtureKgBackend(path=path))
 
 

@@ -18,6 +18,9 @@ at once.
 expansion (its incoming and outgoing template executions count together), so an
 episode uses at most ``k*N`` expansions. The ``N + k*N`` pruning LLM calls this
 allows are counted by the gateway, which sees every request.
+
+``WikidataBackend`` with a ``cache_dir`` keeps every lookup in one
+``llm.ReplyStore`` file, so a repeated search or query sends no request.
 """
 
 from __future__ import annotations
@@ -27,10 +30,10 @@ import json
 import os
 import random
 import re
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
+from urllib.parse import urlencode
 
 from .errors import (
     AllMentionsUnlinkable,
@@ -42,8 +45,9 @@ from .errors import (
 )
 from .fanout import fan_out
 from .graph import EntityId, KnowledgeSubgraph, RelationId, Triplet
-from .llm import LlmRequest, ResponseSchema
+from .llm import LlmRequest, ReplyStore, ResponseSchema
 from .policy import EXPANSION_PRUNE, RELATION_PRUNE
+from .web import tokenize
 
 MAX_OBJECTS_PER_RELATION = 10
 RELATION_FETCH_LIMIT = 50
@@ -200,37 +204,6 @@ class FixtureKgBackend:
         return out
 
 
-class SparqlCache:
-    """On-disk response cache keyed by query text; enables offline replay."""
-
-    def __init__(self, directory):
-        self.directory = directory
-        os.makedirs(directory, exist_ok=True)
-
-    def _path(self, query):
-        name = hashlib.sha256(query.encode("utf-8")).hexdigest() + ".json"
-        return os.path.join(self.directory, name)
-
-    def get(self, query):
-        path = self._path(query)
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                return json.load(fh)
-        return None
-
-    def put(self, query, payload):
-        # a temporary file of its own per write: concurrent writers of one
-        # query each replace the entry whole
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with open(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, ensure_ascii=False)
-            os.replace(tmp, self._path(query))
-        except BaseException:
-            os.unlink(tmp)
-            raise
-
-
 OUTGOING_QUERY = """\
 SELECT DISTINCT ?p ?pLabel ?o ?oLabel WHERE {{
   wd:{entity} ?prop ?o .
@@ -252,7 +225,11 @@ LIMIT {limit}
 
 
 class WikidataBackend:
-    """Live Wikidata client: wbsearchentities for linking, SPARQL for edges."""
+    """Live Wikidata client: wbsearchentities for linking, SPARQL for edges.
+
+    With a ``cache_dir``, every lookup (entity search and both SPARQL
+    directions) is kept in one ``ReplyStore`` file, ``wikidata.jsonl``, and a
+    lookup found there makes no request."""
 
     def __init__(
         self,
@@ -268,10 +245,18 @@ class WikidataBackend:
         self.sparql_endpoint = sparql_endpoint
         self.action_api = action_api
         self.timeout = timeout
-        self.cache = SparqlCache(cache_dir) if cache_dir else None
+        self.cache = None
+        if cache_dir:
+            os.makedirs(cache_dir, exist_ok=True)
+            self.cache = ReplyStore(os.path.join(cache_dir, "wikidata.jsonl"))
         self.headers = {"User-Agent": user_agent}
 
     def _get(self, url, params):
+        request = f"{url}?{urlencode(params)}"
+        key = hashlib.sha256(request.encode("utf-8")).hexdigest()
+        cached = self.cache.get(key) if self.cache is not None else None
+        if cached is not None:
+            return json.loads(cached)
         last = None
         for attempt in range(2):
             if attempt:
@@ -286,7 +271,10 @@ class WikidataBackend:
                 last = TransportError(str(exc))
             else:
                 if resp.status_code == 200:
-                    return resp.json()
+                    payload = resp.json()
+                    if self.cache is not None:
+                        self.cache.put(key, request, json.dumps(payload, ensure_ascii=False))
+                    return payload
                 last = TransportError(f"status {resp.status_code} from {url}")
         raise last
 
@@ -306,19 +294,10 @@ class WikidataBackend:
             for hit in payload.get("search", [])
         ]
 
-    def _sparql(self, query):
-        if self.cache is not None:
-            cached = self.cache.get(query)
-            if cached is not None:
-                return cached
-        payload = self._get(self.sparql_endpoint, {"query": query, "format": "json"})
-        if self.cache is not None:
-            self.cache.put(query, payload)
-        return payload
-
     def relations_of(self, entity_id, direction, limit=RELATION_FETCH_LIMIT):
         template = OUTGOING_QUERY if direction == "outgoing" else INCOMING_QUERY
-        payload = self._sparql(template.format(entity=entity_id, limit=limit))
+        query = template.format(entity=entity_id, limit=limit)
+        payload = self._get(self.sparql_endpoint, {"query": query, "format": "json"})
         grouped = {}
         neighbor_var = "o" if direction == "outgoing" else "s"
         for row in payload.get("results", {}).get("bindings", []):
@@ -423,17 +402,13 @@ def prune_relations(claim, candidates, k, gateway, template_id=RELATION_PRUNE, e
     return scored[: min(k, len(scored))]
 
 
-def _claim_tokens(claim):
-    return set(re.findall(r"[a-z0-9]+", claim.lower()))
-
-
 def select_objects(candidate, claim, max_objects=MAX_OBJECTS_PER_RELATION):
     """Bound multi-valued fan-out: prefer neighbors sharing claim tokens,
     tie-break by ascending entity id."""
-    tokens = _claim_tokens(claim)
+    tokens = set(tokenize(claim))
 
     def overlap(entity):
-        return len(tokens & set(re.findall(r"[a-z0-9]+", entity.label.lower())))
+        return len(tokens & set(tokenize(entity.label)))
 
     ranked = sorted(candidate.sample_objects, key=lambda e: (-overlap(e), e.id))
     return ranked[:max_objects]
@@ -446,11 +421,10 @@ def expand_hop(subgraph, claim, budget, gateway, backend):
     Expands at most k of them (claim-overlap preferred) and prunes each one's
     relations, concurrently; then prunes the hop's survivors, in expansion
     order, and appends the surviving triplets."""
-    tokens = _claim_tokens(claim)
+    tokens = set(tokenize(claim))
 
     def priority(entity_id):
-        label = subgraph.label_of(entity_id)
-        shared = len(tokens & set(re.findall(r"[a-z0-9]+", label.lower())))
+        shared = len(tokens & set(tokenize(subgraph.label_of(entity_id))))
         return (-shared, entity_id)
 
     to_expand = sorted(subgraph.unexpanded(), key=priority)[: budget.k]
@@ -488,13 +462,11 @@ def expand_hop(subgraph, claim, budget, gateway, backend):
     return subgraph, new_frontier
 
 
-def init_kg_retrieval(claim, k, n_init, budget, gateway, backend):
+def init_kg_retrieval(claim, n_init, budget, gateway, backend):
     """extract -> link -> n_init expansion rounds; the episode's observation o0.
 
-    An unlinkable claim yields an empty subgraph (the agent's web-search
-    fallback handles it) instead of an error."""
-    if not claim or not claim.strip():
-        raise EmptyClaim("claim is empty")
+    An empty claim raises EmptyClaim. An unlinkable claim yields an empty
+    subgraph (the agent's web-search fallback handles it) instead of an error."""
     subgraph = KnowledgeSubgraph()
     try:
         mentions = extract_mentions(claim)

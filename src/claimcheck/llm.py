@@ -1,8 +1,12 @@
-"""Chat-completion gateway: prompt templates, backends, structured output, cassettes.
+"""Chat-completion gateway: prompt templates, backends, structured output, and
+the reply store.
 
 Backends implement ``generate(text, temperature, max_tokens) -> str``.  The
-gateway renders templates, counts calls and requests, and handles
-structured-output repair.
+gateway renders templates, counts requests and repair retries, and handles
+structured-output repair. ``ReplyStore`` keeps replies by fingerprint in a
+JSONL file: a ``CassetteRecorder`` writes a cassette to one, ``--backend
+replay`` is a ``ScriptedBackend`` whose fingerprint table is one, and the
+Wikidata client caches its lookups in one.
 """
 
 from __future__ import annotations
@@ -116,15 +120,16 @@ def extract_json(text: str):
 class ScriptedBackend:
     """Deterministic backend for tests and offline runs.
 
-    Lookup order: fingerprint table, ``responder`` callable (gets the rendered
-    request text), FIFO ``sequence``, then ``default``. Concurrent calls, such
-    as a KG hop's per-entity prunes, take ``sequence`` entries in the order
-    they arrive; so do concurrent episodes, so a ``sequence`` script shared by
+    Lookup order: fingerprint table (a dict, or a ``ReplyStore`` loaded from a
+    cassette), ``responder`` callable (gets the rendered request text), FIFO
+    ``sequence``, then ``default``. Concurrent calls, such as a KG hop's
+    per-entity prunes, take ``sequence`` entries in the order they arrive; so
+    do concurrent episodes, so a ``sequence`` script shared by
     ``run_benchmark`` or ``optimize`` episodes needs a width of 1.
     """
 
     def __init__(self, by_fingerprint=None, responder=None, sequence=None, default=None):
-        self.by_fingerprint = dict(by_fingerprint or {})
+        self.by_fingerprint = {} if by_fingerprint is None else by_fingerprint
         self.responder = responder
         self.sequence = deque(sequence or [])
         self.default = default
@@ -132,8 +137,9 @@ class ScriptedBackend:
 
     def generate(self, text, temperature, max_tokens):
         fp = fingerprint(text, temperature, max_tokens)
-        if fp in self.by_fingerprint:
-            return self.by_fingerprint[fp]
+        reply = self.by_fingerprint.get(fp)
+        if reply is not None:
+            return reply
         if self.responder is not None:
             out = self.responder(text)
             if out is not None:
@@ -146,49 +152,79 @@ class ScriptedBackend:
         raise ScriptMiss(fp, text)
 
 
-class CassetteRecorder:
-    """Wraps a backend and appends every interaction to a JSONL cassette."""
+class ReplyStore:
+    """Replies by key, backed by a JSONL file of
+    ``{"fp", "request_text", "response_text"}`` lines: LLM cassettes and the
+    Wikidata cache.
 
-    def __init__(self, backend, path):
-        self.backend = backend
+    A repeated key replays its replies in order, then holds the last. The
+    file, if it exists, is read when the store is made, and each ``put``
+    appends its entry in one write under the store's lock. A final line with
+    no newline is a write cut short: it is ignored, and cut off before the
+    next append. Any other malformed line raises ValueError.
+    """
+
+    def __init__(self, path):
         self.path = path
+        self._replies = {}
         self._lock = threading.Lock()
+        self._torn_at = None  # where a torn final line starts
+        if os.path.exists(path):
+            self._load()
 
-    def generate(self, text, temperature, max_tokens):
-        response = self.backend.generate(text, temperature, max_tokens)
-        fp = fingerprint(text, temperature, max_tokens)
+    def _load(self):
+        with open(self.path, "rb") as fh:
+            data = fh.read()
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            self._torn_at = end
+        for n, line in enumerate(data[:end].decode("utf-8").split("\n")[:-1], 1):
+            if not line.strip():
+                continue
+            try:
+                entry = json.loads(line)
+                key, reply = entry["fp"], entry["response_text"]
+                if not (isinstance(key, str) and isinstance(reply, str)):
+                    raise TypeError("fp and response_text must be strings")
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(
+                    f"{os.path.basename(self.path)} line {n} is not a reply entry: {exc!r}"
+                ) from None
+            self._replies.setdefault(key, deque()).append(reply)
+
+    def get(self, key):
+        """The key's next reply, or None if it has none."""
+        with self._lock:
+            replies = self._replies.get(key)
+            if not replies:
+                return None
+            return replies.popleft() if len(replies) > 1 else replies[0]
+
+    def put(self, key, request_text, reply):
         line = json.dumps(
-            {"fp": fp, "request_text": text, "response_text": response},
+            {"fp": key, "request_text": request_text, "response_text": reply},
             ensure_ascii=False,
         )
         with self._lock:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-        return response
+            with open(self.path, "ab", buffering=0) as fh:
+                if self._torn_at is not None:
+                    fh.truncate(self._torn_at)
+                    self._torn_at = None
+                fh.write((line + "\n").encode("utf-8"))
+            self._replies.setdefault(key, deque()).append(reply)
 
 
-class CassetteBackend:
-    """Replays a recorded cassette; repeated identical requests replay in order,
-    holding the last recorded response once exhausted."""
+class CassetteRecorder:
+    """Wraps a backend and puts every interaction into the cassette at ``path``."""
 
-    def __init__(self, path):
-        self._by_fp = {}
-        self._lock = threading.Lock()
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                entry = json.loads(line)
-                self._by_fp.setdefault(entry["fp"], deque()).append(entry["response_text"])
+    def __init__(self, backend, path):
+        self.backend = backend
+        self.store = ReplyStore(path)
 
     def generate(self, text, temperature, max_tokens):
-        fp = fingerprint(text, temperature, max_tokens)
-        queue = self._by_fp.get(fp)
-        if not queue:
-            raise ScriptMiss(fp, text)
-        with self._lock:
-            return queue.popleft() if len(queue) > 1 else queue[0]
+        reply = self.backend.generate(text, temperature, max_tokens)
+        self.store.put(fingerprint(text, temperature, max_tokens), text, reply)
+        return reply
 
 
 class TokenBucket:
@@ -269,47 +305,39 @@ class HttpBackend:
 class LlmGateway:
     """Renders templates against a policy and talks to one backend.
 
-    ``call_count`` counts every backend invocation, including structured-output
-    repair retries and calls that raise. ``requests`` counts structured
-    requests per template id, once per request whatever its repairs or
-    outcome. All counters are safe to update from concurrent calls.
+    ``requests`` counts structured requests per template id, once per request
+    whatever its repairs or outcome, and ``retry_count`` counts repair
+    retries. ``call_count``, every backend invocation including calls that
+    raise, is their sum. The counters are safe to update from concurrent calls.
     """
 
     def __init__(self, backend, policy):
         self.backend = backend
         self.policy = policy
-        self.call_count = 0
         self.retry_count = 0
         self.requests = Counter()
         self._lock = threading.Lock()
 
-    def render(self, request: LlmRequest) -> str:
-        template = self.policy.template(request.template_id)
-        return template.render(request.bindings)
-
-    def complete(self, request: LlmRequest, rendered=None) -> str:
-        """The backend's reply text."""
-        text = rendered if rendered is not None else self.render(request)
+    @property
+    def call_count(self):
         with self._lock:
-            self.call_count += 1
-        return self.backend.generate(text, request.temperature, request.max_output_tokens)
+            return sum(self.requests.values()) + self.retry_count
 
     def complete_structured(self, request: LlmRequest, schema: ResponseSchema):
-        base = self.render(request)
+        base = self.policy.template(request.template_id).render(request.bindings)
         with self._lock:
             self.requests[request.template_id] += 1
         last_error = None
         for attempt in range(REPAIR_RETRIES + 1):
-            if attempt == 0:
-                text = base
-            else:
+            text = base
+            if attempt:
                 with self._lock:
                     self.retry_count += 1
                 text = (
                     f"{base}\n\n[repair attempt {attempt}] Your previous reply could not "
                     "be parsed. Respond with valid JSON only, matching the requested fields."
                 )
-            reply = self.complete(request, rendered=text)
+            reply = self.backend.generate(text, request.temperature, request.max_output_tokens)
             try:
                 payload = extract_json(reply)
                 schema.validate(payload)

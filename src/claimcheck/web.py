@@ -171,14 +171,14 @@ def search(query: WebQuery, m, provider):
 _QUERY_SCHEMA = ResponseSchema(required=("query",))
 
 
-def formulate_query(claim, subgraph: KnowledgeSubgraph, gateway) -> WebQuery:
-    """One LLM call targeting the evidence gap; with no evidence at all the
-    claim itself is the query (no LLM call)."""
-    if subgraph.is_empty():
+def formulate_query(claim, evidence, gateway) -> WebQuery:
+    """One LLM call targeting the gap in ``evidence``, the latest observation's
+    listing (``agent.Evidence``); with no evidence at all the claim itself is
+    the query (no LLM call)."""
+    if not evidence.ids:
         return WebQuery(text=claim[:MAX_QUERY_CHARS], rationale="no evidence retrieved yet")
-    evidence = "\n".join(text for _, text in subgraph.evidence_lines())
     payload = gateway.complete_structured(
-        LlmRequest(template_id=WEB_QUERY, bindings={"claim": claim, "evidence": evidence}),
+        LlmRequest(template_id=WEB_QUERY, bindings={"claim": claim, "evidence": evidence.text}),
         _QUERY_SCHEMA,
     )
     return WebQuery(text=str(payload["query"]), rationale=str(payload.get("rationale", "")))

@@ -121,7 +121,7 @@ class TestSufficiency:
             ScriptedBackend(responder=OracleResponder(specs=claims)), default_policy()
         )
         subgraph = init_kg_retrieval(
-            claims[0]["claim"], 4, 1, RetrievalBudget(), oracle, backend
+            claims[0]["claim"], 1, RetrievalBudget(), oracle, backend
         )
         broken = LlmGateway(ScriptedBackend(default="not json"), default_policy())
         assert assess_sufficiency(claims[0]["claim"], Evidence.of(subgraph), broken) == "unknown"
@@ -297,6 +297,33 @@ class TestEpisode:
         verdict_prompt = [p for p in prompts if "Decide whether the claim" in p][-1]
         cited = re.findall(r"^\[(p:[^\]]+)\]", verdict_prompt, re.MULTILINE)
         assert cited == first + second
+
+    def test_evidence_is_listed_once_per_observation(self, monkeypatch):
+        # a linked claim, so both web queries are formulated from the evidence
+        graph, claims = build_corpus(1)
+        claim = claims[0]["claim"]
+        web = FixtureSearchProvider(data={claim: [
+            {"url": "https://n.example/a", "snippet": "Person1 Alpha | lives in | Ohio Field"},
+        ]})
+        oracle = OracleResponder(specs=claims, sufficiency="never", action=WEB_SEARCH)
+        queries = []
+
+        def responder(text):
+            if "not enough to decide the claim" in text:
+                queries.append(text)
+            return oracle(text)
+
+        listings = []
+        evidence_lines = KnowledgeSubgraph.evidence_lines
+        monkeypatch.setattr(KnowledgeSubgraph, "evidence_lines",
+                            lambda self: listings.append(1) or evidence_lines(self))
+        _, traj = run_episode(
+            claim, default_policy(), EpisodeConfig(max_web_searches=2),
+            ScriptedBackend(responder=responder), FixtureKgBackend(data=graph), web,
+        )
+        assert traj.action_kinds()[:3] == [INIT_KG, WEB_SEARCH, WEB_SEARCH]
+        assert len(listings) == sum(obs.kind != "terminal" for _, obs in traj.steps)
+        assert len(queries) == 2 and "[t:E001|R1|O001]" in queries[0]
 
     def test_forced_verdict_script_miss_propagates(self):
         graph, claims = build_corpus(1)

@@ -2,12 +2,15 @@ import json
 
 import pytest
 
+import requests
+
 from claimcheck import cli
 from claimcheck.agent import EpisodeConfig, EpisodeRunner, write_trajectories
 from claimcheck.cli import build_parser, main
 from claimcheck.errors import InsufficientData
+from claimcheck.evaluation import load_dataset, run_benchmark
 from claimcheck.kg import FixtureKgBackend
-from claimcheck.llm import ScriptedBackend
+from claimcheck.llm import CassetteRecorder, ScriptedBackend
 from claimcheck.optimize import OptimizationConfig
 from claimcheck.policy import default_policy
 
@@ -81,6 +84,8 @@ class TestCheck:
 
 BAD_INPUTS = {
     "missing cassette": lambda tmp: ["--backend", "replay", "--cassette", str(tmp / "none.jsonl")],
+    "malformed cassette": lambda tmp: [
+        "--backend", "replay", "--cassette", write_text(tmp, '{"fp": "a"\n{}\n', "c.jsonl")],
     "malformed kg": lambda tmp: ["--kg", write_text(tmp, "{not json")],
     "malformed policy": lambda tmp: ["--policy", write_text(tmp, "{not json")],
     "malformed web": lambda tmp: ["--web", write_text(tmp, "{not json")],
@@ -123,6 +128,25 @@ class TestBadInput:
         assert main(argv + BAD_INPUTS[case](tmp_path)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_malformed_kg_cache_exits_2_with_one_error_line(self, workspace, capsys, monkeypatch):
+        tmp_path, kg_path, claims = workspace
+
+        def offline(*args, **kwargs):
+            raise AssertionError("no request may leave the test")
+
+        monkeypatch.setattr(requests, "get", offline)
+        monkeypatch.setattr(requests, "post", offline)
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "wikidata.jsonl").write_text("{not json\n{}\n")
+        config = write_text(tmp_path, json.dumps({"kg_cache_dir": str(cache)}), "config.json")
+        script = write_script(tmp_path, episode_script("Supported"))
+        argv = ["check", claims[0]["claim"], "--kg", "live", "--config", config, "--llm-script", script]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read kg cache") and len(err.splitlines()) == 1
+        assert "wikidata.jsonl line 1 is not a reply entry" in err
 
     def test_nested_episode_keys_convert_like_flat_ones(self, workspace):
         tmp_path, kg_path, claims = workspace
@@ -187,6 +211,32 @@ class TestEval:
         code = main(["eval", str(tmp_path / "missing.jsonl"), "--kg", kg_path,
                      "--llm-script", script])
         assert code == 2
+
+
+class TestReplayBackend:
+    def test_recorded_parallel_run_replays_to_the_same_report(self, tmp_path, capsys):
+        graph, claims = build_corpus(6, depth=2)
+        kg_path = tmp_path / "graph.json"
+        kg_path.write_text(json.dumps(graph))
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text("\n".join(
+            json.dumps({"id": c["id"], "claim": c["claim"], "label": c["gold_label"]})
+            for c in claims
+        ))
+        cassette = tmp_path / "cassette.jsonl"
+        recorder = CassetteRecorder(
+            ScriptedBackend(responder=OracleResponder(specs=claims)), str(cassette)
+        )
+        runner = EpisodeRunner(
+            default_policy(), EpisodeConfig(), recorder, FixtureKgBackend(data=graph)
+        )
+        recorded = run_benchmark(load_dataset(str(dataset)).records, runner, parallelism=2)
+        assert recorded.n == 6
+
+        code = main(["eval", str(dataset), "--backend", "replay", "--cassette", str(cassette),
+                     "--kg", str(kg_path), "--parallel", "2"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[-1] == recorded.to_json()
 
 
 class TestOptimize:
@@ -271,6 +321,13 @@ class TestReplay:
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         assert main(["replay", str(path)]) == 2
+
+    def test_line_not_an_object_exits_2_with_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "list.jsonl"
+        path.write_text("[1, 2]\n")
+        assert main(["replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read trajectories") and len(err.splitlines()) == 1
 
 
 class TestConfigPrecedence:

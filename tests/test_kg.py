@@ -20,7 +20,6 @@ from claimcheck.kg import (
     EntityMention,
     RelationCandidate,
     RetrievalBudget,
-    SparqlCache,
     WikidataBackend,
     expand_entity,
     expand_kg,
@@ -264,7 +263,7 @@ class TestRetrieval:
         budget = RetrievalBudget(k=4, n_hops=4)
         gw = oracle_gateway()
         subgraph = init_kg_retrieval(
-            "Barack Obama was born in Kenya.", 4, 1, budget, gw, small_graph_backend
+            "Barack Obama was born in Kenya.", 1, budget, gw, small_graph_backend
         )
         assert subgraph.max_hop() <= 1
         assert subgraph.hop_of["Q76"] == 0 and subgraph.hop_of["Q114"] == 0
@@ -274,13 +273,13 @@ class TestRetrieval:
     def test_unlinkable_claim_yields_empty_observation(self, small_graph_backend):
         budget = RetrievalBudget()
         subgraph = init_kg_retrieval(
-            "Zzqx Wobble said so.", 4, 1, budget, oracle_gateway(), small_graph_backend
+            "Zzqx Wobble said so.", 1, budget, oracle_gateway(), small_graph_backend
         )
         assert subgraph.is_empty()
 
     def test_empty_claim(self, small_graph_backend):
         with pytest.raises(EmptyClaim):
-            init_kg_retrieval("", 4, 1, RetrievalBudget(), oracle_gateway(), small_graph_backend)
+            init_kg_retrieval("", 1, RetrievalBudget(), oracle_gateway(), small_graph_backend)
 
     def test_chain_reached_at_hop_4(self):
         # chain of length 5: brute-force shortest path from head to tail is 4
@@ -293,7 +292,7 @@ class TestRetrieval:
         backend = FixtureKgBackend(data=chain)
         budget = RetrievalBudget(k=4, n_hops=4)
         subgraph = init_kg_retrieval(
-            "Chain0 Node starts it.", 4, 4, budget, oracle_gateway(), backend
+            "Chain0 Node starts it.", 4, budget, oracle_gateway(), backend
         )
         assert subgraph.hop_of["C4"] == 4
         assert subgraph.hops_done == 4
@@ -304,7 +303,7 @@ class TestRetrieval:
         gw = oracle_gateway(specs=claims)
         budget = RetrievalBudget(k=4, n_hops=4)
         claim = claims[0]["claim"]
-        subgraph = init_kg_retrieval(claim, 4, 1, budget, gw, backend)
+        subgraph = init_kg_retrieval(claim, 1, budget, gw, backend)
         before = set(subgraph.triplets)
         assert subgraph.max_hop() == 1
         expand_kg(claim, subgraph, budget, gw, backend)
@@ -315,7 +314,7 @@ class TestRetrieval:
         budget = RetrievalBudget(k=4, n_hops=4)
         gw = oracle_gateway()
         claim = "Barack Obama was born in Kenya."
-        subgraph = init_kg_retrieval(claim, 4, 1, budget, gw, small_graph_backend)
+        subgraph = init_kg_retrieval(claim, 1, budget, gw, small_graph_backend)
         for _ in range(3):
             expand_kg(claim, subgraph, budget, gw, small_graph_backend)
         snapshot = subgraph.to_json()
@@ -328,7 +327,7 @@ class TestRetrieval:
         budget = RetrievalBudget(k=2, n_hops=1)
         gw = oracle_gateway()
         claim = "Barack Obama was born in Kenya."
-        subgraph = init_kg_retrieval(claim, 2, 1, budget, gw, small_graph_backend)
+        subgraph = init_kg_retrieval(claim, 1, budget, gw, small_graph_backend)
         with pytest.raises(BudgetExhausted):
             expand_kg(claim, subgraph, budget, gw, small_graph_backend)
 
@@ -338,7 +337,7 @@ class TestRetrieval:
         gw = oracle_gateway(specs=claims)
         budget = RetrievalBudget(k=4, n_hops=4)
         claim = claims[1]["claim"]
-        subgraph = init_kg_retrieval(claim, 4, 1, budget, gw, backend)
+        subgraph = init_kg_retrieval(claim, 1, budget, gw, backend)
         expand_kg(claim, subgraph, budget, gw, backend)
         # brute-force BFS over the final triplet set
         adjacency = {}
@@ -367,20 +366,11 @@ class TestRetrieval:
             backend = FixtureKgBackend(data=graph)
             gw = oracle_gateway(specs=claims)
             budget = RetrievalBudget(k=4, n_hops=4)
-            subgraph = init_kg_retrieval(claim, 4, 1, budget, gw, backend)
+            subgraph = init_kg_retrieval(claim, 1, budget, gw, backend)
             expand_kg(claim, subgraph, budget, gw, backend)
             return subgraph.to_json()
 
         assert run() == run()
-
-
-class TestSparqlCache:
-    def test_concurrent_writers_of_one_query(self, tmp_path):
-        cache = SparqlCache(str(tmp_path))
-        payload = {"results": {"bindings": [{"p": {"value": "P31"}}] * 50}}
-        hammer(lambda: cache.put("SELECT ?x", payload), n_threads=2, calls_per_thread=200)
-        assert cache.get("SELECT ?x") == payload
-        assert [n for n in os.listdir(tmp_path) if n.endswith(".tmp")] == []
 
 
 class TestWikidataRetry:
@@ -425,6 +415,52 @@ class TestWikidataRetry:
         assert len(self.sleeps) == 1  # between the attempts, not after the last
 
 
+class TestWikidataCache:
+    SEARCH = {"search": [{"id": "Q1", "label": "X"}]}
+    SPARQL = {"results": {"bindings": [{
+        "p": {"value": "http://www.wikidata.org/entity/P31"}, "pLabel": {"value": "instance of"},
+        "o": {"value": "http://www.wikidata.org/entity/Q5"}, "oLabel": {"value": "human"},
+        "s": {"value": "http://www.wikidata.org/entity/Q2"}, "sLabel": {"value": "Y"},
+    }]}}
+
+    def backend(self, cache_dir, outcomes):
+        wikidata = WikidataBackend(cache_dir=str(cache_dir))
+        wikidata._requests = TestWikidataRetry.StubRequests(outcomes)
+        return wikidata
+
+    def lookups(self, wikidata):
+        return (
+            wikidata.search_entities("X"),
+            wikidata.relations_of("Q1", "outgoing"),
+            wikidata.relations_of("Q1", "incoming"),
+        )
+
+    def test_second_backend_on_the_cache_dir_makes_no_requests(self, tmp_path):
+        first = self.backend(tmp_path, [self.SEARCH, self.SPARQL, self.SPARQL])
+        found = self.lookups(first)
+        assert first._requests.gets == 3
+        assert found[0] == [EntityId("Q1", "X")] and found[1][0][1] == [EntityId("Q5", "human")]
+        second = self.backend(tmp_path, [])  # any request would pop an empty list
+        assert self.lookups(second) == found
+        assert second._requests.gets == 0
+        assert os.listdir(tmp_path) == ["wikidata.jsonl"]
+
+    def test_repeated_lookup_in_one_backend_is_cached(self, tmp_path):
+        wikidata = self.backend(tmp_path, [self.SEARCH])
+        assert wikidata.search_entities("X") == wikidata.search_entities("X")
+        assert wikidata._requests.gets == 1
+
+    def test_concurrent_writers_of_one_query(self, tmp_path):
+        payload = {"results": {"bindings": self.SPARQL["results"]["bindings"] * 50}}
+        wikidata = self.backend(tmp_path, [payload] * 320)
+        wikidata.cache.get = lambda key: None  # every call misses and writes
+        found = hammer(lambda: wikidata.relations_of("Q1", "outgoing"))
+        reread = self.backend(tmp_path, [])
+        assert [reread.relations_of("Q1", "outgoing")] * 320 == found
+        with open(tmp_path / "wikidata.jsonl", encoding="utf-8") as fh:
+            assert sum(1 for _ in fh) == 320
+
+
 # -- a hop's concurrent expand-and-prune ----------------------------------------
 
 DENSE_GRAPH, DENSE_CLAIM = build_dense_graph(fanout=4, depth=4, n_roots=4)
@@ -435,7 +471,7 @@ def dense_outputs(seed):
     """Subgraph, hop-prune prompts and trajectory of the dense claim."""
     llm, kg = SlowLlm(DENSE_ORACLE, seed), SlowKg(DENSE_GRAPH, seed)
     gateway = LlmGateway(llm, default_policy())
-    subgraph = init_kg_retrieval(DENSE_CLAIM, 4, 4, RetrievalBudget(k=4, n_hops=4), gateway, kg)
+    subgraph = init_kg_retrieval(DENSE_CLAIM, 4, RetrievalBudget(k=4, n_hops=4), gateway, kg)
     hop_prompts = [p for p in llm.prompts if p.startswith("Score each candidate")]
     _, trajectory = run_episode(
         DENSE_CLAIM, default_policy(), EpisodeConfig(),
@@ -469,7 +505,7 @@ class TestConcurrentHop:
     def test_failed_prune_propagates_first_error_after_every_task(self):
         # the second hop expands the four first children of the roots, by id
         first = init_kg_retrieval(
-            DENSE_CLAIM, 4, 1, RetrievalBudget(),
+            DENSE_CLAIM, 1, RetrievalBudget(),
             LlmGateway(SlowLlm(DENSE_ORACLE), default_policy()), SlowKg(DENSE_GRAPH),
         )
         hop2 = sorted(first.frontier)

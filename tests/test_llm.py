@@ -1,3 +1,4 @@
+import itertools
 import json
 import threading
 from collections import Counter
@@ -14,11 +15,11 @@ from claimcheck.errors import (
     TransportError,
 )
 from claimcheck.llm import (
-    CassetteBackend,
     CassetteRecorder,
     LlmGateway,
     LlmRequest,
     PromptTemplate,
+    ReplyStore,
     ResponseSchema,
     ScriptedBackend,
     TokenBucket,
@@ -68,33 +69,34 @@ class TestRender:
         assert same == (a == b)
 
 
+ANY = ResponseSchema(required=())
+
+
 class TestScriptedBackend:
     def test_fingerprint_keyed_response(self):
         text = "Verify: X"
         fp = fingerprint(text, 0.0, 1024)
-        backend = ScriptedBackend(by_fingerprint={fp: "SUFFICIENT"})
+        backend = ScriptedBackend(by_fingerprint={fp: '{"assessment": "sufficient"}'})
         gateway = LlmGateway(backend, make_policy(PromptTemplate(id="v", text="Verify: {claim}")))
-        reply = gateway.complete(LlmRequest(template_id="v", bindings={"claim": "X"}))
-        assert reply == "SUFFICIENT"
+        reply = gateway.complete_structured(LlmRequest(template_id="v", bindings={"claim": "X"}), ANY)
+        assert reply == {"assessment": "sufficient"}
 
     def test_determinism_same_request_twice(self):
         fp = fingerprint("Q", 0.0, 1024)
         backend = ScriptedBackend(by_fingerprint={fp: "A"})
-        gateway = LlmGateway(backend, make_policy(PromptTemplate(id="q", text="Q")))
-        req = LlmRequest(template_id="q")
-        assert gateway.complete(req) == gateway.complete(req) == "A"
+        assert backend.generate("Q", 0.0, 1024) == backend.generate("Q", 0.0, 1024) == "A"
 
     def test_script_miss(self):
         backend = ScriptedBackend()
         gateway = LlmGateway(backend, make_policy(PromptTemplate(id="q", text="Q")))
         with pytest.raises(ScriptMiss):
-            gateway.complete(LlmRequest(template_id="q"))
+            gateway.complete_structured(LlmRequest(template_id="q"), ANY)
 
     def test_call_counter_counts_every_invocation(self):
-        backend = ScriptedBackend(default="ok")
+        backend = ScriptedBackend(default="{}")
         gateway = LlmGateway(backend, make_policy(PromptTemplate(id="q", text="Q")))
         for _ in range(3):
-            gateway.complete(LlmRequest(template_id="q"))
+            gateway.complete_structured(LlmRequest(template_id="q"), ANY)
         assert gateway.call_count == 3
 
     def test_call_counter_counts_calls_that_raise(self):
@@ -106,7 +108,7 @@ class TestScriptedBackend:
         )
         for _ in range(2):
             with pytest.raises(TransportError):
-                gateway.complete(LlmRequest(template_id="q"))
+                gateway.complete_structured(LlmRequest(template_id="q"), ANY)
         assert gateway.call_count == 2
 
     def test_sequence_pops_are_atomic(self):
@@ -122,7 +124,7 @@ class TestScriptedBackend:
             responder=lambda text: '{"action":"a","label":"b"}' if "repair" in text else "bad"
         )
         gateway = LlmGateway(backend, make_policy(PromptTemplate(id="q", text="Q")))
-        gateway.call_count = gateway.retry_count = YieldingInt(0)
+        gateway.retry_count = YieldingInt(0)
         gateway.requests["q"] = YieldingInt(0)
         schema = ResponseSchema(required=("action", "label"))
         hammer(lambda: gateway.complete_structured(LlmRequest(template_id="q"), schema))
@@ -169,31 +171,31 @@ class TestStructured:
 class TestCassette:
     def test_record_then_replay_byte_identical(self, tmp_path):
         cassette = tmp_path / "cassette.jsonl"
-        live = ScriptedBackend(sequence=["first", "second"])
+        live = ScriptedBackend(sequence=['{"x": "first"}', '{"x": "second"}'])
         recorder = CassetteRecorder(live, str(cassette))
         policy = make_policy(
             PromptTemplate(id="a", text="ask A"), PromptTemplate(id="b", text="ask B")
         )
         gw = LlmGateway(recorder, policy)
         originals = [
-            gw.complete(LlmRequest(template_id="a")),
-            gw.complete(LlmRequest(template_id="b")),
+            gw.complete_structured(LlmRequest(template_id="a"), ANY),
+            gw.complete_structured(LlmRequest(template_id="b"), ANY),
         ]
 
-        replay = LlmGateway(CassetteBackend(str(cassette)), policy)
+        replay = LlmGateway(ScriptedBackend(by_fingerprint=ReplyStore(str(cassette))), policy)
         replayed = [
-            replay.complete(LlmRequest(template_id="a")),
-            replay.complete(LlmRequest(template_id="b")),
+            replay.complete_structured(LlmRequest(template_id="a"), ANY),
+            replay.complete_structured(LlmRequest(template_id="b"), ANY),
         ]
-        assert replayed == originals == ["first", "second"]
+        assert replayed == originals == [{"x": "first"}, {"x": "second"}]
 
     def test_cassette_format(self, tmp_path):
         cassette = tmp_path / "cassette.jsonl"
         recorder = CassetteRecorder(ScriptedBackend(default="pong"), str(cassette))
-        policy = make_policy(PromptTemplate(id="p", text="ping"))
-        LlmGateway(recorder, policy).complete(LlmRequest(template_id="p"))
+        recorder.generate("ping", 0.0, 1024)
         entry = json.loads(cassette.read_text().splitlines()[0])
         assert set(entry) == {"fp", "request_text", "response_text"}
+        assert entry["fp"] == fingerprint("ping", 0.0, 1024)
         assert entry["request_text"] == "ping"
         assert entry["response_text"] == "pong"
 
@@ -205,15 +207,16 @@ class TestCassette:
             for i in range(100)
         ))
         for _ in range(5):
-            backend = CassetteBackend(str(cassette))
-            backend._by_fp[fp] = YieldingDeque(backend._by_fp[fp])
+            store = ReplyStore(str(cassette))
+            store._replies[fp] = YieldingDeque(store._replies[fp])
+            backend = ScriptedBackend(by_fingerprint=store)
             results = hammer(lambda: backend.generate("q", 0.0, 16))
             assert Counter(results) == Counter([f"r{i}" for i in range(99)] + ["r99"] * 221)
 
     def test_replay_miss(self, tmp_path):
         cassette = tmp_path / "cassette.jsonl"
         cassette.write_text("")
-        backend = CassetteBackend(str(cassette))
+        backend = ScriptedBackend(by_fingerprint=ReplyStore(str(cassette)))
         with pytest.raises(ScriptMiss):
             backend.generate("never recorded", 0.0, 16)
 
@@ -223,6 +226,45 @@ class TestCassette:
         b = PromptTemplate(id="y", text="Verify: K").render({})
         assert fingerprint(a, 0.0, 64) == fingerprint(b, 0.0, 64)
         assert fingerprint(a, 0.0, 64) != fingerprint(a, 0.5, 64)
+
+
+def entry(key, reply):
+    return json.dumps({"fp": key, "request_text": "r", "response_text": reply}) + "\n"
+
+
+class TestReplyStore:
+    def test_concurrent_puts_reload_to_every_entry(self, tmp_path):
+        path = str(tmp_path / "store.jsonl")
+        store, keys = ReplyStore(path), itertools.count()
+        reply = "x" * 5000  # longer than one write buffer
+        hammer(lambda: store.put(f"k{next(keys)}", "r", reply))
+        reloaded = ReplyStore(path)
+        assert all(reloaded.get(f"k{i}") == reply for i in range(320))
+        assert reloaded.get("k320") is None
+
+    def test_torn_last_line_is_ignored_and_cut_before_the_next_put(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        path.write_text(entry("k", "a") + entry("j", "b")[:12])
+        store = ReplyStore(str(path))
+        assert store.get("k") == "a" and store.get("j") is None
+        store.put("i", "r", "c")
+        assert path.read_text() == entry("k", "a") + json.dumps(
+            {"fp": "i", "request_text": "r", "response_text": "c"}, ensure_ascii=False) + "\n"
+        assert ReplyStore(str(path)).get("i") == "c"
+
+    @pytest.mark.parametrize("line", [
+        "{not json", "[1, 2]", '{"fp": "k"}', '{"fp": "k", "response_text": 3}',
+    ])
+    def test_malformed_line_before_the_last_raises(self, tmp_path, line):
+        path = tmp_path / "store.jsonl"
+        path.write_text(line + "\n" + entry("k", "a"))
+        with pytest.raises(ValueError, match="store.jsonl line 1 is not a reply entry"):
+            ReplyStore(str(path))
+
+    def test_line_separators_inside_replies_round_trip(self, tmp_path):
+        path = str(tmp_path / "store.jsonl")
+        ReplyStore(path).put("k", "r", "a\u2028b\x85c")
+        assert ReplyStore(path).get("k") == "a\u2028b\x85c"
 
 
 class FakeClock:

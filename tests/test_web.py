@@ -10,7 +10,7 @@ from dataclasses import asdict
 import pytest
 from hypothesis import given, strategies as st
 
-from claimcheck.agent import EpisodeConfig, EpisodeRunner, WEB_SEARCH
+from claimcheck.agent import EpisodeConfig, EpisodeRunner, Evidence, WEB_SEARCH
 from claimcheck.errors import AllItemsFailed, TransportError
 from claimcheck.evaluation import DatasetRecord, run_benchmark
 from claimcheck.graph import EntityId, KnowledgeSubgraph, RelationId, Triplet
@@ -54,7 +54,7 @@ class TestQuery:
 
     def test_formulate_without_evidence_uses_claim_and_no_llm(self):
         gw = gateway()  # would raise ScriptMiss on any call
-        q = formulate_query("Paris is in Spain.", KnowledgeSubgraph(), gw)
+        q = formulate_query("Paris is in Spain.", Evidence(), gw)
         assert q.text == "Paris is in Spain."
         assert gw.call_count == 0
 
@@ -63,10 +63,18 @@ class TestQuery:
         subgraph.add_triplet(
             Triplet(EntityId("Q1", "Paris"), RelationId("P17", "country"), EntityId("Q2", "France"))
         )
-        gw = gateway(default=json.dumps({"query": "Paris country", "rationale": "gap"}))
-        q = formulate_query("Paris is in Spain.", subgraph, gw)
+        prompts = []
+
+        def responder(text):
+            prompts.append(text)
+            return json.dumps({"query": "Paris country", "rationale": "gap"})
+
+        gw = gateway(responder=responder)
+        evidence = Evidence.of(subgraph)
+        q = formulate_query("Paris is in Spain.", evidence, gw)
         assert q.text == "Paris country"
         assert gw.call_count == 1
+        assert f"Evidence:\n{evidence.text}\n" in prompts[0]
 
 
 def reference_bm25(query, docs, k1=1.2, b=0.75):
