@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from .agent import INIT_KG, VERDICT_ACTION
 from .errors import AllItemsFailed, DatasetParseError, SingleClassGold, UnknownLabel
-from .fanout import run_many
+from .fanout import fan_out
 
 SUPPORTED = "Supported"
 REFUTED = "Refuted"
@@ -131,12 +131,17 @@ def balanced_accuracy(predictions, golds) -> float:
     classes = set(golds)
     if classes != {SUPPORTED, REFUTED}:
         raise SingleClassGold(f"golds must contain both classes, got {sorted(classes)}")
-    recalls = []
-    for cls in (SUPPORTED, REFUTED):
-        total = sum(1 for g in golds if g == cls)
-        hit = sum(1 for p, g in zip(predictions, golds) if g == cls and p == cls)
-        recalls.append(hit / total)
-    return sum(recalls) / len(recalls)
+    recalls = _class_recalls(predictions, golds)
+    return sum(recalls.values()) / len(recalls)
+
+
+def _class_recalls(predictions, golds):
+    """Recall of each class, Supported first; every class must occur in golds."""
+    return {
+        cls: sum(1 for p, g in zip(predictions, golds) if g == cls and p == cls)
+        / sum(1 for g in golds if g == cls)
+        for cls in (SUPPORTED, REFUTED)
+    }
 
 
 def classify_error(trajectory, correct: bool):
@@ -200,7 +205,7 @@ def run_benchmark(records, runner, parallelism=1, collect_trajectories=None) -> 
         except Exception as exc:
             return None, {"id": record.id, "error": str(exc)}
 
-    outcomes = run_many(run_one, records, parallelism)
+    outcomes = fan_out(run_one, records, parallelism)
     failed = [failure for _, failure in outcomes if failure is not None]
     if len(failed) == len(records):
         first = failed[0]
@@ -228,17 +233,12 @@ def run_benchmark(records, runner, parallelism=1, collect_trajectories=None) -> 
             counter_sums[key] = counter_sums.get(key, 0) + value
         n_ok += 1
 
-    score = balanced_accuracy(predictions, golds)
-    per_class = {}
-    for cls in (SUPPORTED, REFUTED):
-        total = sum(1 for g in golds if g == cls)
-        hit = sum(1 for p, g in zip(predictions, golds) if g == cls and p == cls)
-        per_class[cls] = hit / total if total else 0.0
+    score = balanced_accuracy(predictions, golds)  # raises unless both classes occur
     mean_counters = {k: v / n_ok for k, v in counter_sums.items()} if n_ok else {}
     return EvalReport(
         n=n_ok,
         balanced_accuracy=score,
-        per_class_recall=per_class,
+        per_class_recall=_class_recalls(predictions, golds),
         error_counts=error_counts,
         mean_counters=mean_counters,
         failed_records=failed,

@@ -1,23 +1,23 @@
 """Run one function over independent items concurrently.
 
-``fan_out`` runs every item at once. It is used in the KG layer for the
-per-entity expand-and-prune work of a hop (``kg.expand_hop``), the
-outgoing and incoming fetches of one expansion
-(``kg.expand_entity``) and the per-mention entity searches
-(``kg.link_entities``); in the web step for the passage batches of
-``web.filter_evidence`` and the per-passage extract-and-link items of
-``web.to_triplets``. Their items spend their time waiting on SPARQL and LLM
-round trips, not on Python computation.
-The caller runs the first item itself; the others go to worker threads that
-start on first use and stay for the life of the process, because starting
-threads for every call would cost more CPU than the call's own Python work.
-When the caller is done with its item it also runs any item no worker has
-started yet, which saves thread hand-offs when the items finish quickly.
+``fan_out(fn, items, width)`` runs the items on ``width`` lanes, every item
+at once when ``width`` is None. With no width it serves the KG layer's
+per-entity expand-and-prune work of a hop (``kg.expand_hop``), the outgoing
+and incoming fetches of one expansion (``kg.expand_entity``) and the
+per-mention entity searches (``kg.link_entities``), and the web step's
+passage batches (``web.filter_evidence``) and per-passage extract-and-link
+items (``web.to_triplets``). Their items spend their time waiting on SPARQL
+and LLM round trips, not on Python computation. With a width it runs the
+episodes of ``evaluation.run_benchmark`` and the training and validation
+episodes of an ``optimize.optimize`` epoch, lists too long to start at once.
 
-``run_many`` runs at most ``width`` items at once, for item lists too long
-to start together: the episodes of ``evaluation.run_benchmark`` and the
-training and validation episodes of an ``optimize.optimize`` epoch. It runs
-``width`` lanes through ``fan_out``, each taking the next unstarted item.
+A lane runs one item after another, each time taking the next item no lane
+has taken. The caller is one lane and takes the first item before the other
+lanes are queued to worker threads. The workers start on first use and stay
+for the life of the process, because starting threads for every call would
+cost more CPU than the call's own Python work. When the caller runs out of
+items it also runs any lane no worker has started yet, which saves thread
+hand-offs when the items finish quickly.
 """
 
 from __future__ import annotations
@@ -28,15 +28,12 @@ import threading
 
 
 class _Task:
-    __slots__ = ("fn", "item", "lock", "finished", "result", "error")
+    __slots__ = ("fn", "lock", "finished")
 
-    def __init__(self, fn, item):
+    def __init__(self, fn):
         self.fn = fn
-        self.item = item
         self.lock = threading.Lock()
         self.finished = False
-        self.result = None
-        self.error = None
 
     def run_once(self):
         """Run the task unless it has run; a call that finds it running waits
@@ -44,10 +41,7 @@ class _Task:
         with self.lock:
             if self.finished:
                 return False
-            try:
-                self.result = self.fn(self.item)
-            except BaseException as exc:  # re-raised by fan_out in the caller
-                self.error = exc
+            self.fn()
             self.finished = True
             return True
 
@@ -86,49 +80,37 @@ class _Workers:
 _workers = _Workers()
 
 
-def fan_out(fn, items):
-    """``[fn(item) for item in items]``, with the items run concurrently.
-
-    The caller runs the first item, then any item no worker has taken yet.
-    Waits for every item, then raises the exception of the first item in
-    input order that raised one. A list of one item runs inline."""
-    items = list(items)
-    if len(items) <= 1:
-        return [fn(item) for item in items]
-    tasks = [_Task(fn, item) for item in items]
-    _workers.submit(tasks[1:])
-    tasks[0].run_once()
-    for task in tasks[1:]:
-        _workers.run(task)
-    for task in tasks:
-        if task.error is not None:
-            raise task.error
-    return [task.result for task in tasks]
-
-
-def run_many(fn, items, width):
+def fan_out(fn, items, width=None):
     """``[fn(item) for item in items]``, with at most ``width`` items running
-    at once.
+    at once, every item when ``width`` is None.
 
-    ``width`` lanes run on ``fan_out``'s workers, the caller's thread being
-    one of them; each lane takes the next item not yet taken. Waits for every
-    item, then raises the exception of the first item in input order that
-    raised one. A width of 1 or a list of one item runs inline."""
+    Waits for every item, then raises the exception of the first item in
+    input order that raised one. A width of 1 or a list of one item runs
+    inline."""
     items = list(items)
-    if width <= 1 or len(items) <= 1:
+    n = len(items)
+    if n <= 1:
         return [fn(item) for item in items]
-    results = [None] * len(items)
+    lanes = n if width is None else min(width, n)
+    results = [None] * n
     errors = {}
-    take = itertools.count().__next__  # one C call, so each index goes to one lane
+    # the caller's lane starts at item 0 and every other lane at the next
+    # index; __next__ is one C call, so each index goes to one lane
+    take = itertools.count(1).__next__
 
-    def lane(_):
-        while (i := take()) < len(items):
+    def lane(i):
+        while i < n:
             try:
                 results[i] = fn(items[i])
             except BaseException as exc:  # re-raised below, in input order
                 errors[i] = exc
+            i = take()
 
-    fan_out(lane, range(min(width, len(items))))
+    tasks = [_Task(lambda: lane(take())) for _ in range(lanes - 1)]
+    _workers.submit(tasks)
+    lane(0)
+    for task in tasks:
+        _workers.run(task)
     if errors:
         raise errors[min(errors)]
     return results

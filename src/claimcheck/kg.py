@@ -270,12 +270,19 @@ class WikidataBackend:
             except self._requests.RequestException as exc:
                 last = TransportError(str(exc))
             else:
-                if resp.status_code == 200:
+                if resp.status_code != 200:
+                    last = TransportError(f"status {resp.status_code} from {url}")
+                    continue
+                try:
                     payload = resp.json()
-                    if self.cache is not None:
-                        self.cache.put(key, request, json.dumps(payload, ensure_ascii=False))
-                    return payload
-                last = TransportError(f"status {resp.status_code} from {url}")
+                except ValueError:  # an HTML error page, say
+                    payload = None
+                if not isinstance(payload, dict):
+                    last = TransportError(f"reply from {url} is not a JSON object")
+                    continue
+                if self.cache is not None:
+                    self.cache.put(key, request, json.dumps(payload, ensure_ascii=False))
+                return payload
         raise last
 
     def search_entities(self, text, limit=5):
@@ -416,7 +423,6 @@ def select_objects(candidate, claim, max_objects=MAX_OBJECTS_PER_RELATION):
 
 def expand_hop(subgraph, claim, budget, gateway, backend):
     """One beam-search hop over the subgraph's unexpanded frontier entities.
-    Returns (subgraph, new_frontier).
 
     Expands at most k of them (claim-overlap preferred) and prunes each one's
     relations, concurrently; then prunes the hop's survivors, in expansion
@@ -459,7 +465,6 @@ def expand_hop(subgraph, claim, budget, gateway, backend):
             if is_new_entity:
                 new_frontier.add(neighbor.id)
     subgraph.frontier = new_frontier
-    return subgraph, new_frontier
 
 
 def init_kg_retrieval(claim, n_init, budget, gateway, backend):
@@ -488,4 +493,3 @@ def expand_kg(claim, subgraph, budget, gateway, backend):
     if subgraph.unexpanded():
         expand_hop(subgraph, claim, budget, gateway, backend)
         subgraph.hops_done += 1
-    return subgraph

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .agent import EXPAND_KG, INIT_KG, SUFFICIENT, WEB_SEARCH
 from .errors import InsufficientData, ParseFailure, TransportError
-from .fanout import run_many
+from .fanout import fan_out
 from .llm import LlmGateway, LlmRequest, PromptTemplate, ResponseSchema
 from .policy import ACTION_SELECT, REFLECT, SUFFICIENCY, VERDICT, PromptPolicy
 
@@ -311,7 +311,7 @@ def _mean_val_reward(policy, claims, runner_factory, width):
         return compute_reward(trajectory, record["gold_label"]).total
 
     total = 0.0
-    for value in run_many(reward, claims, width):  # summed in claim order
+    for value in fan_out(reward, claims, width):  # summed in claim order
         total += value
     return total / len(claims)
 
@@ -325,7 +325,7 @@ def _train_critiques(policy, claims, runner_factory, reflection_backend, width):
         _, trajectory = runner.run(record["claim"])
         return reflect(trajectory, record["gold_label"], LlmGateway(reflection_backend, policy))
 
-    return [c for batch in run_many(critique, claims, width) for c in batch]
+    return [c for batch in fan_out(critique, claims, width) for c in batch]
 
 
 def optimize(initial, claims, config, runner_factory, reflection_backend, meta_backend=None):

@@ -6,7 +6,6 @@ read-only. Policies serialize as ``{template_id: {"version": int, "text": str}}`
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 from .llm import PromptTemplate
@@ -53,10 +52,6 @@ class PromptPolicy:
             for tid, t in sorted(self._templates.items())
         }
 
-    def digest(self) -> str:
-        blob = json.dumps(self.to_jsonable(), sort_keys=True, ensure_ascii=False)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
     @classmethod
     def from_jsonable(cls, data, policy_id="loaded"):
         templates = [
@@ -69,11 +64,6 @@ class PromptPolicy:
             for tid, spec in data.items()
         ]
         return cls(templates, policy_id=policy_id)
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_jsonable(), fh, indent=2, sort_keys=True, ensure_ascii=False)
-            fh.write("\n")
 
     @classmethod
     def load(cls, path, policy_id="loaded"):

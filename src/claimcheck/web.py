@@ -144,7 +144,13 @@ class SerperProvider:
             raise ProviderQuotaExceeded("search provider quota exceeded (429)")
         if resp.status_code != 200:
             raise TransportError(f"search provider returned status {resp.status_code}")
-        rows = resp.json().get("organic", [])[:m]
+        try:
+            payload = resp.json()
+        except ValueError:  # an HTML error page, say
+            payload = None
+        if not isinstance(payload, dict):
+            raise TransportError("search provider reply is not a JSON object")
+        rows = payload.get("organic", [])[:m]
         return [
             WebDocument(
                 url=row.get("link", ""),

@@ -13,7 +13,7 @@ from collections import deque
 
 import pytest
 
-from claimcheck.errors import TransportError
+from claimcheck.errors import ProviderQuotaExceeded, QueryTimeout, ScriptMiss, TransportError
 from claimcheck.kg import FixtureKgBackend
 from claimcheck.llm import ScriptedBackend
 from claimcheck.policy import SUFFICIENCY, default_policy
@@ -324,7 +324,8 @@ class SlowSearch:
 
 class FaultyLlm:
     """Wraps an LLM backend: the calls at seeded indices raise TransportError
-    or reply with text that does not parse. Records every prompt it gets."""
+    or reply with text that does not parse; a call set to "miss" in
+    ``faults`` raises ScriptMiss. Records every prompt it gets."""
 
     def __init__(self, backend, seed, rate=0.1, horizon=64):
         rng = random.Random(seed)
@@ -340,11 +341,88 @@ class FaultyLlm:
             index = len(self.prompts)
             self.prompts.append(text)
         fault = self.faults.get(index)
+        if fault == "miss":
+            raise ScriptMiss(f"injected at call {index}", text)
         if fault == "transport":
             raise TransportError(f"injected fault at call {index}")
         if fault == "garbage":
             return "*** not json ***"
         return self.backend.generate(text, temperature, max_tokens)
+
+
+class StubResponse:
+    """Stands in for a ``requests`` response whose body is ``text``."""
+
+    def __init__(self, text, status_code=200):
+        self.text, self.status_code = text, status_code
+
+    def json(self):
+        return json.loads(self.text)
+
+
+FAULT_ERRORS = {
+    "timeout": QueryTimeout,
+    "transport": TransportError,
+    "quota": ProviderQuotaExceeded,
+}
+
+
+class _FaultyBackend:
+    """A seeded share of requests fail with one of ``kinds``; each request's
+    fault is hashed from (seed, request), so it does not depend on which
+    thread asks first. Records the faults it injects."""
+
+    kinds = ()
+
+    def __init__(self, backend, seed, rate=0.1):
+        self.backend, self.seed, self.rate = backend, seed, rate
+        self.fired = []
+        self._lock = threading.Lock()
+
+    def finds_nothing(self, *request):
+        """Raises the request's injected error, if any; True when the
+        request is to find nothing."""
+        key = "|".join(str(part) for part in (self.seed,) + request)
+        rng = random.Random(key)
+        if rng.random() >= self.rate:
+            return False
+        fault = rng.choice(self.kinds)
+        with self._lock:
+            self.fired.append(fault)
+        if fault != "empty":
+            raise FAULT_ERRORS[fault](f"injected {fault} for {key}")
+        return True
+
+
+class FaultyKg(_FaultyBackend):
+    """Wraps a KG backend: entity searches and relation fetches time out, fail
+    in transport or find nothing. Counts the relation fetches."""
+
+    kinds = ("timeout", "transport", "empty")
+
+    def __init__(self, backend, seed, rate=0.1):
+        super().__init__(backend, seed, rate)
+        self.fetches = 0
+
+    def search_entities(self, text, limit=5):
+        return [] if self.finds_nothing(text) else self.backend.search_entities(text, limit)
+
+    def relations_of(self, entity_id, direction, *args, **kwargs):
+        with self._lock:
+            self.fetches += 1
+        if self.finds_nothing(entity_id, direction):
+            return []
+        return self.backend.relations_of(entity_id, direction, *args, **kwargs)
+
+
+class FaultySearch(_FaultyBackend):
+    """Wraps a search provider: searches exceed the quota, fail in transport
+    or find nothing."""
+
+    kinds = ("quota", "transport", "empty")
+
+    def search(self, query_text, m):
+        return [] if self.finds_nothing(query_text) else self.backend.search(query_text, m)
 
 
 def core_requests(prompts):

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -36,7 +37,9 @@ from claimcheck.policy import default_policy
 from claimcheck.web import FixtureSearchProvider, WebDocument
 
 from conftest import (
+    FaultyKg,
     FaultyLlm,
+    FaultySearch,
     OracleResponder,
     SlowKg,
     SlowLlm,
@@ -513,18 +516,19 @@ class TestFaultInjection:
         envs.append((dense_graph, [], [dense_claim]))
         return envs
 
-    def test_every_episode_ends_in_one_verdict_within_budget(self):
-        rng = random.Random(11)
+    def web_results(self, claim, claims):
+        return {claim: [
+            {"url": f"https://w.example/{i}", "snippet": c["support"]}
+            for i, c in enumerate(claims[:3])
+        ]}
+
+    def random_episodes(self, rng, n):
+        """(episode, claim, claims, graph, config, responder, with web)."""
         environments = self.environments()
-        for episode in range(540):
+        for episode in range(n):
             graph, claims, claim_texts = environments[episode % 3]
             claim = rng.choice(claim_texts)
-            web = None
-            if rng.random() < 0.5:
-                web = FixtureSearchProvider(data={claim: [
-                    {"url": f"https://w.example/{i}", "snippet": c["support"]}
-                    for i, c in enumerate(claims[:3])
-                ]})
+            with_web = rng.random() < 0.5
             config = EpisodeConfig(
                 max_steps=rng.choice([3, 4, 6]), max_web_searches=rng.choice([0, 1, 2])
             )
@@ -533,21 +537,69 @@ class TestFaultInjection:
                 sufficiency=rng.choice(["oracle", "never", "always"]),
                 action=rng.choice(["follow_hint", WEB_SEARCH, VERDICT_ACTION, EXPAND_KG]),
             )
+            yield episode, claim, claims, graph, config, responder, with_web
+
+    def check(self, episode, config, llm, result, trajectory):
+        kinds = trajectory.action_kinds()
+        assert kinds[0] == INIT_KG and kinds.count(INIT_KG) == 1, episode
+        assert kinds[-1] == VERDICT_ACTION and kinds.count(VERDICT_ACTION) == 1, episode
+        assert result is trajectory.verdict and result.label in ("Supported", "Refuted")
+        assert len(trajectory.steps) <= config.max_steps + 1, episode
+        assert kinds.count(WEB_SEARCH) <= config.max_web_searches, episode
+        assert trajectory.counters["sparql_queries"] <= 16, episode
+        assert trajectory.counters["core_llm_calls"] <= 21, episode
+        assert trajectory.counters["llm_calls"] == len(llm.prompts), episode
+        assert trajectory.counters["core_llm_calls"] == core_requests(llm.prompts), episode
+
+    def test_every_episode_ends_in_one_verdict_within_budget(self):
+        rng = random.Random(11)
+        for episode, claim, claims, graph, config, responder, with_web in self.random_episodes(
+            rng, 540
+        ):
+            web = FixtureSearchProvider(data=self.web_results(claim, claims)) if with_web else None
             llm = FaultyLlm(ScriptedBackend(responder=responder), seed=episode,
                             rate=rng.choice([0.03, 0.1, 0.3]))
             result, trajectory = run_episode(
                 claim, default_policy(), config, llm, FixtureKgBackend(data=graph), web
             )
-            kinds = trajectory.action_kinds()
-            assert kinds[0] == INIT_KG and kinds.count(INIT_KG) == 1, episode
-            assert kinds[-1] == VERDICT_ACTION and kinds.count(VERDICT_ACTION) == 1, episode
-            assert result is trajectory.verdict and result.label in ("Supported", "Refuted")
-            assert len(trajectory.steps) <= config.max_steps + 1, episode
-            assert kinds.count(WEB_SEARCH) <= config.max_web_searches, episode
-            assert trajectory.counters["sparql_queries"] <= 16, episode
-            assert trajectory.counters["core_llm_calls"] <= 21, episode
-            assert trajectory.counters["llm_calls"] == len(llm.prompts), episode
-            assert trajectory.counters["core_llm_calls"] == core_requests(llm.prompts), episode
+            self.check(episode, config, llm, result, trajectory)
+
+    def test_backend_faults_end_in_one_verdict_within_budget(self):
+        rng = random.Random(12)
+        fired = Counter()
+        for episode, claim, claims, graph, config, responder, with_web in self.random_episodes(
+            rng, 540
+        ):
+            kg = FaultyKg(FixtureKgBackend(data=graph), seed=episode,
+                          rate=rng.choice([0.03, 0.1, 0.3]))
+            web = None
+            if with_web:
+                web = FaultySearch(FixtureSearchProvider(data=self.web_results(claim, claims)),
+                                   seed=episode, rate=rng.choice([0.1, 0.3, 0.6]))
+            llm = FaultyLlm(ScriptedBackend(responder=responder), seed=episode,
+                            rate=rng.choice([0.0, 0.03, 0.1]))
+            result, trajectory = run_episode(claim, default_policy(), config, llm, kg, web)
+            self.check(episode, config, llm, result, trajectory)
+            # every charged expansion made both directional fetches
+            assert trajectory.counters["sparql_queries"] * 2 == kg.fetches, episode
+            fired.update(kg.fired + (web.fired if web else []))
+        assert set(fired) == {"timeout", "transport", "empty", "quota"}
+
+    def test_llm_script_miss_propagates(self):
+        # a miss at any one call of an episode leaves run_episode
+        graph, claims = build_corpus(4, depth=2)
+        claim = claims[1]["claim"]
+        web = FixtureSearchProvider(data=self.web_results(claim, claims))
+        config = EpisodeConfig(max_web_searches=1)
+        responder = OracleResponder(specs=claims, sufficiency="never")
+        clean = FaultyLlm(ScriptedBackend(responder=responder), seed=0, rate=0.0)
+        run_episode(claim, default_policy(), config, clean, FixtureKgBackend(data=graph), web)
+        assert any("Judge each passage" in p for p in clean.prompts)
+        for index in range(len(clean.prompts)):
+            llm = FaultyLlm(ScriptedBackend(responder=responder), seed=0, rate=0.0)
+            llm.faults = {index: "miss"}
+            with pytest.raises(ScriptMiss, match=f"injected at call {index}"):
+                run_episode(claim, default_policy(), config, llm, FixtureKgBackend(data=graph), web)
 
 
 class TestTrajectory:

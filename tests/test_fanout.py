@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from claimcheck.fanout import fan_out, run_many
+from claimcheck.fanout import fan_out
 
 
 def fanout_threads():
@@ -26,9 +26,10 @@ class TestFanOut:
         assert fan_out(lambda i: i, []) == []
         assert fan_out(lambda i: threading.current_thread() is caller, [7]) == [True]
 
-    def test_caller_runs_the_first_item(self):
+    @pytest.mark.parametrize("width", [None, 2])
+    def test_caller_runs_the_first_item(self, width):
         caller = threading.current_thread()
-        ran_on = fan_out(lambda i: threading.current_thread(), range(3))
+        ran_on = fan_out(lambda i: threading.current_thread(), range(3), width)
         assert ran_on[0] is caller
 
     def test_items_overlap(self):
@@ -79,6 +80,8 @@ class TestFanOut:
 
 
 class TestRunMany:
+    """``fan_out`` with a width: many items, at most ``width`` at once."""
+
     def test_results_in_input_order(self):
         delays = [0.03, 0.0, 0.02, 0.01, 0.0, 0.02, 0.01]
 
@@ -86,7 +89,7 @@ class TestRunMany:
             time.sleep(delays[i])
             return i * 10
 
-        assert run_many(work, range(7), 3) == [i * 10 for i in range(7)]
+        assert fan_out(work, range(7), 3) == [i * 10 for i in range(7)]
 
     def test_at_most_width_items_in_flight(self):
         # the barrier holds each wave until `width` items run together, so
@@ -105,19 +108,19 @@ class TestRunMany:
                 running[0] -= 1
             return i
 
-        assert run_many(work, range(4 * width), width) == list(range(4 * width))
+        assert fan_out(work, range(4 * width), width) == list(range(4 * width))
         assert peak[0] == width
 
     @pytest.mark.parametrize("items, width", [([7], 4), ([1, 2, 3], 1)])
     def test_width_1_and_single_item_run_inline(self, items, width):
         caller = threading.current_thread()
-        ran_on = run_many(lambda i: threading.current_thread(), items, width)
+        ran_on = fan_out(lambda i: threading.current_thread(), items, width)
         assert all(thread is caller for thread in ran_on)
-        assert run_many(lambda i: i, [], width) == []
+        assert fan_out(lambda i: i, [], width) == []
 
     def test_width_above_item_count(self):
         barrier = threading.Barrier(3, timeout=5)
-        assert run_many(lambda i: barrier.wait() is not None, range(3), 8) == [True] * 3
+        assert fan_out(lambda i: barrier.wait() is not None, range(3), 8) == [True] * 3
 
     def test_first_error_in_input_order_after_every_item(self):
         finished = []
@@ -135,8 +138,21 @@ class TestRunMany:
             return i
 
         with pytest.raises(KeyError, match="item 1"):
-            run_many(work, range(6), 2)
+            fan_out(work, range(6), 2)
         assert sorted(finished) == list(range(6))
+
+    def test_width_1_runs_every_item_before_raising(self):
+        finished = []
+
+        def work(i):
+            finished.append(i)
+            if i in (1, 2):
+                raise KeyError(f"item {i}")
+            return i
+
+        with pytest.raises(KeyError, match="item 1"):
+            fan_out(work, range(4), 1)
+        assert finished == [0, 1, 2, 3]
 
     def test_items_that_fan_out_do_not_deadlock(self):
         # each item's own items must all run at once while the lanes hold
@@ -145,7 +161,7 @@ class TestRunMany:
             barrier = threading.Barrier(3, timeout=5)
             return fan_out(lambda j: barrier.wait() is not None, range(3))
 
-        assert run_many(work, range(6), 3) == [[True] * 3] * 6
+        assert fan_out(work, range(6), 3) == [[True] * 3] * 6
 
     def test_every_item_runs_once_under_contention(self):
         interval = sys.getswitchinterval()
@@ -159,7 +175,7 @@ class TestRunMany:
                     counts[i] += 1
                 return i
 
-            assert run_many(work, range(2000), 8) == list(range(2000))
+            assert fan_out(work, range(2000), 8) == list(range(2000))
         finally:
             sys.setswitchinterval(interval)
         assert counts == [1] * 2000

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import sys
@@ -7,7 +8,7 @@ import time
 import pytest
 
 from claimcheck import kg
-from claimcheck.agent import EpisodeConfig, run_episode
+from claimcheck.agent import INIT_KG, VERDICT_ACTION, EpisodeConfig, run_episode
 from claimcheck.errors import (
     AllMentionsUnlinkable,
     BudgetExhausted,
@@ -37,6 +38,7 @@ from conftest import (
     OracleResponder,
     SlowKg,
     SlowLlm,
+    StubResponse,
     YieldingInt,
     build_corpus,
     build_dense_graph,
@@ -392,7 +394,7 @@ class TestWikidataRetry:
             outcome = self.outcomes.pop(0)
             if outcome == "timeout":
                 raise self.Timeout("read timed out")
-            return type("Response", (), {"status_code": 200, "json": lambda self: outcome})()
+            return StubResponse(outcome if isinstance(outcome, str) else json.dumps(outcome))
 
     def backend(self, monkeypatch, outcomes):
         self.sleeps = []
@@ -413,6 +415,18 @@ class TestWikidataRetry:
             wikidata.search_entities("X")
         assert wikidata._requests.gets == 2
         assert len(self.sleeps) == 1  # between the attempts, not after the last
+
+    def test_reply_that_is_not_json_ends_the_episode_in_a_forced_verdict(self, monkeypatch):
+        # both mentions' searches try twice, and every reply is an HTML page
+        wikidata = self.backend(monkeypatch, ["<html>busy</html>"] * 4)
+        result, trajectory = run_episode(
+            "Barack Obama was born in Kenya.", default_policy(), EpisodeConfig(),
+            ScriptedBackend(responder=OracleResponder()), wikidata,
+        )
+        assert result.forced and trajectory.forced_reason == "transport_error"
+        assert trajectory.action_kinds() == [INIT_KG, VERDICT_ACTION]
+        assert trajectory.steps[0][1].note.endswith("is not a JSON object")
+        assert not wikidata._requests.outcomes
 
 
 class TestWikidataCache:

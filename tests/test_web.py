@@ -10,16 +10,26 @@ from dataclasses import asdict
 import pytest
 from hypothesis import given, strategies as st
 
-from claimcheck.agent import EpisodeConfig, EpisodeRunner, Evidence, WEB_SEARCH
+from claimcheck.agent import (
+    INIT_KG,
+    VERDICT_ACTION,
+    WEB_SEARCH,
+    EpisodeConfig,
+    EpisodeRunner,
+    Evidence,
+    run_episode,
+)
 from claimcheck.errors import AllItemsFailed, TransportError
 from claimcheck.evaluation import DatasetRecord, run_benchmark
 from claimcheck.graph import EntityId, KnowledgeSubgraph, RelationId, Triplet
+from claimcheck.kg import FixtureKgBackend
 from claimcheck.llm import LlmGateway, ScriptedBackend
 from claimcheck.policy import default_policy
 from claimcheck.web import (
     FilteredEvidence,
     FixtureSearchProvider,
     Passage,
+    SerperProvider,
     WebDocument,
     WebQuery,
     WebTriplet,
@@ -35,7 +45,15 @@ from claimcheck.web import (
     tokenize,
 )
 
-from conftest import OracleResponder, SlowKg, SlowLlm, SlowSearch, build_corpus
+from conftest import (
+    SMALL_GRAPH,
+    OracleResponder,
+    SlowKg,
+    SlowLlm,
+    SlowSearch,
+    StubResponse,
+    build_corpus,
+)
 
 
 def gateway(default=None, sequence=None, responder=None):
@@ -75,6 +93,32 @@ class TestQuery:
         assert q.text == "Paris country"
         assert gw.call_count == 1
         assert f"Evidence:\n{evidence.text}\n" in prompts[0]
+
+
+class TestSerperProvider:
+    class StubRequests:
+        """Stands in for ``requests``: every ``post`` replies 200 with ``text``."""
+
+        RequestException = OSError
+
+        def __init__(self, text):
+            self.text = text
+
+        def post(self, url, json=None, headers=None, timeout=None):
+            return StubResponse(self.text)
+
+    @pytest.mark.parametrize("text", ["<html>busy</html>", "[]"])
+    def test_reply_that_is_not_a_json_object_ends_in_a_forced_verdict(self, text):
+        provider = SerperProvider()
+        provider._requests = self.StubRequests(text)
+        result, trajectory = run_episode(
+            "Martians landed in Ohio.", default_policy(), EpisodeConfig(),
+            ScriptedBackend(responder=OracleResponder()), FixtureKgBackend(data=SMALL_GRAPH),
+            provider,
+        )
+        assert result.forced and trajectory.forced_reason == "transport_error"
+        assert trajectory.action_kinds() == [INIT_KG, WEB_SEARCH, VERDICT_ACTION]
+        assert trajectory.steps[1][1].note.endswith("search provider reply is not a JSON object")
 
 
 def reference_bm25(query, docs, k1=1.2, b=0.75):
