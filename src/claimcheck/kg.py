@@ -3,8 +3,10 @@
 Entity mentions are extracted heuristically from the claim, linked to graph
 nodes, and the subgraph grows by hop-wise expand-and-prune beam search: per hop
 at most ``k`` frontier entities are expanded (one graph query each), every
-expanded entity's relations are pruned by one LLM scoring call, and one more
-LLM call prunes the hop's union down to the top ``k`` relations overall.
+expanded entity's relations are pruned by one LLM scoring call, and, when more
+than ``k`` relations survive those prunes, one more LLM call prunes the hop's
+union down to the top ``k`` overall. A hop with at most ``k`` survivors keeps
+them all and sends no hop prune, since that call could drop none of them.
 
 A hop's ``k`` expand-and-prune pairs do not depend on each other and run
 concurrently (see ``fanout``), and so do each expansion's outgoing and
@@ -16,8 +18,8 @@ at once.
 
 ``RetrievalBudget`` counts expansions only: one "query" = one entity
 expansion (its incoming and outgoing template executions count together), so an
-episode uses at most ``k*N`` expansions. The ``N + k*N`` pruning LLM calls this
-allows are counted by the gateway, which sees every request.
+episode uses at most ``k*N`` expansions. Pruning takes at most ``N + k*N`` LLM
+calls, which the gateway counts, since it sees every request.
 
 ``WikidataBackend`` with a ``cache_dir`` keeps every lookup in one
 ``llm.ReplyStore`` file, so a repeated search or query sends no request.
@@ -47,7 +49,7 @@ from .fanout import fan_out
 from .graph import EntityId, KnowledgeSubgraph, RelationId, Triplet
 from .llm import LlmRequest, ReplyStore, ResponseSchema
 from .policy import EXPANSION_PRUNE, RELATION_PRUNE
-from .web import tokenize
+from .web import string_field, tokenize
 
 MAX_OBJECTS_PER_RELATION = 10
 RELATION_FETCH_LIMIT = 50
@@ -296,28 +298,43 @@ class WikidataBackend:
                 "limit": limit,
             },
         )
+        hits = payload.get("search", [])
+        if not isinstance(hits, list):
+            raise TransportError(f"entity search reply for {text!r} has no list of hits")
+        # a hit that is not an object or has no id is skipped
         return [
-            EntityId(hit["id"], hit.get("label", ""))
-            for hit in payload.get("search", [])
+            EntityId(hit["id"], string_field(hit, "label"))
+            for hit in hits
+            if string_field(hit, "id")
         ]
 
     def relations_of(self, entity_id, direction, limit=RELATION_FETCH_LIMIT):
         template = OUTGOING_QUERY if direction == "outgoing" else INCOMING_QUERY
         query = template.format(entity=entity_id, limit=limit)
         payload = self._get(self.sparql_endpoint, {"query": query, "format": "json"})
+        results = payload.get("results", {})
+        rows = results.get("bindings", []) if isinstance(results, dict) else None
+        if not isinstance(rows, list):
+            raise TransportError(f"SPARQL reply for {entity_id} has no list of bindings")
         grouped = {}
         neighbor_var = "o" if direction == "outgoing" else "s"
-        for row in payload.get("results", {}).get("bindings", []):
-            prop_uri = row["p"]["value"]
-            rel_id = prop_uri.rsplit("/", 1)[-1]
-            rel = RelationId(rel_id, row.get("pLabel", {}).get("value", rel_id))
-            node = row.get(neighbor_var, {})
-            node_id = node.get("value", "").rsplit("/", 1)[-1]
-            if not node_id:
+        for row in rows:
+            # a row that is not an object or lacks a property or neighbor is skipped
+            if not isinstance(row, dict):
                 continue
-            label = row.get(neighbor_var + "Label", {}).get("value", node_id)
+            rel_id = _binding(row, "p").rsplit("/", 1)[-1]
+            node_id = _binding(row, neighbor_var).rsplit("/", 1)[-1]
+            if not rel_id or not node_id:
+                continue
+            rel = RelationId(rel_id, _binding(row, "pLabel") or rel_id)
+            label = _binding(row, neighbor_var + "Label") or node_id
             grouped.setdefault(rel.id, (rel, []))[1].append(EntityId(node_id, label))
         return [grouped[rid] for rid in sorted(grouped)]
+
+
+def _binding(row, var):
+    """The string value a SPARQL result row binds to ``var``, or ""."""
+    return string_field(row.get(var), "value")
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +442,10 @@ def expand_hop(subgraph, claim, budget, gateway, backend):
     """One beam-search hop over the subgraph's unexpanded frontier entities.
 
     Expands at most k of them (claim-overlap preferred) and prunes each one's
-    relations, concurrently; then prunes the hop's survivors, in expansion
-    order, and appends the surviving triplets."""
+    relations, concurrently. When more than k relations survive, one more
+    prune, which sees them in expansion order, keeps the top k; otherwise
+    every survivor is kept without a call, in expansion order and then each
+    entity's own prune order. Appends the retained triplets."""
     tokens = set(tokenize(claim))
 
     def priority(entity_id):
@@ -446,9 +465,9 @@ def expand_hop(subgraph, claim, budget, gateway, backend):
         )
 
     survivors = [c for kept in fan_out(expand_and_prune, to_expand) for c in kept]
-
-    retained = []
-    if survivors:
+    # a hop prune over at most k survivors would keep every one of them
+    retained = survivors
+    if len(survivors) > budget.k:
         retained = prune_relations(claim, survivors, budget.k, gateway)
 
     new_frontier = set()

@@ -98,7 +98,13 @@ class FixtureSearchProvider:
         if not (
             isinstance(data, dict)
             and all(isinstance(rows, list) for rows in data.values())
-            and all(isinstance(row, dict) and "url" in row for rows in data.values() for row in rows)
+            and all(
+                isinstance(row, dict)
+                and isinstance(row.get("url"), str)
+                and all(isinstance(row.get(key, ""), str) for key in ("title", "snippet"))
+                for rows in data.values()
+                for row in rows
+            )
         ):
             raise ValueError("a web fixture must map query text to lists of {url, title, snippet}")
         self.data = data
@@ -150,16 +156,26 @@ class SerperProvider:
             payload = None
         if not isinstance(payload, dict):
             raise TransportError("search provider reply is not a JSON object")
-        rows = payload.get("organic", [])[:m]
+        rows = payload.get("organic", [])
+        if not isinstance(rows, list):
+            raise TransportError("search provider reply's results are not a list")
+        # a row that is not an object or has no link is skipped
+        rows = [row for row in rows if string_field(row, "link")]
         return [
             WebDocument(
-                url=row.get("link", ""),
-                title=row.get("title", ""),
-                snippet=row.get("snippet", ""),
+                url=row["link"],
+                title=string_field(row, "title"),
+                snippet=string_field(row, "snippet"),
                 provider_rank=i + 1,
             )
-            for i, row in enumerate(rows)
+            for i, row in enumerate(rows[:m])
         ]
+
+
+def string_field(obj, key):
+    """``obj[key]`` when ``obj`` is a JSON object holding a string there, else ""."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    return value if isinstance(value, str) else ""
 
 
 def search(query: WebQuery, m, provider):

@@ -458,11 +458,17 @@ class TestVerdictRequests:
 
 
 class TestTransportErrors:
-    # the depth-2 episode's calls, one at a time: 1-2 the initial prunes,
-    # 3 sufficiency, 4 action_select, 5-6 the expansion's prunes,
-    # 7 sufficiency, 8 action_select, 9 verdict; a failed verdict request
-    # takes the fallback verdict, any other failed call a forced verdict request
-    @pytest.mark.parametrize("n", range(1, 10))
+    # the depth-2 episode's calls, one at a time: 1 the initial prune,
+    # 2 sufficiency, 3 action_select, 4 the expansion's prune, 5 sufficiency,
+    # 6 action_select, 7 verdict (each hop keeps at most k relations, so
+    # neither sends a hop prune); a failed verdict request takes the
+    # fallback verdict, any other failed call a forced verdict request
+    def test_the_fault_free_episode_makes_seven_calls(self):
+        _, trajectory, prompts = depth2_episode(OracleResponder(specs=DEPTH2_CLAIMS))
+        assert trajectory.action_kinds() == [INIT_KG, EXPAND_KG, VERDICT_ACTION]
+        assert len(prompts) == trajectory.counters["llm_calls"] == 7
+
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_any_call_ends_in_one_forced_verdict(self, n):
         oracle = OracleResponder(specs=DEPTH2_CLAIMS)
         calls = []
@@ -475,15 +481,15 @@ class TestTransportErrors:
 
         result, trajectory, prompts = depth2_episode(responder)
         note = f"transport error: call {n} failed"
-        kinds = [INIT_KG] if n <= 4 else [INIT_KG, EXPAND_KG]
+        kinds = [INIT_KG] if n <= 3 else [INIT_KG, EXPAND_KG]
         assert trajectory.action_kinds() == kinds + [VERDICT_ACTION]
-        in_progress = {1: 0, 2: 0, 3: 0, 5: 1, 6: 1, 7: 1}.get(n)
+        in_progress = {1: 0, 2: 0, 4: 1, 5: 1}.get(n)
         assert [obs.note for _, obs in trajectory.steps] == [
             note if i == in_progress else "" for i in range(len(kinds))
         ] + [note]
         assert result.forced and trajectory.verdict is result
         assert trajectory.forced_reason == "transport_error"
-        assert trajectory.counters["llm_calls"] == len(prompts) == (n if n == 9 else n + 1)
+        assert trajectory.counters["llm_calls"] == len(prompts) == (n if n == 7 else n + 1)
 
     def test_forced_verdict_shows_the_items_it_checks(self):
         # the sufficiency call after the expansion fails: the forced verdict
@@ -493,7 +499,7 @@ class TestTransportErrors:
 
         def responder(text):
             calls.append(text)
-            if len(calls) == 7:
+            if len(calls) == 5:
                 raise TransportError("sufficiency endpoint down")
             return oracle(text)
 

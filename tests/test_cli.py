@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -14,7 +15,7 @@ from claimcheck.llm import CassetteRecorder, ScriptedBackend
 from claimcheck.optimize import OptimizationConfig
 from claimcheck.policy import default_policy
 
-from conftest import OracleResponder, build_corpus
+from conftest import FaultyKg, FaultyLlm, FaultySearch, OracleResponder, build_corpus
 
 
 @pytest.fixture
@@ -28,9 +29,9 @@ def workspace(tmp_path):
 
 def episode_script(label, citations=()):
     """Scripted replies for one episode over the depth-1 corpus, in call order:
-    per-entity prune, hop prune, sufficiency, action selection, verdict."""
+    per-entity prune, sufficiency, action selection, verdict. The hop keeps
+    its one relation, so it sends no hop prune."""
     return [
-        json.dumps({"scores": [1.0]}),
         json.dumps({"scores": [1.0]}),
         json.dumps({"assessment": "sufficient"}),
         json.dumps({"action": "verdict"}),
@@ -52,7 +53,8 @@ class TestCheck:
         assert code == 0
         out = capsys.readouterr().out
         assert "Verdict: Supported" in out
-        assert "Counters:" in out
+        counters = json.loads(out.split("Counters: ", 1)[1])
+        assert (counters["llm_calls"], counters["llm_retries"]) == (4, 0)
 
     def test_refuted_exits_1(self, workspace):
         tmp_path, kg_path, claims = workspace
@@ -99,14 +101,16 @@ BAD_INPUTS = {
     # with replies for both hops the graph allows, so that only the bound can stop it
     "n_init above n_hops": lambda tmp: [
         "--config", write_text(tmp, '{"n_init": 2, "n_hops": 1}'),
-        "--llm-script", write_script(tmp, episode_script("Supported")[:2] * 2
-                                     + episode_script("Supported")[2:], "two-hops.json"),
+        "--llm-script", write_script(tmp, episode_script("Supported")[:1] * 2
+                                     + episode_script("Supported")[1:], "two-hops.json"),
     ],
     "negative web searches": lambda tmp: ["--max-web-searches", "-1"],
     "parallel 0 in config": lambda tmp: ["--config", write_text(tmp, '{"parallel": 0}')],
     "kg not an object": lambda tmp: ["--kg", write_text(tmp, "[1, 2]")],
     "web not an object": lambda tmp: ["--web", write_text(tmp, "[1, 2]")],
     "web rows not objects": lambda tmp: ["--web", write_text(tmp, '{"q": [1, 2]}')],
+    "web snippet not text": lambda tmp: [
+        "--web", write_text(tmp, '{"q": [{"url": "u", "snippet": 5}]}')],
     "llm script not an object": lambda tmp: ["--llm-script", write_text(tmp, "[1, 2]")],
     "llm script replies not strings": lambda tmp: [
         "--llm-script", write_text(tmp, '{"sequence": [1, 2]}')],
@@ -211,6 +215,78 @@ class TestEval:
         code = main(["eval", str(tmp_path / "missing.jsonl"), "--kg", kg_path,
                      "--llm-script", script])
         assert code == 2
+
+
+class TestFaultProperty:
+    """Under seeded LLM, KG and web faults, every ``check`` and ``eval`` run
+    ends in a verdict (exit 0 or 1) or in exit 2 with one error line; no
+    error escapes ``main``."""
+
+    def wire_faults(self, monkeypatch, seed, claims, fired):
+        rng = random.Random(seed)
+        responder = OracleResponder(
+            specs=claims, sufficiency=rng.choice(["oracle", "never"]),
+            action="webSearch" if seed % 2 else "follow_hint",
+        )
+        build_kg, build_web = cli.build_kg_backend, cli.build_web_provider
+
+        def llm(cfg):
+            faulty = FaultyLlm(ScriptedBackend(responder=responder), seed, rate=0.15)
+            if seed % 3 == 0:
+                faulty.faults[rng.randrange(8)] = "miss"
+            fired.append(faulty)
+            return faulty
+
+        def wrap(cls, build, rate):
+            def built(cfg):
+                faulty = cls(build(cfg), seed, rate)
+                fired.append(faulty)
+                return faulty
+            return built
+
+        monkeypatch.setattr(cli, "build_llm_backend", llm)
+        monkeypatch.setattr(cli, "build_kg_backend", wrap(FaultyKg, build_kg, 0.1))
+        monkeypatch.setattr(cli, "build_web_provider", wrap(FaultySearch, build_web, 0.5))
+
+    def test_every_run_ends_in_a_verdict_or_one_error_line(self, tmp_path, capsys, monkeypatch):
+        graph, claims = build_corpus(4, depth=2)
+        web = {c["claim"]: [{"url": f"https://w.example/{i}", "snippet": c["support"]}]
+               for i, c in enumerate(claims)}
+        dataset = write_text(tmp_path, "\n".join(
+            json.dumps({"id": c["id"], "claim": c["claim"], "label": c["gold_label"]})
+            for c in claims
+        ), "data.jsonl")
+        # the script file only passes validation: the LLM backend is replaced
+        sources = ["--kg", write_text(tmp_path, json.dumps(graph), "graph.json"),
+                   "--web", write_text(tmp_path, json.dumps(web), "web.json"),
+                   "--llm-script", write_script(tmp_path, [])]
+        codes, faults = set(), set()
+        for seed in range(12):
+            fired = []
+            self.wire_faults(monkeypatch, seed, claims, fired)
+            claim = claims[seed % len(claims)]["claim"]
+            for argv in (["check", claim], ["eval", dataset, "--parallel", str(1 + seed % 2)]):
+                code = main(argv + sources)
+                out, err = capsys.readouterr()
+                codes.add(code)
+                if code == 2:
+                    assert err.startswith("error:") and len(err.splitlines()) == 1, (seed, argv)
+                    continue
+                assert code in (0, 1) and err == "", (seed, argv, err)
+                if argv[0] == "check":
+                    assert out.startswith("Verdict: "), seed
+                else:
+                    report = json.loads(out.splitlines()[-1])
+                    # only an injected script miss may fail an episode
+                    assert all("no scripted response" in failure["error"]
+                               for failure in report["failed_records"]), (seed, report)
+            for faulty in fired:
+                if isinstance(faulty, FaultyLlm):  # the faults at the calls it got
+                    faults.update(faulty.faults.get(i) for i in range(len(faulty.prompts)))
+                else:
+                    faults.update(faulty.fired)
+        assert codes >= {0, 1, 2}
+        assert faults - {None} == {"transport", "garbage", "miss", "timeout", "quota", "empty"}
 
 
 class TestReplayBackend:

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from claimcheck import kg
+from claimcheck import agent, kg
 from claimcheck.agent import INIT_KG, VERDICT_ACTION, EpisodeConfig, run_episode
 from claimcheck.errors import (
     AllMentionsUnlinkable,
@@ -31,7 +31,7 @@ from claimcheck.kg import (
     prune_relations,
 )
 from claimcheck.llm import LlmGateway, ScriptedBackend
-from claimcheck.policy import default_policy
+from claimcheck.policy import EXPANSION_PRUNE, RELATION_PRUNE, default_policy
 
 from conftest import (
     SMALL_GRAPH,
@@ -428,6 +428,49 @@ class TestWikidataRetry:
         assert trajectory.steps[0][1].note.endswith("is not a JSON object")
         assert not wikidata._requests.outcomes
 
+    SEARCH = {"search": [{"id": "Q76", "label": "Barack Obama"}]}
+    ROW = {"p": {"value": "http://www.wikidata.org/entity/P19"},
+           "pLabel": {"value": "place of birth"},
+           "o": {"value": "http://www.wikidata.org/entity/Q18094"},
+           "oLabel": {"value": "Honolulu"}}
+
+    @pytest.mark.parametrize("results", [
+        {"bindings": {"p": {"value": "P19"}}}, {"bindings": None}, [1, 2],
+    ], ids=["object", "null", "results-list"])
+    def test_bindings_not_a_list_end_the_episode_in_a_forced_verdict(self, monkeypatch, results):
+        # one mention, then both directional fetches get the malformed reply
+        bad = {"results": results}
+        wikidata = self.backend(monkeypatch, [self.SEARCH, bad, bad])
+        result, trajectory = run_episode(
+            "Barack Obama was born.", default_policy(), EpisodeConfig(),
+            ScriptedBackend(responder=OracleResponder()), wikidata,
+        )
+        assert result.forced and trajectory.forced_reason == "transport_error"
+        assert trajectory.action_kinds() == [INIT_KG, VERDICT_ACTION]
+        assert trajectory.steps[0][1].note.endswith("has no list of bindings")
+
+    def test_malformed_binding_rows_are_skipped(self, monkeypatch):
+        rows = [
+            1,
+            {k: v for k, v in self.ROW.items() if k != "p"},
+            {**self.ROW, "p": {"type": "uri"}},
+            {**self.ROW, "p": "P19"},
+            {**self.ROW, "o": {"value": 7}},
+            {**self.ROW, "pLabel": None, "oLabel": "Honolulu"},
+            self.ROW,
+        ]
+        wikidata = self.backend(monkeypatch, [{"results": {"bindings": rows}}])
+        assert wikidata.relations_of("Q76", "outgoing") == [
+            (RelationId("P19"), [EntityId("Q18094"), EntityId("Q18094")]),
+        ]
+
+    def test_malformed_search_hits_are_skipped(self, monkeypatch):
+        hits = [1, {"label": "no id"}, {"id": 5}, {"id": "Q1", "label": None}, {"id": "Q2"}]
+        wikidata = self.backend(monkeypatch, [{"search": hits}, {"search": {"id": "Q1"}}])
+        assert [(e.id, e.label) for e in wikidata.search_entities("X")] == [("Q1", ""), ("Q2", "")]
+        with pytest.raises(TransportError, match="no list of hits"):
+            wikidata.search_entities("Y")
+
 
 class TestWikidataCache:
     SEARCH = {"search": [{"id": "Q1", "label": "X"}]}
@@ -544,3 +587,118 @@ class TestConcurrentHop:
         assert sum(p.startswith("Score each relation of entity") for p in llm.prompts) == 8
         assert sum(p.startswith("Score each candidate") for p in llm.prompts) == 1
         assert trajectory.counters["llm_calls"] == len(llm.prompts)
+
+
+# -- the hop prune runs only over more than k survivors --------------------------
+
+TWO_TOPICS = {
+    "entities": [
+        {"id": "A", "label": "Alpha One"}, {"id": "B", "label": "Beta Two"},
+        {"id": "C", "label": "Gamma"}, {"id": "D", "label": "Delta"},
+    ],
+    "relations": [{"id": "P1", "label": "knows"}, {"id": "P2", "label": "owns"}],
+    "triples": [["C", "P1", "A"], ["B", "P2", "D"]],
+    "links": {"Alpha One": "A", "Beta Two": "B"},
+}
+
+
+def first_hop(claim, graph, k, responder=None):
+    gateway = oracle_gateway(responder)
+    subgraph = init_kg_retrieval(
+        claim, 1, RetrievalBudget(k=k), gateway, FixtureKgBackend(data=graph)
+    )
+    return subgraph, gateway
+
+
+class TestHopPrune:
+    OBAMA = "Barack Obama was born in Kenya."
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_at_most_k_survivors_keep_all_without_a_request(self, k):
+        # Q76 keeps P19 and P27, Q114 keeps P36: 3 survivors
+        subgraph, gateway = first_hop(self.OBAMA, SMALL_GRAPH, k)
+        assert gateway.requests[EXPANSION_PRUNE] == 2
+        assert gateway.requests[RELATION_PRUNE] == 0
+        assert list(subgraph.triplets) == [
+            ("Q76", "P19", "Q18094"), ("Q76", "P27", "Q30"), ("Q114", "P36", "Q3139"),
+        ]
+
+    def test_survivors_keep_expansion_order(self):
+        # A expands first (ids break the priority tie) and its one relation is
+        # incoming, scored below B's outgoing one: a score sort would put B first
+        subgraph, gateway = first_hop("Alpha One met Beta Two.", TWO_TOPICS, 4)
+        assert gateway.requests[RELATION_PRUNE] == 0
+        assert list(subgraph.triplets) == [("C", "P1", "A"), ("B", "P2", "D")]
+
+    def test_k_plus_one_survivors_send_one_request_and_keep_k(self):
+        prompts = []
+        oracle = OracleResponder()
+
+        def responder(text):
+            prompts.append(text)
+            return oracle(text)
+
+        subgraph, gateway = first_hop(self.OBAMA, SMALL_GRAPH, 2, responder)
+        assert gateway.requests[RELATION_PRUNE] == 1
+        hop_prompt = [p for p in prompts if p.startswith("Score each candidate")]
+        assert len(hop_prompt) == 1 and "2. Kenya --[capital" in hop_prompt[0]
+        assert list(subgraph.triplets) == [("Q76", "P19", "Q18094"), ("Q76", "P27", "Q30")]
+
+    def test_garbage_hop_prune_reply_is_never_asked_for(self):
+        # the hop prune would get an unparseable reply and force a verdict
+        graph, claims = build_corpus(2, depth=1)
+        oracle = OracleResponder(specs=claims)
+        llm = SlowLlm(
+            lambda text: "*** not json ***" if text.startswith("Score each candidate") else oracle(text)
+        )
+        result, trajectory = run_episode(
+            claims[0]["claim"], default_policy(), EpisodeConfig(), llm, FixtureKgBackend(data=graph)
+        )
+        assert not result.forced and trajectory.forced_reason == ""
+        assert result.label == claims[0]["gold_label"]
+        assert not any(p.startswith("Score each candidate") for p in llm.prompts)
+
+
+def episode_requests(monkeypatch, claim, graph, responder):
+    """Requests per template id of one episode, as its gateway counted them."""
+    gateways = []
+
+    class Recording(LlmGateway):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            gateways.append(self)
+
+    monkeypatch.setattr(agent, "LlmGateway", Recording)
+    run_episode(claim, default_policy(), EpisodeConfig(), ScriptedBackend(responder=responder),
+                FixtureKgBackend(data=graph))
+    return dict(gateways[0].requests)
+
+
+DEPTH1_GRAPH, DEPTH1_CLAIMS = build_corpus(2, depth=1)
+DEPTH2_GRAPH, DEPTH2_CLAIMS = build_corpus(2, depth=2)
+
+
+class TestEpisodeRequests:
+    """Pins every serial LLM request of the reference episodes, so a new one shows."""
+
+    def test_depth1(self, monkeypatch):
+        requests = episode_requests(monkeypatch, DEPTH1_CLAIMS[0]["claim"], DEPTH1_GRAPH,
+                                    OracleResponder(specs=DEPTH1_CLAIMS))
+        assert requests == {
+            "expansion_prune": 1, "sufficiency": 1, "action_select": 1, "verdict": 1,
+        }
+
+    def test_depth2(self, monkeypatch):
+        requests = episode_requests(monkeypatch, DEPTH2_CLAIMS[0]["claim"], DEPTH2_GRAPH,
+                                    OracleResponder(specs=DEPTH2_CLAIMS))
+        assert requests == {
+            "expansion_prune": 2, "sufficiency": 2, "action_select": 2, "verdict": 1,
+        }
+
+    def test_dense(self, monkeypatch):
+        # four hops of four expansions, each hop's 16 survivors cut to k=4
+        requests = episode_requests(monkeypatch, DENSE_CLAIM, DENSE_GRAPH, DENSE_ORACLE)
+        assert requests == {
+            "expansion_prune": 16, "relation_prune": 4, "sufficiency": 4,
+            "action_select": 3, "verdict": 1,
+        }

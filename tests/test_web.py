@@ -120,6 +120,34 @@ class TestSerperProvider:
         assert trajectory.action_kinds() == [INIT_KG, WEB_SEARCH, VERDICT_ACTION]
         assert trajectory.steps[1][1].note.endswith("search provider reply is not a JSON object")
 
+    def test_results_that_are_not_a_list_end_in_a_forced_verdict(self):
+        provider = SerperProvider()
+        provider._requests = self.StubRequests(json.dumps({"organic": {"link": "x"}}))
+        result, trajectory = run_episode(
+            "Martians landed in Ohio.", default_policy(), EpisodeConfig(),
+            ScriptedBackend(responder=OracleResponder()), FixtureKgBackend(data=SMALL_GRAPH),
+            provider,
+        )
+        assert result.forced and trajectory.forced_reason == "transport_error"
+        assert trajectory.action_kinds() == [INIT_KG, WEB_SEARCH, VERDICT_ACTION]
+        assert trajectory.steps[1][1].note.endswith("results are not a list")
+
+    def test_malformed_rows_are_skipped(self):
+        rows = [
+            1,
+            {"title": "no link", "snippet": "s"},
+            {"link": 7, "snippet": "s"},
+            {"link": "https://a.example", "title": None, "snippet": ["not", "text"]},
+            {"link": "https://b.example", "title": "B", "snippet": "Ohio | has | Martians"},
+        ]
+        provider = SerperProvider()
+        provider._requests = self.StubRequests(json.dumps({"organic": rows}))
+        assert provider.search("q", 5) == [
+            WebDocument("https://a.example", "", "", 1),
+            WebDocument("https://b.example", "B", "Ohio | has | Martians", 2),
+        ]
+        assert [d.url for d in provider.search("q", 1)] == ["https://a.example"]
+
 
 def reference_bm25(query, docs, k1=1.2, b=0.75):
     """Textbook Okapi BM25, computed independently term by term."""
