@@ -73,8 +73,6 @@ class EpisodeConfig:
     n_init: int = 1
     max_steps: int = 6
     max_web_searches: int = 2
-    web_results: int = 10
-    consistency_threshold: float = web_mod.DEFAULT_CONSISTENCY_THRESHOLD
 
 
 @dataclass
@@ -437,15 +435,13 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
             elif action.kind == WEB_SEARCH:
                 query = web_mod.formulate_query(claim, evidence, gateway)
                 action.payload = query
-                docs = web_mod.search(query, config.web_results, web_provider)
+                docs = web_mod.search(query, web_provider)
                 new_evidence = []
                 if docs:
                     passages = web_mod.rank_passages(query, docs, first_index=ranked)
                     ranked += len(passages)
                     if passages:
-                        new_evidence = web_mod.filter_evidence(
-                            claim, passages, gateway, config.consistency_threshold
-                        )
+                        new_evidence = web_mod.filter_evidence(claim, passages, gateway)
                 if new_evidence:
                     try:
                         web_triplets = web_mod.to_triplets(

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .agent import EpisodeConfig
 from .errors import ConfigError
@@ -65,7 +65,7 @@ class AppConfig:
         return self
 
 
-_EPISODE_FIELDS = ("k", "n_hops", "n_init", "max_steps", "max_web_searches")
+_EPISODE_FIELDS = tuple(f.name for f in fields(EpisodeConfig))
 _INT_FIELDS = _EPISODE_FIELDS + ("seed", "parallel", "epochs")
 
 

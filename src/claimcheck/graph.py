@@ -117,9 +117,6 @@ class KnowledgeSubgraph:
 
     # -- queries ----------------------------------------------------------
 
-    def is_empty(self) -> bool:
-        return not self.triplets and not self.annotations
-
     def kg_relation_labels(self) -> dict:
         """Normalized relation label -> RelationId, over kg-origin triplets."""
         out = {}
@@ -133,9 +130,6 @@ class KnowledgeSubgraph:
 
     def label_of(self, entity_id: str) -> str:
         return self.labels.get(entity_id, entity_id)
-
-    def max_hop(self) -> int:
-        return max(self.hop_of.values(), default=0)
 
     def unexpanded(self) -> set:
         """Frontier entities not expanded yet: what another hop would expand."""

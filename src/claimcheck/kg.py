@@ -230,42 +230,41 @@ class WikidataBackend:
     """Live Wikidata client: wbsearchentities for linking, SPARQL for edges.
 
     With a ``cache_dir``, every lookup (entity search and both SPARQL
-    directions) is kept in one ``ReplyStore`` file, ``wikidata.jsonl``, and a
-    lookup found there makes no request."""
+    directions) whose reply parsed is kept in one ``ReplyStore`` file,
+    ``wikidata.jsonl``, and a lookup found there makes no request."""
 
     def __init__(
         self,
         sparql_endpoint="https://query.wikidata.org/sparql",
         action_api="https://www.wikidata.org/w/api.php",
         cache_dir=None,
-        timeout=10.0,
-        user_agent="claimcheck/0.1",
     ):
         import requests
 
         self._requests = requests
         self.sparql_endpoint = sparql_endpoint
         self.action_api = action_api
-        self.timeout = timeout
         self.cache = None
         if cache_dir:
             os.makedirs(cache_dir, exist_ok=True)
             self.cache = ReplyStore(os.path.join(cache_dir, "wikidata.jsonl"))
-        self.headers = {"User-Agent": user_agent}
 
-    def _get(self, url, params):
+    def _get(self, url, params, parse):
+        """``parse`` of the JSON-object reply to a GET, from the cache if it
+        holds one. A reply is cached only once ``parse`` has taken it; a
+        reply it rejects raises and is not retried."""
         request = f"{url}?{urlencode(params)}"
         key = hashlib.sha256(request.encode("utf-8")).hexdigest()
         cached = self.cache.get(key) if self.cache is not None else None
         if cached is not None:
-            return json.loads(cached)
+            return parse(json.loads(cached))
         last = None
         for attempt in range(2):
             if attempt:
                 time.sleep(0.5 + random.random() * 0.5)
             try:
                 resp = self._requests.get(
-                    url, params=params, headers=self.headers, timeout=self.timeout
+                    url, params=params, headers={"User-Agent": "claimcheck/0.1"}, timeout=10.0
                 )
             except self._requests.Timeout as exc:
                 last = QueryTimeout(str(exc))
@@ -282,54 +281,58 @@ class WikidataBackend:
                 if not isinstance(payload, dict):
                     last = TransportError(f"reply from {url} is not a JSON object")
                     continue
+                parsed = parse(payload)
                 if self.cache is not None:
                     self.cache.put(key, request, json.dumps(payload, ensure_ascii=False))
-                return payload
+                return parsed
         raise last
 
     def search_entities(self, text, limit=5):
-        payload = self._get(
-            self.action_api,
-            {
-                "action": "wbsearchentities",
-                "search": text,
-                "language": "en",
-                "format": "json",
-                "limit": limit,
-            },
-        )
-        hits = payload.get("search", [])
-        if not isinstance(hits, list):
-            raise TransportError(f"entity search reply for {text!r} has no list of hits")
-        # a hit that is not an object or has no id is skipped
-        return [
-            EntityId(hit["id"], string_field(hit, "label"))
-            for hit in hits
-            if string_field(hit, "id")
-        ]
+        def parse(payload):
+            hits = payload.get("search", [])
+            if not isinstance(hits, list):
+                raise TransportError(f"entity search reply for {text!r} has no list of hits")
+            # a hit that is not an object or has no id is skipped
+            return [
+                EntityId(hit["id"], string_field(hit, "label"))
+                for hit in hits
+                if string_field(hit, "id")
+            ]
+
+        params = {
+            "action": "wbsearchentities",
+            "search": text,
+            "language": "en",
+            "format": "json",
+            "limit": limit,
+        }
+        return self._get(self.action_api, params, parse)
 
     def relations_of(self, entity_id, direction, limit=RELATION_FETCH_LIMIT):
+        neighbor_var = "o" if direction == "outgoing" else "s"
+
+        def parse(payload):
+            results = payload.get("results", {})
+            rows = results.get("bindings", []) if isinstance(results, dict) else None
+            if not isinstance(rows, list):
+                raise TransportError(f"SPARQL reply for {entity_id} has no list of bindings")
+            grouped = {}
+            for row in rows:
+                # a row that is not an object or lacks a property or neighbor is skipped
+                if not isinstance(row, dict):
+                    continue
+                rel_id = _binding(row, "p").rsplit("/", 1)[-1]
+                node_id = _binding(row, neighbor_var).rsplit("/", 1)[-1]
+                if not rel_id or not node_id:
+                    continue
+                rel = RelationId(rel_id, _binding(row, "pLabel") or rel_id)
+                label = _binding(row, neighbor_var + "Label") or node_id
+                grouped.setdefault(rel.id, (rel, []))[1].append(EntityId(node_id, label))
+            return [grouped[rid] for rid in sorted(grouped)]
+
         template = OUTGOING_QUERY if direction == "outgoing" else INCOMING_QUERY
         query = template.format(entity=entity_id, limit=limit)
-        payload = self._get(self.sparql_endpoint, {"query": query, "format": "json"})
-        results = payload.get("results", {})
-        rows = results.get("bindings", []) if isinstance(results, dict) else None
-        if not isinstance(rows, list):
-            raise TransportError(f"SPARQL reply for {entity_id} has no list of bindings")
-        grouped = {}
-        neighbor_var = "o" if direction == "outgoing" else "s"
-        for row in rows:
-            # a row that is not an object or lacks a property or neighbor is skipped
-            if not isinstance(row, dict):
-                continue
-            rel_id = _binding(row, "p").rsplit("/", 1)[-1]
-            node_id = _binding(row, neighbor_var).rsplit("/", 1)[-1]
-            if not rel_id or not node_id:
-                continue
-            rel = RelationId(rel_id, _binding(row, "pLabel") or rel_id)
-            label = _binding(row, neighbor_var + "Label") or node_id
-            grouped.setdefault(rel.id, (rel, []))[1].append(EntityId(node_id, label))
-        return [grouped[rid] for rid in sorted(grouped)]
+        return self._get(self.sparql_endpoint, {"query": query, "format": "json"}, parse)
 
 
 def _binding(row, var):
@@ -365,9 +368,9 @@ def link_entities(mentions, backend) -> list:
     return linked
 
 
-def fetch_relations(entity, direction, backend, limit=MAX_OBJECTS_PER_RELATION):
+def fetch_relations(entity, direction, backend):
     """All relation candidates of one entity in one direction, each carrying
-    at most ``limit`` sample neighbors."""
+    at most ``MAX_OBJECTS_PER_RELATION`` sample neighbors."""
     out = []
     for rel, neighbors in backend.relations_of(entity.id, direction):
         out.append(
@@ -375,18 +378,18 @@ def fetch_relations(entity, direction, backend, limit=MAX_OBJECTS_PER_RELATION):
                 relation=rel,
                 direction=direction,
                 anchor=entity,
-                sample_objects=neighbors[:limit],
+                sample_objects=neighbors[:MAX_OBJECTS_PER_RELATION],
             )
         )
     return out
 
 
-def expand_entity(entity, backend, budget, limit=MAX_OBJECTS_PER_RELATION):
+def expand_entity(entity, backend, budget):
     """Both directional fetches of one entity, run concurrently, outgoing
     candidates first; charges one expansion."""
     budget.charge_expansion()
     outgoing, incoming = fan_out(
-        lambda direction: fetch_relations(entity, direction, backend, limit),
+        lambda direction: fetch_relations(entity, direction, backend),
         ("outgoing", "incoming"),
     )
     return outgoing + incoming
@@ -401,15 +404,19 @@ def _candidate_lines(candidates):
     )
 
 
-def prune_relations(claim, candidates, k, gateway, template_id=RELATION_PRUNE, entity=None):
-    """Keep the top min(k, n) candidates by one listwise LLM scoring call.
+def prune_relations(claim, candidates, k, gateway, entity=None):
+    """Keep the top min(k, n) candidates by one listwise LLM scoring call:
+    the ``EXPANSION_PRUNE`` of ``entity``'s own relations, or with no entity
+    the ``RELATION_PRUNE`` of a hop's survivors.
 
     Ties break by ascending (relation id, anchor id)."""
     if not candidates:
         raise ValueError("prune_relations requires a nonempty candidate list")
     bindings = {"claim": claim, "candidates": _candidate_lines(candidates)}
-    if template_id == EXPANSION_PRUNE:
-        bindings["entity"] = entity.label or entity.id if entity else ""
+    template_id = RELATION_PRUNE
+    if entity is not None:
+        template_id = EXPANSION_PRUNE
+        bindings["entity"] = entity.label or entity.id
     payload = gateway.complete_structured(
         LlmRequest(template_id=template_id, bindings=bindings), _SCORES_SCHEMA
     )
@@ -426,16 +433,16 @@ def prune_relations(claim, candidates, k, gateway, template_id=RELATION_PRUNE, e
     return scored[: min(k, len(scored))]
 
 
-def select_objects(candidate, claim, max_objects=MAX_OBJECTS_PER_RELATION):
-    """Bound multi-valued fan-out: prefer neighbors sharing claim tokens,
-    tie-break by ascending entity id."""
+def select_objects(candidate, claim):
+    """A candidate's sample neighbors, already at most
+    ``MAX_OBJECTS_PER_RELATION``: those sharing claim tokens first, ties by
+    ascending entity id."""
     tokens = set(tokenize(claim))
 
     def overlap(entity):
         return len(tokens & set(tokenize(entity.label)))
 
-    ranked = sorted(candidate.sample_objects, key=lambda e: (-overlap(e), e.id))
-    return ranked[:max_objects]
+    return sorted(candidate.sample_objects, key=lambda e: (-overlap(e), e.id))
 
 
 def expand_hop(subgraph, claim, budget, gateway, backend):
@@ -460,9 +467,7 @@ def expand_hop(subgraph, claim, budget, gateway, backend):
         subgraph.expanded.add(entity_id)
         if not candidates:
             return []
-        return prune_relations(
-            claim, candidates, budget.k, gateway, template_id=EXPANSION_PRUNE, entity=entity
-        )
+        return prune_relations(claim, candidates, budget.k, gateway, entity=entity)
 
     survivors = [c for kept in fan_out(expand_and_prune, to_expand) for c in kept]
     # a hop prune over at most k survivors would keep every one of them

@@ -32,6 +32,9 @@ _PLACEHOLDER_RE = re.compile(r"\{([a-z_][a-z0-9_]*)\}")
 
 # Structured-output repair attempts on top of the first ask.
 REPAIR_RETRIES = 2
+# Sampling settings of every request; both enter the fingerprint.
+TEMPERATURE = 0.0
+MAX_OUTPUT_TOKENS = 1024
 
 
 @dataclass(frozen=True)
@@ -42,9 +45,6 @@ class PromptTemplate:
     text: str
     version: int = 1
     expected_output: str = "free_text"  # free_text | structured
-
-    def placeholders(self):
-        return sorted(set(_PLACEHOLDER_RE.findall(self.text)))
 
     def render(self, bindings: dict) -> str:
         def _sub(match):
@@ -60,8 +60,6 @@ class PromptTemplate:
 class LlmRequest:
     template_id: str
     bindings: dict = field(default_factory=dict)
-    temperature: float = 0.0
-    max_output_tokens: int = 1024
 
 
 @dataclass
@@ -251,24 +249,16 @@ class TokenBucket:
 class HttpBackend:
     """OpenAI-style chat-completion backend over HTTP."""
 
-    def __init__(
-        self,
-        base_url,
-        model,
-        api_key_env="CLAIMCHECK_API_KEY",
-        timeout=60.0,
-        max_in_flight=4,
-        rate_per_sec=2.0,
-    ):
+    def __init__(self, base_url, model, api_key_env="CLAIMCHECK_API_KEY"):
         import requests
 
         self._requests = requests
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.api_key_env = api_key_env
-        self.timeout = timeout
-        self._slots = threading.Semaphore(max_in_flight)
-        self._bucket = TokenBucket(rate_per_sec, max(1, int(rate_per_sec)))
+        # at most 4 requests in flight and 2 sent per second
+        self._slots = threading.Semaphore(4)
+        self._bucket = TokenBucket(2.0, 2)
 
     def generate(self, text, temperature, max_tokens):
         key = os.environ.get(self.api_key_env, "")
@@ -288,7 +278,7 @@ class HttpBackend:
                     f"{self.base_url}/chat/completions",
                     json=body,
                     headers=headers,
-                    timeout=self.timeout,
+                    timeout=60.0,
                 )
             except self._requests.Timeout as exc:
                 raise TransportError(f"LLM request timed out: {exc}") from exc
@@ -297,9 +287,13 @@ class HttpBackend:
         if resp.status_code != 200:
             raise TransportError(f"LLM endpoint returned status {resp.status_code}")
         try:
-            return resp.json()["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, ValueError) as exc:
+            content = resp.json()["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            # not JSON, or some level is not the object or list it should be
             raise TransportError(f"malformed LLM response body: {exc}") from exc
+        if not isinstance(content, str):
+            raise TransportError(f"LLM response content is {type(content).__name__}, not str")
+        return content
 
 
 class LlmGateway:
@@ -337,7 +331,7 @@ class LlmGateway:
                     f"{base}\n\n[repair attempt {attempt}] Your previous reply could not "
                     "be parsed. Respond with valid JSON only, matching the requested fields."
                 )
-            reply = self.backend.generate(text, request.temperature, request.max_output_tokens)
+            reply = self.backend.generate(text, TEMPERATURE, MAX_OUTPUT_TOKENS)
             try:
                 payload = extract_json(reply)
                 schema.validate(payload)

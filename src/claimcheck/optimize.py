@@ -254,7 +254,7 @@ def textual_gradient(critiques, current: PromptPolicy, llm_backend, candidate_id
 
     targets = set()
     for c in critiques:
-        targets.update(_TAG_TARGETS.get(c.tag, (ACTION_SELECT,)))
+        targets.update(_TAG_TARGETS[c.tag])
 
     critique_lines = "\n".join(
         f"- [{c.tag}] step {c.step_index}: {c.text}" for c in critiques[:50]
@@ -354,7 +354,6 @@ def optimize(initial, claims, config, runner_factory, reflection_backend, meta_b
     current = initial
     current_val = _mean_val_reward(initial, val, runner_factory, config.parallel)
     run.initial_val_reward = current_val
-    best, best_val = initial, current_val
 
     for epoch in range(1, config.epochs + 1):
         critiques = _train_critiques(current, train, runner_factory, reflection_backend,
@@ -376,10 +375,9 @@ def optimize(initial, claims, config, runner_factory, reflection_backend, meta_b
             if cand_val > current_val:
                 current, current_val = candidate, cand_val
                 entry["accepted"] = True
-                if cand_val > best_val:
-                    best, best_val = candidate, cand_val
         run.history.append(entry)
 
-    run.selected = best
-    run.selected_val_reward = best_val
+    # only a strict improvement moves ``current``, so it is the best policy
+    run.selected = current
+    run.selected_val_reward = current_val
     return run

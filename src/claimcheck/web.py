@@ -17,7 +17,7 @@ import logging
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import AllItemsFailed, ParseFailure, ProviderQuotaExceeded, TransportError
 from .fanout import fan_out
@@ -36,7 +36,8 @@ log = logging.getLogger(__name__)
 MAX_QUERY_CHARS = 256
 MAX_PASSAGE_CHARS = 1200
 FILTER_BATCH_SIZE = 8
-DEFAULT_CONSISTENCY_THRESHOLD = 0.5
+WEB_RESULTS = 10  # documents asked of the provider per search
+CONSISTENCY_THRESHOLD = 0.5
 BM25_K1 = 1.2
 BM25_B = 0.75
 
@@ -125,8 +126,7 @@ class FixtureSearchProvider:
 class SerperProvider:
     """Serper-compatible JSON search API client."""
 
-    def __init__(self, endpoint="https://google.serper.dev/search",
-                 api_key_env="SERPER_API_KEY", timeout=15.0):
+    def __init__(self, endpoint="https://google.serper.dev/search", api_key_env="SERPER_API_KEY"):
         import os
 
         import requests
@@ -134,7 +134,6 @@ class SerperProvider:
         self._requests = requests
         self.endpoint = endpoint
         self.api_key = os.environ.get(api_key_env, "")
-        self.timeout = timeout
 
     def search(self, query_text, m):
         try:
@@ -142,7 +141,7 @@ class SerperProvider:
                 self.endpoint,
                 json={"q": query_text, "num": m},
                 headers={"X-API-KEY": self.api_key, "Content-Type": "application/json"},
-                timeout=self.timeout,
+                timeout=15.0,
             )
         except self._requests.RequestException as exc:
             raise TransportError(f"web search failed: {exc}") from exc
@@ -178,12 +177,12 @@ def string_field(obj, key):
     return value if isinstance(value, str) else ""
 
 
-def search(query: WebQuery, m, provider):
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    docs = provider.search(query.text, m)
+def search(query: WebQuery, provider):
+    """The provider's top ``WEB_RESULTS`` documents in rank order. The reply
+    comes from outside the program, so it is sorted and cut here too."""
+    docs = provider.search(query.text, WEB_RESULTS)
     docs.sort(key=lambda d: d.provider_rank)
-    return docs[:m]
+    return docs[:WEB_RESULTS]
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +270,10 @@ _FILTER_SCHEMA = ResponseSchema(required=("judgments",))
 _STANCES = {"supports", "refutes", "neutral"}
 
 
-def filter_evidence(claim, passages, gateway, threshold=DEFAULT_CONSISTENCY_THRESHOLD):
+def filter_evidence(claim, passages, gateway):
     """One batched LLM call per <=8 passages, the batches run concurrently;
-    keeps entries whose consistency confidence clears the threshold, in batch
-    order and, within a batch, in the order of the reply's judgments."""
+    keeps entries whose consistency confidence reaches ``CONSISTENCY_THRESHOLD``,
+    in batch order and, within a batch, in the order of the reply's judgments."""
     if not passages:
         raise ValueError("filter_evidence requires a nonempty passage list")
 
@@ -302,7 +301,7 @@ def filter_evidence(claim, passages, gateway, threshold=DEFAULT_CONSISTENCY_THRE
             stance = row.get("stance", "neutral")
             if stance not in _STANCES:
                 stance = "neutral"
-            if confidence >= threshold:
+            if confidence >= CONSISTENCY_THRESHOLD:
                 kept.append(
                     FilteredEvidence(
                         passage=batch[idx],

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -158,6 +159,17 @@ class TestBadInput:
         config = write_text(tmp_path, '{"episode": {"k": "4"}}')
         assert main(["check", claims[0]["claim"], "--config", config,
                      "--kg", kg_path, "--llm-script", script]) == 0
+
+    def test_every_episode_field_can_be_set_under_episode(self, workspace):
+        tmp_path, kg_path, claims = workspace
+        values = {"k": 3, "n_hops": 5, "n_init": 2, "max_steps": 7, "max_web_searches": 1}
+        assert values.keys() == {f.name for f in dataclasses.fields(EpisodeConfig)}
+        assert all(value != getattr(EpisodeConfig(), name) for name, value in values.items())
+        config = write_text(tmp_path, json.dumps({"episode": values}))
+        script = write_script(tmp_path, episode_script("Supported"))
+        args = build_parser().parse_args(["check", claims[0]["claim"], "--config", config,
+                                          "--kg", kg_path, "--llm-script", script])
+        assert cli._config_from_args(args).episode == EpisodeConfig(**values)
 
 
 class TestEval:

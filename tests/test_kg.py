@@ -267,7 +267,7 @@ class TestRetrieval:
         subgraph = init_kg_retrieval(
             "Barack Obama was born in Kenya.", 1, budget, gw, small_graph_backend
         )
-        assert subgraph.max_hop() <= 1
+        assert max(subgraph.hop_of.values()) <= 1
         assert subgraph.hop_of["Q76"] == 0 and subgraph.hop_of["Q114"] == 0
         assert len(subgraph.triplets) <= 2 * 4
         assert ("Q76", "P19", "Q18094") in subgraph.triplets
@@ -277,7 +277,7 @@ class TestRetrieval:
         subgraph = init_kg_retrieval(
             "Zzqx Wobble said so.", 1, budget, oracle_gateway(), small_graph_backend
         )
-        assert subgraph.is_empty()
+        assert not subgraph.triplets and not subgraph.annotations
 
     def test_empty_claim(self, small_graph_backend):
         with pytest.raises(EmptyClaim):
@@ -307,10 +307,10 @@ class TestRetrieval:
         claim = claims[0]["claim"]
         subgraph = init_kg_retrieval(claim, 1, budget, gw, backend)
         before = set(subgraph.triplets)
-        assert subgraph.max_hop() == 1
+        assert max(subgraph.hop_of.values()) == 1
         expand_kg(claim, subgraph, budget, gw, backend)
         assert before <= set(subgraph.triplets)
-        assert subgraph.max_hop() == 2
+        assert max(subgraph.hop_of.values()) == 2
 
     def test_expand_fixed_point_when_all_visited(self, small_graph_backend):
         budget = RetrievalBudget(k=4, n_hops=4)
@@ -506,6 +506,17 @@ class TestWikidataCache:
         wikidata = self.backend(tmp_path, [self.SEARCH])
         assert wikidata.search_entities("X") == wikidata.search_entities("X")
         assert wikidata._requests.gets == 1
+
+    def test_malformed_reply_is_not_cached(self, tmp_path):
+        wikidata = self.backend(tmp_path, [{"results": {"bindings": {}}}, self.SPARQL])
+        with pytest.raises(TransportError, match="no list of bindings"):
+            wikidata.relations_of("Q1", "outgoing")
+        assert wikidata.relations_of("Q1", "outgoing") == [
+            (RelationId("P31", "instance of"), [EntityId("Q5", "human")]),
+        ]
+        assert wikidata._requests.gets == 2
+        with open(tmp_path / "wikidata.jsonl", encoding="utf-8") as fh:
+            assert [json.loads(json.loads(line)["response_text"]) for line in fh] == [self.SPARQL]
 
     def test_concurrent_writers_of_one_query(self, tmp_path):
         payload = {"results": {"bindings": self.SPARQL["results"]["bindings"] * 50}}

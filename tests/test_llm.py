@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from claimcheck import llm
+from claimcheck.agent import INIT_KG, VERDICT_ACTION, EpisodeConfig, run_episode
 from claimcheck.errors import (
     MissingBinding,
     ParseFailure,
@@ -14,8 +15,10 @@ from claimcheck.errors import (
     ScriptMiss,
     TransportError,
 )
+from claimcheck.kg import FixtureKgBackend
 from claimcheck.llm import (
     CassetteRecorder,
+    HttpBackend,
     LlmGateway,
     LlmRequest,
     PromptTemplate,
@@ -26,9 +29,9 @@ from claimcheck.llm import (
     extract_json,
     fingerprint,
 )
-from claimcheck.policy import PromptPolicy
+from claimcheck.policy import PromptPolicy, default_policy
 
-from conftest import YieldingDeque, YieldingInt, hammer
+from conftest import SMALL_GRAPH, StubResponse, YieldingDeque, YieldingInt, hammer
 
 
 def make_policy(*templates):
@@ -53,10 +56,6 @@ class TestRender:
     def test_extra_bindings_ignored(self):
         t = PromptTemplate(id="verify", text="Verify: {claim}")
         assert t.render({"claim": "X", "junk": "y"}) == "Verify: X"
-
-    def test_placeholder_listing(self):
-        t = PromptTemplate(id="rank", text="Rank {n} of {k} and {n}")
-        assert t.placeholders() == ["k", "n"]
 
     @given(value=st.text(min_size=0, max_size=40))
     def test_substitution_embeds_binding_verbatim(self, value):
@@ -313,3 +312,66 @@ class TestTokenBucket:
         granted = hammer(bucket.acquire, n_threads=8, calls_per_thread=10)
         assert len(granted) == 80 and clock.now > 0
         assert len(granted) <= 2 + 4.0 * clock.now + 1e-6
+
+
+class TestHttpBackend:
+    class StubRequests:
+        """Stands in for ``requests``: every ``post`` gets ``outcome``, a
+        ``(status, body)`` pair or "timeout"."""
+
+        class RequestException(Exception):
+            pass
+
+        class Timeout(RequestException):
+            pass
+
+        def __init__(self, outcome):
+            self.outcome = outcome
+            self.posts = []
+
+        def post(self, url, json=None, headers=None, timeout=None):
+            self.posts.append((url, json))
+            if self.outcome == "timeout":
+                raise self.Timeout("read timed out")
+            status, body = self.outcome
+            return StubResponse(body, status)
+
+    def backend(self, outcome):
+        http = HttpBackend("http://llm.example/v1/", "m")
+        http._requests = self.StubRequests(outcome)
+        return http
+
+    MALFORMED = [
+        "[]",
+        '{"choices": null}',
+        '{"choices": [{"message": "x"}]}',
+        '{"choices": [{"message": {"content": null}}]}',
+    ]
+
+    def test_content_of_a_well_formed_reply(self):
+        http = self.backend((200, json.dumps({"choices": [{"message": {"content": "hi"}}]})))
+        assert http.generate("q", 0.0, 1024) == "hi"
+        assert http._requests.posts == [("http://llm.example/v1/chat/completions", {
+            "model": "m", "messages": [{"role": "user", "content": "q"}],
+            "temperature": 0.0, "max_tokens": 1024,
+        })]
+
+    @pytest.mark.parametrize("body", MALFORMED)
+    def test_malformed_body_ends_the_episode_in_a_forced_verdict(self, body):
+        # the one entity's prune fails, then the forced verdict request does too
+        http = self.backend((200, body))
+        result, trajectory = run_episode(
+            "Barack Obama was born.", default_policy(), EpisodeConfig(), http,
+            FixtureKgBackend(data=SMALL_GRAPH),
+        )
+        assert result.forced and trajectory.forced_reason == "transport_error"
+        assert trajectory.action_kinds() == [INIT_KG, VERDICT_ACTION]
+        assert len(http._requests.posts) == 2
+
+    def test_status_other_than_200_raises_transport_error(self):
+        with pytest.raises(TransportError, match="status 503"):
+            self.backend((503, "busy")).generate("q", 0.0, 1024)
+
+    def test_timeout_raises_transport_error(self):
+        with pytest.raises(TransportError, match="timed out"):
+            self.backend("timeout").generate("q", 0.0, 1024)

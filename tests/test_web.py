@@ -256,11 +256,21 @@ class TestRanking:
 
     def test_fixture_provider_and_search_limit(self):
         provider = FixtureSearchProvider(
-            data={"q": [{"url": f"u{i}", "snippet": "s"} for i in range(5)]}
+            data={"q": [{"url": f"u{i}", "snippet": "s"} for i in range(12)]}
         )
-        docs = search(WebQuery(text="q"), 3, provider)
-        assert [d.url for d in docs] == ["u0", "u1", "u2"]
-        assert [d.provider_rank for d in docs] == [1, 2, 3]
+        docs = search(WebQuery(text="q"), provider)
+        assert [d.url for d in docs] == [f"u{i}" for i in range(10)]
+        assert [d.provider_rank for d in docs] == list(range(1, 11))
+
+    def test_search_sorts_and_cuts_a_provider_reply(self):
+        class Unruly:
+            """Ignores ``m`` and replies in reverse rank order."""
+
+            def search(self, query_text, m):
+                return [WebDocument(f"u{r}", "", "s", r) for r in range(12, 0, -1)]
+
+        docs = search(WebQuery(text="q"), Unruly())
+        assert [d.provider_rank for d in docs] == list(range(1, 11))
 
 
 class TestFilter:
