@@ -2,8 +2,9 @@
 
 An episode always opens with the initial KG retrieval, then alternates
 policy-selected actions with observations until a verdict is produced or the
-step limit forces one. Illegal policy outputs are coerced to the nearest legal
-action and logged as warnings (they feed later self-critique).
+step limit forces one. Each observation costs one assess-and-act call, whose
+reply names the next action; an illegal one is coerced to the nearest legal
+action and logged as a warning.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from . import web as web_mod
 from .errors import AllItemsFailed, EmptyClaim, ParseFailure, TransportError
 from .graph import passage_item_id
 from .llm import LlmGateway, LlmRequest, ResponseSchema
-from .policy import ACTION_SELECT, EXPANSION_PRUNE, FORCED_VERDICT, RELATION_PRUNE
+from .policy import EXPANSION_PRUNE, FORCED_VERDICT, RELATION_PRUNE
 from .policy import SUFFICIENCY, VERDICT
 
 INIT_KG = "initKGRetrieval"
@@ -31,10 +32,12 @@ NEED_KG = "need_kg"
 NEED_WEB = "need_web"
 UNKNOWN = "unknown"
 
+# the action an assessment asks for when its reply names none
+_HINT_ACTIONS = {SUFFICIENT: VERDICT_ACTION, NEED_KG: EXPAND_KG, NEED_WEB: WEB_SEARCH}
+
 _SUFFICIENCY_SCHEMA = ResponseSchema(
     required=("assessment",), allowed={"assessment": {SUFFICIENT, NEED_KG, NEED_WEB}}
 )
-_ACTION_SCHEMA = ResponseSchema(required=("action",))
 _VERDICT_SCHEMA = ResponseSchema(required=("label",))
 
 
@@ -226,10 +229,12 @@ class Evidence:
 
 
 def assess_sufficiency(claim, evidence, gateway):
-    """One LLM call mapping the evidence to sufficient/need_kg/need_web; no
-    evidence at all short-circuits to need_web with no call."""
+    """One assess-and-act LLM call: (sufficient/need_kg/need_web, requested
+    action kind). A reply without ``action`` requests the assessment's own
+    action. No evidence at all short-circuits to need_web and webSearch with
+    no call; an unparseable reply gives (unknown, None)."""
     if not evidence.ids:
-        return NEED_WEB
+        return NEED_WEB, WEB_SEARCH
     try:
         payload = gateway.complete_structured(
             LlmRequest(
@@ -238,8 +243,9 @@ def assess_sufficiency(claim, evidence, gateway):
             _SUFFICIENCY_SCHEMA,
         )
     except ParseFailure:
-        return UNKNOWN
-    return payload["assessment"]
+        return UNKNOWN, None
+    assessment = payload["assessment"]
+    return assessment, str(payload.get("action", _HINT_ACTIONS[assessment]))
 
 
 def legal_actions(config, subgraph, trajectory, has_web):
@@ -276,24 +282,12 @@ def coerce_action(requested, legal, hint):
     return fallback, f"coerced unrecognized action {requested!r} to {fallback}"
 
 
-def select_action(claim, trajectory, policy_gateway, legal, hint):
-    """One structured call to the action-selection prompt, then coercion
-    onto ``legal``. When verdict is the only legal action it is returned
-    with no call."""
+def select_action(requested, legal, hint, trajectory):
+    """The next action: the kind the sufficiency reply requested, coerced
+    onto ``legal`` with a warning, and no LLM call. When verdict is the only
+    legal action it is taken without a warning."""
     if legal == {VERDICT_ACTION}:
         return Action(VERDICT_ACTION)
-    history = " -> ".join(a.kind for a, _ in trajectory.steps) or "(none)"
-    try:
-        payload = policy_gateway.complete_structured(
-            LlmRequest(
-                template_id=ACTION_SELECT,
-                bindings={"claim": claim, "history": history, "assessment": hint},
-            ),
-            _ACTION_SCHEMA,
-        )
-        requested = str(payload["action"])
-    except ParseFailure:
-        requested = "(unparseable)"
     kind, warning = coerce_action(requested, legal, hint)
     if warning:
         trajectory.warnings.append(warning)
@@ -386,17 +380,19 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
     ranked = 0  # passages ranked so far, so that every passage id is new
     evidence = Evidence()  # listed by the latest observation
     hint = UNKNOWN  # the latest observation's sufficiency hint
+    requested = None  # the action kind its reply asked for
 
     def observe(subgraph, kind):
-        nonlocal evidence, hint
+        nonlocal evidence, hint, requested
         previous, evidence = evidence, Evidence.of(subgraph, web_passages)
         added = sorted(evidence.ids - previous.ids)
-        hint = assess_sufficiency(claim, evidence, gateway)
+        hint, requested = assess_sufficiency(claim, evidence, gateway)
         if hint == UNKNOWN:
             # only the subgraph's expandKG rule is read: this step is not in
             # the trajectory yet
             expandable = EXPAND_KG in legal_actions(config, subgraph, trajectory, has_web)
             hint = NEED_KG if expandable else NEED_WEB
+            requested = _HINT_ACTIONS[hint]
             trajectory.warnings.append(f"sufficiency unparseable; falling back to {hint}")
         return Observation(
             kind=kind,
@@ -421,9 +417,8 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
                 )
                 break
 
-            action = None  # a failed action choice records no step
             legal = legal_actions(config, subgraph, trajectory, has_web)
-            action = select_action(claim, trajectory, gateway, legal, hint)
+            action = select_action(requested, legal, hint, trajectory)
             if action.kind == VERDICT_ACTION:
                 result = verdict(claim, evidence, gateway, trajectory)
                 trajectory.steps.append(
@@ -455,12 +450,11 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
     except (ParseFailure, TransportError) as exc:
         failure = "transport error" if isinstance(exc, TransportError) else "parse failure"
         note = f"{failure}: {exc}"
-        if action is not None and action.kind == VERDICT_ACTION:
+        if action.kind == VERDICT_ACTION:
             result = _fallback_verdict()  # the verdict request itself failed
         else:
-            if action is not None:
-                kind = "web_evidence" if action.kind == WEB_SEARCH else "subgraph_delta"
-                trajectory.steps.append((action, Observation(kind=kind, note=note)))
+            kind = "web_evidence" if action.kind == WEB_SEARCH else "subgraph_delta"
+            trajectory.steps.append((action, Observation(kind=kind, note=note)))
             result = force_verdict(claim, evidence, gateway, trajectory)
         trajectory.forced_reason = failure.replace(" ", "_")
         trajectory.steps.append((Action(VERDICT_ACTION), Observation(kind="terminal", note=note)))

@@ -76,7 +76,8 @@ class ResponseSchema:
             if name not in payload:
                 raise SchemaViolation(name, "missing required field")
         for name, values in self.allowed.items():
-            if name in payload and payload[name] not in values:
+            # compared by equality, so an unhashable value fails as a violation
+            if name in payload and payload[name] not in tuple(values):
                 raise SchemaViolation(name, f"value {payload[name]!r} not in {sorted(values)}")
         return payload
 

@@ -15,7 +15,7 @@ from .agent import EXPAND_KG, INIT_KG, SUFFICIENT, WEB_SEARCH
 from .errors import InsufficientData, ParseFailure, TransportError
 from .fanout import fan_out
 from .llm import LlmGateway, LlmRequest, PromptTemplate, ResponseSchema
-from .policy import ACTION_SELECT, REFLECT, SUFFICIENCY, VERDICT, PromptPolicy
+from .policy import REFLECT, SUFFICIENCY, VERDICT, PromptPolicy
 
 INSUFFICIENT_COVERAGE = "InsufficientCoverage"
 PREMATURE_TERMINATION = "PrematureTermination"
@@ -237,24 +237,16 @@ def reflect(trajectory, gold_label, gateway=None) -> list:
 # Textual-gradient prompt update
 # ---------------------------------------------------------------------------
 
-_TAG_TARGETS = {
-    PREMATURE_TERMINATION: (SUFFICIENCY, ACTION_SELECT),
-    INSUFFICIENT_COVERAGE: (SUFFICIENCY, ACTION_SELECT),
-    CONTRADICTION_MISHANDLED: (VERDICT,),
-    REDUNDANT_RETRIEVAL: (ACTION_SELECT,),
-    OTHER: (ACTION_SELECT,),
-}
-
-
 def textual_gradient(critiques, current: PromptPolicy, llm_backend, candidate_id=None):
     """One meta-model call proposing revised text for the templates implicated
-    by the batch's critique tags; untouched templates stay byte-identical."""
+    by the batch's critique tags; untouched templates stay byte-identical.
+    A reply whose ``templates`` is not an object raises ParseFailure."""
     if not critiques:
         raise ValueError("textual_gradient requires a batch with critiques")
 
-    targets = set()
-    for c in critiques:
-        targets.update(_TAG_TARGETS[c.tag])
+    # the sufficiency prompt both assesses the evidence and picks the next
+    # action, so every tag but a mishandled contradiction implicates it
+    targets = {VERDICT if c.tag == CONTRADICTION_MISHANDLED else SUFFICIENCY for c in critiques}
 
     critique_lines = "\n".join(
         f"- [{c.tag}] step {c.step_index}: {c.text}" for c in critiques[:50]
@@ -271,6 +263,8 @@ def textual_gradient(critiques, current: PromptPolicy, llm_backend, candidate_id
         ),
         _META_SCHEMA,
     )
+    if not isinstance(payload["templates"], dict):
+        raise ParseFailure("meta-optimizer reply: 'templates' is not an object")
 
     candidate = current
     changed = False

@@ -2,6 +2,8 @@
 
 Only the optimizer produces modified policies; everywhere else templates are
 read-only. Policies serialize as ``{template_id: {"version": int, "text": str}}``.
+A loaded policy must name exactly the default template ids, so a file written
+for another set of prompts is rejected rather than half-applied.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ import json
 
 from .llm import PromptTemplate
 
-ACTION_SELECT = "action_select"
 SUFFICIENCY = "sufficiency"
 RELATION_PRUNE = "relation_prune"
 EXPANSION_PRUNE = "expansion_prune"
@@ -54,6 +55,14 @@ class PromptPolicy:
 
     @classmethod
     def from_jsonable(cls, data, policy_id="loaded"):
+        """Raises ValueError unless ``data`` maps exactly the default template
+        ids to objects with a string ``text``."""
+        expected = sorted(t.id for t in _DEFAULTS)
+        if not isinstance(data, dict) or sorted(data) != expected:
+            raise ValueError(f"a policy must be a JSON object with the template ids {expected}")
+        for tid, spec in data.items():
+            if not isinstance(spec, dict) or not isinstance(spec.get("text"), str):
+                raise ValueError(f"policy template {tid!r} has no string 'text'")
         templates = [
             PromptTemplate(
                 id=tid,
@@ -73,25 +82,16 @@ class PromptPolicy:
 
 _DEFAULTS = [
     PromptTemplate(
-        id=ACTION_SELECT,
-        expected_output="structured",
-        text=(
-            "You are a fact-checking agent deciding your next step.\n"
-            "Claim: {claim}\n"
-            "Steps so far: {history}\n"
-            "Current evidence assessment: {assessment}\n"
-            "Choose exactly one next action. Reply as JSON: "
-            '{"action": "expandKG" | "webSearch" | "verdict"}'
-        ),
-    ),
-    PromptTemplate(
         id=SUFFICIENCY,
         expected_output="structured",
         text=(
-            "Assess whether the evidence below is enough to decide the claim.\n"
+            "Assess whether the evidence below is enough to decide the claim, "
+            "then choose the next action: give the verdict, expand the knowledge "
+            "graph, or search the web.\n"
             "Claim: {claim}\n"
             "Evidence:\n{evidence}\n"
-            'Reply as JSON: {"assessment": "sufficient" | "need_kg" | "need_web"}'
+            'Reply as JSON: {"assessment": "sufficient" | "need_kg" | "need_web", '
+            '"action": "verdict" | "expandKG" | "webSearch"}'
         ),
     ),
     PromptTemplate(

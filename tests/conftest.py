@@ -124,7 +124,9 @@ class OracleResponder:
 
     ``specs`` maps claim text to {gold, support, refute} evidence lines; the
     responder answers sufficiency and verdicts by literally checking which
-    decisive line made it into the prompt's evidence block.
+    decisive line made it into the prompt's evidence block. Its sufficiency
+    replies request ``action``; with "follow_hint" they request none, so the
+    episode takes the assessment's own action.
     """
 
     def __init__(self, specs=None, flawed_marker=None, sufficiency="oracle",
@@ -142,6 +144,18 @@ class OracleResponder:
     def _spec(self, text):
         return self.specs.get(self._claim(text))
 
+    def _assessment(self, text):
+        if self.sufficiency == "never":
+            return "need_kg"
+        if self.sufficiency == "always":
+            return "sufficient"
+        if self.flawed_marker and self.flawed_marker in text:
+            return "sufficient"
+        spec = self._spec(text)
+        if spec and (spec["support"] in text or spec["refute"] in text):
+            return "sufficient"
+        return "need_kg"
+
     def __call__(self, text):
         # checked first: the meta prompt quotes other templates verbatim, so
         # later substring branches would otherwise shadow it
@@ -156,24 +170,10 @@ class OracleResponder:
             return json.dumps({"scores": scores})
 
         if "Assess whether the evidence" in text:
-            if self.sufficiency == "never":
-                return json.dumps({"assessment": "need_kg"})
-            if self.sufficiency == "always":
-                return json.dumps({"assessment": "sufficient"})
-            if self.flawed_marker and self.flawed_marker in text:
-                return json.dumps({"assessment": "sufficient"})
-            spec = self._spec(text)
-            if spec and (spec["support"] in text or spec["refute"] in text):
-                return json.dumps({"assessment": "sufficient"})
-            return json.dumps({"assessment": "need_kg"})
-
-        if "deciding your next step" in text:
+            reply = {"assessment": self._assessment(text)}
             if self.action != "follow_hint":
-                return json.dumps({"action": self.action})
-            match = re.search(r"Current evidence assessment: (\w+)", text)
-            hint = match.group(1) if match else "need_kg"
-            mapping = {"sufficient": "verdict", "need_kg": "expandKG", "need_web": "webSearch"}
-            return json.dumps({"action": mapping.get(hint, "expandKG")})
+                reply["action"] = self.action
+            return json.dumps(reply)
 
         if "Decide whether the claim" in text or "retrieval budget is exhausted" in text:
             spec = self._spec(text)

@@ -103,17 +103,58 @@ class TestCoercion:
             Action("sing")
 
     def test_no_call_when_verdict_is_the_only_legal_action(self):
-        gw = LlmGateway(ScriptedBackend(), default_policy())  # any call would miss
+        # select_action takes no gateway; the request is not coerced, so no
+        # warning is logged either
         trajectory = Trajectory(claim="c")
-        assert select_action("c", trajectory, gw, {VERDICT_ACTION}, NEED_KG).kind == VERDICT_ACTION
-        assert gw.call_count == 0 and trajectory.warnings == []
+        assert select_action(EXPAND_KG, {VERDICT_ACTION}, NEED_KG, trajectory).kind == VERDICT_ACTION
+        assert trajectory.warnings == []
+
+
+EVIDENCE = Evidence(frozenset({"t:E1|R1|O1"}), "[t:E1|R1|O1] E1 | works for | O1")
 
 
 class TestSufficiency:
     def test_empty_subgraph_short_circuits(self):
+        # no evidence: need_web and a webSearch request, which the episode
+        # coerces onto the legal actions, with no call
         gw = LlmGateway(ScriptedBackend(), default_policy())  # any call would miss
-        assert assess_sufficiency("c", Evidence.of(KnowledgeSubgraph()), gw) == NEED_WEB
+        assert assess_sufficiency("c", Evidence.of(KnowledgeSubgraph()), gw) == (NEED_WEB, WEB_SEARCH)
         assert gw.call_count == 0
+
+    @pytest.mark.parametrize("assessment, kind", [
+        (SUFFICIENT, VERDICT_ACTION), (NEED_KG, EXPAND_KG), (NEED_WEB, WEB_SEARCH),
+    ])
+    def test_reply_without_action_requests_the_assessments_action(self, assessment, kind):
+        gw = LlmGateway(ScriptedBackend(default=json.dumps({"assessment": assessment})),
+                        default_policy())
+        assert assess_sufficiency("c", EVIDENCE, gw) == (assessment, kind)
+
+    def test_one_call_per_observation_and_no_warning_without_action(self):
+        # the oracle's replies name no action; the depth-2 episode follows
+        # its assessments with no coercion
+        _, trajectory, prompts = depth2_episode(OracleResponder(specs=DEPTH2_CLAIMS))
+        assert trajectory.action_kinds() == [INIT_KG, EXPAND_KG, VERDICT_ACTION]
+        assert sum("Assess whether the evidence" in p for p in prompts) == 2
+        assert trajectory.warnings == []
+
+    @pytest.mark.parametrize("action", ["fly", 5, ["expandKG"], None, INIT_KG])
+    def test_illegal_or_non_string_action_is_coerced_with_a_warning(self, action):
+        oracle = OracleResponder(specs=DEPTH2_CLAIMS)
+
+        def responder(text):
+            reply = json.loads(oracle(text))
+            if "assessment" in reply:
+                reply["action"] = action
+            return json.dumps(reply)
+
+        _, trajectory, _ = depth2_episode(responder)
+        # need_kg, then sufficient: each request is coerced to the hint's action
+        assert trajectory.action_kinds() == [INIT_KG, EXPAND_KG, VERDICT_ACTION]
+        assert [w.split(" to ")[-1] for w in trajectory.warnings] == [
+            "expandKG (budget/ordering rule)" if action == INIT_KG else "expandKG",
+            "verdict (budget/ordering rule)" if action == INIT_KG else "verdict",
+        ]
+        assert all(w.startswith("coerced") for w in trajectory.warnings)
 
     def test_unparseable_reply_is_unknown(self):
         graph, claims = build_corpus(1)
@@ -126,8 +167,14 @@ class TestSufficiency:
         subgraph = init_kg_retrieval(
             claims[0]["claim"], 1, RetrievalBudget(), oracle, backend
         )
-        broken = LlmGateway(ScriptedBackend(default="not json"), default_policy())
-        assert assess_sufficiency(claims[0]["claim"], Evidence.of(subgraph), broken) == "unknown"
+        # unparseable, or an assessment that is not a string: repaired, then unknown
+        for reply in ("not json", '{"assessment": []}', '{"assessment": {}}',
+                      '{"assessment": ["need_kg"]}'):
+            broken = LlmGateway(ScriptedBackend(default=reply), default_policy())
+            assert assess_sufficiency(
+                claims[0]["claim"], Evidence.of(subgraph), broken
+            ) == ("unknown", None), reply
+            assert broken.call_count == 3, reply
 
 
 class TestEpisode:
@@ -218,7 +265,7 @@ class TestEpisode:
 
         traj = run(max_web_searches=2)
         assert WEB_SEARCH not in traj.action_kinds()
-        assert traj.counters["llm_calls"] == 28
+        assert traj.counters["llm_calls"] == 25
         assert traj.to_json() == run(max_web_searches=0).to_json()
 
     def test_unlinkable_claim_without_web_goes_to_verdict(self):
@@ -459,16 +506,16 @@ class TestVerdictRequests:
 
 class TestTransportErrors:
     # the depth-2 episode's calls, one at a time: 1 the initial prune,
-    # 2 sufficiency, 3 action_select, 4 the expansion's prune, 5 sufficiency,
-    # 6 action_select, 7 verdict (each hop keeps at most k relations, so
-    # neither sends a hop prune); a failed verdict request takes the
-    # fallback verdict, any other failed call a forced verdict request
-    def test_the_fault_free_episode_makes_seven_calls(self):
+    # 2 sufficiency, 3 the expansion's prune, 4 sufficiency, 5 verdict (each
+    # hop keeps at most k relations, so neither sends a hop prune); a failed
+    # verdict request takes the fallback verdict, any other failed call a
+    # forced verdict request
+    def test_the_fault_free_episode_makes_five_calls(self):
         _, trajectory, prompts = depth2_episode(OracleResponder(specs=DEPTH2_CLAIMS))
         assert trajectory.action_kinds() == [INIT_KG, EXPAND_KG, VERDICT_ACTION]
-        assert len(prompts) == trajectory.counters["llm_calls"] == 7
+        assert len(prompts) == trajectory.counters["llm_calls"] == 5
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 6))
     def test_any_call_ends_in_one_forced_verdict(self, n):
         oracle = OracleResponder(specs=DEPTH2_CLAIMS)
         calls = []
@@ -481,15 +528,15 @@ class TestTransportErrors:
 
         result, trajectory, prompts = depth2_episode(responder)
         note = f"transport error: call {n} failed"
-        kinds = [INIT_KG] if n <= 3 else [INIT_KG, EXPAND_KG]
+        kinds = [INIT_KG] if n <= 2 else [INIT_KG, EXPAND_KG]
         assert trajectory.action_kinds() == kinds + [VERDICT_ACTION]
-        in_progress = {1: 0, 2: 0, 4: 1, 5: 1}.get(n)
+        in_progress = {1: 0, 2: 0, 3: 1, 4: 1}.get(n)
         assert [obs.note for _, obs in trajectory.steps] == [
             note if i == in_progress else "" for i in range(len(kinds))
         ] + [note]
         assert result.forced and trajectory.verdict is result
         assert trajectory.forced_reason == "transport_error"
-        assert trajectory.counters["llm_calls"] == len(prompts) == (n if n == 7 else n + 1)
+        assert trajectory.counters["llm_calls"] == len(prompts) == (n if n == 5 else n + 1)
 
     def test_forced_verdict_shows_the_items_it_checks(self):
         # the sufficiency call after the expansion fails: the forced verdict
@@ -499,7 +546,7 @@ class TestTransportErrors:
 
         def responder(text):
             calls.append(text)
-            if len(calls) == 5:
+            if len(calls) == 4:
                 raise TransportError("sufficiency endpoint down")
             return oracle(text)
 

@@ -30,12 +30,12 @@ def workspace(tmp_path):
 
 def episode_script(label, citations=()):
     """Scripted replies for one episode over the depth-1 corpus, in call order:
-    per-entity prune, sufficiency, action selection, verdict. The hop keeps
-    its one relation, so it sends no hop prune."""
+    per-entity prune, sufficiency (whose reply names no action, so the
+    assessment's verdict is taken), verdict. The hop keeps its one relation,
+    so it sends no hop prune."""
     return [
         json.dumps({"scores": [1.0]}),
         json.dumps({"assessment": "sufficient"}),
-        json.dumps({"action": "verdict"}),
         json.dumps({"label": label, "justification": "scripted", "citations": list(citations)}),
     ]
 
@@ -55,7 +55,7 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "Verdict: Supported" in out
         counters = json.loads(out.split("Counters: ", 1)[1])
-        assert (counters["llm_calls"], counters["llm_retries"]) == (4, 0)
+        assert (counters["llm_calls"], counters["llm_retries"]) == (3, 0)
 
     def test_refuted_exits_1(self, workspace):
         tmp_path, kg_path, claims = workspace
@@ -91,6 +91,13 @@ BAD_INPUTS = {
         "--backend", "replay", "--cassette", write_text(tmp, '{"fp": "a"\n{}\n', "c.jsonl")],
     "malformed kg": lambda tmp: ["--kg", write_text(tmp, "{not json")],
     "malformed policy": lambda tmp: ["--policy", write_text(tmp, "{not json")],
+    "policy not an object": lambda tmp: ["--policy", write_text(tmp, "[]")],
+    "policy missing a template": lambda tmp: ["--policy", policy_file(tmp, verdict=None)],
+    "policy text not a string": lambda tmp: [
+        "--policy", policy_file(tmp, sufficiency={"version": 1, "text": 5})],
+    # a policy file optimized when action selection was a prompt of its own
+    "policy with an unknown template": lambda tmp: [
+        "--policy", policy_file(tmp, action_select={"version": 1, "text": "Choose."})],
     "malformed web": lambda tmp: ["--web", write_text(tmp, "{not json")],
     "out in missing directory": lambda tmp: ["--out", str(tmp / "none" / "traj.jsonl")],
     "config not an object": lambda tmp: ["--config", write_text(tmp, "[]")],
@@ -118,6 +125,17 @@ BAD_INPUTS = {
 }
 
 
+def policy_file(tmp_path, **specs):
+    """The default policy's file with ``specs`` set, or removed where None."""
+    data = default_policy().to_jsonable()
+    for tid, spec in specs.items():
+        if spec is None:
+            del data[tid]
+        else:
+            data[tid] = spec
+    return write_text(tmp_path, json.dumps(data), "policy.json")
+
+
 def write_text(tmp_path, text, name="input.json"):
     path = tmp_path / name
     path.write_text(text)
@@ -133,6 +151,14 @@ class TestBadInput:
         assert main(argv + BAD_INPUTS[case](tmp_path)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("case", sorted(c for c in BAD_INPUTS if c.startswith("policy ")))
+    def test_invalid_policy_is_rejected_at_load(self, workspace, capsys, case):
+        tmp_path, kg_path, claims = workspace
+        script = write_script(tmp_path, episode_script("Supported"))
+        argv = ["check", claims[0]["claim"], "--kg", kg_path, "--llm-script", script]
+        assert main(argv + BAD_INPUTS[case](tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read policy ")
 
     def test_malformed_kg_cache_exits_2_with_one_error_line(self, workspace, capsys, monkeypatch):
         tmp_path, kg_path, claims = workspace

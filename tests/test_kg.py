@@ -696,20 +696,19 @@ class TestEpisodeRequests:
         requests = episode_requests(monkeypatch, DEPTH1_CLAIMS[0]["claim"], DEPTH1_GRAPH,
                                     OracleResponder(specs=DEPTH1_CLAIMS))
         assert requests == {
-            "expansion_prune": 1, "sufficiency": 1, "action_select": 1, "verdict": 1,
+            "expansion_prune": 1, "sufficiency": 1, "verdict": 1,
         }
 
     def test_depth2(self, monkeypatch):
         requests = episode_requests(monkeypatch, DEPTH2_CLAIMS[0]["claim"], DEPTH2_GRAPH,
                                     OracleResponder(specs=DEPTH2_CLAIMS))
         assert requests == {
-            "expansion_prune": 2, "sufficiency": 2, "action_select": 2, "verdict": 1,
+            "expansion_prune": 2, "sufficiency": 2, "verdict": 1,
         }
 
     def test_dense(self, monkeypatch):
         # four hops of four expansions, each hop's 16 survivors cut to k=4
         requests = episode_requests(monkeypatch, DENSE_CLAIM, DENSE_GRAPH, DENSE_ORACLE)
         assert requests == {
-            "expansion_prune": 16, "relation_prune": 4, "sufficiency": 4,
-            "action_select": 3, "verdict": 1,
+            "expansion_prune": 16, "relation_prune": 4, "sufficiency": 4, "verdict": 1,
         }

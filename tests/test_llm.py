@@ -162,6 +162,8 @@ class TestStructured:
         schema = ResponseSchema(required=("label",), allowed={"label": {"a", "b"}})
         with pytest.raises(SchemaViolation):
             schema.validate({"label": "c"})
+        with pytest.raises(SchemaViolation):
+            schema.validate({"label": ["a"]})  # unhashable
 
     def test_json_embedded_in_prose(self):
         assert extract_json('Sure! Here it is: {"x": 1} hope that helps') == {"x": 1}

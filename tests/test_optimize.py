@@ -33,7 +33,7 @@ from claimcheck.optimize import (
     rule_based_critiques,
     textual_gradient,
 )
-from claimcheck.policy import ACTION_SELECT, SUFFICIENCY, VERDICT, default_policy
+from claimcheck.policy import SUFFICIENCY, VERDICT, default_policy
 
 from conftest import (
     FLAWED_MARKER,
@@ -212,7 +212,7 @@ class TestTextualGradient:
 
     def test_identical_proposal_returns_none(self):
         current = default_policy()
-        backend = self.meta_backend({ACTION_SELECT: current.template(ACTION_SELECT).text})
+        backend = self.meta_backend({SUFFICIENCY: current.template(SUFFICIENCY).text})
         assert textual_gradient(records_with(OTHER), current, backend) is None
 
     def test_empty_critique_batch_rejected(self):
@@ -243,6 +243,24 @@ class TestOptimize:
         assert run.selected_val_reward > run.initial_val_reward
         assert FLAWED_MARKER not in run.selected.template(SUFFICIENCY).text
         assert any(e["accepted"] for e in run.history)
+
+    @pytest.mark.parametrize("templates", [[], "str", None])
+    def test_meta_reply_without_template_object_gives_no_candidate(self, templates):
+        graph, claims = build_corpus(8, depth=2)
+        kg_backend = FixtureKgBackend(data=graph)
+        llm = ScriptedBackend(
+            responder=OracleResponder(specs=claims, flawed_marker=FLAWED_MARKER)
+        )
+        meta = ScriptedBackend(default=json.dumps({"templates": templates}))
+
+        def runner_factory(policy):
+            return EpisodeRunner(policy, EpisodeConfig(), llm, kg_backend)
+
+        cfg = OptimizationConfig(epochs=2, train_size=5, val_size=3, seed=1)
+        initial = flawed_policy()
+        run = optimize(initial, claims, cfg, runner_factory, llm, meta_backend=meta)
+        assert [e["policy_id"] for e in run.history] == [None, None]
+        assert run.selected is initial
 
     def test_selected_never_worse_than_initial(self):
         graph, claims = build_corpus(8, depth=1)
