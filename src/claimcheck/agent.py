@@ -463,6 +463,8 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
     prune = gateway.requests[EXPANSION_PRUNE] + gateway.requests[RELATION_PRUNE]
     verdicts = gateway.requests[VERDICT] + gateway.requests[FORCED_VERDICT]
     trajectory.counters = {
+        # backend round trips; the other LLM counters count requests and
+        # retries, replies from an optimize run's reply memo included
         "llm_calls": gateway.call_count,
         "llm_retries": gateway.retry_count,
         "sparql_queries": budget.sparql_queries_used,

@@ -18,10 +18,17 @@ for the life of the process, because starting threads for every call would
 cost more CPU than the call's own Python work. When the caller runs out of
 items it also runs any lane no worker has started yet, which saves thread
 hand-offs when the items finish quickly.
+
+Every item runs in its own copy of the caller's context (``contextvars``),
+on whichever lane it lands. So an item sees the context variables its caller
+had set, such as ``llm.reply_memo``'s memo of an optimize run, also in nested
+calls on worker lanes; what an item sets itself stays its own, hidden from the
+caller and from the other items.
 """
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import queue
 import threading
@@ -86,11 +93,16 @@ def fan_out(fn, items, width=None):
 
     Waits for every item, then raises the exception of the first item in
     input order that raised one. A width of 1 or a list of one item runs
-    inline."""
+    inline. Each item runs in its own copy of the caller's context."""
     items = list(items)
     n = len(items)
+    context = contextvars.copy_context()
+
+    def call(item):
+        return context.copy().run(fn, item)
+
     if n <= 1:
-        return [fn(item) for item in items]
+        return [call(item) for item in items]
     lanes = n if width is None else min(width, n)
     results = [None] * n
     errors = {}
@@ -101,7 +113,7 @@ def fan_out(fn, items, width=None):
     def lane(i):
         while i < n:
             try:
-                results[i] = fn(items[i])
+                results[i] = call(items[i])
             except BaseException as exc:  # re-raised below, in input order
                 errors[i] = exc
             i = take()

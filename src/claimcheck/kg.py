@@ -250,14 +250,26 @@ class WikidataBackend:
             self.cache = ReplyStore(os.path.join(cache_dir, "wikidata.jsonl"))
 
     def _get(self, url, params, parse):
-        """``parse`` of the JSON-object reply to a GET, from the cache if it
-        holds one. A reply is cached only once ``parse`` has taken it; a
-        reply it rejects raises and is not retried."""
+        """``parse`` of the JSON-object reply to a GET: the first cached reply
+        that ``parse`` takes, else a request (a cache an older version wrote
+        can hold replies ``parse`` rejects). A reply is cached only once
+        ``parse`` has taken it; a reply it rejects raises and is not retried."""
         request = f"{url}?{urlencode(params)}"
         key = hashlib.sha256(request.encode("utf-8")).hexdigest()
-        cached = self.cache.get(key) if self.cache is not None else None
-        if cached is not None:
-            return parse(json.loads(cached))
+        # the store replays a key's entries in order, then holds the last:
+        # try each until one parses or the last comes round again
+        seen = None
+        while self.cache is not None:
+            cached = self.cache.get(key)
+            if cached is None or cached is seen:
+                break
+            seen = cached
+            try:
+                payload = json.loads(cached)
+                if isinstance(payload, dict):
+                    return parse(payload)
+            except (ValueError, TransportError):
+                pass  # a stale entry
         last = None
         for attempt in range(2):
             if attempt:

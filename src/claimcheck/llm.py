@@ -7,10 +7,19 @@ structured-output repair. ``ReplyStore`` keeps replies by fingerprint in a
 JSONL file: a ``CassetteRecorder`` writes a cassette to one, ``--backend
 replay`` is a ``ScriptedBackend`` whose fingerprint table is one, and the
 Wikidata client caches its lookups in one.
+
+Inside a ``reply_memo()`` block, which ``optimize.optimize`` holds for its
+whole run, every gateway sends each distinct prompt text to a backend once and
+reuses that first reply for later requests with the same text. Every request
+is at temperature 0, so on a deterministic backend the run is unchanged. The
+memo lives in a context variable, and ``fan_out`` runs its items in copies of
+the caller's context, so episodes and prunes on worker lanes share it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import hashlib
 import json
 import os
@@ -35,6 +44,23 @@ REPAIR_RETRIES = 2
 # Sampling settings of every request; both enter the fingerprint.
 TEMPERATURE = 0.0
 MAX_OUTPUT_TOKENS = 1024
+
+# prompt text -> first reply, for the reply_memo() block in progress; keyed on
+# the text alone because temperature and output tokens are constants
+_REPLY_MEMO = contextvars.ContextVar("claimcheck_reply_memo", default=None)
+
+
+@contextlib.contextmanager
+def reply_memo():
+    """A fresh reply memo for the block: each prompt text goes to a backend
+    once, from any gateway and any ``fan_out`` item started inside. A reply
+    is kept whether or not it parses, so a repair sequence replays the same
+    way; a call that raises keeps nothing."""
+    token = _REPLY_MEMO.set({})
+    try:
+        yield
+    finally:
+        _REPLY_MEMO.reset(token)
 
 
 @dataclass(frozen=True)
@@ -302,21 +328,37 @@ class LlmGateway:
 
     ``requests`` counts structured requests per template id, once per request
     whatever its repairs or outcome, and ``retry_count`` counts repair
-    retries. ``call_count``, every backend invocation including calls that
-    raise, is their sum. The counters are safe to update from concurrent calls.
+    retries; both include replies taken from the reply memo, which
+    ``memo_hits`` counts. ``call_count`` is the backend round trips: requests
+    plus retries minus memo hits, calls that raise included. The counters are
+    safe to update from concurrent calls.
     """
 
     def __init__(self, backend, policy):
         self.backend = backend
         self.policy = policy
         self.retry_count = 0
+        self.memo_hits = 0
         self.requests = Counter()
         self._lock = threading.Lock()
 
     @property
     def call_count(self):
         with self._lock:
-            return sum(self.requests.values()) + self.retry_count
+            return sum(self.requests.values()) + self.retry_count - self.memo_hits
+
+    def _generate(self, text):
+        memo = _REPLY_MEMO.get()
+        if memo is None:
+            return self.backend.generate(text, TEMPERATURE, MAX_OUTPUT_TOKENS)
+        reply = memo.get(text)
+        if reply is not None:
+            with self._lock:
+                self.memo_hits += 1
+            return reply
+        reply = self.backend.generate(text, TEMPERATURE, MAX_OUTPUT_TOKENS)
+        memo.setdefault(text, reply)
+        return reply
 
     def complete_structured(self, request: LlmRequest, schema: ResponseSchema):
         base = self.policy.template(request.template_id).render(request.bindings)
@@ -332,7 +374,7 @@ class LlmGateway:
                     f"{base}\n\n[repair attempt {attempt}] Your previous reply could not "
                     "be parsed. Respond with valid JSON only, matching the requested fields."
                 )
-            reply = self.backend.generate(text, TEMPERATURE, MAX_OUTPUT_TOKENS)
+            reply = self._generate(text)
             try:
                 payload = extract_json(reply)
                 schema.validate(payload)

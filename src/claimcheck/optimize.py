@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .agent import EXPAND_KG, INIT_KG, SUFFICIENT, WEB_SEARCH
 from .errors import InsufficientData, ParseFailure, TransportError
 from .fanout import fan_out
-from .llm import LlmGateway, LlmRequest, PromptTemplate, ResponseSchema
+from .llm import LlmGateway, LlmRequest, PromptTemplate, ResponseSchema, reply_memo
 from .policy import REFLECT, SUFFICIENCY, VERDICT, PromptPolicy
 
 INSUFFICIENT_COVERAGE = "InsufficientCoverage"
@@ -328,9 +328,11 @@ def optimize(initial, claims, config, runner_factory, reflection_backend, meta_b
     ``claims`` is a list of {"id", "claim", "gold_label"}; ``runner_factory``
     maps a policy to an episode runner whose ``run`` may be called from
     several threads at once: ``config.parallel`` training or validation
-    episodes run at a time, and the run equals a serial one. Returns an
-    OptimizationRun whose selected policy never validates worse than the
-    initial one.
+    episodes run at a time, and the run equals a serial one. Within the run
+    each distinct prompt text goes to a backend once (``llm.reply_memo``).
+    A meta call that fails to parse or to arrive leaves its epoch without a
+    candidate. Returns an OptimizationRun whose selected policy never
+    validates worse than the initial one.
     """
     needed = config.train_size + config.val_size
     if len(claims) < needed:
@@ -344,34 +346,38 @@ def optimize(initial, claims, config, runner_factory, reflection_backend, meta_b
     val = pool[config.train_size : needed]
     assert not ({r["id"] for r in train} & {r["id"] for r in val})
 
-    run = OptimizationRun()
-    current = initial
-    current_val = _mean_val_reward(initial, val, runner_factory, config.parallel)
-    run.initial_val_reward = current_val
+    # every request is at temperature 0, so each distinct prompt goes to a
+    # backend once per run: later epochs that replay an earlier one, and
+    # policies that share a prompt, reuse its reply (see llm.reply_memo)
+    with reply_memo():
+        run = OptimizationRun()
+        current = initial
+        current_val = _mean_val_reward(initial, val, runner_factory, config.parallel)
+        run.initial_val_reward = current_val
 
-    for epoch in range(1, config.epochs + 1):
-        critiques = _train_critiques(current, train, runner_factory, reflection_backend,
-                                     config.parallel)
+        for epoch in range(1, config.epochs + 1):
+            critiques = _train_critiques(current, train, runner_factory, reflection_backend,
+                                         config.parallel)
 
-        entry = {"epoch": epoch, "policy_id": None, "val_reward": None, "accepted": False}
-        candidate = None
-        if critiques:
-            try:
-                candidate = textual_gradient(
-                    critiques, current, meta_backend, candidate_id=f"candidate-{epoch}"
-                )
-            except ParseFailure:
-                candidate = None
-        if candidate is not None:
-            cand_val = _mean_val_reward(candidate, val, runner_factory, config.parallel)
-            entry["policy_id"] = candidate.policy_id
-            entry["val_reward"] = cand_val
-            if cand_val > current_val:
-                current, current_val = candidate, cand_val
-                entry["accepted"] = True
-        run.history.append(entry)
+            entry = {"epoch": epoch, "policy_id": None, "val_reward": None, "accepted": False}
+            candidate = None
+            if critiques:
+                try:
+                    candidate = textual_gradient(
+                        critiques, current, meta_backend, candidate_id=f"candidate-{epoch}"
+                    )
+                except (ParseFailure, TransportError):
+                    candidate = None  # as in reflect: a failed meta call proposes nothing
+            if candidate is not None:
+                cand_val = _mean_val_reward(candidate, val, runner_factory, config.parallel)
+                entry["policy_id"] = candidate.policy_id
+                entry["val_reward"] = cand_val
+                if cand_val > current_val:
+                    current, current_val = candidate, cand_val
+                    entry["accepted"] = True
+            run.history.append(entry)
 
-    # only a strict improvement moves ``current``, so it is the best policy
-    run.selected = current
-    run.selected_val_reward = current_val
-    return run
+        # only a strict improvement moves ``current``, so it is the best policy
+        run.selected = current
+        run.selected_val_reward = current_val
+        return run

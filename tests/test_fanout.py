@@ -1,3 +1,4 @@
+import contextvars
 import sys
 import threading
 import time
@@ -5,6 +6,8 @@ import time
 import pytest
 
 from claimcheck.fanout import fan_out
+
+VAR = contextvars.ContextVar("test_fanout_var", default="unset")
 
 
 def fanout_threads():
@@ -179,3 +182,78 @@ class TestRunMany:
         finally:
             sys.setswitchinterval(interval)
         assert counts == [1] * 2000
+
+
+class TestContext:
+    """Every item runs in a copy of its caller's context."""
+
+    @pytest.mark.parametrize("n, width", [(1, None), (3, 1)])
+    def test_inline_items_see_the_callers_variables(self, n, width):
+        token = VAR.set("caller")
+        try:
+            assert fan_out(lambda i: VAR.get(), range(n), width) == ["caller"] * n
+        finally:
+            VAR.reset(token)
+
+    @pytest.mark.parametrize("n, width", [(4, None), (6, 2)])
+    def test_items_on_worker_lanes_see_the_callers_variables(self, n, width):
+        caller = threading.current_thread()
+        # each wave of items waits for every lane, so all lanes take part
+        barrier = threading.Barrier(min(n, width or n), timeout=5)
+
+        def work(i):
+            barrier.wait()
+            return VAR.get(), threading.current_thread() is caller
+
+        token = VAR.set("caller")
+        try:
+            seen = fan_out(work, range(n), width)
+        finally:
+            VAR.reset(token)
+        assert [value for value, _ in seen] == ["caller"] * n
+        assert not all(on_caller for _, on_caller in seen)
+
+    def test_nested_items_on_worker_lanes_see_the_outer_callers_variables(self):
+        barrier = threading.Barrier(3, timeout=5)
+
+        def outer(i):
+            barrier.wait()  # all three outer items run at once, two on workers
+            return fan_out(lambda j: VAR.get(), range(3))
+
+        token = VAR.set("outer")
+        try:
+            assert fan_out(outer, range(3)) == [["outer"] * 3] * 3
+        finally:
+            VAR.reset(token)
+
+    @pytest.mark.parametrize("width", [None, 1, 2])
+    def test_an_items_own_set_stays_its_own(self, width):
+        def work(i):
+            before = VAR.get()
+            VAR.set(f"item {i}")
+            time.sleep(0.002)
+            return before, VAR.get()
+
+        token = VAR.set("caller")
+        try:
+            seen = fan_out(work, range(6), width)
+            assert VAR.get() == "caller"
+        finally:
+            VAR.reset(token)
+        assert seen == [("caller", f"item {i}") for i in range(6)]
+
+    def test_a_mutable_value_is_shared(self):
+        # the copies share the value object itself, so an item's writes to
+        # it reach the caller: the reply memo of an optimize run works so
+        barrier = threading.Barrier(4, timeout=5)
+
+        def work(i):
+            barrier.wait()
+            VAR.get()[i] = threading.current_thread().name
+
+        token = VAR.set({})
+        try:
+            fan_out(work, range(4))
+            assert sorted(VAR.get()) == [0, 1, 2, 3]
+        finally:
+            VAR.reset(token)

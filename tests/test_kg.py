@@ -518,6 +518,27 @@ class TestWikidataCache:
         with open(tmp_path / "wikidata.jsonl", encoding="utf-8") as fh:
             assert [json.loads(json.loads(line)["response_text"]) for line in fh] == [self.SPARQL]
 
+    @pytest.mark.parametrize("stale", [{"results": {"bindings": {}}}, [1], "not json"])
+    def test_stale_entry_is_followed_by_a_request(self, tmp_path, stale):
+        # an entry that parse rejects, as a version that cached every reply
+        # could write: the lookup asks Wikidata again
+        self.lookups(self.backend(tmp_path, [self.SEARCH, self.SPARQL, self.SPARQL]))
+        path = tmp_path / "wikidata.jsonl"
+        with open(path, encoding="utf-8") as fh:
+            entries = [json.loads(line) for line in fh]
+        entries[1]["response_text"] = stale if isinstance(stale, str) else json.dumps(stale)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(entry) + "\n" for entry in entries)
+
+        wikidata = self.backend(tmp_path, [self.SPARQL])
+        good = [(RelationId("P31", "instance of"), [EntityId("Q5", "human")])]
+        assert wikidata.relations_of("Q1", "outgoing") == good
+        assert wikidata._requests.gets == 1
+        # the good reply now follows the stale entry, in this backend and the next
+        assert wikidata.relations_of("Q1", "outgoing") == good
+        assert self.backend(tmp_path, []).relations_of("Q1", "outgoing") == good
+        assert wikidata._requests.gets == 1
+
     def test_concurrent_writers_of_one_query(self, tmp_path):
         payload = {"results": {"bindings": self.SPARQL["results"]["bindings"] * 50}}
         wikidata = self.backend(tmp_path, [payload] * 320)

@@ -1,3 +1,4 @@
+import contextvars
 import itertools
 import json
 import threading
@@ -167,6 +168,80 @@ class TestStructured:
 
     def test_json_embedded_in_prose(self):
         assert extract_json('Sure! Here it is: {"x": 1} hope that helps') == {"x": 1}
+
+
+class TestReplyMemo:
+    schema = ResponseSchema(required=("action", "label"))
+    policy = make_policy(PromptTemplate(id="q", text="Q {x}"))
+
+    def ask(self, backend, x="1"):
+        gateway = LlmGateway(backend, self.policy)
+        try:
+            return gateway.complete_structured(LlmRequest("q", {"x": x}), self.schema), gateway
+        except (ParseFailure, TransportError) as exc:
+            return type(exc), gateway
+
+    def test_each_prompt_goes_to_a_backend_once_from_any_gateway(self):
+        first = ScriptedBackend(default='{"action":"a","label":"b"}')
+        second = ScriptedBackend()  # any call would miss
+        with llm.reply_memo():
+            payload, gateway = self.ask(first)
+            again, hit = self.ask(second)
+        assert again == payload == {"action": "a", "label": "b"}
+        assert (gateway.call_count, gateway.memo_hits) == (1, 0)
+        assert (hit.call_count, hit.memo_hits, hit.requests["q"]) == (0, 1, 1)
+
+    def test_a_repair_sequence_replays_from_the_memo(self):
+        backend = ScriptedBackend(sequence=["not json", "still not", '{"action":"a","label":"b"}'])
+        with llm.reply_memo():
+            first, asked = self.ask(backend)
+            second, replayed = self.ask(backend)  # the sequence is used up
+        assert first == second == {"action": "a", "label": "b"}
+        assert (asked.call_count, asked.retry_count) == (3, 2)
+        assert (replayed.call_count, replayed.retry_count, replayed.memo_hits) == (0, 2, 3)
+
+    def test_a_request_that_raised_is_sent_again(self):
+        replies = iter([TransportError("reset"), '{"action":"a","label":"b"}'])
+
+        def responder(text):
+            reply = next(replies)
+            if isinstance(reply, Exception):
+                raise reply
+            return reply
+
+        with llm.reply_memo():
+            failed, gateway = self.ask(ScriptedBackend(responder=responder))
+            payload, retried = self.ask(ScriptedBackend(responder=responder))
+        assert failed is TransportError and gateway.call_count == 1
+        assert payload == {"action": "a", "label": "b"} and retried.call_count == 1
+
+    def test_counters_under_concurrent_requests(self):
+        sent = []  # list.append is atomic
+        backend = ScriptedBackend(
+            responder=lambda text: sent.append(text) or '{"action":"a","label":"b"}'
+        )
+        gateway = LlmGateway(backend, self.policy)
+        gateway.memo_hits = YieldingInt(0)
+        xs = itertools.count()
+        with llm.reply_memo():
+            # hammer's threads start in an empty context, so each call runs
+            # in a copy of this one, as fan_out's items do
+            context = contextvars.copy_context()
+            hammer(lambda: context.copy().run(
+                gateway.complete_structured, LlmRequest("q", {"x": next(xs) % 5}), self.schema))
+        assert set(sent) == {f"Q {x}" for x in range(5)}
+        assert gateway.call_count == len(sent)
+        assert gateway.memo_hits == 320 - len(sent)
+
+    def test_no_memo_outside_the_block_or_after_it(self):
+        backend = ScriptedBackend(default='{"action":"a","label":"b"}')
+        with llm.reply_memo():
+            self.ask(backend)
+        for _ in range(2):
+            assert self.ask(backend)[1].call_count == 1
+        with llm.reply_memo():  # a new block starts empty
+            assert self.ask(backend)[1].call_count == 1
+            assert self.ask(backend, x="2")[1].call_count == 1
 
 
 class TestCassette:

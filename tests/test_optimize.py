@@ -1,8 +1,16 @@
+import contextlib
+import functools
+import hashlib
 import itertools
 import json
+import threading
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
+from claimcheck import llm as llm_mod
+from claimcheck import optimize as optimize_mod
 from claimcheck.agent import (
     EXPAND_KG,
     INIT_KG,
@@ -15,8 +23,10 @@ from claimcheck.agent import (
     Observation,
     Trajectory,
     VerdictResult,
+    run_episode,
 )
-from claimcheck.errors import InsufficientData, ScriptMiss
+from claimcheck.errors import InsufficientData, ScriptMiss, TransportError
+from claimcheck.evaluation import DatasetRecord, run_benchmark
 from claimcheck.kg import FixtureKgBackend
 from claimcheck.llm import LlmGateway, ScriptedBackend
 from claimcheck.optimize import (
@@ -41,6 +51,7 @@ from conftest import (
     SlowKg,
     SlowLlm,
     build_corpus,
+    core_requests,
     flawed_policy,
 )
 
@@ -293,6 +304,33 @@ class TestOptimize:
         assert slow == serial
         assert any(entry["accepted"] for entry in serial["history"])
 
+    def test_meta_transport_error_keeps_every_epoch(self):
+        graph, claims = build_corpus(8, depth=2)
+        kg_backend = FixtureKgBackend(data=graph)
+        llm = ScriptedBackend(
+            responder=OracleResponder(specs=claims, flawed_marker=FLAWED_MARKER)
+        )
+
+        class Down:
+            calls = 0
+
+            def generate(self, text, temperature, max_tokens):
+                self.calls += 1
+                raise TransportError("meta endpoint down")
+
+        def runner_factory(policy):
+            return EpisodeRunner(policy, EpisodeConfig(), llm, kg_backend)
+
+        meta = Down()
+        cfg = OptimizationConfig(epochs=3, train_size=5, val_size=3, seed=1)
+        initial = flawed_policy()
+        run = optimize(initial, claims, cfg, runner_factory, llm, meta_backend=meta)
+        assert [e["epoch"] for e in run.history] == [1, 2, 3]
+        assert [e["policy_id"] for e in run.history] == [None, None, None]
+        assert run.selected is initial
+        assert run.selected_val_reward == run.initial_val_reward
+        assert meta.calls == 3  # a failed call is not memoized: every epoch asks again
+
     def test_training_script_miss_propagates(self):
         graph, claims = build_corpus(8, depth=1)
         kg_backend = FixtureKgBackend(data=graph)
@@ -308,3 +346,154 @@ class TestOptimize:
         cfg = OptimizationConfig(epochs=1, train_size=5, val_size=3)
         with pytest.raises(ScriptMiss):
             optimize(default_policy(), claims, cfg, runner_factory, llm)
+
+
+class CountingLlm:
+    """Answers from ``responder`` after a hashed delay (with a seed), records
+    every prompt, and raises TransportError on the first try of each prompt
+    whose hash is 0 mod ``flaky_mod`` (0 for none)."""
+
+    def __init__(self, responder, seed=None, flaky_mod=0):
+        self.slow = SlowLlm(responder, seed)
+        self.flaky_mod = flaky_mod
+        self.prompts = []
+        self.failed = set()
+        self._lock = threading.Lock()
+
+    def flaky(self, text):
+        digest = int(hashlib.sha256(text.encode()).hexdigest(), 16)
+        return bool(self.flaky_mod) and digest % self.flaky_mod == 0
+
+    def generate(self, text, temperature, max_tokens):
+        with self._lock:
+            self.prompts.append(text)
+            fail = self.flaky(text) and text not in self.failed
+            if fail:
+                self.failed.add(text)
+        if fail:
+            raise TransportError("first try fails")
+        return self.slow.generate(text, temperature, max_tokens)
+
+
+class EpisodeLog:
+    """A runner factory whose every episode gets its own CountingLlm, as
+    the benchmark's per-episode latency wrappers do; keeps each episode's
+    policy, claim, trajectory and backend."""
+
+    def __init__(self, responder, kg_backend):
+        self.responder, self.kg_backend = responder, kg_backend
+        self.episodes = []
+        self._lock = threading.Lock()
+
+    def __call__(self, policy):
+        return SimpleNamespace(run=functools.partial(self.run, policy))
+
+    def run(self, policy, claim):
+        backend = CountingLlm(self.responder)
+        result, trajectory = run_episode(claim, policy, EpisodeConfig(), backend, self.kg_backend)
+        with self._lock:
+            self.episodes.append((policy, claim, trajectory, backend))
+        return result, trajectory
+
+
+class TestReplyMemo:
+    """Within one optimize() call each distinct prompt text goes to a backend
+    once; the run's report is unchanged."""
+
+    CONFIG = OptimizationConfig(epochs=4, train_size=6, val_size=4, seed=2)
+
+    @staticmethod
+    def environment(flaky_mod=0, seed=None):
+        graph, claims = build_corpus(10, depth=2)
+        oracle = OracleResponder(specs=claims, flawed_marker=FLAWED_MARKER)
+        llm = CountingLlm(oracle, seed, flaky_mod)
+        kg_backend = SlowKg(graph, seed)
+
+        def runner_factory(policy):
+            return EpisodeRunner(policy, EpisodeConfig(), llm, kg_backend)
+
+        return claims, llm, runner_factory
+
+    @pytest.mark.parametrize("flaky_mod, seed", [(0, None), (0, 3), (5, None), (5, 4), (3, 5)])
+    def test_no_prompt_goes_out_twice_unless_it_failed(self, flaky_mod, seed, monkeypatch):
+        claims, llm, runner_factory = self.environment(flaky_mod, seed)
+        run = optimize(flawed_policy(), claims, self.CONFIG, runner_factory, llm)
+        counts = Counter(llm.prompts)
+        repeated = {text for text, n in counts.items() if n > 1}
+        assert repeated <= llm.failed
+        assert all(counts[text] <= 2 for text in llm.failed)
+        if flaky_mod:
+            assert llm.failed and repeated  # some failed request was asked again
+        else:
+            assert run.to_jsonable() == self.run_without_memo(seed, monkeypatch)
+
+    def run_without_memo(self, seed, monkeypatch):
+        """The same run with every request sent."""
+        claims, llm, runner_factory = self.environment(0, seed)
+        monkeypatch.setattr(optimize_mod, "reply_memo", contextlib.nullcontext)
+        run = optimize(flawed_policy(), claims, self.CONFIG, runner_factory, llm)
+        assert len(llm.prompts) > len(set(llm.prompts))  # the run repeats requests
+        return run.to_jsonable()
+
+    def test_runs_share_nothing_and_eval_sends_every_request(self):
+        claims, llm, runner_factory = self.environment()
+        records = [DatasetRecord(id=c["id"], claim=c["claim"], gold_label=c["gold_label"])
+                   for c in claims]
+        policy_runner = runner_factory(flawed_policy())
+
+        def eval_prompts():
+            start = len(llm.prompts)
+            run_benchmark(records, policy_runner, parallelism=2)
+            return llm.prompts[start:]
+
+        before = eval_prompts()
+        first = optimize(flawed_policy(), claims, self.CONFIG, runner_factory, llm)
+        first_prompts = llm.prompts[len(before):]
+        second = optimize(flawed_policy(), claims, self.CONFIG, runner_factory, llm)
+        second_prompts = llm.prompts[len(before) + len(first_prompts):]
+        after = eval_prompts()
+
+        assert first.to_jsonable() == second.to_jsonable()
+        assert Counter(second_prompts) == Counter(first_prompts)
+        assert len(first_prompts) == len(set(first_prompts))
+        # the eval asks for prompts the optimize runs got replies to, and
+        # sends every one of them again
+        assert set(after) & set(first_prompts)
+        assert Counter(after) == Counter(before)
+        assert llm_mod._REPLY_MEMO.get() is None
+
+    def test_memo_ends_with_a_run_that_raises(self):
+        claims, llm, runner_factory = self.environment()
+
+        def failing_factory(policy):
+            if policy.policy_id != flawed_policy().policy_id:
+                raise RuntimeError("no runner for candidates")
+            return runner_factory(policy)
+
+        with pytest.raises(RuntimeError, match="no runner"):
+            optimize(flawed_policy(), claims, self.CONFIG, failing_factory, llm)
+        assert llm_mod._REPLY_MEMO.get() is None
+
+    def test_episode_counters_count_round_trips_and_requests(self):
+        graph, claims = build_corpus(10, depth=2)
+        oracle = OracleResponder(specs=claims, flawed_marker=FLAWED_MARKER)
+        kg_backend = FixtureKgBackend(data=graph)
+        log = EpisodeLog(oracle, kg_backend)
+        optimize(flawed_policy(), claims, self.CONFIG, log, CountingLlm(oracle))
+
+        memoized = unmemoized = 0
+        for policy, claim, trajectory, backend in log.episodes:
+            counters = trajectory.counters
+            assert counters["llm_calls"] == len(backend.prompts)
+            alone = CountingLlm(oracle)
+            _, fresh = run_episode(claim, policy, EpisodeConfig(), alone, kg_backend)
+            assert counters["core_llm_calls"] == core_requests(alone.prompts)
+            assert fresh.counters["llm_calls"] == len(alone.prompts)
+            # the same episode in every other respect
+            counters.pop("llm_calls")
+            fresh.counters.pop("llm_calls")
+            assert trajectory.to_jsonable() == fresh.to_jsonable()
+            memoized += len(backend.prompts)
+            unmemoized += len(alone.prompts)
+        assert any(not backend.prompts for *_, backend in log.episodes)  # all memo hits
+        assert memoized < unmemoized
