@@ -62,6 +62,8 @@ class AppConfig:
             raise ConfigError(f"max_web_searches must be at least 0, got {e.max_web_searches}")
         if self.parallel is not None and self.parallel < 1:
             raise ConfigError(f"parallel must be at least 1, got {self.parallel}")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be at least 0, got {self.epochs}")
         return self
 
 

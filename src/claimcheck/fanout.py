@@ -21,9 +21,10 @@ hand-offs when the items finish quickly.
 
 Every item runs in its own copy of the caller's context (``contextvars``),
 on whichever lane it lands. So an item sees the context variables its caller
-had set, such as ``llm.reply_memo``'s memo of an optimize run, also in nested
-calls on worker lanes; what an item sets itself stays its own, hidden from the
-caller and from the other items.
+had set, such as ``llm.reply_memo``'s memo of an optimize run's prompts,
+graph lookups and web searches, also in nested calls on worker lanes; what an
+item sets itself stays its own, hidden from the caller and from the other
+items.
 """
 
 from __future__ import annotations

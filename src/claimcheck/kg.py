@@ -23,6 +23,9 @@ calls, which the gateway counts, since it sees every request.
 
 ``WikidataBackend`` with a ``cache_dir`` keeps every lookup in one
 ``llm.ReplyStore`` file, so a repeated search or query sends no request.
+Inside an optimize run (``llm.reply_memo``) each ``(entity, direction)``
+fetch and each entity search reaches the backend once, whatever the cache;
+an expansion served from that memo is still charged to the budget.
 """
 
 from __future__ import annotations
@@ -47,9 +50,9 @@ from .errors import (
 )
 from .fanout import fan_out
 from .graph import EntityId, KnowledgeSubgraph, RelationId, Triplet
-from .llm import LlmRequest, ReplyStore, ResponseSchema
+from .llm import LlmRequest, ReplyStore, ResponseSchema, memoized
 from .policy import EXPANSION_PRUNE, RELATION_PRUNE
-from .web import string_field, tokenize
+from .web import search_entities, string_field, tokenize
 
 MAX_OBJECTS_PER_RELATION = 10
 RELATION_FETCH_LIMIT = 50
@@ -69,7 +72,7 @@ class RelationCandidate:
     relation: RelationId
     direction: str  # outgoing | incoming
     anchor: EntityId
-    sample_objects: list = field(default_factory=list)
+    sample_objects: tuple = ()
     score: float = 0.0
 
 
@@ -362,7 +365,7 @@ def link_entities(mentions, backend) -> list:
     The mentions' searches run concurrently."""
     if not mentions:
         raise AllMentionsUnlinkable("no mentions to link")
-    found = fan_out(lambda mention: backend.search_entities(mention.surface), mentions)
+    found = fan_out(lambda mention: search_entities(mention.surface, backend), mentions)
     linked = []
     seen = set()
     for mention, hits in zip(mentions, found):
@@ -383,17 +386,22 @@ def link_entities(mentions, backend) -> list:
 def fetch_relations(entity, direction, backend):
     """All relation candidates of one entity in one direction, each carrying
     at most ``MAX_OBJECTS_PER_RELATION`` sample neighbors."""
-    out = []
-    for rel, neighbors in backend.relations_of(entity.id, direction):
-        out.append(
-            RelationCandidate(
-                relation=rel,
-                direction=direction,
-                anchor=entity,
-                sample_objects=neighbors[:MAX_OBJECTS_PER_RELATION],
-            )
+    grouped = memoized(
+        ("relations_of", entity.id, direction),
+        lambda: tuple(
+            (rel, tuple(neighbors[:MAX_OBJECTS_PER_RELATION]))
+            for rel, neighbors in backend.relations_of(entity.id, direction)
+        ),
+    )
+    return [
+        RelationCandidate(
+            relation=rel,
+            direction=direction,
+            anchor=entity,
+            sample_objects=neighbors,
         )
-    return out
+        for rel, neighbors in grouped
+    ]
 
 
 def expand_entity(entity, backend, budget):

@@ -9,11 +9,15 @@ replay`` is a ``ScriptedBackend`` whose fingerprint table is one, and the
 Wikidata client caches its lookups in one.
 
 Inside a ``reply_memo()`` block, which ``optimize.optimize`` holds for its
-whole run, every gateway sends each distinct prompt text to a backend once and
-reuses that first reply for later requests with the same text. Every request
-is at temperature 0, so on a deterministic backend the run is unchanged. The
-memo lives in a context variable, and ``fan_out`` runs its items in copies of
-the caller's context, so episodes and prunes on worker lanes share it.
+whole run, every backend read goes out once: each distinct prompt text from
+any gateway, and each graph lookup and web search (``memoized``, called from
+``kg`` and ``web``). Later reads of the same key reuse the first result; two
+lanes that miss the same key at once both send it, and both get the first
+result stored. Every request is at temperature 0, so on a deterministic
+backend the run is unchanged, and on a live one the run sees one snapshot of
+the graph and the web. The memo lives in a context variable, and ``fan_out``
+runs its items in copies of the caller's context, so episodes and prunes on
+worker lanes share it.
 """
 
 from __future__ import annotations
@@ -45,22 +49,34 @@ REPAIR_RETRIES = 2
 TEMPERATURE = 0.0
 MAX_OUTPUT_TOKENS = 1024
 
-# prompt text -> first reply, for the reply_memo() block in progress; keyed on
-# the text alone because temperature and output tokens are constants
+# key -> first result, for the reply_memo() block in progress; None outside one
 _REPLY_MEMO = contextvars.ContextVar("claimcheck_reply_memo", default=None)
 
 
 @contextlib.contextmanager
 def reply_memo():
-    """A fresh reply memo for the block: each prompt text goes to a backend
-    once, from any gateway and any ``fan_out`` item started inside. A reply
-    is kept whether or not it parses, so a repair sequence replays the same
-    way; a call that raises keeps nothing."""
+    """A fresh memo for the block: each key of ``memoized`` is fetched once,
+    from any gateway, backend and ``fan_out`` item started inside; a fetch
+    that raises stores nothing."""
     token = _REPLY_MEMO.set({})
     try:
         yield
     finally:
         _REPLY_MEMO.reset(token)
+
+
+def memoized(key, fetch):
+    """``fetch()``, or inside a ``reply_memo()`` block the first result
+    fetched for ``key`` in it. A prompt's key is its text, since temperature
+    and output tokens are constants; other reads use a tuple that starts with
+    the operation's name. Episodes on other lanes share a stored result, so it
+    must be immutable."""
+    memo = _REPLY_MEMO.get()
+    if memo is None:
+        return fetch()
+    if key in memo:
+        return memo[key]
+    return memo.setdefault(key, fetch())
 
 
 @dataclass(frozen=True)
@@ -328,37 +344,34 @@ class LlmGateway:
 
     ``requests`` counts structured requests per template id, once per request
     whatever its repairs or outcome, and ``retry_count`` counts repair
-    retries; both include replies taken from the reply memo, which
-    ``memo_hits`` counts. ``call_count`` is the backend round trips: requests
-    plus retries minus memo hits, calls that raise included. The counters are
-    safe to update from concurrent calls.
+    retries; both include replies taken from the reply memo. ``call_count``
+    is the backend round trips, calls that raise included, and ``memo_hits``
+    the replies the memo gave instead. The counters are safe to update from
+    concurrent calls.
     """
 
     def __init__(self, backend, policy):
         self.backend = backend
         self.policy = policy
         self.retry_count = 0
-        self.memo_hits = 0
+        self.call_count = 0
         self.requests = Counter()
         self._lock = threading.Lock()
 
     @property
-    def call_count(self):
+    def memo_hits(self):
         with self._lock:
-            return sum(self.requests.values()) + self.retry_count - self.memo_hits
+            return sum(self.requests.values()) + self.retry_count - self.call_count
 
     def _generate(self, text):
-        memo = _REPLY_MEMO.get()
-        if memo is None:
-            return self.backend.generate(text, TEMPERATURE, MAX_OUTPUT_TOKENS)
-        reply = memo.get(text)
-        if reply is not None:
+        def send():
             with self._lock:
-                self.memo_hits += 1
-            return reply
-        reply = self.backend.generate(text, TEMPERATURE, MAX_OUTPUT_TOKENS)
-        memo.setdefault(text, reply)
-        return reply
+                self.call_count += 1
+            return self.backend.generate(text, TEMPERATURE, MAX_OUTPUT_TOKENS)
+
+        # a reply is kept whether or not it parses, so a repair sequence
+        # replays the same way
+        return memoized(text, send)
 
     def complete_structured(self, request: LlmRequest, schema: ResponseSchema):
         base = self.policy.template(request.template_id).render(request.bindings)

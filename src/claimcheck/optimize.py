@@ -329,7 +329,8 @@ def optimize(initial, claims, config, runner_factory, reflection_backend, meta_b
     maps a policy to an episode runner whose ``run`` may be called from
     several threads at once: ``config.parallel`` training or validation
     episodes run at a time, and the run equals a serial one. Within the run
-    each distinct prompt text goes to a backend once (``llm.reply_memo``).
+    each distinct prompt text, graph lookup and web search goes to a backend
+    once (``llm.reply_memo``).
     A meta call that fails to parse or to arrive leaves its epoch without a
     candidate. Returns an OptimizationRun whose selected policy never
     validates worse than the initial one.
@@ -346,9 +347,10 @@ def optimize(initial, claims, config, runner_factory, reflection_backend, meta_b
     val = pool[config.train_size : needed]
     assert not ({r["id"] for r in train} & {r["id"] for r in val})
 
-    # every request is at temperature 0, so each distinct prompt goes to a
-    # backend once per run: later epochs that replay an earlier one, and
-    # policies that share a prompt, reuse its reply (see llm.reply_memo)
+    # every request is at temperature 0, so each distinct prompt, graph lookup
+    # and web search goes to a backend once per run: later epochs that replay
+    # an earlier one, and policies that share a prompt, reuse its result (see
+    # llm.reply_memo)
     with reply_memo():
         run = OptimizationRun()
         current = initial

@@ -7,6 +7,10 @@ gathered in input order, so results do not depend on timing.
 
 KG-origin facts are anchors: fusion only ever adds web triplets or entity
 annotations, never removes or edits existing graph content.
+
+Inside an optimize run (``llm.reply_memo``) each search query reaches the
+provider once, and each surface form linked to the graph (here or by
+``kg.link_entities``) reaches the graph's entity search once.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .graph import (
     Triplet,
     normalize_relation_label,
 )
-from .llm import LlmRequest, ResponseSchema
+from .llm import LlmRequest, ResponseSchema, memoized
 from .policy import EVIDENCE_FILTER, TRIPLET_EXTRACT, WEB_QUERY
 
 log = logging.getLogger(__name__)
@@ -53,7 +57,7 @@ class WebQuery:
             raise ValueError("web query text must be nonempty")
 
 
-@dataclass
+@dataclass(frozen=True)
 class WebDocument:
     url: str
     title: str
@@ -179,10 +183,19 @@ def string_field(obj, key):
 
 def search(query: WebQuery, provider):
     """The provider's top ``WEB_RESULTS`` documents in rank order. The reply
-    comes from outside the program, so it is sorted and cut here too."""
-    docs = provider.search(query.text, WEB_RESULTS)
-    docs.sort(key=lambda d: d.provider_rank)
-    return docs[:WEB_RESULTS]
+    comes from outside the program, so it is sorted and cut here too, in a
+    copy: the provider's list is left as it was."""
+
+    def fetch():
+        docs = sorted(provider.search(query.text, WEB_RESULTS), key=lambda d: d.provider_rank)
+        return tuple(docs[:WEB_RESULTS])
+
+    return list(memoized(("search", query.text), fetch))
+
+
+def search_entities(surface, kg_backend):
+    """The graph's entity hits for ``surface``, best first."""
+    return memoized(("search_entities", surface), lambda: tuple(kg_backend.search_entities(surface)))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +350,7 @@ def synthetic_relation(label: str) -> RelationId:
 
 def _link_surface(surface, kg_backend):
     if kg_backend is not None:
-        hits = kg_backend.search_entities(surface)
+        hits = search_entities(surface, kg_backend)
         if hits:
             return hits[0]
     return synthetic_entity(surface)

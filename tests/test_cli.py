@@ -114,6 +114,7 @@ BAD_INPUTS = {
     ],
     "negative web searches": lambda tmp: ["--max-web-searches", "-1"],
     "parallel 0 in config": lambda tmp: ["--config", write_text(tmp, '{"parallel": 0}')],
+    "negative epochs in config": lambda tmp: ["--config", write_text(tmp, '{"epochs": -1}')],
     "kg not an object": lambda tmp: ["--kg", write_text(tmp, "[1, 2]")],
     "web not an object": lambda tmp: ["--web", write_text(tmp, "[1, 2]")],
     "web rows not objects": lambda tmp: ["--web", write_text(tmp, '{"q": [1, 2]}')],
@@ -389,6 +390,17 @@ class TestOptimize:
         script = write_script(tmp_path, [])
         assert main(["optimize", str(dataset), "--kg", kg_path, "--llm-script", script] + flags) == 2
         assert widths == [width]
+
+    def test_negative_epochs_exit_2_before_any_epoch(self, workspace, capsys, monkeypatch):
+        tmp_path, kg_path, claims = workspace
+        dataset = tmp_path / "claims.jsonl"
+        dataset.write_text(json.dumps({"id": "1", "claim": claims[0]["claim"], "label": "Supported"}))
+        monkeypatch.setattr(cli.opt, "optimize", None)  # not to be reached
+        script = write_script(tmp_path, [])
+        code = main(["optimize", str(dataset), "--kg", kg_path, "--llm-script", script,
+                     "--epochs", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: epochs must be at least 0, got -1\n"
 
 
 class TestReplay:

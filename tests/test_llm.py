@@ -221,7 +221,7 @@ class TestReplyMemo:
             responder=lambda text: sent.append(text) or '{"action":"a","label":"b"}'
         )
         gateway = LlmGateway(backend, self.policy)
-        gateway.memo_hits = YieldingInt(0)
+        gateway.call_count = YieldingInt(0)
         xs = itertools.count()
         with llm.reply_memo():
             # hammer's threads start in an empty context, so each call runs

@@ -25,7 +25,13 @@ from claimcheck.agent import (
     VerdictResult,
     run_episode,
 )
-from claimcheck.errors import InsufficientData, ScriptMiss, TransportError
+from claimcheck.errors import (
+    InsufficientData,
+    ProviderQuotaExceeded,
+    QueryTimeout,
+    ScriptMiss,
+    TransportError,
+)
 from claimcheck.evaluation import DatasetRecord, run_benchmark
 from claimcheck.kg import FixtureKgBackend
 from claimcheck.llm import LlmGateway, ScriptedBackend
@@ -50,6 +56,7 @@ from conftest import (
     OracleResponder,
     SlowKg,
     SlowLlm,
+    SlowSearch,
     build_corpus,
     core_requests,
     flawed_policy,
@@ -348,40 +355,117 @@ class TestOptimize:
             optimize(default_policy(), claims, cfg, runner_factory, llm)
 
 
-class CountingLlm:
+class Counting:
+    """Records the key of every request sent through ``send``, and raises on
+    the first try of each key that ``flaky`` picks. ``overlaps`` counts, per
+    key, the sends that started while the same key was in flight."""
+
+    def __init__(self, flaky_mod=0):
+        self.flaky_mod = flaky_mod
+        self.sent = []
+        self.failed = set()
+        self.overlaps = Counter()
+        self._in_flight = Counter()
+        self._lock = threading.Lock()
+
+    def send(self, key, error, fetch):
+        with self._lock:
+            self.sent.append(key)
+            if self._in_flight[key]:
+                self.overlaps[key] += 1
+            fail = self.flaky(key) and key not in self.failed
+            if fail:
+                self.failed.add(key)
+            else:
+                self._in_flight[key] += 1
+        if fail:
+            raise error(f"first try of {key!r} fails")
+        try:
+            return fetch()
+        finally:
+            with self._lock:
+                self._in_flight[key] -= 1
+
+    def assert_sent_once(self):
+        """Each key went out once, and again only after its first try raised
+        or while another lane had it in flight."""
+        for key, n in Counter(self.sent).items():
+            assert n <= 1 + (key in self.failed) + self.overlaps[key], key
+
+
+class CountingLlm(Counting):
     """Answers from ``responder`` after a hashed delay (with a seed), records
     every prompt, and raises TransportError on the first try of each prompt
     whose hash is 0 mod ``flaky_mod`` (0 for none)."""
 
     def __init__(self, responder, seed=None, flaky_mod=0):
+        super().__init__(flaky_mod)
         self.slow = SlowLlm(responder, seed)
-        self.flaky_mod = flaky_mod
-        self.prompts = []
-        self.failed = set()
-        self._lock = threading.Lock()
+        self.prompts = self.sent
 
     def flaky(self, text):
         digest = int(hashlib.sha256(text.encode()).hexdigest(), 16)
         return bool(self.flaky_mod) and digest % self.flaky_mod == 0
 
     def generate(self, text, temperature, max_tokens):
-        with self._lock:
-            self.prompts.append(text)
-            fail = self.flaky(text) and text not in self.failed
-            if fail:
-                self.failed.add(text)
-        if fail:
-            raise TransportError("first try fails")
-        return self.slow.generate(text, temperature, max_tokens)
+        return self.send(text, TransportError,
+                         lambda: self.slow.generate(text, temperature, max_tokens))
+
+
+class CountingReads(Counting):
+    """A ``SlowKg`` and a ``SlowSearch`` in one object, which records the key
+    of every graph and web read and raises on the first try of each read
+    whose key hashes to 0 mod ``flaky_mod`` (0 for none): QueryTimeout for a
+    relation fetch, TransportError for an entity search and
+    ProviderQuotaExceeded for a web search."""
+
+    def __init__(self, graph, results, seed=None, flaky_mod=0):
+        super().__init__(flaky_mod)
+        self.kg = SlowKg(graph, seed)
+        self.web = SlowSearch(results, seed)
+        self.reads = self.sent
+
+    def flaky(self, key):
+        digest = int(hashlib.sha256(repr(key).encode()).hexdigest(), 16)
+        return bool(self.flaky_mod) and digest % self.flaky_mod == 0
+
+    def search_entities(self, text, limit=5):
+        return self.send(("search_entities", text), TransportError,
+                         lambda: self.kg.search_entities(text, limit))
+
+    def relations_of(self, entity_id, direction, *args, **kwargs):
+        return self.send(("relations_of", entity_id, direction), QueryTimeout,
+                         lambda: self.kg.relations_of(entity_id, direction, *args, **kwargs))
+
+    def search(self, query_text, m):
+        return self.send(("search", query_text), ProviderQuotaExceeded,
+                         lambda: self.web.search(query_text, m))
+
+
+def web_corpus():
+    """``build_corpus(10, depth=2)`` where every third person has no link, so
+    their claims go to the web; the search for such a claim finds its gold
+    line twice, from two sites, so both passages link the same surfaces."""
+    graph, claims = build_corpus(10, depth=2)
+    results = {}
+    for spec in claims[2::3]:
+        del graph["links"][spec["claim"].split(" works for ")[0]]
+        line = spec["support"] if spec["gold_label"] == "Supported" else spec["refute"]
+        results[spec["claim"]] = [
+            {"url": f"https://{site}.example/{spec['id']}", "title": "", "snippet": line}
+            for site in ("a", "b")
+        ]
+    return graph, claims, results
 
 
 class EpisodeLog:
-    """A runner factory whose every episode gets its own CountingLlm, as
-    the benchmark's per-episode latency wrappers do; keeps each episode's
-    policy, claim, trajectory and backend."""
+    """A runner factory whose every episode gets its own CountingLlm and
+    CountingReads over one graph and web, as the benchmark's per-episode
+    latency wrappers do; keeps each episode's policy, claim, trajectory and
+    backends."""
 
-    def __init__(self, responder, kg_backend):
-        self.responder, self.kg_backend = responder, kg_backend
+    def __init__(self, responder, graph, results):
+        self.responder, self.graph, self.results = responder, graph, results
         self.episodes = []
         self._lock = threading.Lock()
 
@@ -390,80 +474,104 @@ class EpisodeLog:
 
     def run(self, policy, claim):
         backend = CountingLlm(self.responder)
-        result, trajectory = run_episode(claim, policy, EpisodeConfig(), backend, self.kg_backend)
+        reads = CountingReads(self.graph, self.results)
+        result, trajectory = run_episode(claim, policy, EpisodeConfig(), backend, reads, reads)
         with self._lock:
-            self.episodes.append((policy, claim, trajectory, backend))
+            self.episodes.append((policy, claim, trajectory, backend, reads))
         return result, trajectory
 
 
 class TestReplyMemo:
-    """Within one optimize() call each distinct prompt text goes to a backend
-    once; the run's report is unchanged."""
+    """Within one optimize() call each distinct prompt text, graph lookup and
+    web search goes to a backend once, or again only if its first try raised
+    or another lane sent it at the same time; the run's report is
+    unchanged."""
 
     CONFIG = OptimizationConfig(epochs=4, train_size=6, val_size=4, seed=2)
 
     @staticmethod
     def environment(flaky_mod=0, seed=None):
-        graph, claims = build_corpus(10, depth=2)
+        graph, claims, results = web_corpus()
         oracle = OracleResponder(specs=claims, flawed_marker=FLAWED_MARKER)
         llm = CountingLlm(oracle, seed, flaky_mod)
-        kg_backend = SlowKg(graph, seed)
+        reads = CountingReads(graph, results, seed, flaky_mod)
 
         def runner_factory(policy):
-            return EpisodeRunner(policy, EpisodeConfig(), llm, kg_backend)
+            return EpisodeRunner(policy, EpisodeConfig(), llm, reads, reads)
 
-        return claims, llm, runner_factory
+        return claims, llm, reads, runner_factory
 
     @pytest.mark.parametrize("flaky_mod, seed", [(0, None), (0, 3), (5, None), (5, 4), (3, 5)])
     def test_no_prompt_goes_out_twice_unless_it_failed(self, flaky_mod, seed, monkeypatch):
-        claims, llm, runner_factory = self.environment(flaky_mod, seed)
+        """Nor does a graph lookup or a web search; one that another lane
+        has in flight may go out again."""
+        claims, llm, reads, runner_factory = self.environment(flaky_mod, seed)
         run = optimize(flawed_policy(), claims, self.CONFIG, runner_factory, llm)
-        counts = Counter(llm.prompts)
-        repeated = {text for text, n in counts.items() if n > 1}
-        assert repeated <= llm.failed
-        assert all(counts[text] <= 2 for text in llm.failed)
+        for counting in (llm, reads):
+            counting.assert_sent_once()
+        assert {key[0] for key in reads.reads} == {"search_entities", "relations_of", "search"}
         if flaky_mod:
-            assert llm.failed and repeated  # some failed request was asked again
+            # some failed prompt and some failed read were asked again
+            for counting in (llm, reads):
+                assert {key for key, n in Counter(counting.sent).items() if n > 1} & counting.failed
         else:
+            # web linking's entity searches too
+            assert ("search_entities", "Group3 Beta") in reads.reads
             assert run.to_jsonable() == self.run_without_memo(seed, monkeypatch)
 
     def run_without_memo(self, seed, monkeypatch):
         """The same run with every request sent."""
-        claims, llm, runner_factory = self.environment(0, seed)
+        claims, llm, reads, runner_factory = self.environment(0, seed)
         monkeypatch.setattr(optimize_mod, "reply_memo", contextlib.nullcontext)
         run = optimize(flawed_policy(), claims, self.CONFIG, runner_factory, llm)
-        assert len(llm.prompts) > len(set(llm.prompts))  # the run repeats requests
+        # the run repeats prompts and reads of every kind
+        assert len(llm.prompts) > len(set(llm.prompts))
+        repeated = {key[0] for key, n in Counter(reads.reads).items() if n > 1}
+        assert repeated == {"search_entities", "relations_of", "search"}
         return run.to_jsonable()
 
     def test_runs_share_nothing_and_eval_sends_every_request(self):
-        claims, llm, runner_factory = self.environment()
+        claims, llm, reads, runner_factory = self.environment()
         records = [DatasetRecord(id=c["id"], claim=c["claim"], gold_label=c["gold_label"])
                    for c in claims]
         policy_runner = runner_factory(flawed_policy())
 
-        def eval_prompts():
-            start = len(llm.prompts)
-            run_benchmark(records, policy_runner, parallelism=2)
-            return llm.prompts[start:]
+        def sent():
+            return len(llm.prompts), len(reads.reads)
 
-        before = eval_prompts()
+        def since(start):
+            return llm.prompts[start[0]:], reads.reads[start[1]:]
+
+        def eval_requests():
+            start = sent()
+            run_benchmark(records, policy_runner, parallelism=2)
+            return since(start)
+
+        before = eval_requests()
+        start = sent()
         first = optimize(flawed_policy(), claims, self.CONFIG, runner_factory, llm)
-        first_prompts = llm.prompts[len(before):]
+        first_requests = since(start)
+        start = sent()
         second = optimize(flawed_policy(), claims, self.CONFIG, runner_factory, llm)
-        second_prompts = llm.prompts[len(before) + len(first_prompts):]
-        after = eval_prompts()
+        second_requests = since(start)
+        after = eval_requests()
 
         assert first.to_jsonable() == second.to_jsonable()
-        assert Counter(second_prompts) == Counter(first_prompts)
-        assert len(first_prompts) == len(set(first_prompts))
-        # the eval asks for prompts the optimize runs got replies to, and
-        # sends every one of them again
-        assert set(after) & set(first_prompts)
-        assert Counter(after) == Counter(before)
+        for b, f, s, a, counting in zip(before, first_requests, second_requests, after,
+                                        (llm, reads)):
+            # each run sends each request once, or again while it was in flight
+            assert set(s) == set(f)
+            for sent in (f, s):
+                assert all(n <= 1 + counting.overlaps[key] for key, n in Counter(sent).items())
+            # the eval asks for what the optimize runs got, and sends every
+            # request again
+            assert set(a) & set(f)
+            assert Counter(a) == Counter(b)
+        assert len(after[1]) > len(set(after[1]))  # an eval's own reads repeat
         assert llm_mod._REPLY_MEMO.get() is None
 
     def test_memo_ends_with_a_run_that_raises(self):
-        claims, llm, runner_factory = self.environment()
+        claims, llm, _, runner_factory = self.environment()
 
         def failing_factory(policy):
             if policy.policy_id != flawed_policy().policy_id:
@@ -475,25 +583,30 @@ class TestReplyMemo:
         assert llm_mod._REPLY_MEMO.get() is None
 
     def test_episode_counters_count_round_trips_and_requests(self):
-        graph, claims = build_corpus(10, depth=2)
+        """Each episode equals the same episode run alone, sparql_queries
+        included; only llm_calls counts what the memo saved."""
+        graph, claims, results = web_corpus()
         oracle = OracleResponder(specs=claims, flawed_marker=FLAWED_MARKER)
-        kg_backend = FixtureKgBackend(data=graph)
-        log = EpisodeLog(oracle, kg_backend)
+        log = EpisodeLog(oracle, graph, results)
         optimize(flawed_policy(), claims, self.CONFIG, log, CountingLlm(oracle))
 
         memoized = unmemoized = 0
-        for policy, claim, trajectory, backend in log.episodes:
+        for policy, claim, trajectory, backend, reads in log.episodes:
             counters = trajectory.counters
             assert counters["llm_calls"] == len(backend.prompts)
-            alone = CountingLlm(oracle)
-            _, fresh = run_episode(claim, policy, EpisodeConfig(), alone, kg_backend)
+            alone, alone_reads = CountingLlm(oracle), CountingReads(graph, results)
+            _, fresh = run_episode(claim, policy, EpisodeConfig(), alone, alone_reads,
+                                   alone_reads)
             assert counters["core_llm_calls"] == core_requests(alone.prompts)
             assert fresh.counters["llm_calls"] == len(alone.prompts)
-            # the same episode in every other respect
+            # the same episode in every other respect, sparql_queries included
             counters.pop("llm_calls")
             fresh.counters.pop("llm_calls")
             assert trajectory.to_jsonable() == fresh.to_jsonable()
-            memoized += len(backend.prompts)
-            unmemoized += len(alone.prompts)
-        assert any(not backend.prompts for *_, backend in log.episodes)  # all memo hits
+            memoized += len(backend.prompts) + len(reads.reads)
+            unmemoized += len(alone.prompts) + len(alone_reads.reads)
+        # an episode served wholly by the memo still charges its expansions
+        assert any(not backend.prompts and not reads.reads and t.counters["sparql_queries"]
+                   for _, _, t, backend, reads in log.episodes)
+        assert any(t.counters["web_searches"] for _, _, t, *_ in log.episodes)
         assert memoized < unmemoized

@@ -272,6 +272,22 @@ class TestRanking:
         docs = search(WebQuery(text="q"), Unruly())
         assert [d.provider_rank for d in docs] == list(range(1, 11))
 
+    def test_search_leaves_the_provider_reply_as_it_was(self):
+        class Keeper:
+            """Replies with the same list object every time."""
+
+            reply = [WebDocument(f"u{r}", "", "s", r) for r in (3, 1, 2)]
+
+            def search(self, query_text, m):
+                return self.reply
+
+        provider = Keeper()
+        for _ in range(2):
+            docs = search(WebQuery(text="q"), provider)
+            assert [d.provider_rank for d in docs] == [1, 2, 3]
+            assert [d.provider_rank for d in provider.reply] == [3, 1, 2]
+            assert docs is not provider.reply
+
 
 class TestFilter:
     def passages(self, n):
