@@ -2,9 +2,12 @@
 
 An episode always opens with the initial KG retrieval, then alternates
 policy-selected actions with observations until a verdict is produced or the
-step limit forces one. Each observation costs one assess-and-act call, whose
-reply names the next action; an illegal one is coerced to the nearest legal
-action and logged as a warning.
+step limit forces one. An observation that leaves the next step a choice
+costs one assess-and-act call, whose reply names the next action; an illegal
+one is coerced to the nearest legal action and logged as a warning. After an
+observation that leaves only the verdict (the step limit is reached, or
+``legal_actions`` is verdict alone) no assessment is sent, and the
+observation's hint stays ``unknown``.
 """
 
 from __future__ import annotations
@@ -143,10 +146,17 @@ def _payload_jsonable(payload):
 
 
 def trajectory_from_jsonable(data) -> Trajectory:
+    """The trajectory ``to_jsonable`` wrote; an observation that is not an
+    object or a sufficiency hint that is not a string raises ValueError."""
     traj = Trajectory(claim=data["claim"])
     for step in data.get("steps", []):
         action = Action(step["action"]["kind"], step["action"].get("payload"))
         obs_data = step.get("observation", {})
+        if not isinstance(obs_data, dict):
+            raise ValueError(f"observation {obs_data!r} is not a JSON object")
+        hint = obs_data.get("sufficiency_hint", UNKNOWN)
+        if not isinstance(hint, str):
+            raise ValueError(f"sufficiency hint {hint!r} is not a string")
         traj.steps.append(
             (
                 action,
@@ -154,7 +164,7 @@ def trajectory_from_jsonable(data) -> Trajectory:
                     kind=obs_data.get("kind", "subgraph_delta"),
                     added_triplets=obs_data.get("added_triplets", 0),
                     added_annotations=obs_data.get("added_annotations", 0),
-                    sufficiency_hint=obs_data.get("sufficiency_hint", UNKNOWN),
+                    sufficiency_hint=hint,
                     added_item_ids=obs_data.get("added_item_ids", []),
                     note=obs_data.get("note", ""),
                 ),
@@ -381,32 +391,38 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
     evidence = Evidence()  # listed by the latest observation
     hint = UNKNOWN  # the latest observation's sufficiency hint
     requested = None  # the action kind its reply asked for
+    legal = set()  # the action kinds the next step may take
 
     def observe(subgraph, kind):
-        nonlocal evidence, hint, requested
+        """Record the step in progress with its observation, then assess the
+        evidence unless the next step is the verdict in any case: the step
+        limit is reached, or the verdict is the only legal action."""
+        nonlocal evidence, hint, requested, legal
         previous, evidence = evidence, Evidence.of(subgraph, web_passages)
         added = sorted(evidence.ids - previous.ids)
-        hint, requested = assess_sufficiency(claim, evidence, gateway)
-        if hint == UNKNOWN:
-            # only the subgraph's expandKG rule is read: this step is not in
-            # the trajectory yet
-            expandable = EXPAND_KG in legal_actions(config, subgraph, trajectory, has_web)
-            hint = NEED_KG if expandable else NEED_WEB
-            requested = _HINT_ACTIONS[hint]
-            trajectory.warnings.append(f"sufficiency unparseable; falling back to {hint}")
-        return Observation(
+        observation = Observation(
             kind=kind,
             added_triplets=sum(1 for i in added if i.startswith("t:")),
             added_annotations=sum(1 for i in added if i.startswith("a:")),
-            sufficiency_hint=hint,
             added_item_ids=added,
         )
+        trajectory.steps.append((action, observation))
+        legal = legal_actions(config, subgraph, trajectory, has_web)
+        hint, requested = UNKNOWN, None
+        if len(trajectory.steps) >= config.max_steps or legal == {VERDICT_ACTION}:
+            return
+        hint, requested = assess_sufficiency(claim, evidence, gateway)
+        if hint == UNKNOWN:
+            hint = NEED_KG if EXPAND_KG in legal else NEED_WEB
+            requested = _HINT_ACTIONS[hint]
+            trajectory.warnings.append(f"sufficiency unparseable; falling back to {hint}")
+        observation.sufficiency_hint = hint
 
     result = None
     action = Action(INIT_KG, claim)  # the step in progress
     try:
         subgraph = kg_mod.init_kg_retrieval(claim, config.n_init, budget, gateway, kg_backend)
-        trajectory.steps.append((action, observe(subgraph, "subgraph_delta")))
+        observe(subgraph, "subgraph_delta")
 
         while result is None:
             if len(trajectory.steps) >= config.max_steps:
@@ -417,7 +433,6 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
                 )
                 break
 
-            legal = legal_actions(config, subgraph, trajectory, has_web)
             action = select_action(requested, legal, hint, trajectory)
             if action.kind == VERDICT_ACTION:
                 result = verdict(claim, evidence, gateway, trajectory)
@@ -426,7 +441,7 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
                 )
             elif action.kind == EXPAND_KG:
                 kg_mod.expand_kg(claim, subgraph, budget, gateway, kg_backend)
-                trajectory.steps.append((action, observe(subgraph, "subgraph_delta")))
+                observe(subgraph, "subgraph_delta")
             elif action.kind == WEB_SEARCH:
                 query = web_mod.formulate_query(claim, evidence, gateway)
                 action.payload = query
@@ -446,13 +461,15 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
                         web_triplets = []
                     subgraph = web_mod.integrate(subgraph, web_triplets, new_evidence)
                     web_passages.extend(new_evidence)
-                trajectory.steps.append((action, observe(subgraph, "web_evidence")))
+                observe(subgraph, "web_evidence")
     except (ParseFailure, TransportError) as exc:
         failure = "transport error" if isinstance(exc, TransportError) else "parse failure"
         note = f"{failure}: {exc}"
         if action.kind == VERDICT_ACTION:
             result = _fallback_verdict()  # the verdict request itself failed
         else:
+            if trajectory.steps and trajectory.steps[-1][0] is action:
+                trajectory.steps.pop()  # recorded, then its assessment failed
             kind = "web_evidence" if action.kind == WEB_SEARCH else "subgraph_delta"
             trajectory.steps.append((action, Observation(kind=kind, note=note)))
             result = force_verdict(claim, evidence, gateway, trajectory)

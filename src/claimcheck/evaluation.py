@@ -99,6 +99,8 @@ def load_dataset(path, field_map: FieldMap = None) -> DatasetLoadResult:
                 row = json.loads(line)
             except ValueError as exc:
                 raise DatasetParseError(line_no, str(exc)) from exc
+            if not isinstance(row, dict):
+                raise DatasetParseError(line_no, "record is not a JSON object")
             try:
                 rec_id = str(row[field_map.id_field])
                 claim = str(row[field_map.claim_field])

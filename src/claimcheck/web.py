@@ -1,9 +1,10 @@
 """Open-web evidence: search, BM25 coarse ranking, LLM fine filtering, and
 fusion of surviving evidence into the knowledge subgraph.
 
-The filter's passage batches and the per-passage triplet extractions do not
-depend on each other and run concurrently (see ``fanout``); their outputs are
-gathered in input order, so results do not depend on timing.
+The filter's passage batches run concurrently (see ``fanout``), and so do
+the triplet extractions, one per distinct passage text, and then the entity
+searches that link the extracted surfaces, one per distinct surface. Outputs
+are gathered in input order, so results do not depend on timing.
 
 KG-origin facts are anchors: fusion only ever adds web triplets or entity
 annotations, never removes or edits existing graph content.
@@ -348,45 +349,51 @@ def synthetic_relation(label: str) -> RelationId:
     return RelationId(id=f"WR:{digest}", label=label)
 
 
-def _link_surface(surface, kg_backend):
-    if kg_backend is not None:
-        hits = search_entities(surface, kg_backend)
-        if hits:
-            return hits[0]
-    return synthetic_entity(surface)
-
-
 def to_triplets(evidence, claim, gateway, kg_backend=None) -> list:
-    """Structured extraction and linking per evidence item, the items run
-    concurrently; triplets come out in evidence order. Items whose extraction
-    fails are skipped, and only a total wipe-out is an error."""
+    """One structured extraction per distinct passage text, the texts run
+    concurrently, then one concurrent linking round over the distinct subject
+    and object surfaces. Triplets come out in evidence order, each with its
+    own item's provenance and confidence. Items whose extraction fails are
+    skipped, and only a total wipe-out is an error."""
     if not evidence:
         raise ValueError("to_triplets requires nonempty evidence")
 
-    def extract(item):
+    def extract(text):
         try:
             payload = gateway.complete_structured(
-                LlmRequest(
-                    template_id=TRIPLET_EXTRACT,
-                    bindings={"claim": claim, "passage": item.passage.text},
-                ),
+                LlmRequest(template_id=TRIPLET_EXTRACT, bindings={"claim": claim, "passage": text}),
                 _EXTRACT_SCHEMA,
             )
         except ParseFailure:
             return None
-        subject = _link_surface(str(payload["subject"]), kg_backend)
-        obj = _link_surface(str(payload["object"]), kg_backend)
-        relation = synthetic_relation(str(payload["relation"]))
-        return WebTriplet(
-            triplet=Triplet(
-                subject, relation, obj,
-                origin="web", confidence=item.consistency_confidence,
-            ),
-            provenance=item.passage.source_url,
-            confidence=item.consistency_confidence,
-        )
+        return str(payload["subject"]), str(payload["relation"]), str(payload["object"])
 
-    out = [wt for wt in fan_out(extract, evidence) if wt is not None]
+    def link(surface):
+        hits = search_entities(surface, kg_backend) if kg_backend is not None else ()
+        return hits[0] if hits else synthetic_entity(surface)
+
+    texts = list(dict.fromkeys(item.passage.text for item in evidence))
+    extracted = dict(zip(texts, fan_out(extract, texts)))
+    surfaces = list(dict.fromkeys(
+        surface for fields in extracted.values() if fields for surface in (fields[0], fields[2])
+    ))
+    linked = dict(zip(surfaces, fan_out(link, surfaces)))
+    out = []
+    for item in evidence:
+        fields = extracted[item.passage.text]
+        if fields is None:
+            continue
+        subject, relation, obj = fields
+        out.append(
+            WebTriplet(
+                triplet=Triplet(
+                    linked[subject], synthetic_relation(relation), linked[obj],
+                    origin="web", confidence=item.consistency_confidence,
+                ),
+                provenance=item.passage.source_url,
+                confidence=item.consistency_confidence,
+            )
+        )
     if not out:
         raise AllItemsFailed("no evidence item produced a triplet")
     return out

@@ -11,6 +11,7 @@ from claimcheck.agent import (
     NEED_KG,
     NEED_WEB,
     SUFFICIENT,
+    UNKNOWN,
     VERDICT_ACTION,
     WEB_SEARCH,
     Action,
@@ -265,7 +266,8 @@ class TestEpisode:
 
         traj = run(max_web_searches=2)
         assert WEB_SEARCH not in traj.action_kinds()
-        assert traj.counters["llm_calls"] == 25
+        # no assessment after hop 4, where the verdict is the only legal action
+        assert traj.counters["llm_calls"] == 24
         assert traj.to_json() == run(max_web_searches=0).to_json()
 
     def test_unlinkable_claim_without_web_goes_to_verdict(self):
@@ -347,6 +349,39 @@ class TestEpisode:
         verdict_prompt = [p for p in prompts if "Decide whether the claim" in p][-1]
         cited = re.findall(r"^\[(p:[^\]]+)\]", verdict_prompt, re.MULTILINE)
         assert cited == first + second
+
+    def test_no_assessment_after_the_last_search_with_no_frontier(self):
+        # an unlinkable claim has no frontier, so after its second and last
+        # search the verdict is the only legal action
+        graph, claims = build_corpus(1)
+        web = FixtureSearchProvider(data={"Martians Landed in Ohio.": [
+            {"url": "https://n.example/a", "snippet": "Martians Landed | visited | Ohio Field"},
+        ]})
+        llm = SlowLlm(OracleResponder(specs=claims, sufficiency="never", action=WEB_SEARCH))
+        _, traj = run_episode(
+            "Martians Landed in Ohio.", default_policy(), EpisodeConfig(max_web_searches=2),
+            llm, FixtureKgBackend(data=graph), web,
+        )
+        assert traj.action_kinds() == [INIT_KG, WEB_SEARCH, WEB_SEARCH, VERDICT_ACTION]
+        # no evidence after the initial retrieval: need_web with no call
+        assert [obs.sufficiency_hint for _, obs in traj.steps] == [
+            NEED_WEB, NEED_KG, UNKNOWN, UNKNOWN,
+        ]
+        assert sum("Assess whether the evidence" in p for p in llm.prompts) == 1
+        assert traj.warnings == []
+        assert traj.counters["llm_calls"] == len(llm.prompts)
+
+    def test_no_assessment_for_the_step_that_reaches_the_limit(self):
+        llm = SlowLlm(OracleResponder(specs=DEPTH2_CLAIMS, sufficiency="never"))
+        result, traj = run_episode(
+            DEPTH2_CLAIMS[0]["claim"], default_policy(), EpisodeConfig(max_steps=3),
+            llm, FixtureKgBackend(data=DEPTH2_GRAPH),
+        )
+        assert traj.action_kinds() == [INIT_KG, EXPAND_KG, EXPAND_KG, VERDICT_ACTION]
+        assert result.forced and traj.forced_reason == "step_limit"
+        assert [obs.sufficiency_hint for _, obs in traj.steps[:3]] == [NEED_KG, NEED_KG, UNKNOWN]
+        assert sum("Assess whether the evidence" in p for p in llm.prompts) == 2
+        assert traj.warnings == []
 
     def test_evidence_is_listed_once_per_observation(self, monkeypatch):
         # a linked claim, so both web queries are formulated from the evidence
@@ -514,6 +549,14 @@ class TestTransportErrors:
         _, trajectory, prompts = depth2_episode(OracleResponder(specs=DEPTH2_CLAIMS))
         assert trajectory.action_kinds() == [INIT_KG, EXPAND_KG, VERDICT_ACTION]
         assert len(prompts) == trajectory.counters["llm_calls"] == 5
+
+    def test_each_open_choice_still_sends_one_assessment(self):
+        # after both observations the episode may still expand or decide
+        _, trajectory, prompts = depth2_episode(OracleResponder(specs=DEPTH2_CLAIMS))
+        assert [obs.sufficiency_hint for _, obs in trajectory.steps] == [
+            NEED_KG, SUFFICIENT, SUFFICIENT,
+        ]
+        assert sum("Assess whether the evidence" in p for p in prompts) == 2
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_any_call_ends_in_one_forced_verdict(self, n):

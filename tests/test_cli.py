@@ -455,6 +455,34 @@ class TestReplay:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read trajectories") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("observation", ["oops", None, {"sufficiency_hint": None},
+                                             {"sufficiency_hint": 5}],
+                             ids=["string", "null", "hint-null", "hint-number"])
+    def test_malformed_observation_exits_2_with_one_error_line(self, tmp_path, capsys,
+                                                               observation):
+        row = {"claim": "c", "steps": [
+            {"action": {"kind": "initKGRetrieval", "payload": "c"}, "observation": observation},
+        ]}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(row) + "\n")
+        assert main(["replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read trajectories") and len(err.splitlines()) == 1
+
+
+class TestDatasetNotAnObject:
+    @pytest.mark.parametrize("command", ["eval", "optimize"])
+    @pytest.mark.parametrize("line", ["[1, 2]", '"text"'])
+    def test_exits_2_with_one_error_line(self, workspace, capsys, command, line):
+        tmp_path, kg_path, claims = workspace
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text(json.dumps({"id": "a", "claim": "A", "label": "true"}) + "\n" + line)
+        script = write_script(tmp_path, episode_script("Supported"))
+        assert main([command, str(dataset), "--kg", kg_path, "--llm-script", script]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad dataset record at line 2: record is not a JSON object\n"
+        )
+
 
 class TestConfigPrecedence:
     def test_flag_overrides_file(self, workspace, capsys):

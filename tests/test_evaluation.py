@@ -107,6 +107,14 @@ class TestLoading:
         with pytest.raises(DatasetParseError):
             load_dataset(self.write(tmp_path, [{"id": "a", "label": "true"}]))
 
+    @pytest.mark.parametrize("line", ["[1, 2]", '"text"', "5", "null"])
+    def test_record_not_an_object_is_parse_error(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "a", "claim": "A", "label": "true"}\n' + line + "\n")
+        with pytest.raises(DatasetParseError, match="record is not a JSON object") as exc:
+            load_dataset(str(path))
+        assert exc.value.line_no == 2
+
     def test_negative_rate_percent(self):
         records = [DatasetRecord(id=str(i), claim="c", gold_label=REFUTED) for i in range(3)]
         records.append(DatasetRecord(id="s", claim="c", gold_label=SUPPORTED))

@@ -731,5 +731,5 @@ class TestEpisodeRequests:
         # four hops of four expansions, each hop's 16 survivors cut to k=4
         requests = episode_requests(monkeypatch, DENSE_CLAIM, DENSE_GRAPH, DENSE_ORACLE)
         assert requests == {
-            "expansion_prune": 16, "relation_prune": 4, "sufficiency": 4, "verdict": 1,
+            "expansion_prune": 16, "relation_prune": 4, "sufficiency": 3, "verdict": 1,
         }

@@ -382,6 +382,81 @@ class TestToTriplets:
         assert out[0].triplet.object.id.startswith("W:")
 
 
+class CountingKg(FixtureKgBackend):
+    """A fixture graph that records every entity search."""
+
+    def __init__(self, data):
+        super().__init__(data=data)
+        self.searches = []
+
+    def search_entities(self, text, limit=5):
+        self.searches.append(text)
+        return super().search_entities(text, limit)
+
+
+def split_passage(text):
+    """Extracts "S | r | O" from the prompt's passage."""
+    passage = re.search(r"^Passage: (.*)$", text, re.MULTILINE).group(1)
+    subject, relation, obj = passage.split(" | ")
+    return json.dumps({"subject": subject, "relation": relation, "object": obj})
+
+
+class TestOneRequestPerTextAndSurface:
+    def test_same_text_is_extracted_once(self):
+        llm = SlowLlm(split_passage)
+        evidence = [
+            make_evidence("Barack Obama | visited | Mars Base", url="https://a.example", confidence=0.9),
+            make_evidence("Barack Obama | visited | Mars Base", url="https://b.example", confidence=0.6),
+        ]
+        out = to_triplets(evidence, "c", LlmGateway(llm, default_policy()))
+        assert len(llm.prompts) == 1
+        assert [(wt.provenance, wt.confidence, wt.triplet.confidence) for wt in out] == [
+            ("https://a.example", 0.9, 0.9), ("https://b.example", 0.6, 0.6),
+        ]
+        assert out[0].triplet.key == out[1].triplet.key
+
+    def test_shared_surface_is_searched_once(self):
+        kg = CountingKg(SMALL_GRAPH)
+        evidence = [
+            make_evidence("Barack Obama | visited | Kenya"),
+            make_evidence("Barack Obama | born in | Honolulu"),
+            make_evidence("Kenya | hosted | Barack Obama"),
+        ]
+        out = to_triplets(evidence, "c", gateway(responder=split_passage), kg_backend=kg)
+        assert sorted(kg.searches) == ["Barack Obama", "Honolulu", "Kenya"]
+        assert [(wt.triplet.subject.id, wt.triplet.object.id) for wt in out] == [
+            ("Q76", "Q114"), ("Q76", "Q18094"), ("Q114", "Q76"),
+        ]
+
+    def test_unparseable_duplicated_text_skips_both_items(self):
+        def responder(text):
+            return "garbage" if "Passage: one" in text else split_passage(text)
+
+        gw = gateway(responder=responder)
+        evidence = [make_evidence("one", url="u1"), make_evidence("A | r | B", url="u2"),
+                    make_evidence("one", url="u3")]
+        out = to_triplets(evidence, "c", gw)
+        assert [wt.provenance for wt in out] == ["u2"]
+        assert gw.call_count == 4  # "one" fails its ask and both repairs, once
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_slow_backends_give_the_serial_result(self, seed):
+        evidence = [
+            make_evidence(text, url=f"https://{i}.example", confidence=0.5 + i / 20)
+            for i, text in enumerate([
+                "Barack Obama | visited | Kenya", "Nairobi | capital of | Kenya",
+                "Barack Obama | visited | Kenya", "Honolulu | twin of | Nairobi",
+                "Barack Obama | met | Zzqx Wobble",
+            ])
+        ]
+
+        def run(seed):
+            gw = LlmGateway(SlowLlm(split_passage, seed), default_policy())
+            return [asdict(wt) for wt in to_triplets(evidence, "c", gw, SlowKg(SMALL_GRAPH, seed))]
+
+        assert run(seed) == run(None)
+
+
 def base_subgraph():
     subgraph = KnowledgeSubgraph()
     subgraph.add_topic_entity(EntityId("Q76", "Barack Obama"))
