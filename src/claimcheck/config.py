@@ -91,9 +91,15 @@ def _set(cfg, key, value):
         raise ConfigError(f"unknown config key {key!r}")
     if key in _INT_FIELDS:
         try:
+            # a bool is an int to Python, but true is no count of anything
+            if isinstance(value, bool):
+                raise TypeError
             value = int(value)
         except (TypeError, ValueError):
             raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+    elif not isinstance(value, str):
+        # a path of 5 would open file descriptor 5
+        raise ConfigError(f"{key} must be a string, got {value!r}")
     setattr(target, key, value)
 
 

@@ -2,11 +2,13 @@
 
 Entity mentions are extracted heuristically from the claim, linked to graph
 nodes, and the subgraph grows by hop-wise expand-and-prune beam search: per hop
-at most ``k`` frontier entities are expanded (one graph query each), every
-expanded entity's relations are pruned by one LLM scoring call, and, when more
-than ``k`` relations survive those prunes, one more LLM call prunes the hop's
-union down to the top ``k`` overall. A hop with at most ``k`` survivors keeps
-them all and sends no hop prune, since that call could drop none of them.
+at most ``k`` frontier entities are expanded (one graph query each), the
+relations of every expanded entity with at least ``k`` of them are pruned to
+``k`` by one LLM scoring call, and, when more than ``k`` relations survive those
+prunes, one more LLM call prunes the hop's union down to the top ``k``
+overall. An entity with fewer than ``k`` relations keeps them all, in fetch
+order, and a hop with at most ``k`` survivors keeps them all; neither sends a
+prune, since that call could drop none of them.
 
 A hop's ``k`` expand-and-prune pairs do not depend on each other and run
 concurrently (see ``fanout``), and so do each expansion's outgoing and
@@ -468,11 +470,13 @@ def select_objects(candidate, claim):
 def expand_hop(subgraph, claim, budget, gateway, backend):
     """One beam-search hop over the subgraph's unexpanded frontier entities.
 
-    Expands at most k of them (claim-overlap preferred) and prunes each one's
-    relations, concurrently. When more than k relations survive, one more
-    prune, which sees them in expansion order, keeps the top k; otherwise
-    every survivor is kept without a call, in expansion order and then each
-    entity's own prune order. Appends the retained triplets."""
+    Expands at most k of them (claim-overlap preferred) and prunes the
+    relations of each one that has at least k, concurrently; one with fewer
+    keeps them all without a call, in fetch order (outgoing, then incoming,
+    each by relation id). When more than k relations survive, one more prune,
+    which sees them in expansion order, keeps the top k; otherwise every
+    survivor is kept without a call, in expansion order and then each
+    entity's own order. Appends the retained triplets."""
     tokens = set(tokenize(claim))
 
     def priority(entity_id):
@@ -485,8 +489,9 @@ def expand_hop(subgraph, claim, budget, gateway, backend):
         entity = EntityId(entity_id, subgraph.label_of(entity_id))
         candidates = expand_entity(entity, backend, budget)
         subgraph.expanded.add(entity_id)
-        if not candidates:
-            return []
+        # a prune of fewer than k candidates would keep every one of them
+        if len(candidates) < budget.k:
+            return candidates
         return prune_relations(claim, candidates, budget.k, gateway, entity=entity)
 
     survivors = [c for kept in fan_out(expand_and_prune, to_expand) for c in kept]

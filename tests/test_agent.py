@@ -464,17 +464,31 @@ class TestEpisode:
 
 
 DEPTH2_GRAPH, DEPTH2_CLAIMS = build_corpus(6, depth=2)
+# the depth-2 corpus with three more relations from each person to its group:
+# both entities the episode expands then have at least k=4 relations, so each
+# one's relations go through a prune
+PRUNED_GRAPH = dict(
+    DEPTH2_GRAPH,
+    relations=DEPTH2_GRAPH["relations"] + [{"id": f"R{j}", "label": f"tie {j}"} for j in (2, 3, 4)],
+    triples=DEPTH2_GRAPH["triples"] + [
+        [s, f"R{j}", o] for s, p, o in DEPTH2_GRAPH["triples"] if p == "R0" for j in (2, 3, 4)
+    ],
+)
 
 
-def depth2_episode(responder, claim=DEPTH2_CLAIMS[0]["claim"], wrap=None):
+def depth2_episode(responder, claim=DEPTH2_CLAIMS[0]["claim"], wrap=None, graph=DEPTH2_GRAPH):
     """(result, trajectory, prompts) of one depth-2 episode; ``wrap`` wraps
     the LLM backend the episode sees."""
     llm = SlowLlm(responder)
     result, trajectory = run_episode(
         claim, default_policy(), EpisodeConfig(), wrap(llm) if wrap else llm,
-        FixtureKgBackend(data=DEPTH2_GRAPH),
+        FixtureKgBackend(data=graph),
     )
     return result, trajectory, llm.prompts
+
+
+def pruned_episode(responder):
+    return depth2_episode(responder, graph=PRUNED_GRAPH)
 
 
 def failing_verdict(reply):
@@ -540,19 +554,20 @@ class TestVerdictRequests:
 
 
 class TestTransportErrors:
-    # the depth-2 episode's calls, one at a time: 1 the initial prune,
-    # 2 sufficiency, 3 the expansion's prune, 4 sufficiency, 5 verdict (each
-    # hop keeps at most k relations, so neither sends a hop prune); a failed
-    # verdict request takes the fallback verdict, any other failed call a
-    # forced verdict request
+    # the depth-2 episode over PRUNED_GRAPH, whose two expanded entities each
+    # have at least k relations; its calls, one at a time: 1 the initial
+    # prune, 2 sufficiency, 3 the expansion's prune, 4 sufficiency, 5 verdict
+    # (each hop keeps at most k relations, so neither sends a hop prune); a
+    # failed verdict request takes the fallback verdict, any other failed call
+    # a forced verdict request
     def test_the_fault_free_episode_makes_five_calls(self):
-        _, trajectory, prompts = depth2_episode(OracleResponder(specs=DEPTH2_CLAIMS))
+        _, trajectory, prompts = pruned_episode(OracleResponder(specs=DEPTH2_CLAIMS))
         assert trajectory.action_kinds() == [INIT_KG, EXPAND_KG, VERDICT_ACTION]
         assert len(prompts) == trajectory.counters["llm_calls"] == 5
 
     def test_each_open_choice_still_sends_one_assessment(self):
         # after both observations the episode may still expand or decide
-        _, trajectory, prompts = depth2_episode(OracleResponder(specs=DEPTH2_CLAIMS))
+        _, trajectory, prompts = pruned_episode(OracleResponder(specs=DEPTH2_CLAIMS))
         assert [obs.sufficiency_hint for _, obs in trajectory.steps] == [
             NEED_KG, SUFFICIENT, SUFFICIENT,
         ]
@@ -569,7 +584,7 @@ class TestTransportErrors:
                 raise TransportError(f"call {n} failed")
             return oracle(text)
 
-        result, trajectory, prompts = depth2_episode(responder)
+        result, trajectory, prompts = pruned_episode(responder)
         note = f"transport error: call {n} failed"
         kinds = [INIT_KG] if n <= 2 else [INIT_KG, EXPAND_KG]
         assert trajectory.action_kinds() == kinds + [VERDICT_ACTION]
@@ -582,24 +597,48 @@ class TestTransportErrors:
         assert trajectory.counters["llm_calls"] == len(prompts) == (n if n == 5 else n + 1)
 
     def test_forced_verdict_shows_the_items_it_checks(self):
-        # the sufficiency call after the expansion fails: the forced verdict
-        # sees the expanded subgraph and may cite its decisive triplet
+        # the sufficiency call after the expansion, the second call of the
+        # plain depth-2 episode (no entity there has k relations to prune),
+        # fails: the forced verdict sees the expanded subgraph and may cite
+        # its decisive triplet
         oracle = OracleResponder(specs=DEPTH2_CLAIMS)
         calls = []
 
         def responder(text):
             calls.append(text)
-            if len(calls) == 4:
+            if len(calls) == 2:
                 raise TransportError("sufficiency endpoint down")
             return oracle(text)
 
         result, trajectory, prompts = depth2_episode(responder)
+        assert not any(p.startswith("Score each") for p in prompts)
         forced_prompt = prompts[-1]
         assert "retrieval budget is exhausted" in forced_prompt
         listed = re.findall(r"^\[([^\]]+)\]", forced_prompt, re.MULTILINE)
         assert len(listed) == 2 and result.citations and set(result.citations) <= set(listed)
         assert not any("dropped citation" in w for w in trajectory.warnings)
         assert result.label == DEPTH2_CLAIMS[0]["gold_label"]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_unparseable_prune_ends_in_one_forced_verdict(self, n):
+        # the n-th entity's prune gets a reply that stays unparseable
+        oracle = OracleResponder(specs=DEPTH2_CLAIMS)
+        prunes = []
+
+        def responder(text):
+            if text.startswith("Score each relation of entity"):
+                prunes.append(text)
+                if len(prunes) >= n:
+                    return "*** not json ***"
+            return oracle(text)
+
+        result, trajectory, prompts = pruned_episode(responder)
+        kinds = [INIT_KG] if n == 1 else [INIT_KG, EXPAND_KG]
+        assert trajectory.action_kinds() == kinds + [VERDICT_ACTION]
+        assert trajectory.steps[-2][1].note.startswith("parse failure: ")
+        assert result.forced and trajectory.forced_reason == "parse_failure"
+        assert trajectory.counters["prune_llm_calls"] == n
+        assert trajectory.counters["llm_calls"] == len(prompts)
 
 
 class TestFaultInjection:

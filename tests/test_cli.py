@@ -30,11 +30,10 @@ def workspace(tmp_path):
 
 def episode_script(label, citations=()):
     """Scripted replies for one episode over the depth-1 corpus, in call order:
-    per-entity prune, sufficiency (whose reply names no action, so the
-    assessment's verdict is taken), verdict. The hop keeps its one relation,
-    so it sends no hop prune."""
+    sufficiency (whose reply names no action, so the assessment's verdict is
+    taken), verdict. The topic entity has fewer than k relations, so it keeps
+    its one relation without a prune, and the hop sends no hop prune."""
     return [
-        json.dumps({"scores": [1.0]}),
         json.dumps({"assessment": "sufficient"}),
         json.dumps({"label": label, "justification": "scripted", "citations": list(citations)}),
     ]
@@ -55,7 +54,7 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "Verdict: Supported" in out
         counters = json.loads(out.split("Counters: ", 1)[1])
-        assert (counters["llm_calls"], counters["llm_retries"]) == (3, 0)
+        assert (counters["llm_calls"], counters["llm_retries"]) == (2, 0)
 
     def test_refuted_exits_1(self, workspace):
         tmp_path, kg_path, claims = workspace
@@ -105,13 +104,16 @@ BAD_INPUTS = {
     "unknown episode key": lambda tmp: ["--config", write_text(tmp, '{"episode": {"kk": 4}}')],
     "episode not an object": lambda tmp: ["--config", write_text(tmp, '{"episode": 4}')],
     "non-integer seed": lambda tmp: ["--config", write_text(tmp, '{"seed": "x"}')],
+    "boolean episode key": lambda tmp: [
+        "--config", write_text(tmp, '{"episode": {"k": true}}')],
+    # a path of 5 would read the graph from file descriptor 5
+    "kg path not a string": lambda tmp: ["--config", write_text(tmp, '{"kg": 5}')],
+    "web path not a string": lambda tmp: ["--config", write_text(tmp, '{"web": ["w.json"]}')],
     "max_steps 0": lambda tmp: ["--max-steps", "0"],
-    # with replies for both hops the graph allows, so that only the bound can stop it
+    # neither hop the graph allows sends a prune, so the episode's own script
+    # has a reply for every call and only the bound can stop it
     "n_init above n_hops": lambda tmp: [
-        "--config", write_text(tmp, '{"n_init": 2, "n_hops": 1}'),
-        "--llm-script", write_script(tmp, episode_script("Supported")[:1] * 2
-                                     + episode_script("Supported")[1:], "two-hops.json"),
-    ],
+        "--config", write_text(tmp, '{"n_init": 2, "n_hops": 1}')],
     "negative web searches": lambda tmp: ["--max-web-searches", "-1"],
     "parallel 0 in config": lambda tmp: ["--config", write_text(tmp, '{"parallel": 0}')],
     "negative epochs in config": lambda tmp: ["--config", write_text(tmp, '{"epochs": -1}')],
@@ -160,6 +162,26 @@ class TestBadInput:
         argv = ["check", claims[0]["claim"], "--kg", kg_path, "--llm-script", script]
         assert main(argv + BAD_INPUTS[case](tmp_path)) == 2
         assert capsys.readouterr().err.startswith("error: cannot read policy ")
+
+    @pytest.mark.parametrize("case, message", [
+        ("boolean episode key", "k must be an integer, got True"),
+        ("kg path not a string", "kg must be a string, got 5"),
+        ("web path not a string", "web must be a string, got ['w.json']"),
+    ])
+    def test_config_value_of_the_wrong_type_is_named(self, workspace, capsys, case, message):
+        tmp_path, kg_path, claims = workspace
+        script = write_script(tmp_path, episode_script("Supported"))
+        argv = ["check", claims[0]["claim"], "--kg", kg_path, "--llm-script", script]
+        assert main(argv + BAD_INPUTS[case](tmp_path)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_config_integer_may_be_a_string_of_digits(self, workspace, capsys):
+        tmp_path, kg_path, claims = workspace
+        script = write_script(tmp_path, episode_script("Supported"))
+        config = write_text(tmp_path, '{"episode": {"k": "4"}, "seed": "7"}', "c.json")
+        code = main(["check", claims[0]["claim"], "--kg", kg_path, "--llm-script", script,
+                     "--config", config])
+        assert code == 0 and capsys.readouterr().err == ""
 
     def test_malformed_kg_cache_exits_2_with_one_error_line(self, workspace, capsys, monkeypatch):
         tmp_path, kg_path, claims = workspace

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import sys
 import threading
 import time
@@ -642,18 +643,35 @@ def first_hop(claim, graph, k, responder=None):
     return subgraph, gateway
 
 
+# Obama with four relations, Kenya with none
+RICH_OBAMA = {
+    "entities": SMALL_GRAPH["entities"] + [
+        {"id": "Q13133", "label": "Michelle Obama"}, {"id": "Q49088", "label": "Columbia"},
+    ],
+    "relations": SMALL_GRAPH["relations"] + [
+        {"id": "P26", "label": "spouse"}, {"id": "P69", "label": "educated at"},
+    ],
+    "triples": [
+        ["Q76", "P19", "Q18094"], ["Q76", "P26", "Q13133"],
+        ["Q76", "P27", "Q30"], ["Q76", "P69", "Q49088"],
+    ],
+    "links": SMALL_GRAPH["links"],
+}
+
+
 class TestHopPrune:
     OBAMA = "Barack Obama was born in Kenya."
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_at_most_k_survivors_keep_all_without_a_request(self, k):
-        # Q76 keeps P19 and P27, Q114 keeps P36: 3 survivors
-        subgraph, gateway = first_hop(self.OBAMA, SMALL_GRAPH, k)
-        assert gateway.requests[EXPANSION_PRUNE] == 2
+        # Q76's prune keeps k of its four relations, Q114 has none: k survivors
+        subgraph, gateway = first_hop(self.OBAMA, RICH_OBAMA, k)
+        assert gateway.requests[EXPANSION_PRUNE] == 1
         assert gateway.requests[RELATION_PRUNE] == 0
         assert list(subgraph.triplets) == [
-            ("Q76", "P19", "Q18094"), ("Q76", "P27", "Q30"), ("Q114", "P36", "Q3139"),
-        ]
+            ("Q76", "P19", "Q18094"), ("Q76", "P26", "Q13133"),
+            ("Q76", "P27", "Q30"), ("Q76", "P69", "Q49088"),
+        ][:k]
 
     def test_survivors_keep_expansion_order(self):
         # A expands first (ids break the priority tie) and its one relation is
@@ -691,6 +709,110 @@ class TestHopPrune:
         assert not any(p.startswith("Score each candidate") for p in llm.prompts)
 
 
+# -- the per-entity prune runs only over at least k relations -------------------
+
+# Alpha One has one relation, Beta Two four and Delta, Beta Two's second, four
+# more of its own; Zeta Two has none
+MIXED_SIZES = {
+    "entities": [
+        {"id": "A", "label": "Alpha One"}, {"id": "B", "label": "Beta Two"},
+        {"id": "C", "label": "Gamma"}, {"id": "D", "label": "Delta"},
+        {"id": "E", "label": "Epsilon"}, {"id": "F", "label": "Eta"},
+        {"id": "G", "label": "Theta"}, {"id": "Z", "label": "Zeta Two"},
+    ] + [{"id": f"L{j}", "label": f"Leaf{j}"} for j in range(1, 5)],
+    "relations": [
+        {"id": "P1", "label": "knows"}, {"id": "P2", "label": "owns"},
+        {"id": "P3", "label": "funds"}, {"id": "P4", "label": "runs"},
+    ],
+    "triples": [
+        ["C", "P1", "A"],
+        ["B", "P1", "G"], ["B", "P2", "D"], ["B", "P3", "E"], ["B", "P4", "F"],
+    ] + [["D", f"P{j}", f"L{j}"] for j in range(1, 5)],
+    "links": {"Alpha One": "A", "Beta Two": "B", "Zeta Two": "Z"},
+}
+
+
+def candidate_lines(prompt):
+    return re.findall(r"^\d+\. (.*)$", prompt.split("Candidates:\n", 1)[-1], re.MULTILINE)
+
+
+def reversing(text):
+    """Prune scores that rank the candidates in reverse fetch order."""
+    return json.dumps({"scores": list(range(len(candidate_lines(text))))})
+
+
+class TestEntityPrune:
+    def test_fewer_than_k_relations_keep_fetch_order_without_a_request(self):
+        # Beta Two's four relations, outgoing and sorted by id; a prune would
+        # have reversed them
+        subgraph, gateway = first_hop("Beta Two met.", MIXED_SIZES, 5, reversing)
+        assert sum(gateway.requests.values()) == 0
+        assert list(subgraph.triplets) == [
+            ("B", "P1", "G"), ("B", "P2", "D"), ("B", "P3", "E"), ("B", "P4", "F"),
+        ]
+
+    def test_incoming_relations_follow_the_outgoing_ones(self):
+        graph = dict(MIXED_SIZES, triples=MIXED_SIZES["triples"] + [["C", "P1", "B"]])
+        subgraph, gateway = first_hop("Beta Two met.", graph, 6, reversing)
+        assert sum(gateway.requests.values()) == 0
+        assert list(subgraph.triplets)[-2:] == [("B", "P4", "F"), ("C", "P1", "B")]
+
+    def test_exactly_k_relations_are_still_pruned(self):
+        # the prune can drop none of the four, but it orders them
+        subgraph, gateway = first_hop("Beta Two met.", MIXED_SIZES, 4, reversing)
+        assert gateway.requests[EXPANSION_PRUNE] == 1
+        assert gateway.requests[RELATION_PRUNE] == 0
+        assert list(subgraph.triplets) == [
+            ("B", "P4", "F"), ("B", "P3", "E"), ("B", "P2", "D"), ("B", "P1", "G"),
+        ]
+
+    def test_zero_relations_send_nothing_and_still_charge_the_expansion(self):
+        budget = RetrievalBudget(k=4)
+        gateway = oracle_gateway()
+        subgraph = init_kg_retrieval(
+            "Zeta Two met.", 1, budget, gateway, FixtureKgBackend(data=MIXED_SIZES)
+        )
+        assert sum(gateway.requests.values()) == 0
+        assert budget.sparql_queries_used == 1
+        assert not subgraph.triplets and subgraph.expanded == {"Z"}
+
+    def test_hop_prune_sees_unpruned_and_pruned_survivors_in_expansion_order(self):
+        # Alpha One expands first (ids break the priority tie) and keeps its one
+        # relation unpruned; Beta Two's prune keeps two of four: 3 survivors > k
+        prompts = []
+        oracle = OracleResponder()
+
+        def responder(text):
+            prompts.append(text)
+            return oracle(text)
+
+        subgraph, gateway = first_hop("Alpha One met Beta Two.", MIXED_SIZES, 2, responder)
+        assert gateway.requests[EXPANSION_PRUNE] == gateway.requests[RELATION_PRUNE] == 1
+        hop_prompt = [p for p in prompts if p.startswith("Score each candidate")]
+        assert len(hop_prompt) == 1 and candidate_lines(hop_prompt[0]) == [
+            "Alpha One --[knows (incoming)]--> Gamma",
+            "Beta Two --[knows (outgoing)]--> Theta",
+            "Beta Two --[owns (outgoing)]--> Delta",
+        ]
+        assert list(subgraph.triplets) == [("B", "P1", "G"), ("B", "P2", "D")]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_slow_backends_give_the_serial_run(self, seed):
+        def outputs(llm, kg):
+            _, trajectory = run_episode("Alpha One met Beta Two.", default_policy(),
+                                        EpisodeConfig(), llm, kg)
+            return trajectory.to_json(), sorted(llm.prompts), trajectory.counters
+
+        oracle = OracleResponder(sufficiency="never")
+        reference = outputs(SlowLlm(oracle), FixtureKgBackend(data=MIXED_SIZES))
+        # hop 1 prunes Beta Two alone, hop 2 Delta alone: each hop mixes
+        # entities with and without a prune
+        prompts = reference[1]
+        assert sum(p.startswith("Score each relation of entity") for p in prompts) == 2
+        assert sum(p.startswith("Score each candidate") for p in prompts) == 2
+        assert outputs(SlowLlm(oracle, seed), SlowKg(MIXED_SIZES, seed)) == reference
+
+
 def episode_requests(monkeypatch, claim, graph, responder):
     """Requests per template id of one episode, as its gateway counted them."""
     gateways = []
@@ -716,16 +838,14 @@ class TestEpisodeRequests:
     def test_depth1(self, monkeypatch):
         requests = episode_requests(monkeypatch, DEPTH1_CLAIMS[0]["claim"], DEPTH1_GRAPH,
                                     OracleResponder(specs=DEPTH1_CLAIMS))
-        assert requests == {
-            "expansion_prune": 1, "sufficiency": 1, "verdict": 1,
-        }
+        # the person's one relation is kept without a prune
+        assert requests == {"sufficiency": 1, "verdict": 1}
 
     def test_depth2(self, monkeypatch):
         requests = episode_requests(monkeypatch, DEPTH2_CLAIMS[0]["claim"], DEPTH2_GRAPH,
                                     OracleResponder(specs=DEPTH2_CLAIMS))
-        assert requests == {
-            "expansion_prune": 2, "sufficiency": 2, "verdict": 1,
-        }
+        # neither the person nor its group has k relations to prune
+        assert requests == {"sufficiency": 2, "verdict": 1}
 
     def test_dense(self, monkeypatch):
         # four hops of four expansions, each hop's 16 survivors cut to k=4

@@ -435,7 +435,8 @@ class TestHttpBackend:
 
     @pytest.mark.parametrize("body", MALFORMED)
     def test_malformed_body_ends_the_episode_in_a_forced_verdict(self, body):
-        # the one entity's prune fails, then the forced verdict request does too
+        # the sufficiency request fails (the one entity has fewer than k
+        # relations, so no prune goes out), then the forced verdict request does too
         http = self.backend((200, body))
         result, trajectory = run_episode(
             "Barack Obama was born.", default_policy(), EpisodeConfig(), http,

@@ -358,7 +358,10 @@ class TestOptimize:
 class Counting:
     """Records the key of every request sent through ``send``, and raises on
     the first try of each key that ``flaky`` picks. ``overlaps`` counts, per
-    key, the sends that started while the same key was in flight."""
+    key, the sends that started while the same key was in flight, or after a
+    send of it returned but before the run's reply memo stored its result
+    (``llm.memoized`` stores a result only once its fetch has returned). The
+    memo's keys are the keys recorded here."""
 
     def __init__(self, flaky_mod=0):
         self.flaky_mod = flaky_mod
@@ -366,12 +369,15 @@ class Counting:
         self.failed = set()
         self.overlaps = Counter()
         self._in_flight = Counter()
+        self._returned = {}  # key -> the memo that was active when a send of it returned
         self._lock = threading.Lock()
 
     def send(self, key, error, fetch):
+        memo = llm_mod._REPLY_MEMO.get()
         with self._lock:
             self.sent.append(key)
-            if self._in_flight[key]:
+            unstored = memo is not None and self._returned.get(key) is memo and key not in memo
+            if self._in_flight[key] or unstored:
                 self.overlaps[key] += 1
             fail = self.flaky(key) and key not in self.failed
             if fail:
@@ -380,11 +386,16 @@ class Counting:
                 self._in_flight[key] += 1
         if fail:
             raise error(f"first try of {key!r} fails")
+        returned = False
         try:
-            return fetch()
+            result = fetch()
+            returned = True
+            return result
         finally:
             with self._lock:
                 self._in_flight[key] -= 1
+                if returned:
+                    self._returned[key] = memo
 
     def assert_sent_once(self):
         """Each key went out once, and again only after its first try raised
@@ -569,6 +580,22 @@ class TestReplyMemo:
             assert Counter(a) == Counter(b)
         assert len(after[1]) > len(set(after[1]))  # an eval's own reads repeat
         assert llm_mod._REPLY_MEMO.get() is None
+
+    def test_a_resend_before_the_memo_stores_the_result_is_an_overlap(self):
+        counting = CountingReads({"entities": [], "relations": []}, {})
+
+        def send():
+            return counting.send(("search", "q"), TransportError, lambda: ())
+
+        with llm_mod.reply_memo():
+            send()  # returned; memoized has not stored it yet
+            send()
+            assert counting.overlaps[("search", "q")] == 1
+            llm_mod._REPLY_MEMO.get()[("search", "q")] = ()
+            send()  # sent again after the store: a second request, not an overlap
+        with llm_mod.reply_memo():
+            send()  # a new run's first send
+        assert counting.overlaps[("search", "q")] == 1
 
     def test_memo_ends_with_a_run_that_raises(self):
         claims, llm, _, runner_factory = self.environment()
