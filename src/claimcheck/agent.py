@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from . import kg as kg_mod
 from . import web as web_mod
 from .errors import AllItemsFailed, EmptyClaim, ParseFailure, TransportError
-from .graph import passage_item_id
+from .graph import KnowledgeSubgraph, passage_item_id
 from .llm import LlmGateway, LlmRequest, ResponseSchema
 from .policy import EXPANSION_PRUNE, FORCED_VERDICT, RELATION_PRUNE
 from .policy import SUFFICIENCY, VERDICT
@@ -307,8 +307,9 @@ def select_action(requested, legal, hint, trajectory):
 def _validated_verdict(payload, evidence_ids, trajectory, forced):
     label = _normalize_label(payload["label"])
     justification = str(payload.get("justification", "")).strip() or "no justification provided"
+    cites = payload.get("citations") or []
     citations = []
-    for cite in payload.get("citations", []) or []:
+    for cite in cites if isinstance(cites, list) else [cites]:
         cite = str(cite)
         if cite in evidence_ids:
             citations.append(cite)
@@ -375,15 +376,16 @@ class EpisodeRunner:
 def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=None):
     """Execute one full episode; returns (VerdictResult, Trajectory).
 
-    A TransportError, or a reply that stays unparseable where no fallback
-    exists (a prune, a web query), ends the episode in a forced verdict once
+    A TransportError, or a reply that stays unparseable or holds a field of
+    the wrong type where no fallback exists (a prune, a web query, an
+    evidence filter), ends the episode in a forced verdict once
     the claim is accepted: the step in progress is recorded with the error,
     then one terminal verdict step follows. A failed verdict request takes
     the deterministic fallback verdict, so no episode sends a second one."""
     if not claim or not claim.strip():
         raise EmptyClaim("claim is empty")
     gateway = LlmGateway(llm_backend, policy)
-    budget = kg_mod.RetrievalBudget(k=config.k, n_hops=config.n_hops)
+    subgraph = KnowledgeSubgraph()
     trajectory = Trajectory(claim=claim)
     has_web = web_provider is not None
     web_passages = []
@@ -421,7 +423,7 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
     result = None
     action = Action(INIT_KG, claim)  # the step in progress
     try:
-        subgraph = kg_mod.init_kg_retrieval(claim, config.n_init, budget, gateway, kg_backend)
+        kg_mod.init_kg_retrieval(claim, subgraph, config, gateway, kg_backend)
         observe(subgraph, "subgraph_delta")
 
         while result is None:
@@ -440,7 +442,7 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
                     (action, Observation(kind="terminal", sufficiency_hint=hint))
                 )
             elif action.kind == EXPAND_KG:
-                kg_mod.expand_kg(claim, subgraph, budget, gateway, kg_backend)
+                kg_mod.expand_kg(claim, subgraph, config, gateway, kg_backend)
                 observe(subgraph, "subgraph_delta")
             elif action.kind == WEB_SEARCH:
                 query = web_mod.formulate_query(claim, evidence, gateway)
@@ -484,7 +486,8 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
         # retries, replies from an optimize run's reply memo included
         "llm_calls": gateway.call_count,
         "llm_retries": gateway.retry_count,
-        "sparql_queries": budget.sparql_queries_used,
+        # entity expansions started, each one outgoing and one incoming fetch
+        "sparql_queries": len(subgraph.expanded),
         "web_searches": trajectory.action_kinds().count(WEB_SEARCH),
         # pruning + verdict requests, the quantity bounded by N + k*N + 1
         "core_llm_calls": prune + verdicts,

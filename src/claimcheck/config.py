@@ -91,8 +91,9 @@ def _set(cfg, key, value):
         raise ConfigError(f"unknown config key {key!r}")
     if key in _INT_FIELDS:
         try:
-            # a bool is an int to Python, but true is no count of anything
-            if isinstance(value, bool):
+            # a bool is an int to Python, but true is no count of anything,
+            # and int() would truncate 4.9 to 4
+            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
                 raise TypeError
             value = int(value)
         except (TypeError, ValueError):

@@ -18,16 +18,16 @@ depend on timing. LLM load stays bounded by ``HttpBackend``'s semaphore and
 token bucket; the graph backend may see all ``2k`` relation fetches of a hop
 at once.
 
-``RetrievalBudget`` counts expansions only: one "query" = one entity
-expansion (its incoming and outgoing template executions count together), so an
-episode uses at most ``k*N`` expansions. Pruning takes at most ``N + k*N`` LLM
-calls, which the gateway counts, since it sees every request.
+An entity joins the subgraph's ``expanded`` set before its two fetches go
+out, so that set counts an episode's expansions, failed ones included. A hop
+expands at most ``k`` entities and ``expand_kg`` refuses hop ``N + 1``: at most
+``k*N`` expansions and ``N + k*N`` prune calls, which the gateway counts.
 
 ``WikidataBackend`` with a ``cache_dir`` keeps every lookup in one
 ``llm.ReplyStore`` file, so a repeated search or query sends no request.
 Inside an optimize run (``llm.reply_memo``) each ``(entity, direction)``
 fetch and each entity search reaches the backend once, whatever the cache;
-an expansion served from that memo is still charged to the budget.
+an expansion served from that memo is still recorded in ``expanded``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import json
 import os
 import random
 import re
-import threading
 import time
 from dataclasses import dataclass, field
 from urllib.parse import urlencode
@@ -51,7 +50,7 @@ from .errors import (
     TransportError,
 )
 from .fanout import fan_out
-from .graph import EntityId, KnowledgeSubgraph, RelationId, Triplet
+from .graph import EntityId, RelationId, Triplet
 from .llm import LlmRequest, ReplyStore, ResponseSchema, memoized
 from .policy import EXPANSION_PRUNE, RELATION_PRUNE
 from .web import search_entities, string_field, tokenize
@@ -75,26 +74,6 @@ class RelationCandidate:
     direction: str  # outgoing | incoming
     anchor: EntityId
     sample_objects: tuple = ()
-    score: float = 0.0
-
-
-@dataclass
-class RetrievalBudget:
-    """Per-episode count of entity expansions against the k*N limit; safe to
-    charge from a hop's concurrent expansions."""
-
-    k: int = 4
-    n_hops: int = 4
-    sparql_queries_used: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
-
-    def charge_expansion(self):
-        with self._lock:
-            if self.sparql_queries_used >= self.k * self.n_hops:
-                raise BudgetExhausted(
-                    f"expansion budget k*N={self.k * self.n_hops} exhausted"
-                )
-            self.sparql_queries_used += 1
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +385,9 @@ def fetch_relations(entity, direction, backend):
     ]
 
 
-def expand_entity(entity, backend, budget):
+def expand_entity(entity, backend):
     """Both directional fetches of one entity, run concurrently, outgoing
-    candidates first; charges one expansion."""
-    budget.charge_expansion()
+    candidates first."""
     outgoing, incoming = fan_out(
         lambda direction: fetch_relations(entity, direction, backend),
         ("outgoing", "incoming"),
@@ -431,7 +409,8 @@ def prune_relations(claim, candidates, k, gateway, entity=None):
     the ``EXPANSION_PRUNE`` of ``entity``'s own relations, or with no entity
     the ``RELATION_PRUNE`` of a hop's survivors.
 
-    Ties break by ascending (relation id, anchor id)."""
+    Ties break by ascending (relation id, anchor id). A reply whose scores
+    are not one number per candidate raises ParseFailure."""
     if not candidates:
         raise ValueError("prune_relations requires a nonempty candidate list")
     bindings = {"claim": claim, "candidates": _candidate_lines(candidates)}
@@ -444,15 +423,15 @@ def prune_relations(claim, candidates, k, gateway, entity=None):
     )
     scores = payload["scores"]
     if not isinstance(scores, list) or len(scores) != len(candidates):
-        raise ParseFailure(
-            f"expected {len(candidates)} scores, got {scores!r}"
-        )
-    scored = []
-    for cand, score in zip(candidates, scores):
-        cand.score = float(score)
-        scored.append(cand)
-    scored.sort(key=lambda c: (-c.score, c.relation.id, c.anchor.id))
-    return scored[: min(k, len(scored))]
+        raise ParseFailure(f"expected {len(candidates)} scores, got {scores!r}")
+    try:
+        values = [float(score) for score in scores]
+    except (TypeError, ValueError):
+        raise ParseFailure(f"expected numeric scores, got {scores!r}") from None
+    ranked = sorted(
+        zip(values, candidates), key=lambda vc: (-vc[0], vc[1].relation.id, vc[1].anchor.id)
+    )
+    return [cand for _, cand in ranked[:k]]
 
 
 def select_objects(candidate, claim):
@@ -467,7 +446,7 @@ def select_objects(candidate, claim):
     return sorted(candidate.sample_objects, key=lambda e: (-overlap(e), e.id))
 
 
-def expand_hop(subgraph, claim, budget, gateway, backend):
+def expand_hop(subgraph, claim, k, gateway, backend):
     """One beam-search hop over the subgraph's unexpanded frontier entities.
 
     Expands at most k of them (claim-overlap preferred) and prunes the
@@ -476,29 +455,30 @@ def expand_hop(subgraph, claim, budget, gateway, backend):
     each by relation id). When more than k relations survive, one more prune,
     which sees them in expansion order, keeps the top k; otherwise every
     survivor is kept without a call, in expansion order and then each
-    entity's own order. Appends the retained triplets."""
+    entity's own order. Appends the retained triplets. Each entity joins
+    ``subgraph.expanded`` before its fetches go out."""
     tokens = set(tokenize(claim))
 
     def priority(entity_id):
         shared = len(tokens & set(tokenize(subgraph.label_of(entity_id))))
         return (-shared, entity_id)
 
-    to_expand = sorted(subgraph.unexpanded(), key=priority)[: budget.k]
+    to_expand = sorted(subgraph.unexpanded(), key=priority)[:k]
+    subgraph.expanded.update(to_expand)
 
     def expand_and_prune(entity_id):
         entity = EntityId(entity_id, subgraph.label_of(entity_id))
-        candidates = expand_entity(entity, backend, budget)
-        subgraph.expanded.add(entity_id)
+        candidates = expand_entity(entity, backend)
         # a prune of fewer than k candidates would keep every one of them
-        if len(candidates) < budget.k:
+        if len(candidates) < k:
             return candidates
-        return prune_relations(claim, candidates, budget.k, gateway, entity=entity)
+        return prune_relations(claim, candidates, k, gateway, entity=entity)
 
     survivors = [c for kept in fan_out(expand_and_prune, to_expand) for c in kept]
     # a hop prune over at most k survivors would keep every one of them
     retained = survivors
-    if len(survivors) > budget.k:
-        retained = prune_relations(claim, survivors, budget.k, gateway)
+    if len(survivors) > k:
+        retained = prune_relations(claim, survivors, k, gateway)
 
     new_frontier = set()
     for cand in retained:
@@ -516,29 +496,29 @@ def expand_hop(subgraph, claim, budget, gateway, backend):
     subgraph.frontier = new_frontier
 
 
-def init_kg_retrieval(claim, n_init, budget, gateway, backend):
-    """extract -> link -> n_init expansion rounds; the episode's observation o0.
+def init_kg_retrieval(claim, subgraph, config, gateway, backend):
+    """extract -> link -> ``config.n_init`` expansion rounds into the empty
+    ``subgraph``; the episode's observation o0. ``config`` is an
+    ``agent.EpisodeConfig``.
 
-    An empty claim raises EmptyClaim. An unlinkable claim yields an empty
-    subgraph (the agent's web-search fallback handles it) instead of an error."""
-    subgraph = KnowledgeSubgraph()
+    An empty claim raises EmptyClaim. An unlinkable claim leaves the subgraph
+    empty (the agent's web-search fallback handles it) instead of an error."""
     try:
         mentions = extract_mentions(claim)
         topics = link_entities(mentions, backend)
     except AllMentionsUnlinkable:
-        return subgraph
+        return
     for topic in topics:
         subgraph.add_topic_entity(topic)
-    for _ in range(n_init):
-        expand_kg(claim, subgraph, budget, gateway, backend)
-    return subgraph
+    for _ in range(config.n_init):
+        expand_kg(claim, subgraph, config, gateway, backend)
 
 
-def expand_kg(claim, subgraph, budget, gateway, backend):
-    """One more hop, unless no frontier entity is left unexpanded; errors
-    once N hops are spent."""
-    if subgraph.hops_done >= budget.n_hops:
-        raise BudgetExhausted(f"hop budget N={budget.n_hops} exhausted")
+def expand_kg(claim, subgraph, config, gateway, backend):
+    """One more hop of at most ``config.k`` expansions, unless no frontier
+    entity is left unexpanded; errors once ``config.n_hops`` hops are spent."""
+    if subgraph.hops_done >= config.n_hops:
+        raise BudgetExhausted(f"hop budget N={config.n_hops} exhausted")
     if subgraph.unexpanded():
-        expand_hop(subgraph, claim, budget, gateway, backend)
+        expand_hop(subgraph, claim, config.k, gateway, backend)
         subgraph.hops_done += 1

@@ -209,14 +209,17 @@ _QUERY_SCHEMA = ResponseSchema(required=("query",))
 def formulate_query(claim, evidence, gateway) -> WebQuery:
     """One LLM call targeting the gap in ``evidence``, the latest observation's
     listing (``agent.Evidence``); with no evidence at all the claim itself is
-    the query (no LLM call)."""
+    the query (no LLM call). A query that is not nonempty text raises ParseFailure."""
     if not evidence.ids:
         return WebQuery(text=claim[:MAX_QUERY_CHARS], rationale="no evidence retrieved yet")
     payload = gateway.complete_structured(
         LlmRequest(template_id=WEB_QUERY, bindings={"claim": claim, "evidence": evidence.text}),
         _QUERY_SCHEMA,
     )
-    return WebQuery(text=str(payload["query"]), rationale=str(payload.get("rationale", "")))
+    query = payload["query"]
+    if not isinstance(query, str) or not query.strip():
+        raise ParseFailure(f"web query must be nonempty text, got {query!r}")
+    return WebQuery(text=query, rationale=str(payload.get("rationale", "")))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +290,8 @@ _STANCES = {"supports", "refutes", "neutral"}
 def filter_evidence(claim, passages, gateway):
     """One batched LLM call per <=8 passages, the batches run concurrently;
     keeps entries whose consistency confidence reaches ``CONSISTENCY_THRESHOLD``,
-    in batch order and, within a batch, in the order of the reply's judgments."""
+    in batch order and, within a batch, in the order of the reply's judgments.
+    Judgments that are not a list raise ParseFailure; an unknown stance is neutral."""
     if not passages:
         raise ValueError("filter_evidence requires a nonempty passage list")
 
@@ -300,8 +304,11 @@ def filter_evidence(claim, passages, gateway):
             ),
             _FILTER_SCHEMA,
         )
+        judgments = payload["judgments"]
+        if not isinstance(judgments, list):
+            raise ParseFailure(f"judgments must be a list, got {judgments!r}")
         kept = []
-        for row in payload["judgments"]:
+        for row in judgments:
             try:
                 idx = int(row["index"])
                 confidence = float(row["confidence"])
@@ -313,7 +320,7 @@ def filter_evidence(claim, passages, gateway):
                 log.warning("clamping out-of-range consistency confidence %s", confidence)
                 confidence = min(1.0, max(0.0, confidence))
             stance = row.get("stance", "neutral")
-            if stance not in _STANCES:
+            if not isinstance(stance, str) or stance not in _STANCES:
                 stance = "neutral"
             if confidence >= CONSISTENCY_THRESHOLD:
                 kept.append(

@@ -34,7 +34,17 @@ from claimcheck.evaluation import DatasetRecord, run_benchmark
 from claimcheck.graph import KnowledgeSubgraph
 from claimcheck.kg import FixtureKgBackend
 from claimcheck.llm import LlmGateway, ScriptedBackend
-from claimcheck.policy import default_policy
+from claimcheck.policy import (
+    EVIDENCE_FILTER,
+    EXPANSION_PRUNE,
+    FORCED_VERDICT,
+    RELATION_PRUNE,
+    SUFFICIENCY,
+    TRIPLET_EXTRACT,
+    VERDICT,
+    WEB_QUERY,
+    default_policy,
+)
 from claimcheck.web import FixtureSearchProvider, WebDocument
 
 from conftest import (
@@ -160,14 +170,13 @@ class TestSufficiency:
     def test_unparseable_reply_is_unknown(self):
         graph, claims = build_corpus(1)
         backend = FixtureKgBackend(data=graph)
-        from claimcheck.kg import RetrievalBudget, init_kg_retrieval
+        from claimcheck.kg import init_kg_retrieval
 
         oracle = LlmGateway(
             ScriptedBackend(responder=OracleResponder(specs=claims)), default_policy()
         )
-        subgraph = init_kg_retrieval(
-            claims[0]["claim"], 1, RetrievalBudget(), oracle, backend
-        )
+        subgraph = KnowledgeSubgraph()
+        init_kg_retrieval(claims[0]["claim"], subgraph, EpisodeConfig(), oracle, backend)
         # unparseable, or an assessment that is not a string: repaired, then unknown
         for reply in ("not json", '{"assessment": []}', '{"assessment": {}}',
                       '{"assessment": ["need_kg"]}'):
@@ -243,6 +252,20 @@ class TestEpisode:
         result, traj = runner.run(claims[0]["claim"])
         assert "t:bogus|x|y" not in result.citations
         assert any("dropped citation" in w for w in traj.warnings)
+
+    def test_citations_that_are_not_a_list_are_one_citation(self):
+        graph, claims = build_corpus(1)
+        oracle = OracleResponder(specs=claims)
+
+        def responder(text):
+            out = oracle(text)
+            if out and '"label"' in out:
+                return json.dumps(dict(json.loads(out), citations=5))
+            return out
+
+        result, traj = make_runner(claims, graph, responder=responder).run(claims[0]["claim"])
+        assert result.label == claims[0]["gold_label"] and result.citations == []
+        assert "dropped citation '5': not in evidence" in traj.warnings
 
     def test_counters_present_and_consistent(self):
         graph, claims = build_corpus(2)
@@ -735,6 +758,103 @@ class TestFaultInjection:
             llm.faults = {index: "miss"}
             with pytest.raises(ScriptMiss, match=f"injected at call {index}"):
                 run_episode(claim, default_policy(), config, llm, FixtureKgBackend(data=graph), web)
+
+
+# the fields of each structured reply an episode asks for: "f" is a
+# top-level field, "f[]" each element of list f, "f[].g" field g of each row
+REPLY_FIELDS = {
+    EXPANSION_PRUNE: ("scores", "scores[]"),
+    RELATION_PRUNE: ("scores", "scores[]"),
+    SUFFICIENCY: ("assessment", "action"),
+    VERDICT: ("label", "justification", "citations", "citations[]"),
+    FORCED_VERDICT: ("label", "justification", "citations", "citations[]"),
+    WEB_QUERY: ("query", "rationale"),
+    EVIDENCE_FILTER: ("judgments", "judgments[]", "judgments[].index",
+                      "judgments[].confidence", "judgments[].stance"),
+    TRIPLET_EXTRACT: ("subject", "relation", "object"),
+}
+ODD_VALUES = (None, "", [], {}, 3, "x")
+# a rendered prompt starts with its template's text up to the first binding
+PROMPT_PREFIXES = {
+    tid: default_policy().template(tid).text.split("{", 1)[0] for tid in REPLY_FIELDS
+}
+
+
+class MutatingResponder:
+    """The oracle's replies, with one field of one template's replies set to
+    ``value``. Records the templates it was asked for."""
+
+    def __init__(self, oracle, template_id=None, field=None, value=None):
+        self.oracle, self.template_id, self.field, self.value = oracle, template_id, field, value
+        self.seen = set()
+
+    def __call__(self, text):
+        reply = self.oracle(text)
+        template_id = next(
+            (tid for tid, prefix in PROMPT_PREFIXES.items() if text.startswith(prefix)), None
+        )
+        self.seen.add(template_id)
+        if template_id != self.template_id:
+            return reply
+        data = json.loads(reply)
+        name, each, key = self.field.partition("[]")
+        if not each:
+            data[name] = self.value
+        elif not key:
+            data[name] = [self.value for _ in data[name]]
+        else:
+            for row in data[name]:
+                row[key.lstrip(".")] = self.value
+        return json.dumps(data)
+
+
+class TestReplyShapes:
+    def episodes(self):
+        """(claim, config, oracle, kg data, web data): a KG corpus, dense and
+        with a web provider, and a web corpus whose claims link to nothing."""
+        dense_graph, dense_claim = build_dense_graph(fanout=4, depth=4, n_roots=4)
+        graph, claims = build_corpus(4, depth=2)
+        web = {c["claim"]: [{"url": f"https://w.example/{i}", "snippet": s["support"]}
+                            for i, s in enumerate(claims[:3])] for c in claims}
+        empty = {"entities": [], "relations": [], "triples": [], "links": {}}
+        to_web = OracleResponder(specs=claims, sufficiency="never", action=WEB_SEARCH)
+        return [
+            (dense_claim, EpisodeConfig(), OracleResponder(sufficiency="never"), dense_graph, None),
+            (claims[0]["claim"], EpisodeConfig(max_steps=3), to_web, graph, web),
+            (claims[1]["claim"], EpisodeConfig(), OracleResponder(specs=claims), empty, web),
+            (claims[2]["claim"], EpisodeConfig(max_steps=2), to_web, empty, web),
+        ]
+
+    def run(self, episode, responder):
+        claim, config, _, graph, web = episode
+        web = FixtureSearchProvider(data=web) if web is not None else None
+        return run_episode(claim, default_policy(), config, ScriptedBackend(responder=responder),
+                           FixtureKgBackend(data=graph), web)
+
+    def test_any_reply_field_of_any_type_ends_in_one_verdict(self):
+        episodes = self.episodes()
+        sends = [MutatingResponder(e[2]) for e in episodes]
+        for episode, responder in zip(episodes, sends):
+            self.run(episode, responder)
+        assert set().union(*(r.seen for r in sends)) >= set(REPLY_FIELDS)
+        for template_id, fields in REPLY_FIELDS.items():
+            for field in fields:
+                for value in ODD_VALUES:
+                    case = (template_id, field, value)
+                    for episode, clean in zip(episodes, sends):
+                        if template_id not in clean.seen:
+                            continue
+                        responder = MutatingResponder(episode[2], *case)
+                        result, trajectory = self.run(episode, responder)
+                        kinds = trajectory.action_kinds()
+                        assert kinds[0] == INIT_KG and kinds.count(INIT_KG) == 1, case
+                        assert kinds[-1] == VERDICT_ACTION, case
+                        assert kinds.count(VERDICT_ACTION) == 1, case
+                        assert result is trajectory.verdict, case
+                        assert result.label in ("Supported", "Refuted"), case
+                        assert len(trajectory.steps) <= episode[1].max_steps + 1, case
+                        back = trajectory_from_jsonable(json.loads(trajectory.to_json()))
+                        assert back.action_kinds() == kinds, case
 
 
 class TestTrajectory:

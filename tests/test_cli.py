@@ -9,6 +9,7 @@ import requests
 from claimcheck import cli
 from claimcheck.agent import EpisodeConfig, EpisodeRunner, write_trajectories
 from claimcheck.cli import build_parser, main
+from claimcheck.config import load_config
 from claimcheck.errors import InsufficientData
 from claimcheck.evaluation import load_dataset, run_benchmark
 from claimcheck.kg import FixtureKgBackend
@@ -106,6 +107,10 @@ BAD_INPUTS = {
     "non-integer seed": lambda tmp: ["--config", write_text(tmp, '{"seed": "x"}')],
     "boolean episode key": lambda tmp: [
         "--config", write_text(tmp, '{"episode": {"k": true}}')],
+    # int() would truncate either to a whole number
+    "fractional episode key": lambda tmp: [
+        "--config", write_text(tmp, '{"episode": {"k": 4.9}}')],
+    "fractional seed": lambda tmp: ["--config", write_text(tmp, '{"seed": 2.5}')],
     # a path of 5 would read the graph from file descriptor 5
     "kg path not a string": lambda tmp: ["--config", write_text(tmp, '{"kg": 5}')],
     "web path not a string": lambda tmp: ["--config", write_text(tmp, '{"web": ["w.json"]}')],
@@ -165,6 +170,8 @@ class TestBadInput:
 
     @pytest.mark.parametrize("case, message", [
         ("boolean episode key", "k must be an integer, got True"),
+        ("fractional episode key", "k must be an integer, got 4.9"),
+        ("fractional seed", "seed must be an integer, got 2.5"),
         ("kg path not a string", "kg must be a string, got 5"),
         ("web path not a string", "web must be a string, got ['w.json']"),
     ])
@@ -182,6 +189,10 @@ class TestBadInput:
         code = main(["check", claims[0]["claim"], "--kg", kg_path, "--llm-script", script,
                      "--config", config])
         assert code == 0 and capsys.readouterr().err == ""
+
+    def test_config_integer_may_be_a_whole_float(self, tmp_path):
+        config = load_config(write_text(tmp_path, '{"episode": {"k": 3.0}, "seed": 7.0}'))
+        assert (config.episode.k, config.seed) == (3, 7) and type(config.seed) is int
 
     def test_malformed_kg_cache_exits_2_with_one_error_line(self, workspace, capsys, monkeypatch):
         tmp_path, kg_path, claims = workspace

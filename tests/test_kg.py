@@ -14,14 +14,14 @@ from claimcheck.errors import (
     AllMentionsUnlinkable,
     BudgetExhausted,
     EmptyClaim,
+    ParseFailure,
     QueryTimeout,
     TransportError,
 )
-from claimcheck.graph import EntityId, RelationId
+from claimcheck.graph import EntityId, KnowledgeSubgraph, RelationId
 from claimcheck.kg import (
     EntityMention,
     RelationCandidate,
-    RetrievalBudget,
     WikidataBackend,
     expand_entity,
     expand_kg,
@@ -40,7 +40,6 @@ from conftest import (
     SlowKg,
     SlowLlm,
     StubResponse,
-    YieldingInt,
     build_corpus,
     build_dense_graph,
     hammer,
@@ -51,6 +50,13 @@ from claimcheck.kg import FixtureKgBackend
 def oracle_gateway(responder=None, **kwargs):
     backend = ScriptedBackend(responder=responder or OracleResponder(**kwargs))
     return LlmGateway(backend, default_policy())
+
+
+def retrieve(claim, gateway, backend, **config):
+    """The subgraph ``init_kg_retrieval`` fills under ``EpisodeConfig(**config)``."""
+    subgraph = KnowledgeSubgraph()
+    init_kg_retrieval(claim, subgraph, EpisodeConfig(**config), gateway, backend)
+    return subgraph
 
 
 class TestMentions:
@@ -148,9 +154,23 @@ class TestFetchRelations:
         assert fetch_relations(EntityId("Q3139"), "outgoing", small_graph_backend) == []
 
     def test_expansion_charges_one_query_for_both_directions(self, small_graph_backend):
-        budget = RetrievalBudget(k=4, n_hops=4)
-        expand_entity(EntityId("Q76"), small_graph_backend, budget)
-        assert budget.sparql_queries_used == 1
+        fetches = []
+
+        class Counting:
+            search_entities = small_graph_backend.search_entities
+
+            def relations_of(self, entity_id, direction, limit=kg.RELATION_FETCH_LIMIT):
+                fetches.append((entity_id, direction))
+                return small_graph_backend.relations_of(entity_id, direction, limit)
+
+        _, trajectory = run_episode(
+            "Barack Obama was born in Kenya.", default_policy(), EpisodeConfig(max_steps=1),
+            ScriptedBackend(responder=OracleResponder()), Counting(),
+        )
+        assert sorted(fetches) == [
+            (e, d) for e in ("Q114", "Q76") for d in ("incoming", "outgoing")
+        ]
+        assert trajectory.counters["sparql_queries"] == 2
 
     def test_directional_fetches_overlap(self, small_graph_backend):
         # serial fetches would break the barrier after its timeout
@@ -163,34 +183,12 @@ class TestFetchRelations:
                     time.sleep(0.01)  # the outgoing fetch finishes last
                 return small_graph_backend.relations_of(entity_id, direction, limit)
 
-        budget = RetrievalBudget()
-        candidates = expand_entity(EntityId("Q30"), Meeting(), budget)
+        candidates = expand_entity(EntityId("Q30"), Meeting())
         assert [(c.direction, c.relation.id) for c in candidates] == [("incoming", "P27")]
-        candidates = expand_entity(EntityId("Q76"), Meeting(), budget)
+        candidates = expand_entity(EntityId("Q76"), Meeting())
         assert [(c.direction, c.relation.id) for c in candidates] == [
             ("outgoing", "P19"), ("outgoing", "P27")
         ]
-        assert budget.sparql_queries_used == 2
-
-    def test_concurrent_charges(self):
-        budget = RetrievalBudget(k=4, n_hops=4)
-        budget.sparql_queries_used = YieldingInt(0)
-
-        def charge():
-            try:
-                budget.charge_expansion()
-            except BudgetExhausted:
-                return False
-            return True
-
-        charged = hammer(charge, n_threads=8, calls_per_thread=4)
-        assert charged.count(True) == budget.sparql_queries_used == 16
-
-    def test_expansion_budget_cap(self, small_graph_backend):
-        budget = RetrievalBudget(k=1, n_hops=1)
-        expand_entity(EntityId("Q76"), small_graph_backend, budget)
-        with pytest.raises(BudgetExhausted):
-            expand_entity(EntityId("Q114"), small_graph_backend, budget)
 
 
 def prune_oracle(candidates, scores, k):
@@ -239,6 +237,12 @@ class TestPrune:
         pruned = prune_relations("c", candidates, 1, self.score_gateway([1, 5, 2]))
         assert [c.relation.id for c in pruned] == ["P1"]
 
+    @pytest.mark.parametrize("score", ["high", None, [1], {}])
+    def test_score_that_is_no_number_is_a_parse_failure(self, score):
+        with pytest.raises(ParseFailure):
+            prune_relations("c", make_candidates([("P1", "Q1"), ("P2", "Q1")]), 1,
+                            self.score_gateway([1, score]))
+
     def test_exactly_one_llm_call(self):
         gateway = self.score_gateway([1, 2])
         prune_relations("c", make_candidates([("P1", "Q1"), ("P2", "Q1")]), 2, gateway)
@@ -263,10 +267,8 @@ class TestPrune:
 
 class TestRetrieval:
     def test_init_bounds(self, small_graph_backend):
-        budget = RetrievalBudget(k=4, n_hops=4)
-        gw = oracle_gateway()
-        subgraph = init_kg_retrieval(
-            "Barack Obama was born in Kenya.", 1, budget, gw, small_graph_backend
+        subgraph = retrieve(
+            "Barack Obama was born in Kenya.", oracle_gateway(), small_graph_backend
         )
         assert max(subgraph.hop_of.values()) <= 1
         assert subgraph.hop_of["Q76"] == 0 and subgraph.hop_of["Q114"] == 0
@@ -274,15 +276,12 @@ class TestRetrieval:
         assert ("Q76", "P19", "Q18094") in subgraph.triplets
 
     def test_unlinkable_claim_yields_empty_observation(self, small_graph_backend):
-        budget = RetrievalBudget()
-        subgraph = init_kg_retrieval(
-            "Zzqx Wobble said so.", 1, budget, oracle_gateway(), small_graph_backend
-        )
+        subgraph = retrieve("Zzqx Wobble said so.", oracle_gateway(), small_graph_backend)
         assert not subgraph.triplets and not subgraph.annotations
 
     def test_empty_claim(self, small_graph_backend):
         with pytest.raises(EmptyClaim):
-            init_kg_retrieval("", 1, RetrievalBudget(), oracle_gateway(), small_graph_backend)
+            retrieve("", oracle_gateway(), small_graph_backend)
 
     def test_chain_reached_at_hop_4(self):
         # chain of length 5: brute-force shortest path from head to tail is 4
@@ -293,10 +292,7 @@ class TestRetrieval:
             "links": {"Chain0 Node": "C0"},
         }
         backend = FixtureKgBackend(data=chain)
-        budget = RetrievalBudget(k=4, n_hops=4)
-        subgraph = init_kg_retrieval(
-            "Chain0 Node starts it.", 4, budget, oracle_gateway(), backend
-        )
+        subgraph = retrieve("Chain0 Node starts it.", oracle_gateway(), backend, n_init=4)
         assert subgraph.hop_of["C4"] == 4
         assert subgraph.hops_done == 4
 
@@ -304,44 +300,59 @@ class TestRetrieval:
         graph, claims = build_corpus(4, depth=2)
         backend = FixtureKgBackend(data=graph)
         gw = oracle_gateway(specs=claims)
-        budget = RetrievalBudget(k=4, n_hops=4)
         claim = claims[0]["claim"]
-        subgraph = init_kg_retrieval(claim, 1, budget, gw, backend)
+        subgraph = retrieve(claim, gw, backend)
         before = set(subgraph.triplets)
         assert max(subgraph.hop_of.values()) == 1
-        expand_kg(claim, subgraph, budget, gw, backend)
+        expand_kg(claim, subgraph, EpisodeConfig(), gw, backend)
         assert before <= set(subgraph.triplets)
         assert max(subgraph.hop_of.values()) == 2
 
     def test_expand_fixed_point_when_all_visited(self, small_graph_backend):
-        budget = RetrievalBudget(k=4, n_hops=4)
+        config = EpisodeConfig()
         gw = oracle_gateway()
         claim = "Barack Obama was born in Kenya."
-        subgraph = init_kg_retrieval(claim, 1, budget, gw, small_graph_backend)
+        subgraph = retrieve(claim, gw, small_graph_backend)
         for _ in range(3):
-            expand_kg(claim, subgraph, budget, gw, small_graph_backend)
-        snapshot = subgraph.to_json()
-        queries = budget.sparql_queries_used
-        expand_kg(claim, subgraph, budget, gw, small_graph_backend)
+            expand_kg(claim, subgraph, config, gw, small_graph_backend)
+        snapshot, expanded = subgraph.to_json(), set(subgraph.expanded)
+        expand_kg(claim, subgraph, config, gw, small_graph_backend)
         assert subgraph.to_json() == snapshot
-        assert budget.sparql_queries_used == queries
+        assert subgraph.expanded == expanded
 
     def test_expand_past_n_hops_errors(self, small_graph_backend):
-        budget = RetrievalBudget(k=2, n_hops=1)
+        config = EpisodeConfig(k=2, n_hops=1)
         gw = oracle_gateway()
         claim = "Barack Obama was born in Kenya."
-        subgraph = init_kg_retrieval(claim, 1, budget, gw, small_graph_backend)
+        subgraph = KnowledgeSubgraph()
+        init_kg_retrieval(claim, subgraph, config, gw, small_graph_backend)
         with pytest.raises(BudgetExhausted):
-            expand_kg(claim, subgraph, budget, gw, small_graph_backend)
+            expand_kg(claim, subgraph, config, gw, small_graph_backend)
+
+    def test_one_hop_expands_k_of_a_larger_frontier(self):
+        # six linked topics; each label shares two claim tokens, so ids break
+        # the priority tie
+        graph = {
+            "entities": [{"id": f"E{i}", "label": f"Name{i} Person"} for i in range(6)],
+            "relations": [{"id": "P1", "label": "knows"}],
+            "triples": [[f"E{i}", "P1", f"E{(i + 1) % 6}"] for i in range(6)],
+            "links": {f"Name{i} Person": f"E{i}" for i in range(6)},
+        }
+        claim = ", ".join(f"Name{i} Person" for i in range(5)) + " and Name5 Person met."
+        gw, backend = oracle_gateway(), FixtureKgBackend(data=graph)
+        subgraph = retrieve(claim, gw, backend, n_init=0)
+        assert len(subgraph.unexpanded()) == 6
+        expand_kg(claim, subgraph, EpisodeConfig(k=4), gw, backend)
+        assert subgraph.expanded == {"E0", "E1", "E2", "E3"}
+        assert subgraph.hops_done == 1
 
     def test_hop_values_respect_bfs_layers(self):
         graph, claims = build_corpus(4, depth=2)
         backend = FixtureKgBackend(data=graph)
         gw = oracle_gateway(specs=claims)
-        budget = RetrievalBudget(k=4, n_hops=4)
         claim = claims[1]["claim"]
-        subgraph = init_kg_retrieval(claim, 1, budget, gw, backend)
-        expand_kg(claim, subgraph, budget, gw, backend)
+        subgraph = retrieve(claim, gw, backend)
+        expand_kg(claim, subgraph, EpisodeConfig(), gw, backend)
         # brute-force BFS over the final triplet set
         adjacency = {}
         for s, _, o in subgraph.triplets:
@@ -368,9 +379,8 @@ class TestRetrieval:
         def run():
             backend = FixtureKgBackend(data=graph)
             gw = oracle_gateway(specs=claims)
-            budget = RetrievalBudget(k=4, n_hops=4)
-            subgraph = init_kg_retrieval(claim, 1, budget, gw, backend)
-            expand_kg(claim, subgraph, budget, gw, backend)
+            subgraph = retrieve(claim, gw, backend)
+            expand_kg(claim, subgraph, EpisodeConfig(), gw, backend)
             return subgraph.to_json()
 
         assert run() == run()
@@ -561,7 +571,7 @@ def dense_outputs(seed):
     """Subgraph, hop-prune prompts and trajectory of the dense claim."""
     llm, kg = SlowLlm(DENSE_ORACLE, seed), SlowKg(DENSE_GRAPH, seed)
     gateway = LlmGateway(llm, default_policy())
-    subgraph = init_kg_retrieval(DENSE_CLAIM, 4, RetrievalBudget(k=4, n_hops=4), gateway, kg)
+    subgraph = retrieve(DENSE_CLAIM, gateway, kg, n_init=4)
     hop_prompts = [p for p in llm.prompts if p.startswith("Score each candidate")]
     _, trajectory = run_episode(
         DENSE_CLAIM, default_policy(), EpisodeConfig(),
@@ -594,9 +604,8 @@ class TestConcurrentHop:
 
     def test_failed_prune_propagates_first_error_after_every_task(self):
         # the second hop expands the four first children of the roots, by id
-        first = init_kg_retrieval(
-            DENSE_CLAIM, 1, RetrievalBudget(),
-            LlmGateway(SlowLlm(DENSE_ORACLE), default_policy()), SlowKg(DENSE_GRAPH),
+        first = retrieve(
+            DENSE_CLAIM, LlmGateway(SlowLlm(DENSE_ORACLE), default_policy()), SlowKg(DENSE_GRAPH)
         )
         hop2 = sorted(first.frontier)
         assert len(hop2) == 4
@@ -637,9 +646,7 @@ TWO_TOPICS = {
 
 def first_hop(claim, graph, k, responder=None):
     gateway = oracle_gateway(responder)
-    subgraph = init_kg_retrieval(
-        claim, 1, RetrievalBudget(k=k), gateway, FixtureKgBackend(data=graph)
-    )
+    subgraph = retrieve(claim, gateway, FixtureKgBackend(data=graph), k=k)
     return subgraph, gateway
 
 
@@ -767,13 +774,9 @@ class TestEntityPrune:
         ]
 
     def test_zero_relations_send_nothing_and_still_charge_the_expansion(self):
-        budget = RetrievalBudget(k=4)
         gateway = oracle_gateway()
-        subgraph = init_kg_retrieval(
-            "Zeta Two met.", 1, budget, gateway, FixtureKgBackend(data=MIXED_SIZES)
-        )
+        subgraph = retrieve("Zeta Two met.", gateway, FixtureKgBackend(data=MIXED_SIZES))
         assert sum(gateway.requests.values()) == 0
-        assert budget.sparql_queries_used == 1
         assert not subgraph.triplets and subgraph.expanded == {"Z"}
 
     def test_hop_prune_sees_unpruned_and_pruned_survivors_in_expansion_order(self):

@@ -19,7 +19,7 @@ from claimcheck.agent import (
     Evidence,
     run_episode,
 )
-from claimcheck.errors import AllItemsFailed, TransportError
+from claimcheck.errors import AllItemsFailed, ParseFailure, TransportError
 from claimcheck.evaluation import DatasetRecord, run_benchmark
 from claimcheck.graph import EntityId, KnowledgeSubgraph, RelationId, Triplet
 from claimcheck.kg import FixtureKgBackend
@@ -93,6 +93,16 @@ class TestQuery:
         assert q.text == "Paris country"
         assert gw.call_count == 1
         assert f"Evidence:\n{evidence.text}\n" in prompts[0]
+
+    @pytest.mark.parametrize("query", [None, "", "  ", 3, ["Paris"]])
+    def test_query_that_is_not_text_is_a_parse_failure(self, query):
+        subgraph = KnowledgeSubgraph()
+        subgraph.add_triplet(
+            Triplet(EntityId("Q1", "Paris"), RelationId("P17", "country"), EntityId("Q2", "France"))
+        )
+        gw = gateway(default=json.dumps({"query": query}))
+        with pytest.raises(ParseFailure):
+            formulate_query("Paris is in Spain.", Evidence.of(subgraph), gw)
 
 
 class TestSerperProvider:
@@ -328,6 +338,18 @@ class TestFilter:
         kept = filter_evidence("c", self.passages(1), gw)
         assert len(kept) == 1
         assert kept[0].stance == "neutral"
+
+    @pytest.mark.parametrize("judgments", [None, 3, "x", {}])
+    def test_judgments_not_a_list_is_a_parse_failure(self, judgments):
+        gw = gateway(default=json.dumps({"judgments": judgments}))
+        with pytest.raises(ParseFailure):
+            filter_evidence("c", self.passages(1), gw)
+
+    @pytest.mark.parametrize("stance", [None, 3, ["supports"], {}])
+    def test_stance_that_is_not_text_reads_neutral(self, stance):
+        judgments = [{"index": 0, "confidence": 0.8, "stance": stance}]
+        gw = gateway(default=json.dumps({"judgments": judgments}))
+        assert [e.stance for e in filter_evidence("c", self.passages(1), gw)] == ["neutral"]
 
 
 def make_evidence(text, url="https://e.example", confidence=0.8):
