@@ -138,7 +138,8 @@ class Trajectory:
 
 
 def _payload_jsonable(payload):
-    if payload is None or isinstance(payload, (str, int, float)):
+    # a dict payload is one a trajectory read back from JSON holds
+    if payload is None or isinstance(payload, (str, int, float, dict)):
         return payload
     if isinstance(payload, web_mod.WebQuery):
         return {"query": payload.text, "rationale": payload.rationale}

@@ -2,13 +2,15 @@
 
 Entity mentions are extracted heuristically from the claim, linked to graph
 nodes, and the subgraph grows by hop-wise expand-and-prune beam search: per hop
-at most ``k`` frontier entities are expanded (one graph query each), the
-relations of every expanded entity with at least ``k`` of them are pruned to
-``k`` by one LLM scoring call, and, when more than ``k`` relations survive those
-prunes, one more LLM call prunes the hop's union down to the top ``k``
-overall. An entity with fewer than ``k`` relations keeps them all, in fetch
-order, and a hop with at most ``k`` survivors keeps them all; neither sends a
-prune, since that call could drop none of them.
+at most ``k`` frontier entities are expanded (one graph query each). A fetched
+relation whose every triplet the subgraph already holds, such as the edge an
+entity was reached by seen from its other end, adds no fact and is dropped.
+Each expanded entity with at least ``k`` relations that add a fact has them
+pruned to ``k`` by one LLM scoring call, and, when more than ``k`` relations
+survive those prunes, one more LLM call prunes the hop's union down to the top
+``k`` overall. An entity with fewer than ``k`` relations that add a fact keeps
+them all, in fetch order, and a hop with at most ``k`` survivors keeps them
+all; neither sends a prune, since that call could drop none of them.
 
 A hop's ``k`` expand-and-prune pairs do not depend on each other and run
 concurrently (see ``fanout``), and so do each expansion's outgoing and
@@ -446,13 +448,23 @@ def select_objects(candidate, claim):
     return sorted(candidate.sample_objects, key=lambda e: (-overlap(e), e.id))
 
 
+def _triplet_key(candidate, neighbor):
+    """The key of the triplet ``expand_hop`` adds for ``candidate`` and one of
+    its neighbors; a plain tuple, as building a ``Triplet`` costs 30 times more."""
+    if candidate.direction == "outgoing":
+        return (candidate.anchor.id, candidate.relation.id, neighbor.id)
+    return (neighbor.id, candidate.relation.id, candidate.anchor.id)
+
+
 def expand_hop(subgraph, claim, k, gateway, backend):
     """One beam-search hop over the subgraph's unexpanded frontier entities.
 
-    Expands at most k of them (claim-overlap preferred) and prunes the
-    relations of each one that has at least k, concurrently; one with fewer
-    keeps them all without a call, in fetch order (outgoing, then incoming,
-    each by relation id). When more than k relations survive, one more prune,
+    Expands at most k of them (claim-overlap preferred) and drops each
+    fetched relation whose triplets are all in the subgraph already. Each
+    one with at least k relations that add a fact has them pruned,
+    concurrently; one with fewer than k relations that add a fact keeps them
+    all without a call, in fetch order (outgoing, then incoming, each by
+    relation id). When more than k relations survive, one more prune,
     which sees them in expansion order, keeps the top k; otherwise every
     survivor is kept without a call, in expansion order and then each
     entity's own order. Appends the retained triplets. Each entity joins
@@ -468,7 +480,12 @@ def expand_hop(subgraph, claim, k, gateway, backend):
 
     def expand_and_prune(entity_id):
         entity = EntityId(entity_id, subgraph.label_of(entity_id))
-        candidates = expand_entity(entity, backend)
+        # the subgraph is written only after the hop, so this read is stable;
+        # the edge the entity was reached by, seen from this end, adds nothing
+        candidates = [
+            c for c in expand_entity(entity, backend)
+            if any(_triplet_key(c, o) not in subgraph.triplets for o in c.sample_objects)
+        ]
         # a prune of fewer than k candidates would keep every one of them
         if len(candidates) < k:
             return candidates

@@ -360,8 +360,9 @@ def to_triplets(evidence, claim, gateway, kg_backend=None) -> list:
     """One structured extraction per distinct passage text, the texts run
     concurrently, then one concurrent linking round over the distinct subject
     and object surfaces. Triplets come out in evidence order, each with its
-    own item's provenance and confidence. Items whose extraction fails are
-    skipped, and only a total wipe-out is an error."""
+    own item's provenance and confidence. Items whose extraction fails, or
+    whose reply has a subject, relation or object that is not nonempty text,
+    are skipped, and only a total wipe-out is an error."""
     if not evidence:
         raise ValueError("to_triplets requires nonempty evidence")
 
@@ -373,7 +374,8 @@ def to_triplets(evidence, claim, gateway, kg_backend=None) -> list:
             )
         except ParseFailure:
             return None
-        return str(payload["subject"]), str(payload["relation"]), str(payload["object"])
+        fields = tuple(string_field(payload, key) for key in ("subject", "relation", "object"))
+        return fields if all(f.strip() for f in fields) else None
 
     def link(surface):
         hits = search_entities(surface, kg_backend) if kg_backend is not None else ()

@@ -487,15 +487,20 @@ class TestEpisode:
 
 
 DEPTH2_GRAPH, DEPTH2_CLAIMS = build_corpus(6, depth=2)
-# the depth-2 corpus with three more relations from each person to its group:
-# both entities the episode expands then have at least k=4 relations, so each
-# one's relations go through a prune
+# the depth-2 corpus with three more relations from each person to its group
+# and three from each group to entities of its own: both entities the episode
+# expands then have at least k=4 relations that add a fact (the group's four
+# back edges to its person add none), so each one's relations go through a prune
+_GROUPS = [o for _, p, o in DEPTH2_GRAPH["triples"] if p == "R0"]
 PRUNED_GRAPH = dict(
     DEPTH2_GRAPH,
+    entities=DEPTH2_GRAPH["entities"] + [
+        {"id": f"T{j}{m}", "label": f"Tie{j} Delta"} for m in _GROUPS for j in (2, 3, 4)
+    ],
     relations=DEPTH2_GRAPH["relations"] + [{"id": f"R{j}", "label": f"tie {j}"} for j in (2, 3, 4)],
     triples=DEPTH2_GRAPH["triples"] + [
         [s, f"R{j}", o] for s, p, o in DEPTH2_GRAPH["triples"] if p == "R0" for j in (2, 3, 4)
-    ],
+    ] + [[m, f"R{j}", f"T{j}{m}"] for m in _GROUPS for j in (2, 3, 4)],
 )
 
 
@@ -578,8 +583,9 @@ class TestVerdictRequests:
 
 class TestTransportErrors:
     # the depth-2 episode over PRUNED_GRAPH, whose two expanded entities each
-    # have at least k relations; its calls, one at a time: 1 the initial
-    # prune, 2 sufficiency, 3 the expansion's prune, 4 sufficiency, 5 verdict
+    # have at least k relations that add a fact; its calls, one at a time: 1
+    # the initial prune, 2 sufficiency, 3 the expansion's prune, 4
+    # sufficiency, 5 verdict
     # (each hop keeps at most k relations, so neither sends a hop prune); a
     # failed verdict request takes the fallback verdict, any other failed call
     # a forced verdict request

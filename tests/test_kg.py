@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 import time
+import zlib
 
 import pytest
 
@@ -719,14 +720,15 @@ class TestHopPrune:
 # -- the per-entity prune runs only over at least k relations -------------------
 
 # Alpha One has one relation, Beta Two four and Delta, Beta Two's second, four
-# more of its own; Zeta Two has none
+# more of its own; Epsilon, Beta Two's third, has one of its own and Zeta Two
+# none
 MIXED_SIZES = {
     "entities": [
         {"id": "A", "label": "Alpha One"}, {"id": "B", "label": "Beta Two"},
         {"id": "C", "label": "Gamma"}, {"id": "D", "label": "Delta"},
         {"id": "E", "label": "Epsilon"}, {"id": "F", "label": "Eta"},
         {"id": "G", "label": "Theta"}, {"id": "Z", "label": "Zeta Two"},
-    ] + [{"id": f"L{j}", "label": f"Leaf{j}"} for j in range(1, 5)],
+    ] + [{"id": f"L{j}", "label": f"Leaf{j}"} for j in range(1, 6)],
     "relations": [
         {"id": "P1", "label": "knows"}, {"id": "P2", "label": "owns"},
         {"id": "P3", "label": "funds"}, {"id": "P4", "label": "runs"},
@@ -734,7 +736,7 @@ MIXED_SIZES = {
     "triples": [
         ["C", "P1", "A"],
         ["B", "P1", "G"], ["B", "P2", "D"], ["B", "P3", "E"], ["B", "P4", "F"],
-    ] + [["D", f"P{j}", f"L{j}"] for j in range(1, 5)],
+    ] + [["D", f"P{j}", f"L{j}"] for j in range(1, 5)] + [["E", "P1", "L5"]],
     "links": {"Alpha One": "A", "Beta Two": "B", "Zeta Two": "Z"},
 }
 
@@ -808,8 +810,9 @@ class TestEntityPrune:
 
         oracle = OracleResponder(sufficiency="never")
         reference = outputs(SlowLlm(oracle), FixtureKgBackend(data=MIXED_SIZES))
-        # hop 1 prunes Beta Two alone, hop 2 Delta alone: each hop mixes
-        # entities with and without a prune
+        # hop 1 prunes Beta Two alone, hop 2 Delta alone (Epsilon's one new
+        # relation joins the hop prune unpruned): each hop mixes entities with
+        # and without a prune
         prompts = reference[1]
         assert sum(p.startswith("Score each relation of entity") for p in prompts) == 2
         assert sum(p.startswith("Score each candidate") for p in prompts) == 2
@@ -834,6 +837,31 @@ def episode_requests(monkeypatch, claim, graph, responder):
 DEPTH1_GRAPH, DEPTH1_CLAIMS = build_corpus(2, depth=1)
 DEPTH2_GRAPH, DEPTH2_CLAIMS = build_corpus(2, depth=2)
 
+# person -member of-> group -works for-> org, with a city and a college beside
+# each: hop 2 expands the group and the person's city and college
+CHAIN_GRAPH = {
+    "entities": [
+        {"id": "A", "label": "Alpha One"}, {"id": "G", "label": "Gamma Union"},
+        {"id": "O", "label": "Omega Corp"}, {"id": "X", "label": "Xi Corp"},
+        {"id": "C1", "label": "Cedar City"}, {"id": "K1", "label": "Kappa College"},
+        {"id": "C2", "label": "Birch City"}, {"id": "K2", "label": "Lambda College"},
+    ],
+    "relations": [
+        {"id": "P1", "label": "member of"}, {"id": "P2", "label": "works for"},
+        {"id": "P7", "label": "born in"}, {"id": "P8", "label": "alumnus of"},
+    ],
+    "triples": [
+        ["A", "P1", "G"], ["A", "P7", "C1"], ["A", "P8", "K1"],
+        ["G", "P2", "O"], ["G", "P7", "C2"], ["G", "P8", "K2"],
+    ],
+    "links": {"Alpha One": "A"},
+}
+CHAIN_CLAIMS = [{
+    "id": "c1", "claim": "Alpha One works for Omega Corp.", "gold_label": "Supported",
+    "support": "Gamma Union | works for | Omega Corp",
+    "refute": "Gamma Union | works for | Xi Corp",
+}]
+
 
 class TestEpisodeRequests:
     """Pins every serial LLM request of the reference episodes, so a new one shows."""
@@ -850,9 +878,170 @@ class TestEpisodeRequests:
         # neither the person nor its group has k relations to prune
         assert requests == {"sufficiency": 2, "verdict": 1}
 
+    def test_hop2_chain(self, monkeypatch):
+        # hop 2 fetches each entity's edge back to the person, which adds no
+        # fact: the group keeps its three new relations without a prune, the
+        # city and college have none, and three survivors need no hop prune
+        requests = episode_requests(monkeypatch, CHAIN_CLAIMS[0]["claim"], CHAIN_GRAPH,
+                                    OracleResponder(specs=CHAIN_CLAIMS))
+        assert requests == {"sufficiency": 2, "verdict": 1}
+
     def test_dense(self, monkeypatch):
         # four hops of four expansions, each hop's 16 survivors cut to k=4
         requests = episode_requests(monkeypatch, DENSE_CLAIM, DENSE_GRAPH, DENSE_ORACLE)
         assert requests == {
             "expansion_prune": 16, "relation_prune": 4, "sufficiency": 3, "verdict": 1,
         }
+
+
+# -- a relation that adds no fact is dropped before any prune -------------------
+
+# Alpha One knows Beta and owns Xi; Gamma knows Beta too, and Beta funds Upsilon
+KNOWN_AND_NEW = {
+    "entities": [
+        {"id": "A", "label": "Alpha One"}, {"id": "B", "label": "Beta"},
+        {"id": "C", "label": "Gamma"}, {"id": "X", "label": "Xi"},
+        {"id": "Y", "label": "Upsilon"},
+    ],
+    "relations": [
+        {"id": "P1", "label": "knows"}, {"id": "P2", "label": "owns"},
+        {"id": "P3", "label": "funds"},
+    ],
+    "triples": [["A", "P1", "B"], ["A", "P2", "X"], ["C", "P1", "B"], ["B", "P3", "Y"]],
+    "links": {"Alpha One": "A"},
+}
+
+# Alpha One knows Beta, which has three relations of its own
+BACK_EDGE = {
+    "entities": [{"id": e, "label": label} for e, label in (
+        ("A", "Alpha One"), ("B", "Beta"), ("C", "Gamma"), ("D", "Delta"), ("E", "Epsilon"),
+    )],
+    "relations": [{"id": f"P{j}", "label": f"rel {j}"} for j in range(1, 5)],
+    "triples": [["A", "P1", "B"], ["B", "P2", "C"], ["B", "P3", "D"], ["B", "P4", "E"]],
+    "links": {"Alpha One": "A"},
+}
+
+
+def back_edge_first(text):
+    """Prune scores that rank incoming candidates, such as a back edge, first."""
+    return json.dumps({"scores": [
+        1.0 if "(incoming)" in line else 0.5 for line in candidate_lines(text)
+    ]})
+
+
+def hashed_scores(text):
+    """Prune scores from a hash of each candidate line; the oracle's other
+    replies, never sufficient."""
+    if text.startswith("Score each"):
+        return json.dumps({"scores": [
+            zlib.crc32(line.encode("utf-8")) % 5 for line in candidate_lines(text)
+        ]})
+    return DENSE_ORACLE(text)
+
+
+def random_graph(rng):
+    """(graph, claim): a few entities joined by random edges, one or two linked."""
+    n = rng.randint(3, 10)
+    entities = [{"id": f"N{i}", "label": f"Node{i} Alpha"} for i in range(n)]
+    triples = []
+    for _ in range(rng.randint(2, 4 * n)):
+        s, o = rng.sample(range(n), 2)
+        triples.append([f"N{s}", f"P{rng.randint(1, 3)}", f"N{o}"])
+    linked = rng.sample(entities, rng.randint(1, 2))
+    graph = {
+        "entities": entities,
+        "relations": [{"id": f"P{j}", "label": f"rel {j}"} for j in range(1, 4)],
+        "triples": triples,
+        "links": {e["label"]: e["id"] for e in linked},
+    }
+    return graph, " and ".join(e["label"] for e in linked) + " met."
+
+
+class TestNoOpRelations:
+    def test_candidate_with_a_known_and_a_new_neighbor_is_kept_and_listed(self):
+        # hop 2: Beta's incoming 'knows' holds Alpha One (known) and Gamma
+        # (new), so Beta has k=2 relations that add a fact; Xi has none
+        prompts = []
+        oracle = OracleResponder()
+
+        def responder(text):
+            prompts.append(text)
+            return oracle(text)
+
+        gateway = oracle_gateway(responder)
+        subgraph = retrieve("Alpha One met.", gateway, FixtureKgBackend(data=KNOWN_AND_NEW),
+                            k=2, n_init=2)
+        beta = [p for p in prompts if p.startswith("Score each relation of entity Beta ")]
+        assert len(beta) == 1 and candidate_lines(beta[0]) == [
+            "Beta --[funds (outgoing)]--> Upsilon",
+            "Beta --[knows (incoming)]--> Alpha One, Gamma",
+        ]
+        assert gateway.requests[EXPANSION_PRUNE] == 2 and gateway.requests[RELATION_PRUNE] == 0
+        assert ("C", "P1", "B") in subgraph.triplets and subgraph.hop_of["C"] == 2
+
+    def test_kept_relations_each_add_a_fact_when_the_back_edge_ranks_first(self):
+        gateway = oracle_gateway(back_edge_first)
+        subgraph = retrieve("Alpha One met.", gateway, FixtureKgBackend(data=BACK_EDGE),
+                            k=2, n_init=2)
+        assert gateway.requests[EXPANSION_PRUNE] == 1 and gateway.requests[RELATION_PRUNE] == 0
+        # hop 2 keeps k=2 of Beta's relations, each a new fact
+        assert list(subgraph.triplets) == [("A", "P1", "B"), ("B", "P2", "C"), ("B", "P3", "D")]
+
+    def instrument(self, monkeypatch):
+        """Wraps the hop, its prunes and its kept relations; returns the list
+        of prunes sent, and of law breaks found, as the episodes run."""
+        hop, prune, select = kg.expand_hop, kg.prune_relations, kg.select_objects
+        before = {}
+        pruned, problems = [], []
+
+        def new_keys(cand):
+            return [
+                key for key in (
+                    (cand.anchor.id, cand.relation.id, o.id) if cand.direction == "outgoing"
+                    else (o.id, cand.relation.id, cand.anchor.id)
+                    for o in cand.sample_objects
+                ) if key not in before["keys"]
+            ]
+
+        def wrapped_hop(subgraph, *args):
+            before["keys"] = set(subgraph.triplets)
+            return hop(subgraph, *args)
+
+        def wrapped_prune(claim, candidates, *args, **kwargs):
+            pruned.append(len(candidates))
+            problems.extend(("listed", c) for c in candidates if not new_keys(c))
+            return prune(claim, candidates, *args, **kwargs)
+
+        def wrapped_select(cand, claim):
+            if not new_keys(cand):
+                problems.append(("kept", cand))
+            return select(cand, claim)
+
+        monkeypatch.setattr(kg, "expand_hop", wrapped_hop)
+        monkeypatch.setattr(kg, "prune_relations", wrapped_prune)
+        monkeypatch.setattr(kg, "select_objects", wrapped_select)
+        return pruned, problems
+
+    def test_random_graphs_prune_and_keep_only_new_facts(self, monkeypatch):
+        pruned, problems = self.instrument(monkeypatch)
+        rng = random.Random(22)
+        for episode in range(200):
+            graph, claim = random_graph(rng)
+            config = EpisodeConfig(k=rng.randint(1, 5))
+            _, trajectory = run_episode(claim, default_policy(), config,
+                                        ScriptedBackend(responder=hashed_scores),
+                                        FixtureKgBackend(data=graph))
+            assert not problems, (episode, problems)
+            counters = trajectory.counters
+            assert counters["sparql_queries"] <= config.k * config.n_hops, episode
+            assert counters["core_llm_calls"] <= config.n_hops + config.k * config.n_hops + 1
+        assert len(pruned) > 100
+
+    def test_dense_worst_case_keeps_its_budget(self, monkeypatch):
+        pruned, problems = self.instrument(monkeypatch)
+        _, trajectory = run_episode(DENSE_CLAIM, default_policy(), EpisodeConfig(),
+                                    ScriptedBackend(responder=DENSE_ORACLE),
+                                    FixtureKgBackend(data=DENSE_GRAPH))
+        assert not problems and len(pruned) == 20
+        assert trajectory.counters["sparql_queries"] == 16
+        assert trajectory.counters["core_llm_calls"] == 21

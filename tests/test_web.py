@@ -18,6 +18,7 @@ from claimcheck.agent import (
     EpisodeRunner,
     Evidence,
     run_episode,
+    trajectory_from_jsonable,
 )
 from claimcheck.errors import AllItemsFailed, ParseFailure, TransportError
 from claimcheck.evaluation import DatasetRecord, run_benchmark
@@ -393,6 +394,28 @@ class TestToTriplets:
         with pytest.raises(AllItemsFailed):
             to_triplets([make_evidence("one")], "c", gw)
 
+    @pytest.mark.parametrize("value", [None, "", " ", {}, [], 3], ids=repr)
+    @pytest.mark.parametrize("name", ["subject", "relation", "object"])
+    def test_field_that_is_not_text_skips_the_item(self, name, value):
+        good = {"subject": "A", "relation": "r", "object": "B"}
+
+        def responder(text):
+            if "Passage: one" in text:
+                return json.dumps(dict(good, **{name: value}))
+            return json.dumps(good)
+
+        gw = gateway(responder=responder)
+        out = to_triplets([make_evidence("one", url="u1"), make_evidence("two", url="u2")], "c", gw)
+        assert [wt.provenance for wt in out] == ["u2"]
+        assert gw.call_count == 2  # a well-formed reply is not repaired
+        with pytest.raises(AllItemsFailed):
+            to_triplets([make_evidence("one")], "c", gw)
+
+    def test_reply_of_no_text_fields_makes_no_triplet(self):
+        gw = gateway(default=json.dumps({"subject": None, "relation": {}, "object": 3}))
+        with pytest.raises(AllItemsFailed):
+            to_triplets([make_evidence("x")], "c", gw)
+
     def test_known_entity_reuses_kg_id(self, small_graph_backend):
         gw = gateway(
             default=json.dumps(
@@ -621,6 +644,18 @@ def web_corpus(n=4, per_claim=10):
 
 
 WEB_GRAPH, WEB_CLAIMS, WEB_RESULTS = web_corpus()
+
+
+def test_web_episode_trajectory_reads_back_as_written():
+    # the webSearch step's query payload is written out as the JSON object it was
+    _, trajectory = run_episode(
+        WEB_CLAIMS[0]["claim"], default_policy(), EpisodeConfig(),
+        ScriptedBackend(responder=OracleResponder(specs=WEB_CLAIMS)),
+        FixtureKgBackend(data=WEB_GRAPH), web_provider=FixtureSearchProvider(data=WEB_RESULTS),
+    )
+    assert WEB_SEARCH in trajectory.action_kinds()
+    text = trajectory.to_json()
+    assert trajectory_from_jsonable(json.loads(text)).to_json() == text
 
 
 def web_outputs(seed):
