@@ -13,11 +13,11 @@ observation's hint stays ``unknown``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import kg as kg_mod
 from . import web as web_mod
-from .errors import AllItemsFailed, EmptyClaim, ParseFailure, TransportError
+from .errors import EmptyClaim, ParseFailure, TransportError
 from .graph import KnowledgeSubgraph, passage_item_id
 from .llm import LlmGateway, LlmRequest, ResponseSchema
 from .policy import EXPANSION_PRUNE, FORCED_VERDICT, RELATION_PRUNE
@@ -76,7 +76,6 @@ class VerdictResult:
 class EpisodeConfig:
     k: int = 4
     n_hops: int = 4
-    n_init: int = 1
     max_steps: int = 6
     max_web_searches: int = 2
 
@@ -109,25 +108,11 @@ class Trajectory:
             "steps": [
                 {
                     "action": {"kind": a.kind, "payload": _payload_jsonable(a.payload)},
-                    "observation": {
-                        "kind": o.kind,
-                        "added_triplets": o.added_triplets,
-                        "added_annotations": o.added_annotations,
-                        "sufficiency_hint": o.sufficiency_hint,
-                        "added_item_ids": list(o.added_item_ids),
-                        "note": o.note,
-                    },
+                    "observation": asdict(o),
                 }
                 for a, o in self.steps
             ],
-            "verdict": None
-            if self.verdict is None
-            else {
-                "label": self.verdict.label,
-                "justification": self.verdict.justification,
-                "citations": list(self.verdict.citations),
-                "forced": self.verdict.forced,
-            },
+            "verdict": None if self.verdict is None else asdict(self.verdict),
             "counters": {k: self.counters[k] for k in sorted(self.counters)},
             "warnings": list(self.warnings),
             "forced_reason": self.forced_reason,
@@ -374,15 +359,26 @@ class EpisodeRunner:
         )
 
 
+def _observation_kind(action):
+    return "web_evidence" if action.kind == WEB_SEARCH else "subgraph_delta"
+
+
 def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=None):
     """Execute one full episode; returns (VerdictResult, Trajectory).
 
+    Each pass of the loop records the step in progress with its observation.
+    At the step limit it then forces the verdict. Otherwise it assesses the
+    evidence, unless the verdict is the only legal action, and runs the
+    action the reply asks for, coerced onto the legal ones.
+
     A TransportError, or a reply that stays unparseable or holds a field of
     the wrong type where no fallback exists (a prune, a web query, an
-    evidence filter), ends the episode in a forced verdict once
-    the claim is accepted: the step in progress is recorded with the error,
-    then one terminal verdict step follows. A failed verdict request takes
-    the deterministic fallback verdict, so no episode sends a second one."""
+    evidence filter), ends the episode in a forced verdict once the claim is
+    accepted. The step in progress carries the error note: a step not yet
+    recorded is recorded with it, and a recorded step whose assessment failed
+    keeps its observation and items. One terminal verdict step follows. A
+    failed verdict request takes the deterministic fallback verdict, so no
+    episode sends a second one."""
     if not claim or not claim.strip():
         raise EmptyClaim("claim is empty")
     gateway = LlmGateway(llm_backend, policy)
@@ -392,42 +388,19 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
     web_passages = []
     ranked = 0  # passages ranked so far, so that every passage id is new
     evidence = Evidence()  # listed by the latest observation
-    hint = UNKNOWN  # the latest observation's sufficiency hint
-    requested = None  # the action kind its reply asked for
-    legal = set()  # the action kinds the next step may take
-
-    def observe(subgraph, kind):
-        """Record the step in progress with its observation, then assess the
-        evidence unless the next step is the verdict in any case: the step
-        limit is reached, or the verdict is the only legal action."""
-        nonlocal evidence, hint, requested, legal
-        previous, evidence = evidence, Evidence.of(subgraph, web_passages)
-        added = sorted(evidence.ids - previous.ids)
-        observation = Observation(
-            kind=kind,
-            added_triplets=sum(1 for i in added if i.startswith("t:")),
-            added_annotations=sum(1 for i in added if i.startswith("a:")),
-            added_item_ids=added,
-        )
-        trajectory.steps.append((action, observation))
-        legal = legal_actions(config, subgraph, trajectory, has_web)
-        hint, requested = UNKNOWN, None
-        if len(trajectory.steps) >= config.max_steps or legal == {VERDICT_ACTION}:
-            return
-        hint, requested = assess_sufficiency(claim, evidence, gateway)
-        if hint == UNKNOWN:
-            hint = NEED_KG if EXPAND_KG in legal else NEED_WEB
-            requested = _HINT_ACTIONS[hint]
-            trajectory.warnings.append(f"sufficiency unparseable; falling back to {hint}")
-        observation.sufficiency_hint = hint
-
-    result = None
     action = Action(INIT_KG, claim)  # the step in progress
     try:
         kg_mod.init_kg_retrieval(claim, subgraph, config, gateway, kg_backend)
-        observe(subgraph, "subgraph_delta")
-
-        while result is None:
+        while True:
+            previous, evidence = evidence, Evidence.of(subgraph, web_passages)
+            added = sorted(evidence.ids - previous.ids)
+            observation = Observation(
+                kind=_observation_kind(action),
+                added_triplets=sum(1 for i in added if i.startswith("t:")),
+                added_annotations=sum(1 for i in added if i.startswith("a:")),
+                added_item_ids=added,
+            )
+            trajectory.steps.append((action, observation))
             if len(trajectory.steps) >= config.max_steps:
                 result = force_verdict(claim, evidence, gateway, trajectory)
                 trajectory.forced_reason = "step_limit"
@@ -435,46 +408,46 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
                     (Action(VERDICT_ACTION), Observation(kind="terminal", note="step limit"))
                 )
                 break
+            legal = legal_actions(config, subgraph, trajectory, has_web)
+            hint, requested = UNKNOWN, None
+            if legal != {VERDICT_ACTION}:
+                hint, requested = assess_sufficiency(claim, evidence, gateway)
+                if hint == UNKNOWN:
+                    hint = NEED_KG if EXPAND_KG in legal else NEED_WEB
+                    requested = _HINT_ACTIONS[hint]
+                    trajectory.warnings.append(f"sufficiency unparseable; falling back to {hint}")
+                observation.sufficiency_hint = hint
 
             action = select_action(requested, legal, hint, trajectory)
             if action.kind == VERDICT_ACTION:
                 result = verdict(claim, evidence, gateway, trajectory)
-                trajectory.steps.append(
-                    (action, Observation(kind="terminal", sufficiency_hint=hint))
-                )
-            elif action.kind == EXPAND_KG:
+                trajectory.steps.append((action, Observation(kind="terminal", sufficiency_hint=hint)))
+                break
+            if action.kind == EXPAND_KG:
                 kg_mod.expand_kg(claim, subgraph, config, gateway, kg_backend)
-                observe(subgraph, "subgraph_delta")
-            elif action.kind == WEB_SEARCH:
-                query = web_mod.formulate_query(claim, evidence, gateway)
-                action.payload = query
-                docs = web_mod.search(query, web_provider)
-                new_evidence = []
-                if docs:
-                    passages = web_mod.rank_passages(query, docs, first_index=ranked)
-                    ranked += len(passages)
-                    if passages:
-                        new_evidence = web_mod.filter_evidence(claim, passages, gateway)
-                if new_evidence:
-                    try:
-                        web_triplets = web_mod.to_triplets(
-                            new_evidence, claim, gateway, kg_backend
-                        )
-                    except (AllItemsFailed, TransportError):
-                        web_triplets = []
-                    subgraph = web_mod.integrate(subgraph, web_triplets, new_evidence)
-                    web_passages.extend(new_evidence)
-                observe(subgraph, "web_evidence")
+                continue
+            query = web_mod.formulate_query(claim, evidence, gateway)
+            action.payload = query
+            docs = web_mod.search(query, web_provider)
+            passages = web_mod.rank_passages(query, docs, first_index=ranked)
+            ranked += len(passages)
+            new_evidence = web_mod.filter_evidence(claim, passages, gateway)
+            try:
+                web_triplets = web_mod.to_triplets(new_evidence, claim, gateway, kg_backend)
+            except TransportError:
+                web_triplets = []
+            subgraph = web_mod.integrate(subgraph, web_triplets, new_evidence)
+            web_passages.extend(new_evidence)
     except (ParseFailure, TransportError) as exc:
         failure = "transport error" if isinstance(exc, TransportError) else "parse failure"
         note = f"{failure}: {exc}"
         if action.kind == VERDICT_ACTION:
             result = _fallback_verdict()  # the verdict request itself failed
         else:
-            if trajectory.steps and trajectory.steps[-1][0] is action:
-                trajectory.steps.pop()  # recorded, then its assessment failed
-            kind = "web_evidence" if action.kind == WEB_SEARCH else "subgraph_delta"
-            trajectory.steps.append((action, Observation(kind=kind, note=note)))
+            if not trajectory.steps or trajectory.steps[-1][0] is not action:
+                # the action failed before its observation was recorded
+                trajectory.steps.append((action, Observation(kind=_observation_kind(action))))
+            trajectory.steps[-1][1].note = note
             result = force_verdict(claim, evidence, gateway, trajectory)
         trajectory.forced_reason = failure.replace(" ", "_")
         trajectory.steps.append((Action(VERDICT_ACTION), Observation(kind="terminal", note=note)))

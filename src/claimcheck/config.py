@@ -56,8 +56,6 @@ class AppConfig:
             raise ConfigError(
                 f"k, n_hops and max_steps must be at least 1, got {e.k}, {e.n_hops}, {e.max_steps}"
             )
-        if not 0 <= e.n_init <= e.n_hops:
-            raise ConfigError(f"n_init must be between 0 and n_hops={e.n_hops}, got {e.n_init}")
         if e.max_web_searches < 0:
             raise ConfigError(f"max_web_searches must be at least 0, got {e.max_web_searches}")
         if self.parallel is not None and self.parallel < 1:

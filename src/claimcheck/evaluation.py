@@ -56,7 +56,6 @@ class DatasetRecord:
     id: str
     claim: str
     gold_label: str
-    source: str = ""
 
 
 @dataclass
@@ -66,7 +65,6 @@ class FieldMap:
     id_field: str = "id"
     claim_field: str = "claim"
     label_field: str = "label"
-    source: str = ""
     label_map: dict = field(default_factory=dict)  # raw (casefolded) -> Supported/Refuted/""
 
     @classmethod
@@ -75,7 +73,6 @@ class FieldMap:
             id_field=data.get("id_field", "id"),
             claim_field=data.get("claim_field", "claim"),
             label_field=data.get("label_field", "label"),
-            source=data.get("source", ""),
             label_map={k.casefold(): v for k, v in data.get("label_map", {}).items()},
         )
 
@@ -112,9 +109,7 @@ def load_dataset(path, field_map: FieldMap = None) -> DatasetLoadResult:
             if label == "":
                 dropped += 1
                 continue
-            records.append(
-                DatasetRecord(id=rec_id, claim=claim, gold_label=label, source=field_map.source)
-            )
+            records.append(DatasetRecord(id=rec_id, claim=claim, gold_label=label))
     records.sort(key=lambda r: r.id)
     return DatasetLoadResult(records=records, dropped=dropped)
 

@@ -70,7 +70,6 @@ class KnowledgeSubgraph:
 
     def __init__(self):
         self.triplets: dict = {}  # key -> Triplet, insertion-ordered
-        self.topic_entities: dict = {}  # id -> EntityId
         self.hop_of: dict = {}  # entity id -> int
         self.annotations: dict = {}  # entity id -> [str]
         self.labels: dict = {}  # entity id -> label
@@ -87,7 +86,6 @@ class KnowledgeSubgraph:
             self.labels[entity.id] = entity.label
 
     def add_topic_entity(self, entity: EntityId):
-        self.topic_entities[entity.id] = entity
         self.register_entity(entity, 0)
         self.hop_of[entity.id] = 0
         self.frontier.add(entity.id)
@@ -138,7 +136,6 @@ class KnowledgeSubgraph:
     def copy(self) -> "KnowledgeSubgraph":
         clone = KnowledgeSubgraph()
         clone.triplets = dict(self.triplets)
-        clone.topic_entities = dict(self.topic_entities)
         clone.hop_of = dict(self.hop_of)
         clone.annotations = {k: list(v) for k, v in self.annotations.items()}
         clone.labels = dict(self.labels)
@@ -161,7 +158,6 @@ class KnowledgeSubgraph:
                 }
                 for key, t in sorted(self.triplets.items())
             ],
-            "topic_entities": sorted(self.topic_entities),
             "hop_of": {k: self.hop_of[k] for k in sorted(self.hop_of)},
             "annotations": {k: list(self.annotations[k]) for k in sorted(self.annotations)},
             "labels": {k: self.labels[k] for k in sorted(self.labels)},

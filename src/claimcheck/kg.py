@@ -40,7 +40,7 @@ import os
 import random
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from urllib.parse import urlencode
 
 from .errors import (
@@ -67,7 +67,6 @@ _SCORES_SCHEMA = ResponseSchema(required=("scores",))
 class EntityMention:
     surface: str
     span: tuple  # (start, end) character offsets, end exclusive
-    candidate_ids: list = field(default_factory=list)
 
 
 @dataclass
@@ -355,7 +354,6 @@ def link_entities(mentions, backend) -> list:
         if not hits:
             continue
         top = hits[0]
-        mention.candidate_ids = [h.id for h in hits]
         if top.id not in seen:
             seen.add(top.id)
             linked.append(top)
@@ -514,9 +512,8 @@ def expand_hop(subgraph, claim, k, gateway, backend):
 
 
 def init_kg_retrieval(claim, subgraph, config, gateway, backend):
-    """extract -> link -> ``config.n_init`` expansion rounds into the empty
-    ``subgraph``; the episode's observation o0. ``config`` is an
-    ``agent.EpisodeConfig``.
+    """extract -> link -> one expansion round into the empty ``subgraph``; the
+    episode's observation o0. ``config`` is an ``agent.EpisodeConfig``.
 
     An empty claim raises EmptyClaim. An unlinkable claim leaves the subgraph
     empty (the agent's web-search fallback handles it) instead of an error."""
@@ -527,8 +524,7 @@ def init_kg_retrieval(claim, subgraph, config, gateway, backend):
         return
     for topic in topics:
         subgraph.add_topic_entity(topic)
-    for _ in range(config.n_init):
-        expand_kg(claim, subgraph, config, gateway, backend)
+    expand_kg(claim, subgraph, config, gateway, backend)
 
 
 def expand_kg(claim, subgraph, config, gateway, backend):

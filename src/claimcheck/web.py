@@ -6,6 +6,11 @@ the triplet extractions, one per distinct passage text, and then the entity
 searches that link the extracted surfaces, one per distinct surface. Outputs
 are gathered in input order, so results do not depend on timing.
 
+Every stage takes empty input: no documents, passages or evidence give no
+passages, evidence or triplets, and send no request. An episode's web step
+therefore runs search, rank, filter, extract and integrate straight through,
+whatever the search returns.
+
 KG-origin facts are anchors: fusion only ever adds web triplets or entity
 annotations, never removes or edits existing graph content.
 
@@ -24,7 +29,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import AllItemsFailed, ParseFailure, ProviderQuotaExceeded, TransportError
+from .errors import ParseFailure, ProviderQuotaExceeded, TransportError
 from .fanout import fan_out
 from .graph import (
     EntityId,
@@ -260,9 +265,8 @@ def rank_passages(query: WebQuery, documents, first_index=0) -> list:
     """Snippet-level passages scored by BM25 against the query; descending
     score, ties by (url, passage index). Passages are numbered from
     ``first_index``, so an episode that numbers each search on from the last
-    keeps its passage ids unique."""
-    if not documents:
-        raise ValueError("rank_passages requires a nonempty document list")
+    keeps its passage ids unique. No documents, or none with a snippet, give
+    no passages."""
     passages = []
     for doc in documents:
         text = " ".join(doc.snippet.split())[:MAX_PASSAGE_CHARS]
@@ -270,8 +274,6 @@ def rank_passages(query: WebQuery, documents, first_index=0) -> list:
             passages.append(
                 Passage(text=text, source_url=doc.url, index=first_index + len(passages))
             )
-    if not passages:
-        return []
     scores = bm25_scores(tokenize(query.text), [tokenize(p.text) for p in passages])
     for passage, score in zip(passages, scores):
         passage.bm25 = score
@@ -291,9 +293,9 @@ def filter_evidence(claim, passages, gateway):
     """One batched LLM call per <=8 passages, the batches run concurrently;
     keeps entries whose consistency confidence reaches ``CONSISTENCY_THRESHOLD``,
     in batch order and, within a batch, in the order of the reply's judgments.
-    Judgments that are not a list raise ParseFailure; an unknown stance is neutral."""
-    if not passages:
-        raise ValueError("filter_evidence requires a nonempty passage list")
+    Only the first judgment of a passage counts, so each passage is kept at
+    most once. Judgments that are not a list raise ParseFailure; an unknown
+    stance is neutral. No passages give no evidence and send no request."""
 
     def judge(batch):
         listing = "\n".join(f"{i}. {p.text}" for i, p in enumerate(batch))
@@ -307,15 +309,16 @@ def filter_evidence(claim, passages, gateway):
         judgments = payload["judgments"]
         if not isinstance(judgments, list):
             raise ParseFailure(f"judgments must be a list, got {judgments!r}")
-        kept = []
+        kept, judged = [], set()
         for row in judgments:
             try:
                 idx = int(row["index"])
                 confidence = float(row["confidence"])
             except (KeyError, TypeError, ValueError):
                 continue
-            if not 0 <= idx < len(batch):
+            if not 0 <= idx < len(batch) or idx in judged:
                 continue
+            judged.add(idx)
             if confidence < 0.0 or confidence > 1.0:
                 log.warning("clamping out-of-range consistency confidence %s", confidence)
                 confidence = min(1.0, max(0.0, confidence))
@@ -362,9 +365,7 @@ def to_triplets(evidence, claim, gateway, kg_backend=None) -> list:
     and object surfaces. Triplets come out in evidence order, each with its
     own item's provenance and confidence. Items whose extraction fails, or
     whose reply has a subject, relation or object that is not nonempty text,
-    are skipped, and only a total wipe-out is an error."""
-    if not evidence:
-        raise ValueError("to_triplets requires nonempty evidence")
+    are skipped, so no evidence, or none that extracts, gives no triplets."""
 
     def extract(text):
         try:
@@ -403,8 +404,6 @@ def to_triplets(evidence, claim, gateway, kg_backend=None) -> list:
                 confidence=item.consistency_confidence,
             )
         )
-    if not out:
-        raise AllItemsFailed("no evidence item produced a triplet")
     return out
 
 

@@ -34,6 +34,7 @@ from claimcheck.evaluation import DatasetRecord, run_benchmark
 from claimcheck.graph import KnowledgeSubgraph
 from claimcheck.kg import FixtureKgBackend
 from claimcheck.llm import LlmGateway, ScriptedBackend
+from claimcheck.optimize import compute_reward
 from claimcheck.policy import (
     EVIDENCE_FILTER,
     EXPANSION_PRUNE,
@@ -648,6 +649,29 @@ class TestTransportErrors:
         assert not any("dropped citation" in w for w in trajectory.warnings)
         assert result.label == DEPTH2_CLAIMS[0]["gold_label"]
 
+    def test_step_whose_assessment_failed_keeps_its_items(self):
+        # the second assessment, after the expansion, fails: the expandKG step
+        # keeps the triplet it added, so the forced verdict's citation of it
+        # resolves and the episode scores as the fault-free one does
+        oracle = OracleResponder(specs=DEPTH2_CLAIMS)
+        assessments = []
+
+        def responder(text):
+            if text.startswith("Assess whether the evidence"):
+                assessments.append(text)
+                if len(assessments) == 2:
+                    raise TransportError("sufficiency endpoint down")
+            return oracle(text)
+
+        result, trajectory, _ = depth2_episode(responder)
+        assert trajectory.action_kinds() == [INIT_KG, EXPAND_KG, VERDICT_ACTION]
+        expanded = trajectory.steps[1][1]
+        assert expanded.added_item_ids == ["t:M001|R1|O001"]
+        assert (expanded.added_triplets, expanded.sufficiency_hint) == (1, UNKNOWN)
+        assert expanded.note == "transport error: sufficiency endpoint down"
+        assert result.forced and result.citations == ["t:M001|R1|O001"]
+        assert compute_reward(trajectory, DEPTH2_CLAIMS[0]["gold_label"]).total == 1.25
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_unparseable_prune_ends_in_one_forced_verdict(self, n):
         # the n-th entity's prune gets a reply that stays unparseable
@@ -714,6 +738,9 @@ class TestFaultInjection:
         assert trajectory.counters["core_llm_calls"] <= 21, episode
         assert trajectory.counters["llm_calls"] == len(llm.prompts), episode
         assert trajectory.counters["core_llm_calls"] == core_requests(llm.prompts), episode
+        # a verdict cites only items some observation added, faults or not
+        added = {item for _, obs in trajectory.steps for item in obs.added_item_ids}
+        assert set(result.citations) <= added, episode
 
     def test_every_episode_ends_in_one_verdict_within_budget(self):
         rng = random.Random(11)

@@ -115,10 +115,7 @@ BAD_INPUTS = {
     "kg path not a string": lambda tmp: ["--config", write_text(tmp, '{"kg": 5}')],
     "web path not a string": lambda tmp: ["--config", write_text(tmp, '{"web": ["w.json"]}')],
     "max_steps 0": lambda tmp: ["--max-steps", "0"],
-    # neither hop the graph allows sends a prune, so the episode's own script
-    # has a reply for every call and only the bound can stop it
-    "n_init above n_hops": lambda tmp: [
-        "--config", write_text(tmp, '{"n_init": 2, "n_hops": 1}')],
+    "n_init is an unknown key": lambda tmp: ["--config", write_text(tmp, '{"n_init": 1}')],
     "negative web searches": lambda tmp: ["--max-web-searches", "-1"],
     "parallel 0 in config": lambda tmp: ["--config", write_text(tmp, '{"parallel": 0}')],
     "negative epochs in config": lambda tmp: ["--config", write_text(tmp, '{"epochs": -1}')],
@@ -222,7 +219,7 @@ class TestBadInput:
 
     def test_every_episode_field_can_be_set_under_episode(self, workspace):
         tmp_path, kg_path, claims = workspace
-        values = {"k": 3, "n_hops": 5, "n_init": 2, "max_steps": 7, "max_web_searches": 1}
+        values = {"k": 3, "n_hops": 5, "max_steps": 7, "max_web_searches": 1}
         assert values.keys() == {f.name for f in dataclasses.fields(EpisodeConfig)}
         assert all(value != getattr(EpisodeConfig(), name) for name, value in values.items())
         config = write_text(tmp_path, json.dumps({"episode": values}))

@@ -89,12 +89,11 @@ class TestLoading:
         rows = [{"claim_id": 7, "statement": "X", "verdict": "legit", "docs": ["d1"]}]
         fm = FieldMap(
             id_field="claim_id", claim_field="statement", label_field="verdict",
-            source="custom", label_map={"legit": SUPPORTED},
+            label_map={"legit": SUPPORTED},
         )
         result = load_dataset(self.write(tmp_path, rows), fm)
         rec = result.records[0]
         assert (rec.id, rec.claim, rec.gold_label) == ("7", "X", SUPPORTED)
-        assert rec.source == "custom"
 
     def test_bad_json_line_numbered(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -53,10 +53,13 @@ def oracle_gateway(responder=None, **kwargs):
     return LlmGateway(backend, default_policy())
 
 
-def retrieve(claim, gateway, backend, **config):
-    """The subgraph ``init_kg_retrieval`` fills under ``EpisodeConfig(**config)``."""
-    subgraph = KnowledgeSubgraph()
-    init_kg_retrieval(claim, subgraph, EpisodeConfig(**config), gateway, backend)
+def retrieve(claim, gateway, backend, hops=1, **config):
+    """The subgraph ``init_kg_retrieval`` fills under ``EpisodeConfig(**config)``,
+    grown by ``expand_kg`` to ``hops`` hops."""
+    subgraph, config = KnowledgeSubgraph(), EpisodeConfig(**config)
+    init_kg_retrieval(claim, subgraph, config, gateway, backend)
+    for _ in range(hops - 1):
+        expand_kg(claim, subgraph, config, gateway, backend)
     return subgraph
 
 
@@ -116,8 +119,7 @@ class TestLinking:
 
     def linked(self, backend):
         mentions = [EntityMention(surface, (0, 0)) for surface in self.SURFACES]
-        linked = link_entities(mentions, backend)
-        return [e.id for e in linked], [m.candidate_ids for m in mentions]
+        return [e.id for e in link_entities(mentions, backend)]
 
     def test_mention_searches_overlap(self, small_graph_backend):
         # serial searches would break the barrier after its timeout
@@ -128,9 +130,7 @@ class TestLinking:
                 barrier.wait()
                 return small_graph_backend.search_entities(text, limit)
 
-        assert self.linked(Meeting()) == (
-            ["Q114", "Q76", "Q18094"], [["Q114"], [], ["Q76"], ["Q114"], ["Q18094"]]
-        )
+        assert self.linked(Meeting()) == ["Q114", "Q76", "Q18094"]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_link_order_does_not_depend_on_latency(self, seed):
@@ -293,7 +293,7 @@ class TestRetrieval:
             "links": {"Chain0 Node": "C0"},
         }
         backend = FixtureKgBackend(data=chain)
-        subgraph = retrieve("Chain0 Node starts it.", oracle_gateway(), backend, n_init=4)
+        subgraph = retrieve("Chain0 Node starts it.", oracle_gateway(), backend, hops=4)
         assert subgraph.hop_of["C4"] == 4
         assert subgraph.hops_done == 4
 
@@ -341,9 +341,10 @@ class TestRetrieval:
         }
         claim = ", ".join(f"Name{i} Person" for i in range(5)) + " and Name5 Person met."
         gw, backend = oracle_gateway(), FixtureKgBackend(data=graph)
-        subgraph = retrieve(claim, gw, backend, n_init=0)
-        assert len(subgraph.unexpanded()) == 6
-        expand_kg(claim, subgraph, EpisodeConfig(k=4), gw, backend)
+        subgraph = retrieve(claim, gw, backend, k=4)
+        assert sorted(e for e, hop in subgraph.hop_of.items() if hop == 0) == [
+            f"E{i}" for i in range(6)
+        ]
         assert subgraph.expanded == {"E0", "E1", "E2", "E3"}
         assert subgraph.hops_done == 1
 
@@ -359,7 +360,7 @@ class TestRetrieval:
         for s, _, o in subgraph.triplets:
             adjacency.setdefault(s, set()).add(o)
             adjacency.setdefault(o, set()).add(s)
-        dist = {e: 0 for e in subgraph.topic_entities}
+        dist = {e.id: 0 for e in link_entities(extract_mentions(claim), backend)}
         frontier = list(dist)
         while frontier:
             nxt = []
@@ -572,7 +573,7 @@ def dense_outputs(seed):
     """Subgraph, hop-prune prompts and trajectory of the dense claim."""
     llm, kg = SlowLlm(DENSE_ORACLE, seed), SlowKg(DENSE_GRAPH, seed)
     gateway = LlmGateway(llm, default_policy())
-    subgraph = retrieve(DENSE_CLAIM, gateway, kg, n_init=4)
+    subgraph = retrieve(DENSE_CLAIM, gateway, kg, hops=4)
     hop_prompts = [p for p in llm.prompts if p.startswith("Score each candidate")]
     _, trajectory = run_episode(
         DENSE_CLAIM, default_policy(), EpisodeConfig(),
@@ -970,7 +971,7 @@ class TestNoOpRelations:
 
         gateway = oracle_gateway(responder)
         subgraph = retrieve("Alpha One met.", gateway, FixtureKgBackend(data=KNOWN_AND_NEW),
-                            k=2, n_init=2)
+                            k=2, hops=2)
         beta = [p for p in prompts if p.startswith("Score each relation of entity Beta ")]
         assert len(beta) == 1 and candidate_lines(beta[0]) == [
             "Beta --[funds (outgoing)]--> Upsilon",
@@ -982,7 +983,7 @@ class TestNoOpRelations:
     def test_kept_relations_each_add_a_fact_when_the_back_edge_ranks_first(self):
         gateway = oracle_gateway(back_edge_first)
         subgraph = retrieve("Alpha One met.", gateway, FixtureKgBackend(data=BACK_EDGE),
-                            k=2, n_init=2)
+                            k=2, hops=2)
         assert gateway.requests[EXPANSION_PRUNE] == 1 and gateway.requests[RELATION_PRUNE] == 0
         # hop 2 keeps k=2 of Beta's relations, each a new fact
         assert list(subgraph.triplets) == [("A", "P1", "B"), ("B", "P2", "C"), ("B", "P3", "D")]

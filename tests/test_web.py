@@ -20,7 +20,7 @@ from claimcheck.agent import (
     run_episode,
     trajectory_from_jsonable,
 )
-from claimcheck.errors import AllItemsFailed, ParseFailure, TransportError
+from claimcheck.errors import ParseFailure, TransportError
 from claimcheck.evaluation import DatasetRecord, run_benchmark
 from claimcheck.graph import EntityId, KnowledgeSubgraph, RelationId, Triplet
 from claimcheck.kg import FixtureKgBackend
@@ -254,9 +254,10 @@ class TestRanking:
         ranked = rank_passages(WebQuery(text="word"), [doc])
         assert len(ranked[0].text) <= 1200
 
-    def test_empty_documents_rejected(self):
-        with pytest.raises(ValueError):
-            rank_passages(WebQuery(text="q"), [])
+    def test_no_documents_or_snippets_give_no_passages(self):
+        blank = WebDocument(url="u", title="t", snippet=" ", provider_rank=1)
+        assert rank_passages(WebQuery(text="q"), []) == []
+        assert rank_passages(WebQuery(text="q"), [blank]) == []
 
     def test_first_index_numbers_passages_on(self):
         query = WebQuery(text="cat sat")
@@ -340,6 +341,29 @@ class TestFilter:
         assert len(kept) == 1
         assert kept[0].stance == "neutral"
 
+    def test_no_passages_send_no_request(self):
+        gw = gateway()
+        assert filter_evidence("c", [], gw) == []
+        assert gw.call_count == 0
+
+    def test_only_the_first_judgment_of_a_passage_counts(self):
+        # a second row for index 0 would list the passage twice in every prompt
+        judgments = [
+            {"index": 0, "confidence": 0.9, "stance": "supports"},
+            {"index": 0, "confidence": 0.8, "stance": "refutes"},
+            {"index": 1, "confidence": 0.2, "stance": "supports"},
+            {"index": 1, "confidence": 0.9, "stance": "supports"},
+        ]
+        gw = gateway(default=json.dumps({"judgments": judgments}))
+        passages = [
+            Passage(text=f"passage {i}", source_url="https://a", index=i) for i in range(2)
+        ]
+        kept = filter_evidence("c", passages, gw)
+        assert [(e.passage.index, e.stance) for e in kept] == [(0, "supports")]
+        evidence = Evidence.of(KnowledgeSubgraph(), kept)
+        assert evidence.ids == {"p:https://a#0"}
+        assert evidence.text.count("[p:https://a#0]") == 1
+
     @pytest.mark.parametrize("judgments", [None, 3, "x", {}])
     def test_judgments_not_a_list_is_a_parse_failure(self, judgments):
         gw = gateway(default=json.dumps({"judgments": judgments}))
@@ -389,10 +413,14 @@ class TestToTriplets:
         assert len(out) == 1
         assert gw.call_count == 4  # "one" fails its ask and both repairs
 
-    def test_all_failed_raises(self):
+    def test_all_failed_gives_no_triplets(self):
         gw = gateway(default="not json at all")
-        with pytest.raises(AllItemsFailed):
-            to_triplets([make_evidence("one")], "c", gw)
+        assert to_triplets([make_evidence("one")], "c", gw) == []
+
+    def test_no_evidence_sends_no_request(self):
+        gw = gateway()
+        assert to_triplets([], "c", gw) == []
+        assert gw.call_count == 0
 
     @pytest.mark.parametrize("value", [None, "", " ", {}, [], 3], ids=repr)
     @pytest.mark.parametrize("name", ["subject", "relation", "object"])
@@ -408,13 +436,11 @@ class TestToTriplets:
         out = to_triplets([make_evidence("one", url="u1"), make_evidence("two", url="u2")], "c", gw)
         assert [wt.provenance for wt in out] == ["u2"]
         assert gw.call_count == 2  # a well-formed reply is not repaired
-        with pytest.raises(AllItemsFailed):
-            to_triplets([make_evidence("one")], "c", gw)
+        assert to_triplets([make_evidence("one")], "c", gw) == []
 
     def test_reply_of_no_text_fields_makes_no_triplet(self):
         gw = gateway(default=json.dumps({"subject": None, "relation": {}, "object": 3}))
-        with pytest.raises(AllItemsFailed):
-            to_triplets([make_evidence("x")], "c", gw)
+        assert to_triplets([make_evidence("x")], "c", gw) == []
 
     def test_known_entity_reuses_kg_id(self, small_graph_backend):
         gw = gateway(
