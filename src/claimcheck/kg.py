@@ -37,9 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import random
 import re
-import time
 from dataclasses import dataclass
 from urllib.parse import urlencode
 
@@ -48,12 +46,11 @@ from .errors import (
     BudgetExhausted,
     EmptyClaim,
     ParseFailure,
-    QueryTimeout,
     TransportError,
 )
 from .fanout import fan_out
 from .graph import EntityId, RelationId, Triplet
-from .llm import LlmRequest, ReplyStore, ResponseSchema, memoized
+from .llm import LlmRequest, ReplyStore, ResponseSchema, live_json, memoized
 from .policy import EXPANSION_PRUNE, RELATION_PRUNE
 from .web import search_entities, string_field, tokenize
 
@@ -236,9 +233,10 @@ class WikidataBackend:
 
     def _get(self, url, params, parse):
         """``parse`` of the JSON-object reply to a GET: the first cached reply
-        that ``parse`` takes, else a request (a cache an older version wrote
-        can hold replies ``parse`` rejects). A reply is cached only once
-        ``parse`` has taken it; a reply it rejects raises and is not retried."""
+        that ``parse`` takes (a cache an older version wrote can hold replies
+        it rejects), else an ``llm.live_json`` request, which tries a failed
+        request once more. A reply is cached only once ``parse`` has taken it;
+        a reply it rejects raises and is neither retried nor cached."""
         request = f"{url}?{urlencode(params)}"
         key = hashlib.sha256(request.encode("utf-8")).hexdigest()
         # the store replays a key's entries in order, then holds the last:
@@ -255,34 +253,17 @@ class WikidataBackend:
                     return parse(payload)
             except (ValueError, TransportError):
                 pass  # a stale entry
-        last = None
-        for attempt in range(2):
-            if attempt:
-                time.sleep(0.5 + random.random() * 0.5)
-            try:
-                resp = self._requests.get(
-                    url, params=params, headers={"User-Agent": "claimcheck/0.1"}, timeout=10.0
-                )
-            except self._requests.Timeout as exc:
-                last = QueryTimeout(str(exc))
-            except self._requests.RequestException as exc:
-                last = TransportError(str(exc))
-            else:
-                if resp.status_code != 200:
-                    last = TransportError(f"status {resp.status_code} from {url}")
-                    continue
-                try:
-                    payload = resp.json()
-                except ValueError:  # an HTML error page, say
-                    payload = None
-                if not isinstance(payload, dict):
-                    last = TransportError(f"reply from {url} is not a JSON object")
-                    continue
-                parsed = parse(payload)
-                if self.cache is not None:
-                    self.cache.put(key, request, json.dumps(payload, ensure_ascii=False))
-                return parsed
-        raise last
+        payload = live_json(
+            self._requests,
+            lambda: self._requests.get(
+                url, params=params, headers={"User-Agent": "claimcheck/0.1"}, timeout=10.0
+            ),
+            url,
+        )
+        parsed = parse(payload)
+        if self.cache is not None:
+            self.cache.put(key, request, json.dumps(payload, ensure_ascii=False))
+        return parsed
 
     def search_entities(self, text, limit=5):
         def parse(payload):
@@ -434,18 +415,6 @@ def prune_relations(claim, candidates, k, gateway, entity=None):
     return [cand for _, cand in ranked[:k]]
 
 
-def select_objects(candidate, claim):
-    """A candidate's sample neighbors, already at most
-    ``MAX_OBJECTS_PER_RELATION``: those sharing claim tokens first, ties by
-    ascending entity id."""
-    tokens = set(tokenize(claim))
-
-    def overlap(entity):
-        return len(tokens & set(tokenize(entity.label)))
-
-    return sorted(candidate.sample_objects, key=lambda e: (-overlap(e), e.id))
-
-
 def _triplet_key(candidate, neighbor):
     """The key of the triplet ``expand_hop`` adds for ``candidate`` and one of
     its neighbors; a plain tuple, as building a ``Triplet`` costs 30 times more."""
@@ -465,8 +434,9 @@ def expand_hop(subgraph, claim, k, gateway, backend):
     relation id). When more than k relations survive, one more prune,
     which sees them in expansion order, keeps the top k; otherwise every
     survivor is kept without a call, in expansion order and then each
-    entity's own order. Appends the retained triplets. Each entity joins
-    ``subgraph.expanded`` before its fetches go out."""
+    entity's own order. Appends the triplets of each retained relation's
+    sample neighbors, in fetch order. Each entity joins ``subgraph.expanded``
+    before its fetches go out."""
     tokens = set(tokenize(claim))
 
     def priority(entity_id):
@@ -498,7 +468,7 @@ def expand_hop(subgraph, claim, k, gateway, backend):
     new_frontier = set()
     for cand in retained:
         anchor_hop = subgraph.hop_of.get(cand.anchor.id, 0)
-        for neighbor in select_objects(cand, claim):
+        for neighbor in cand.sample_objects:
             if cand.direction == "outgoing":
                 triplet = Triplet(cand.anchor, cand.relation, neighbor)
             else:

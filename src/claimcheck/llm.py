@@ -3,10 +3,11 @@ the reply store.
 
 Backends implement ``generate(text, temperature, max_tokens) -> str``.  The
 gateway renders templates, counts requests and repair retries, and handles
-structured-output repair. ``ReplyStore`` keeps replies by fingerprint in a
-JSONL file: a ``CassetteRecorder`` writes a cassette to one, ``--backend
-replay`` is a ``ScriptedBackend`` whose fingerprint table is one, and the
-Wikidata client caches its lookups in one.
+structured-output repair. ``live_json`` makes each request of the live LLM,
+Wikidata and web-search clients. ``ReplyStore`` keeps replies by fingerprint
+in a JSONL file: a ``CassetteRecorder`` writes a cassette to one,
+``--backend replay`` is a ``ScriptedBackend`` whose fingerprint table is one,
+and the Wikidata client caches its lookups in one.
 
 Inside a ``reply_memo()`` block, which ``optimize.optimize`` holds for its
 whole run, every backend read goes out once: each distinct prompt text from
@@ -27,6 +28,7 @@ import contextvars
 import hashlib
 import json
 import os
+import random
 import re
 import threading
 import time
@@ -36,6 +38,8 @@ from dataclasses import dataclass, field
 from .errors import (
     MissingBinding,
     ParseFailure,
+    ProviderQuotaExceeded,
+    QueryTimeout,
     SchemaViolation,
     ScriptMiss,
     TransportError,
@@ -289,8 +293,44 @@ class TokenBucket:
             time.sleep(wait)
 
 
+def live_json(requests, send, what):
+    """The JSON object a live service replies with to ``send()``, which makes
+    one request through the ``requests`` module given and returns its response.
+
+    A failed attempt is a ``requests`` error, a status other than 200 or a
+    body that is not a JSON object, such as an HTML error page; it is tried
+    once more after a pause of 0.5-1 s. A second failure raises QueryTimeout
+    for a timeout, ProviderQuotaExceeded for a 429 and TransportError
+    otherwise, with a message that names ``what``."""
+    for attempt in range(2):
+        if attempt:
+            time.sleep(0.5 + random.random() * 0.5)
+        try:
+            resp = send()
+        except requests.Timeout as exc:
+            error = QueryTimeout(f"{what} timed out: {exc}")
+            continue
+        except requests.RequestException as exc:
+            error = TransportError(f"{what} request failed: {exc}")
+            continue
+        if resp.status_code != 200:
+            kind = ProviderQuotaExceeded if resp.status_code == 429 else TransportError
+            error = kind(f"{what} returned status {resp.status_code}")
+            continue
+        try:
+            payload = resp.json()
+        except ValueError:  # an HTML error page, say
+            payload = None
+        if isinstance(payload, dict):
+            return payload
+        error = TransportError(f"{what} reply is not a JSON object")
+    raise error
+
+
 class HttpBackend:
-    """OpenAI-style chat-completion backend over HTTP."""
+    """OpenAI-style chat-completion backend over HTTP. Each ``live_json``
+    attempt takes a token and then a slot, held only while it is in flight; a
+    reply with no string content raises TransportError and is not retried."""
 
     def __init__(self, base_url, model, api_key_env="CLAIMCHECK_API_KEY"):
         import requests
@@ -314,25 +354,19 @@ class HttpBackend:
             "temperature": temperature,
             "max_tokens": max_tokens,
         }
-        self._bucket.acquire()
-        with self._slots:
-            try:
-                resp = self._requests.post(
-                    f"{self.base_url}/chat/completions",
-                    json=body,
-                    headers=headers,
-                    timeout=60.0,
+
+        def send():
+            self._bucket.acquire()
+            with self._slots:
+                return self._requests.post(
+                    f"{self.base_url}/chat/completions", json=body, headers=headers, timeout=60.0
                 )
-            except self._requests.Timeout as exc:
-                raise TransportError(f"LLM request timed out: {exc}") from exc
-            except self._requests.RequestException as exc:
-                raise TransportError(f"LLM request failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise TransportError(f"LLM endpoint returned status {resp.status_code}")
+
+        payload = live_json(self._requests, send, "LLM endpoint")
         try:
-            content = resp.json()["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            # not JSON, or some level is not the object or list it should be
+            content = payload["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError) as exc:
+            # some level is not the object or list it should be
             raise TransportError(f"malformed LLM response body: {exc}") from exc
         if not isinstance(content, str):
             raise TransportError(f"LLM response content is {type(content).__name__}, not str")

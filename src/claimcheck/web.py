@@ -29,7 +29,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import ParseFailure, ProviderQuotaExceeded, TransportError
+from .errors import ParseFailure, TransportError
 from .fanout import fan_out
 from .graph import (
     EntityId,
@@ -38,7 +38,7 @@ from .graph import (
     Triplet,
     normalize_relation_label,
 )
-from .llm import LlmRequest, ResponseSchema, memoized
+from .llm import LlmRequest, ResponseSchema, live_json, memoized
 from .policy import EVIDENCE_FILTER, TRIPLET_EXTRACT, WEB_QUERY
 
 log = logging.getLogger(__name__)
@@ -134,7 +134,9 @@ class FixtureSearchProvider:
 
 
 class SerperProvider:
-    """Serper-compatible JSON search API client."""
+    """Serper-compatible JSON search API client. A search is one
+    ``llm.live_json`` request; a reply whose ``organic`` rows are not a list
+    raises TransportError and is not retried."""
 
     def __init__(self, endpoint="https://google.serper.dev/search", api_key_env="SERPER_API_KEY"):
         import os
@@ -146,25 +148,16 @@ class SerperProvider:
         self.api_key = os.environ.get(api_key_env, "")
 
     def search(self, query_text, m):
-        try:
-            resp = self._requests.post(
+        payload = live_json(
+            self._requests,
+            lambda: self._requests.post(
                 self.endpoint,
                 json={"q": query_text, "num": m},
                 headers={"X-API-KEY": self.api_key, "Content-Type": "application/json"},
                 timeout=15.0,
-            )
-        except self._requests.RequestException as exc:
-            raise TransportError(f"web search failed: {exc}") from exc
-        if resp.status_code == 429:
-            raise ProviderQuotaExceeded("search provider quota exceeded (429)")
-        if resp.status_code != 200:
-            raise TransportError(f"search provider returned status {resp.status_code}")
-        try:
-            payload = resp.json()
-        except ValueError:  # an HTML error page, say
-            payload = None
-        if not isinstance(payload, dict):
-            raise TransportError("search provider reply is not a JSON object")
+            ),
+            "search provider",
+        )
         rows = payload.get("organic", [])
         if not isinstance(rows, list):
             raise TransportError("search provider reply's results are not a list")

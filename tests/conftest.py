@@ -1,5 +1,7 @@
-"""Shared test fixtures: synthetic graphs, claim corpora, and a deterministic
-scripted responder that plays the role of the LLM for every prompt kind."""
+"""Shared test fixtures: synthetic graphs, claim corpora, a deterministic
+scripted responder that plays the role of the LLM for every prompt kind, and
+stand-ins for the live services: a stub ``requests`` module and a loopback
+HTTP server."""
 
 from __future__ import annotations
 
@@ -9,10 +11,12 @@ import re
 import sys
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from claimcheck import llm
 from claimcheck.errors import ProviderQuotaExceeded, QueryTimeout, ScriptMiss, TransportError
 from claimcheck.kg import FixtureKgBackend
 from claimcheck.llm import ScriptedBackend
@@ -322,34 +326,6 @@ class SlowSearch:
         return self.provider.search(query_text, m)
 
 
-class FaultyLlm:
-    """Wraps an LLM backend: the calls at seeded indices raise TransportError
-    or reply with text that does not parse; a call set to "miss" in
-    ``faults`` raises ScriptMiss. Records every prompt it gets."""
-
-    def __init__(self, backend, seed, rate=0.1, horizon=64):
-        rng = random.Random(seed)
-        self.backend = backend
-        self.faults = {
-            i: rng.choice(("transport", "garbage")) for i in range(horizon) if rng.random() < rate
-        }
-        self.prompts = []
-        self._lock = threading.Lock()
-
-    def generate(self, text, temperature, max_tokens):
-        with self._lock:
-            index = len(self.prompts)
-            self.prompts.append(text)
-        fault = self.faults.get(index)
-        if fault == "miss":
-            raise ScriptMiss(f"injected at call {index}", text)
-        if fault == "transport":
-            raise TransportError(f"injected fault at call {index}")
-        if fault == "garbage":
-            return "*** not json ***"
-        return self.backend.generate(text, temperature, max_tokens)
-
-
 class StubResponse:
     """Stands in for a ``requests`` response whose body is ``text``."""
 
@@ -360,38 +336,162 @@ class StubResponse:
         return json.loads(self.text)
 
 
+class StubRequests:
+    """Stands in for ``requests``: each ``get`` or ``post`` takes the next of
+    ``outcomes``, which is "timeout", a ``(status, body)`` pair, or a body
+    with status 200. A body that is not a string is sent as JSON. Records the
+    url and the params or JSON body of each request in ``sent``."""
+
+    class RequestException(Exception):
+        pass
+
+    class Timeout(RequestException):
+        pass
+
+    def __init__(self, outcomes):
+        self.outcomes = list(outcomes)
+        self.sent = []
+        self._lock = threading.Lock()
+
+    def _reply(self, url, data):
+        with self._lock:
+            self.sent.append((url, data))
+            outcome = self.outcomes.pop(0)
+        if outcome == "timeout":
+            raise self.Timeout("read timed out")
+        status, body = outcome if isinstance(outcome, tuple) else (200, outcome)
+        return StubResponse(body if isinstance(body, str) else json.dumps(body), status)
+
+    def get(self, url, params=None, headers=None, timeout=None):
+        return self._reply(url, params)
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        return self._reply(url, json)
+
+
+@pytest.fixture
+def retry_pauses(monkeypatch):
+    """The pauses ``llm.live_json`` takes before a retry; each returns at once."""
+    pauses = []
+    monkeypatch.setattr(llm.time, "sleep", pauses.append)
+    return pauses
+
+
+class LoopbackServer:
+    """An HTTP server on 127.0.0.1 that answers each GET or POST with the next
+    of ``replies``, ``(status, body)`` pairs: a body that is not a string is
+    sent as JSON, a string as an HTML page. Records the method, path and body
+    of each request in ``requests``."""
+
+    def __init__(self):
+        server = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_GET(self):
+                server.answer(self)
+
+            do_POST = do_GET
+
+            def log_message(self, *args):
+                pass
+
+        self.replies = deque()
+        self.requests = []
+        self._lock = threading.Lock()
+        self.http = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self.http.server_port}"
+
+    def answer(self, handler):
+        length = int(handler.headers.get("Content-Length") or 0)
+        body = handler.rfile.read(length).decode("utf-8")
+        with self._lock:
+            self.requests.append((handler.command, handler.path, body))
+            status, reply = self.replies.popleft()
+        kind = "text/html"
+        if not isinstance(reply, str):
+            kind, reply = "application/json", json.dumps(reply)
+        data = reply.encode("utf-8")
+        handler.send_response(status)
+        handler.send_header("Content-Type", kind)
+        handler.send_header("Content-Length", str(len(data)))
+        handler.end_headers()
+        handler.wfile.write(data)
+
+
+@pytest.fixture
+def loopback():
+    server = LoopbackServer()
+    thread = threading.Thread(target=server.http.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.http.shutdown()
+        server.http.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
 FAULT_ERRORS = {
     "timeout": QueryTimeout,
     "transport": TransportError,
     "quota": ProviderQuotaExceeded,
+    "miss": ScriptMiss,
 }
 
 
 class _FaultyBackend:
     """A seeded share of requests fail with one of ``kinds``; each request's
     fault is hashed from (seed, request), so it does not depend on which
-    thread asks first. Records the faults it injects."""
+    thread asks first. ``faults`` sets a request's fault by hand. Records
+    the faults it injects."""
 
     kinds = ()
 
     def __init__(self, backend, seed, rate=0.1):
         self.backend, self.seed, self.rate = backend, seed, rate
+        self.faults = {}
         self.fired = []
         self._lock = threading.Lock()
 
-    def finds_nothing(self, *request):
-        """Raises the request's injected error, if any; True when the
-        request is to find nothing."""
+    def fault(self, *request):
+        """Raises the request's injected error, if any; else returns its
+        other fault ("empty" or "garbage"), or None."""
         key = "|".join(str(part) for part in (self.seed,) + request)
-        rng = random.Random(key)
-        if rng.random() >= self.rate:
-            return False
-        fault = rng.choice(self.kinds)
+        fault = self.faults.get(request)
+        if fault is None:
+            rng = random.Random(key)
+            if rng.random() >= self.rate:
+                return None
+            fault = rng.choice(self.kinds)
         with self._lock:
             self.fired.append(fault)
-        if fault != "empty":
-            raise FAULT_ERRORS[fault](f"injected {fault} for {key}")
-        return True
+        if fault in FAULT_ERRORS:
+            raise FAULT_ERRORS[fault](f"injected {fault} for {key[:80]}")
+        return fault
+
+
+class FaultyLlm(_FaultyBackend):
+    """Wraps an LLM backend: requests raise TransportError or get a reply that
+    does not parse. A request is its prompt text and how many times that
+    text came before, so a hop's concurrent prunes get the same faults in any
+    arrival order. Records every prompt it gets."""
+
+    kinds = ("transport", "garbage")
+
+    def __init__(self, backend, seed, rate=0.1):
+        super().__init__(backend, seed, rate)
+        self.prompts = []
+        self._seen = Counter()
+
+    def generate(self, text, temperature, max_tokens):
+        with self._lock:
+            request = (text, self._seen[text])
+            self._seen[text] += 1
+            self.prompts.append(text)
+        if self.fault(*request) == "garbage":
+            return "*** not json ***"
+        return self.backend.generate(text, temperature, max_tokens)
 
 
 class FaultyKg(_FaultyBackend):
@@ -405,12 +505,12 @@ class FaultyKg(_FaultyBackend):
         self.fetches = 0
 
     def search_entities(self, text, limit=5):
-        return [] if self.finds_nothing(text) else self.backend.search_entities(text, limit)
+        return [] if self.fault(text) else self.backend.search_entities(text, limit)
 
     def relations_of(self, entity_id, direction, *args, **kwargs):
         with self._lock:
             self.fetches += 1
-        if self.finds_nothing(entity_id, direction):
+        if self.fault(entity_id, direction):
             return []
         return self.backend.relations_of(entity_id, direction, *args, **kwargs)
 
@@ -422,7 +522,7 @@ class FaultySearch(_FaultyBackend):
     kinds = ("quota", "transport", "empty")
 
     def search(self, query_text, m):
-        return [] if self.finds_nothing(query_text) else self.backend.search(query_text, m)
+        return [] if self.fault(query_text) else self.backend.search(query_text, m)
 
 
 def core_requests(prompts):

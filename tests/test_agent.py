@@ -694,39 +694,80 @@ class TestTransportErrors:
         assert trajectory.counters["llm_calls"] == len(prompts)
 
 
+def fault_environments():
+    envs = []
+    for depth in (1, 2):
+        graph, claims = build_corpus(10, depth=depth)
+        envs.append((graph, claims, [c["claim"] for c in claims]))
+    dense_graph, dense_claim = build_dense_graph(fanout=4, depth=4, n_roots=4)
+    envs.append((dense_graph, [], [dense_claim]))
+    return envs
+
+
+def fault_web_results(claim, claims):
+    return {claim: [
+        {"url": f"https://w.example/{i}", "snippet": c["support"]}
+        for i, c in enumerate(claims[:3])
+    ]}
+
+
+def random_episodes(rng, n):
+    """(episode, claim, claims, graph, config, responder, with web)."""
+    environments = fault_environments()
+    for episode in range(n):
+        graph, claims, claim_texts = environments[episode % 3]
+        claim = rng.choice(claim_texts)
+        with_web = rng.random() < 0.5
+        config = EpisodeConfig(
+            max_steps=rng.choice([3, 4, 6]), max_web_searches=rng.choice([0, 1, 2])
+        )
+        responder = OracleResponder(
+            specs=claims,
+            sufficiency=rng.choice(["oracle", "never", "always"]),
+            action=rng.choice(["follow_hint", WEB_SEARCH, VERDICT_ACTION, EXPAND_KG]),
+        )
+        yield episode, claim, claims, graph, config, responder, with_web
+
+
+def llm_fault_episodes():
+    """(episode, config, llm, kg, result, trajectory) of 540 seeded episodes
+    with LLM faults."""
+    rng = random.Random(11)
+    for episode, claim, claims, graph, config, responder, with_web in random_episodes(rng, 540):
+        web = FixtureSearchProvider(data=fault_web_results(claim, claims)) if with_web else None
+        llm = FaultyLlm(ScriptedBackend(responder=responder), seed=episode,
+                        rate=rng.choice([0.03, 0.1, 0.3]))
+        kg = FixtureKgBackend(data=graph)
+        result, trajectory = run_episode(claim, default_policy(), config, llm, kg, web)
+        yield episode, config, llm, kg, web, result, trajectory
+
+
+def backend_fault_episodes():
+    """The same, with KG and web faults as well."""
+    rng = random.Random(12)
+    for episode, claim, claims, graph, config, responder, with_web in random_episodes(rng, 540):
+        kg = FaultyKg(FixtureKgBackend(data=graph), seed=episode,
+                      rate=rng.choice([0.03, 0.1, 0.3]))
+        web = None
+        if with_web:
+            web = FaultySearch(FixtureSearchProvider(data=fault_web_results(claim, claims)),
+                               seed=episode, rate=rng.choice([0.1, 0.3, 0.6]))
+        llm = FaultyLlm(ScriptedBackend(responder=responder), seed=episode,
+                        rate=rng.choice([0.0, 0.03, 0.1]))
+        result, trajectory = run_episode(claim, default_policy(), config, llm, kg, web)
+        yield episode, config, llm, kg, web, result, trajectory
+
+
+def fault_trajectories_json():
+    """Every trajectory of both fault sets, one JSON line each: the same in
+    every process, whatever the thread timing or hash seed."""
+    return "\n".join(
+        run[-1].to_json() for episodes in (llm_fault_episodes, backend_fault_episodes)
+        for run in episodes()
+    )
+
+
 class TestFaultInjection:
-    def environments(self):
-        envs = []
-        for depth in (1, 2):
-            graph, claims = build_corpus(10, depth=depth)
-            envs.append((graph, claims, [c["claim"] for c in claims]))
-        dense_graph, dense_claim = build_dense_graph(fanout=4, depth=4, n_roots=4)
-        envs.append((dense_graph, [], [dense_claim]))
-        return envs
-
-    def web_results(self, claim, claims):
-        return {claim: [
-            {"url": f"https://w.example/{i}", "snippet": c["support"]}
-            for i, c in enumerate(claims[:3])
-        ]}
-
-    def random_episodes(self, rng, n):
-        """(episode, claim, claims, graph, config, responder, with web)."""
-        environments = self.environments()
-        for episode in range(n):
-            graph, claims, claim_texts = environments[episode % 3]
-            claim = rng.choice(claim_texts)
-            with_web = rng.random() < 0.5
-            config = EpisodeConfig(
-                max_steps=rng.choice([3, 4, 6]), max_web_searches=rng.choice([0, 1, 2])
-            )
-            responder = OracleResponder(
-                specs=claims,
-                sufficiency=rng.choice(["oracle", "never", "always"]),
-                action=rng.choice(["follow_hint", WEB_SEARCH, VERDICT_ACTION, EXPAND_KG]),
-            )
-            yield episode, claim, claims, graph, config, responder, with_web
-
     def check(self, episode, config, llm, result, trajectory):
         kinds = trajectory.action_kinds()
         assert kinds[0] == INIT_KG and kinds.count(INIT_KG) == 1, episode
@@ -743,33 +784,12 @@ class TestFaultInjection:
         assert set(result.citations) <= added, episode
 
     def test_every_episode_ends_in_one_verdict_within_budget(self):
-        rng = random.Random(11)
-        for episode, claim, claims, graph, config, responder, with_web in self.random_episodes(
-            rng, 540
-        ):
-            web = FixtureSearchProvider(data=self.web_results(claim, claims)) if with_web else None
-            llm = FaultyLlm(ScriptedBackend(responder=responder), seed=episode,
-                            rate=rng.choice([0.03, 0.1, 0.3]))
-            result, trajectory = run_episode(
-                claim, default_policy(), config, llm, FixtureKgBackend(data=graph), web
-            )
+        for episode, config, llm, _, _, result, trajectory in llm_fault_episodes():
             self.check(episode, config, llm, result, trajectory)
 
     def test_backend_faults_end_in_one_verdict_within_budget(self):
-        rng = random.Random(12)
         fired = Counter()
-        for episode, claim, claims, graph, config, responder, with_web in self.random_episodes(
-            rng, 540
-        ):
-            kg = FaultyKg(FixtureKgBackend(data=graph), seed=episode,
-                          rate=rng.choice([0.03, 0.1, 0.3]))
-            web = None
-            if with_web:
-                web = FaultySearch(FixtureSearchProvider(data=self.web_results(claim, claims)),
-                                   seed=episode, rate=rng.choice([0.1, 0.3, 0.6]))
-            llm = FaultyLlm(ScriptedBackend(responder=responder), seed=episode,
-                            rate=rng.choice([0.0, 0.03, 0.1]))
-            result, trajectory = run_episode(claim, default_policy(), config, llm, kg, web)
+        for episode, config, llm, kg, web, result, trajectory in backend_fault_episodes():
             self.check(episode, config, llm, result, trajectory)
             # every charged expansion made both directional fetches
             assert trajectory.counters["sparql_queries"] * 2 == kg.fetches, episode
@@ -777,20 +797,24 @@ class TestFaultInjection:
         assert set(fired) == {"timeout", "transport", "empty", "quota"}
 
     def test_llm_script_miss_propagates(self):
-        # a miss at any one call of an episode leaves run_episode
+        # a miss at any one request of an episode leaves run_episode
         graph, claims = build_corpus(4, depth=2)
         claim = claims[1]["claim"]
-        web = FixtureSearchProvider(data=self.web_results(claim, claims))
+        web = FixtureSearchProvider(data=fault_web_results(claim, claims))
         config = EpisodeConfig(max_web_searches=1)
         responder = OracleResponder(specs=claims, sufficiency="never")
         clean = FaultyLlm(ScriptedBackend(responder=responder), seed=0, rate=0.0)
         run_episode(claim, default_policy(), config, clean, FixtureKgBackend(data=graph), web)
         assert any("Judge each passage" in p for p in clean.prompts)
-        for index in range(len(clean.prompts)):
+        seen = Counter()
+        for text in clean.prompts:
+            request = (text, seen[text])
+            seen[text] += 1
             llm = FaultyLlm(ScriptedBackend(responder=responder), seed=0, rate=0.0)
-            llm.faults = {index: "miss"}
-            with pytest.raises(ScriptMiss, match=f"injected at call {index}"):
+            llm.faults = {request: "miss"}
+            with pytest.raises(ScriptMiss, match="injected miss"):
                 run_episode(claim, default_policy(), config, llm, FixtureKgBackend(data=graph), web)
+            assert llm.fired == ["miss"]
 
 
 # the fields of each structured reply an episode asks for: "f" is a

@@ -9,7 +9,7 @@ import zlib
 
 import pytest
 
-from claimcheck import agent, kg
+from claimcheck import agent, kg, llm
 from claimcheck.agent import INIT_KG, VERDICT_ACTION, EpisodeConfig, run_episode
 from claimcheck.errors import (
     AllMentionsUnlinkable,
@@ -40,7 +40,7 @@ from conftest import (
     OracleResponder,
     SlowKg,
     SlowLlm,
-    StubResponse,
+    StubRequests,
     build_corpus,
     build_dense_graph,
     hammer,
@@ -389,44 +389,24 @@ class TestRetrieval:
 
 
 class TestWikidataRetry:
-    class StubRequests:
-        """Stands in for ``requests``: each ``get`` pops its next outcome."""
-
-        class RequestException(Exception):
-            pass
-
-        class Timeout(RequestException):
-            pass
-
-        def __init__(self, outcomes):
-            self.outcomes = list(outcomes)
-            self.gets = 0
-
-        def get(self, url, params=None, headers=None, timeout=None):
-            self.gets += 1
-            outcome = self.outcomes.pop(0)
-            if outcome == "timeout":
-                raise self.Timeout("read timed out")
-            return StubResponse(outcome if isinstance(outcome, str) else json.dumps(outcome))
-
     def backend(self, monkeypatch, outcomes):
         self.sleeps = []
-        monkeypatch.setattr(kg.time, "sleep", self.sleeps.append)
+        monkeypatch.setattr(llm.time, "sleep", self.sleeps.append)
         wikidata = WikidataBackend()
-        wikidata._requests = self.StubRequests(outcomes)
+        wikidata._requests = StubRequests(outcomes)
         return wikidata
 
     def test_timeout_is_retried(self, monkeypatch):
         wikidata = self.backend(monkeypatch, ["timeout", {"search": [{"id": "Q1", "label": "X"}]}])
         assert wikidata.search_entities("X") == [EntityId("Q1", "X")]
-        assert wikidata._requests.gets == 2
+        assert len(wikidata._requests.sent) == 2
         assert len(self.sleeps) == 1
 
     def test_second_timeout_raises_query_timeout(self, monkeypatch):
         wikidata = self.backend(monkeypatch, ["timeout", "timeout"])
         with pytest.raises(QueryTimeout):
             wikidata.search_entities("X")
-        assert wikidata._requests.gets == 2
+        assert len(wikidata._requests.sent) == 2
         assert len(self.sleeps) == 1  # between the attempts, not after the last
 
     def test_reply_that_is_not_json_ends_the_episode_in_a_forced_verdict(self, monkeypatch):
@@ -495,7 +475,7 @@ class TestWikidataCache:
 
     def backend(self, cache_dir, outcomes):
         wikidata = WikidataBackend(cache_dir=str(cache_dir))
-        wikidata._requests = TestWikidataRetry.StubRequests(outcomes)
+        wikidata._requests = StubRequests(outcomes)
         return wikidata
 
     def lookups(self, wikidata):
@@ -508,17 +488,17 @@ class TestWikidataCache:
     def test_second_backend_on_the_cache_dir_makes_no_requests(self, tmp_path):
         first = self.backend(tmp_path, [self.SEARCH, self.SPARQL, self.SPARQL])
         found = self.lookups(first)
-        assert first._requests.gets == 3
+        assert len(first._requests.sent) == 3
         assert found[0] == [EntityId("Q1", "X")] and found[1][0][1] == [EntityId("Q5", "human")]
         second = self.backend(tmp_path, [])  # any request would pop an empty list
         assert self.lookups(second) == found
-        assert second._requests.gets == 0
+        assert len(second._requests.sent) == 0
         assert os.listdir(tmp_path) == ["wikidata.jsonl"]
 
     def test_repeated_lookup_in_one_backend_is_cached(self, tmp_path):
         wikidata = self.backend(tmp_path, [self.SEARCH])
         assert wikidata.search_entities("X") == wikidata.search_entities("X")
-        assert wikidata._requests.gets == 1
+        assert len(wikidata._requests.sent) == 1
 
     def test_malformed_reply_is_not_cached(self, tmp_path):
         wikidata = self.backend(tmp_path, [{"results": {"bindings": {}}}, self.SPARQL])
@@ -527,7 +507,7 @@ class TestWikidataCache:
         assert wikidata.relations_of("Q1", "outgoing") == [
             (RelationId("P31", "instance of"), [EntityId("Q5", "human")]),
         ]
-        assert wikidata._requests.gets == 2
+        assert len(wikidata._requests.sent) == 2
         with open(tmp_path / "wikidata.jsonl", encoding="utf-8") as fh:
             assert [json.loads(json.loads(line)["response_text"]) for line in fh] == [self.SPARQL]
 
@@ -546,11 +526,11 @@ class TestWikidataCache:
         wikidata = self.backend(tmp_path, [self.SPARQL])
         good = [(RelationId("P31", "instance of"), [EntityId("Q5", "human")])]
         assert wikidata.relations_of("Q1", "outgoing") == good
-        assert wikidata._requests.gets == 1
+        assert len(wikidata._requests.sent) == 1
         # the good reply now follows the stale entry, in this backend and the next
         assert wikidata.relations_of("Q1", "outgoing") == good
         assert self.backend(tmp_path, []).relations_of("Q1", "outgoing") == good
-        assert wikidata._requests.gets == 1
+        assert len(wikidata._requests.sent) == 1
 
     def test_concurrent_writers_of_one_query(self, tmp_path):
         payload = {"results": {"bindings": self.SPARQL["results"]["bindings"] * 50}}
@@ -561,6 +541,50 @@ class TestWikidataCache:
         assert [reread.relations_of("Q1", "outgoing")] * 320 == found
         with open(tmp_path / "wikidata.jsonl", encoding="utf-8") as fh:
             assert sum(1 for _ in fh) == 320
+
+
+class TestWikidataLoopback:
+    SEARCH = {"search": [{"id": "Q1", "label": "X"}]}
+
+    def backend(self, loopback, cache_dir):
+        return WikidataBackend(
+            sparql_endpoint=loopback.url + "/sparql",
+            action_api=loopback.url + "/w/api.php",
+            cache_dir=str(cache_dir),
+        )
+
+    def cached(self, cache_dir):
+        path = cache_dir / "wikidata.jsonl"
+        if not path.exists():
+            return []
+        with open(path, encoding="utf-8") as fh:
+            return [json.loads(json.loads(line)["response_text"]) for line in fh]
+
+    def test_html_page_then_json_is_parsed_and_cached_once(self, loopback, retry_pauses,
+                                                           tmp_path):
+        loopback.replies.extend([(200, "<html>busy</html>"), (200, self.SEARCH)])
+        wikidata = self.backend(loopback, tmp_path)
+        assert wikidata.search_entities("X") == [EntityId("Q1", "X")]
+        assert wikidata.search_entities("X") == [EntityId("Q1", "X")]
+        assert [r[0] for r in loopback.requests] == ["GET", "GET"]
+        assert loopback.requests[0][1].startswith("/w/api.php?action=wbsearchentities&search=X")
+        assert len(retry_pauses) == 1
+        assert self.cached(tmp_path) == [self.SEARCH]
+
+    def test_two_failures_raise_after_two_requests(self, loopback, retry_pauses, tmp_path):
+        loopback.replies.extend([(500, "<html>down</html>")] * 2)
+        with pytest.raises(TransportError, match="status 500"):
+            self.backend(loopback, tmp_path).relations_of("Q1", "outgoing")
+        assert [r[1].split("?")[0] for r in loopback.requests] == ["/sparql"] * 2
+        assert self.cached(tmp_path) == []
+
+    def test_reply_that_parse_rejects_is_sent_once_and_not_cached(self, loopback,
+                                                                 retry_pauses, tmp_path):
+        loopback.replies.append((200, {"search": {"id": "Q1"}}))
+        with pytest.raises(TransportError, match="no list of hits"):
+            self.backend(loopback, tmp_path).search_entities("X")
+        assert len(loopback.requests) == 1 and not retry_pauses
+        assert self.cached(tmp_path) == []
 
 
 # -- a hop's concurrent expand-and-prune ----------------------------------------
@@ -989,38 +1013,62 @@ class TestNoOpRelations:
         assert list(subgraph.triplets) == [("A", "P1", "B"), ("B", "P2", "C"), ("B", "P3", "D")]
 
     def instrument(self, monkeypatch):
-        """Wraps the hop, its prunes and its kept relations; returns the list
-        of prunes sent, and of law breaks found, as the episodes run."""
-        hop, prune, select = kg.expand_hop, kg.prune_relations, kg.select_objects
+        """Wraps the hop, its fetches and its prunes; returns the list of
+        prunes sent, and of law breaks found, as the episodes run."""
+        hop, prune, expand = kg.expand_hop, kg.prune_relations, kg.expand_entity
         before = {}
         pruned, problems = [], []
 
-        def new_keys(cand):
+        def keys(cand):
             return [
-                key for key in (
-                    (cand.anchor.id, cand.relation.id, o.id) if cand.direction == "outgoing"
-                    else (o.id, cand.relation.id, cand.anchor.id)
-                    for o in cand.sample_objects
-                ) if key not in before["keys"]
+                (cand.anchor.id, cand.relation.id, o.id) if cand.direction == "outgoing"
+                else (o.id, cand.relation.id, cand.anchor.id)
+                for o in cand.sample_objects
             ]
 
+        def new_keys(cand):
+            return [key for key in keys(cand) if key not in before["keys"]]
+
+        def kept(added, candidates):
+            """Fetched candidates whose triplets, one candidate after another,
+            are ``added``; None when no such list exists."""
+            if not added:
+                return []
+            for cand in candidates:
+                n = len(cand.sample_objects)
+                if n and added[:n] == keys(cand):
+                    rest = kept(added[n:], candidates)
+                    if rest is not None:
+                        return [cand] + rest
+            return None
+
         def wrapped_hop(subgraph, *args):
-            before["keys"] = set(subgraph.triplets)
-            return hop(subgraph, *args)
+            before["keys"], before["fetched"] = set(subgraph.triplets), []
+            added, add = [], subgraph.add_triplet
+            subgraph.add_triplet = lambda t: added.append(t.key) or add(t)
+            try:
+                result = hop(subgraph, *args)
+            finally:
+                del subgraph.add_triplet
+            # each relation the hop kept adds at least one fact
+            retained = kept(added, before["fetched"])
+            assert retained is not None, added
+            problems.extend(("kept", c) for c in retained if not new_keys(c))
+            return result
+
+        def wrapped_expand(entity, backend):
+            candidates = expand(entity, backend)
+            before["fetched"].extend(candidates)
+            return candidates
 
         def wrapped_prune(claim, candidates, *args, **kwargs):
             pruned.append(len(candidates))
             problems.extend(("listed", c) for c in candidates if not new_keys(c))
             return prune(claim, candidates, *args, **kwargs)
 
-        def wrapped_select(cand, claim):
-            if not new_keys(cand):
-                problems.append(("kept", cand))
-            return select(cand, claim)
-
         monkeypatch.setattr(kg, "expand_hop", wrapped_hop)
+        monkeypatch.setattr(kg, "expand_entity", wrapped_expand)
         monkeypatch.setattr(kg, "prune_relations", wrapped_prune)
-        monkeypatch.setattr(kg, "select_objects", wrapped_select)
         return pruned, problems
 
     def test_random_graphs_prune_and_keep_only_new_facts(self, monkeypatch):

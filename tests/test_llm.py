@@ -5,6 +5,7 @@ import threading
 from collections import Counter
 
 import pytest
+import requests
 from hypothesis import given, strategies as st
 
 from claimcheck import llm
@@ -12,6 +13,7 @@ from claimcheck.agent import INIT_KG, VERDICT_ACTION, EpisodeConfig, run_episode
 from claimcheck.errors import (
     MissingBinding,
     ParseFailure,
+    QueryTimeout,
     SchemaViolation,
     ScriptMiss,
     TransportError,
@@ -32,7 +34,7 @@ from claimcheck.llm import (
 )
 from claimcheck.policy import PromptPolicy, default_policy
 
-from conftest import SMALL_GRAPH, StubResponse, YieldingDeque, YieldingInt, hammer
+from conftest import SMALL_GRAPH, StubRequests, YieldingDeque, YieldingInt, hammer
 
 
 def make_policy(*templates):
@@ -392,30 +394,15 @@ class TestTokenBucket:
 
 
 class TestHttpBackend:
-    class StubRequests:
-        """Stands in for ``requests``: every ``post`` gets ``outcome``, a
-        ``(status, body)`` pair or "timeout"."""
+    @pytest.fixture(autouse=True)
+    def pauses(self, retry_pauses):
+        self.pauses = retry_pauses
 
-        class RequestException(Exception):
-            pass
-
-        class Timeout(RequestException):
-            pass
-
-        def __init__(self, outcome):
-            self.outcome = outcome
-            self.posts = []
-
-        def post(self, url, json=None, headers=None, timeout=None):
-            self.posts.append((url, json))
-            if self.outcome == "timeout":
-                raise self.Timeout("read timed out")
-            status, body = self.outcome
-            return StubResponse(body, status)
-
-    def backend(self, outcome):
-        http = HttpBackend("http://llm.example/v1/", "m")
-        http._requests = self.StubRequests(outcome)
+    def backend(self, *outcomes, base_url="http://llm.example/v1/"):
+        http = HttpBackend(base_url, "m")
+        http._requests = StubRequests(outcomes)
+        # the live rate of 2 a second would add seconds to the suite
+        http._bucket = TokenBucket(1000.0, 1000)
         return http
 
     MALFORMED = [
@@ -424,11 +411,12 @@ class TestHttpBackend:
         '{"choices": [{"message": "x"}]}',
         '{"choices": [{"message": {"content": null}}]}',
     ]
+    REPLY = {"choices": [{"message": {"content": "hi"}}]}
 
     def test_content_of_a_well_formed_reply(self):
-        http = self.backend((200, json.dumps({"choices": [{"message": {"content": "hi"}}]})))
+        http = self.backend(self.REPLY)
         assert http.generate("q", 0.0, 1024) == "hi"
-        assert http._requests.posts == [("http://llm.example/v1/chat/completions", {
+        assert http._requests.sent == [("http://llm.example/v1/chat/completions", {
             "model": "m", "messages": [{"role": "user", "content": "q"}],
             "temperature": 0.0, "max_tokens": 1024,
         })]
@@ -436,20 +424,57 @@ class TestHttpBackend:
     @pytest.mark.parametrize("body", MALFORMED)
     def test_malformed_body_ends_the_episode_in_a_forced_verdict(self, body):
         # the sufficiency request fails (the one entity has fewer than k
-        # relations, so no prune goes out), then the forced verdict request does too
-        http = self.backend((200, body))
+        # relations, so no prune goes out), then the forced verdict request
+        # does too; a body that is not a JSON object is sent twice each time
+        posts = 4 if body == "[]" else 2
+        http = self.backend(*[(200, body)] * posts)
         result, trajectory = run_episode(
             "Barack Obama was born.", default_policy(), EpisodeConfig(), http,
             FixtureKgBackend(data=SMALL_GRAPH),
         )
         assert result.forced and trajectory.forced_reason == "transport_error"
         assert trajectory.action_kinds() == [INIT_KG, VERDICT_ACTION]
-        assert len(http._requests.posts) == 2
+        assert len(http._requests.sent) == posts and not http._requests.outcomes
 
     def test_status_other_than_200_raises_transport_error(self):
         with pytest.raises(TransportError, match="status 503"):
-            self.backend((503, "busy")).generate("q", 0.0, 1024)
+            self.backend((503, "busy"), (503, "busy")).generate("q", 0.0, 1024)
+        assert len(self.pauses) == 1
 
     def test_timeout_raises_transport_error(self):
-        with pytest.raises(TransportError, match="timed out"):
-            self.backend("timeout").generate("q", 0.0, 1024)
+        with pytest.raises(QueryTimeout, match="timed out"):
+            self.backend("timeout", "timeout").generate("q", 0.0, 1024)
+
+    @pytest.mark.parametrize("first", ["timeout", (503, "busy"), (429, "slow down"),
+                                       (200, "<html>busy</html>")],
+                             ids=["timeout", "503", "429", "html"])
+    def test_one_failed_request_is_sent_again(self, first):
+        http = self.backend(first, self.REPLY)
+        assert http.generate("q", 0.0, 1024) == "hi"
+        assert len(http._requests.sent) == 2
+        assert len(self.pauses) == 1 and 0.5 <= self.pauses[0] <= 1.0
+
+    def test_each_attempt_takes_a_token_and_the_pause_holds_no_slot(self, monkeypatch):
+        http = self.backend((503, "busy"), self.REPLY)
+        http._bucket = TokenBucket(1e-9, 2)
+        slots_held = []
+        monkeypatch.setattr(llm.time, "sleep", lambda s: slots_held.append(4 - http._slots._value))
+        assert http.generate("q", 0.0, 1024) == "hi"
+        assert slots_held == [0] and http._bucket.tokens < 1.0
+
+    def test_503_then_200_over_loopback(self, loopback):
+        loopback.replies.extend([(503, "busy"), (200, self.REPLY)])
+        http = self.backend(base_url=loopback.url + "/v1")
+        http._requests = requests
+        assert http.generate("q", 0.0, 1024) == "hi"
+        assert [r[:2] for r in loopback.requests] == [("POST", "/v1/chat/completions")] * 2
+        assert json.loads(loopback.requests[1][2])["messages"] == [{"role": "user", "content": "q"}]
+        assert len(self.pauses) == 1
+
+    def test_two_503s_over_loopback_raise_after_two_requests(self, loopback):
+        loopback.replies.extend([(503, "busy")] * 2)
+        http = self.backend(base_url=loopback.url + "/v1")
+        http._requests = requests
+        with pytest.raises(TransportError, match="status 503"):
+            http.generate("q", 0.0, 1024)
+        assert len(loopback.requests) == 2

@@ -20,7 +20,7 @@ from claimcheck.agent import (
     run_episode,
     trajectory_from_jsonable,
 )
-from claimcheck.errors import ParseFailure, TransportError
+from claimcheck.errors import ParseFailure, ProviderQuotaExceeded, QueryTimeout, TransportError
 from claimcheck.evaluation import DatasetRecord, run_benchmark
 from claimcheck.graph import EntityId, KnowledgeSubgraph, RelationId, Triplet
 from claimcheck.kg import FixtureKgBackend
@@ -52,7 +52,7 @@ from conftest import (
     SlowKg,
     SlowLlm,
     SlowSearch,
-    StubResponse,
+    StubRequests,
     build_corpus,
 )
 
@@ -107,38 +107,30 @@ class TestQuery:
 
 
 class TestSerperProvider:
-    class StubRequests:
-        """Stands in for ``requests``: every ``post`` replies 200 with ``text``."""
-
-        RequestException = OSError
-
-        def __init__(self, text):
-            self.text = text
-
-        def post(self, url, json=None, headers=None, timeout=None):
-            return StubResponse(self.text)
-
-    @pytest.mark.parametrize("text", ["<html>busy</html>", "[]"])
-    def test_reply_that_is_not_a_json_object_ends_in_a_forced_verdict(self, text):
+    def provider(self, *outcomes):
         provider = SerperProvider()
-        provider._requests = self.StubRequests(text)
-        result, trajectory = run_episode(
+        provider._requests = StubRequests(outcomes)
+        return provider
+
+    def episode(self, provider):
+        return run_episode(
             "Martians landed in Ohio.", default_policy(), EpisodeConfig(),
             ScriptedBackend(responder=OracleResponder()), FixtureKgBackend(data=SMALL_GRAPH),
             provider,
         )
+
+    @pytest.mark.parametrize("text", ["<html>busy</html>", "[]"])
+    def test_reply_that_is_not_a_json_object_ends_in_a_forced_verdict(self, text,
+                                                                        retry_pauses):
+        provider = self.provider(text, text)
+        result, trajectory = self.episode(provider)
         assert result.forced and trajectory.forced_reason == "transport_error"
         assert trajectory.action_kinds() == [INIT_KG, WEB_SEARCH, VERDICT_ACTION]
         assert trajectory.steps[1][1].note.endswith("search provider reply is not a JSON object")
+        assert len(provider._requests.sent) == 2 and len(retry_pauses) == 1
 
     def test_results_that_are_not_a_list_end_in_a_forced_verdict(self):
-        provider = SerperProvider()
-        provider._requests = self.StubRequests(json.dumps({"organic": {"link": "x"}}))
-        result, trajectory = run_episode(
-            "Martians landed in Ohio.", default_policy(), EpisodeConfig(),
-            ScriptedBackend(responder=OracleResponder()), FixtureKgBackend(data=SMALL_GRAPH),
-            provider,
-        )
+        result, trajectory = self.episode(self.provider({"organic": {"link": "x"}}))
         assert result.forced and trajectory.forced_reason == "transport_error"
         assert trajectory.action_kinds() == [INIT_KG, WEB_SEARCH, VERDICT_ACTION]
         assert trajectory.steps[1][1].note.endswith("results are not a list")
@@ -151,13 +143,40 @@ class TestSerperProvider:
             {"link": "https://a.example", "title": None, "snippet": ["not", "text"]},
             {"link": "https://b.example", "title": "B", "snippet": "Ohio | has | Martians"},
         ]
-        provider = SerperProvider()
-        provider._requests = self.StubRequests(json.dumps({"organic": rows}))
+        provider = self.provider({"organic": rows}, {"organic": rows})
         assert provider.search("q", 5) == [
             WebDocument("https://a.example", "", "", 1),
             WebDocument("https://b.example", "B", "Ohio | has | Martians", 2),
         ]
         assert [d.url for d in provider.search("q", 1)] == ["https://a.example"]
+
+    def test_timeouts_raise_query_timeout(self, retry_pauses):
+        with pytest.raises(QueryTimeout, match="search provider timed out"):
+            self.provider("timeout", "timeout").search("q", 5)
+
+    ROW = {"link": "https://a.example", "title": "A", "snippet": "s"}
+
+    def test_429_then_200_over_loopback(self, loopback, retry_pauses):
+        loopback.replies.extend([(429, "slow down"), (200, {"organic": [self.ROW]})])
+        provider = SerperProvider(endpoint=loopback.url + "/search")
+        assert provider.search("q", 5) == [WebDocument("https://a.example", "A", "s", 1)]
+        assert [r[:2] for r in loopback.requests] == [("POST", "/search")] * 2
+        assert json.loads(loopback.requests[1][2]) == {"q": "q", "num": 5}
+
+    def test_two_429s_over_loopback_raise_quota_exceeded(self, loopback, retry_pauses):
+        loopback.replies.extend([(429, "slow down")] * 2)
+        with pytest.raises(ProviderQuotaExceeded, match="status 429"):
+            SerperProvider(endpoint=loopback.url + "/search").search("q", 5)
+        assert len(loopback.requests) == 2 and len(retry_pauses) == 1
+
+    def test_two_429s_over_loopback_end_the_episode_in_one_forced_verdict(self, loopback,
+                                                                          retry_pauses):
+        loopback.replies.extend([(429, "slow down")] * 2)
+        result, trajectory = self.episode(SerperProvider(endpoint=loopback.url + "/search"))
+        assert result.forced and trajectory.forced_reason == "transport_error"
+        assert trajectory.action_kinds() == [INIT_KG, WEB_SEARCH, VERDICT_ACTION]
+        assert trajectory.steps[1][1].note.endswith("status 429")
+        assert len(loopback.requests) == 2
 
 
 def reference_bm25(query, docs, k1=1.2, b=0.75):
