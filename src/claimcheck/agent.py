@@ -7,7 +7,9 @@ costs one assess-and-act call, whose reply names the next action; an illegal
 one is coerced to the nearest legal action and logged as a warning. After an
 observation that leaves only the verdict (the step limit is reached, or
 ``legal_actions`` is verdict alone) no assessment is sent, and the
-observation's hint stays ``unknown``.
+observation's hint stays ``unknown``. While ``expandKG`` is legal, the graph
+reads that expansion would make go out alongside the assessment, so a taken
+expansion does not wait for them; no LLM request is sent ahead.
 """
 
 from __future__ import annotations
@@ -369,7 +371,10 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
     Each pass of the loop records the step in progress with its observation.
     At the step limit it then forces the verdict. Otherwise it assesses the
     evidence, unless the verdict is the only legal action, and runs the
-    action the reply asks for, coerced onto the legal ones.
+    action the reply asks for, coerced onto the legal ones. The reads of the
+    hop ``expandKG`` would take go out alongside the assessment; a
+    TransportError among them is dropped, and a taken expansion reads that
+    key again.
 
     A TransportError, or a reply that stays unparseable or holds a field of
     the wrong type where no fallback exists (a prune, a web query, an
@@ -382,6 +387,7 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
     if not claim or not claim.strip():
         raise EmptyClaim("claim is empty")
     gateway = LlmGateway(llm_backend, policy)
+    reads = kg_mod.GraphReads(kg_backend)
     subgraph = KnowledgeSubgraph()
     trajectory = Trajectory(claim=claim)
     has_web = web_provider is not None
@@ -390,7 +396,7 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
     evidence = Evidence()  # listed by the latest observation
     action = Action(INIT_KG, claim)  # the step in progress
     try:
-        kg_mod.init_kg_retrieval(claim, subgraph, config, gateway, kg_backend)
+        kg_mod.init_kg_retrieval(claim, subgraph, config, gateway, reads)
         while True:
             previous, evidence = evidence, Evidence.of(subgraph, web_passages)
             added = sorted(evidence.ids - previous.ids)
@@ -409,9 +415,13 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
                 )
                 break
             legal = legal_actions(config, subgraph, trajectory, has_web)
-            hint, requested = UNKNOWN, None
+            hint, requested, next_hop = UNKNOWN, None, []
             if legal != {VERDICT_ACTION}:
-                hint, requested = assess_sufficiency(claim, evidence, gateway)
+                if EXPAND_KG in legal:
+                    next_hop = kg_mod.next_hop(subgraph, claim, config.k)
+                hint, requested = reads.read_alongside(
+                    lambda: assess_sufficiency(claim, evidence, gateway), next_hop
+                )
                 if hint == UNKNOWN:
                     hint = NEED_KG if EXPAND_KG in legal else NEED_WEB
                     requested = _HINT_ACTIONS[hint]
@@ -424,7 +434,7 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
                 trajectory.steps.append((action, Observation(kind="terminal", sufficiency_hint=hint)))
                 break
             if action.kind == EXPAND_KG:
-                kg_mod.expand_kg(claim, subgraph, config, gateway, kg_backend)
+                kg_mod.expand_kg(claim, subgraph, config, gateway, reads, next_hop)
                 continue
             query = web_mod.formulate_query(claim, evidence, gateway)
             action.payload = query
@@ -460,7 +470,8 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
         # retries, replies from an optimize run's reply memo included
         "llm_calls": gateway.call_count,
         "llm_retries": gateway.retry_count,
-        # entity expansions started, each one outgoing and one incoming fetch
+        # entity expansions taken, each one outgoing and one incoming read;
+        # the reads sent alongside an assessment count only once expanded
         "sparql_queries": len(subgraph.expanded),
         "web_searches": trajectory.action_kinds().count(WEB_SEARCH),
         # pruning + verdict requests, the quantity bounded by N + k*N + 1

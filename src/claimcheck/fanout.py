@@ -3,15 +3,16 @@
 ``fan_out(fn, items, width)`` runs the items on ``width`` lanes, every item
 at once when ``width`` is None. With no width it serves the KG layer's
 per-entity expand-and-prune work of a hop (``kg.expand_hop``), the outgoing
-and incoming fetches of one expansion (``kg.expand_entity``) and the
-per-mention entity searches (``kg.link_entities``), and the web step's
-passage batches (``web.filter_evidence``), its extractions, one per distinct
-passage text, and the entity searches of its one linking round, one per
-distinct surface (``web.to_triplets``). Their items spend their time waiting
-on SPARQL and LLM round trips, not on Python computation. With a width it
-runs the episodes of ``evaluation.run_benchmark`` and the training and
-validation episodes of an ``optimize.optimize`` epoch, lists too long to
-start at once.
+and incoming reads of one expansion that are not held yet
+(``kg.expand_entity``), an assessment and the next hop's reads sent
+alongside it (``kg.GraphReads.read_alongside``) and the per-mention entity
+searches (``kg.link_entities``), and the web step's passage batches
+(``web.filter_evidence``), its extractions, one per distinct passage text,
+and the entity searches of its one linking round, one per distinct surface
+(``web.to_triplets``). Their items spend their time waiting on SPARQL and
+LLM round trips, not on Python computation. With a width it runs the
+episodes of ``evaluation.run_benchmark`` and the training and validation
+episodes of an ``optimize.optimize`` epoch, lists too long to start at once.
 
 A lane runs one item after another, each time taking the next item no lane
 has taken. The caller is one lane and takes the first item before the other

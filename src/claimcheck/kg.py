@@ -17,18 +17,24 @@ concurrently (see ``fanout``), and so do each expansion's outgoing and
 incoming fetches and the claim's per-mention entity searches. Results are
 gathered in input order (expansion, direction, mention), so they do not
 depend on timing. LLM load stays bounded by ``HttpBackend``'s semaphore and
-token bucket; the graph backend may see all ``2k`` relation fetches of a hop
-at once.
+token bucket.
 
-An entity joins the subgraph's ``expanded`` set before its two fetches go
-out, so that set counts an episode's expansions, failed ones included. A hop
-expands at most ``k`` entities and ``expand_kg`` refuses hop ``N + 1``: at most
+Every relation read of an episode goes through its ``GraphReads`` store.
+The entities a hop expands are fixed before the agent decides to expand
+(``next_hop``), so the agent sends their ``2k`` reads alongside its
+assessment, all at once, and a hop it then takes finds them held. A hop it
+does not take leaves them unused: the graph backend may see one hop of reads
+more per episode than the expansions charged.
+
+An entity joins the subgraph's ``expanded`` set before its reads go out, so
+that set counts an episode's expansions, failed ones included. A hop expands
+at most ``k`` entities and ``expand_kg`` refuses hop ``N + 1``: at most
 ``k*N`` expansions and ``N + k*N`` prune calls, which the gateway counts.
 
 ``WikidataBackend`` with a ``cache_dir`` keeps every lookup in one
 ``llm.ReplyStore`` file, so a repeated search or query sends no request.
 Inside an optimize run (``llm.reply_memo``) each ``(entity, direction)``
-fetch and each entity search reaches the backend once, whatever the cache;
+read and each entity search reaches the backend once, whatever the cache;
 an expansion served from that memo is still recorded in ``expanded``.
 """
 
@@ -50,7 +56,7 @@ from .errors import (
 )
 from .fanout import fan_out
 from .graph import EntityId, RelationId, Triplet
-from .llm import LlmRequest, ReplyStore, ResponseSchema, live_json, memoized
+from .llm import LlmRequest, ReplyStore, ResponseSchema, live_json, memo_holds, memoized
 from .policy import EXPANSION_PRUNE, RELATION_PRUNE
 from .web import search_entities, string_field, tokenize
 
@@ -345,16 +351,59 @@ def link_entities(mentions, backend) -> list:
     return linked
 
 
-def fetch_relations(entity, direction, backend):
-    """All relation candidates of one entity in one direction, each carrying
-    at most ``MAX_OBJECTS_PER_RELATION`` sample neighbors."""
-    grouped = memoized(
-        ("relations_of", entity.id, direction),
-        lambda: tuple(
-            (rel, tuple(neighbors[:MAX_OBJECTS_PER_RELATION]))
-            for rel, neighbors in backend.relations_of(entity.id, direction)
-        ),
-    )
+class GraphReads:
+    """One episode's relation reads of the graph ``backend``, each held under
+    the key ``llm.memoized`` files it by, ``("relations_of", entity id,
+    direction)``: the entity's grouped relations in that direction, each with
+    at most ``MAX_OBJECTS_PER_RELATION`` sample neighbors. Every relation
+    read of the episode goes through the store, so a held key is never read
+    again."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.held = {}
+
+    def read(self, key):
+        """The relations under ``key``, held from now on."""
+        grouped = self.held.get(key)
+        if grouped is None:
+            _, entity_id, direction = key
+            grouped = self.held[key] = memoized(key, lambda: tuple(
+                (rel, tuple(neighbors[:MAX_OBJECTS_PER_RELATION]))
+                for rel, neighbors in self.backend.relations_of(entity_id, direction)
+            ))
+        return grouped
+
+    def missing(self, entity_ids):
+        """The keys of both directions of each entity that neither the store
+        nor the optimize run's memo holds, the reads that need a request."""
+        keys = (("relations_of", e, d) for e in entity_ids for d in ("outgoing", "incoming"))
+        return [key for key in keys if key not in self.held and not memo_holds(key)]
+
+    def read_alongside(self, call, entity_ids):
+        """``call()``, with the reads of ``entity_ids`` that need a request
+        sent concurrently with it; it returns once all have ended. A read
+        that raises TransportError is not held, so an expansion that needs it
+        reads it again. Any other error of a read propagates, unless
+        ``call`` raised too: then its error does, as in any ``fan_out``."""
+        keys = self.missing(entity_ids)
+
+        def run(key):
+            if key is None:
+                return call()
+            try:
+                self.read(key)
+            except TransportError:
+                pass
+
+        # the caller's lane runs the first item, so ``call`` runs inline
+        return fan_out(run, [None] + keys)[0]
+
+
+def fetch_relations(entity, direction, reads):
+    """All relation candidates of one entity in one direction from the
+    episode's ``reads``, each carrying at most ``MAX_OBJECTS_PER_RELATION``
+    sample neighbors."""
     return [
         RelationCandidate(
             relation=rel,
@@ -362,18 +411,16 @@ def fetch_relations(entity, direction, backend):
             anchor=entity,
             sample_objects=neighbors,
         )
-        for rel, neighbors in grouped
+        for rel, neighbors in reads.read(("relations_of", entity.id, direction))
     ]
 
 
-def expand_entity(entity, backend):
-    """Both directional fetches of one entity, run concurrently, outgoing
-    candidates first."""
-    outgoing, incoming = fan_out(
-        lambda direction: fetch_relations(entity, direction, backend),
-        ("outgoing", "incoming"),
-    )
-    return outgoing + incoming
+def expand_entity(entity, reads):
+    """Both directional reads of one entity, outgoing candidates first. The
+    reads that need a request run concurrently; held ones are served
+    inline."""
+    fan_out(reads.read, reads.missing([entity.id]))
+    return fetch_relations(entity, "outgoing", reads) + fetch_relations(entity, "incoming", reads)
 
 
 def _candidate_lines(candidates):
@@ -423,27 +470,32 @@ def _triplet_key(candidate, neighbor):
     return (neighbor.id, candidate.relation.id, candidate.anchor.id)
 
 
-def expand_hop(subgraph, claim, k, gateway, backend):
-    """One beam-search hop over the subgraph's unexpanded frontier entities.
-
-    Expands at most k of them (claim-overlap preferred) and drops each
-    fetched relation whose triplets are all in the subgraph already. Each
-    one with at least k relations that add a fact has them pruned,
-    concurrently; one with fewer than k relations that add a fact keeps them
-    all without a call, in fetch order (outgoing, then incoming, each by
-    relation id). When more than k relations survive, one more prune,
-    which sees them in expansion order, keeps the top k; otherwise every
-    survivor is kept without a call, in expansion order and then each
-    entity's own order. Appends the triplets of each retained relation's
-    sample neighbors, in fetch order. Each entity joins ``subgraph.expanded``
-    before its fetches go out."""
+def next_hop(subgraph, claim, k):
+    """The at most ``k`` unexpanded frontier entities the next hop expands:
+    those whose labels share the most tokens with the claim, then by id."""
     tokens = set(tokenize(claim))
 
     def priority(entity_id):
         shared = len(tokens & set(tokenize(subgraph.label_of(entity_id))))
         return (-shared, entity_id)
 
-    to_expand = sorted(subgraph.unexpanded(), key=priority)[:k]
+    return sorted(subgraph.unexpanded(), key=priority)[:k]
+
+
+def expand_hop(subgraph, claim, k, gateway, reads, to_expand):
+    """One beam-search hop that expands the frontier entities ``to_expand``
+    (``next_hop``'s choice).
+
+    Drops each relation read for them whose triplets are all in the
+    subgraph already. Each one with at least k relations that add a fact has
+    them pruned, concurrently; one with fewer than k relations that add a
+    fact keeps them all without a call, in fetch order (outgoing, then
+    incoming, each by relation id). When more than k relations survive, one
+    more prune, which sees them in expansion order, keeps the top k;
+    otherwise every survivor is kept without a call, in expansion order and
+    then each entity's own order. Appends the triplets of each retained
+    relation's sample neighbors, in fetch order. Each entity joins
+    ``subgraph.expanded`` before its reads go out."""
     subgraph.expanded.update(to_expand)
 
     def expand_and_prune(entity_id):
@@ -451,7 +503,7 @@ def expand_hop(subgraph, claim, k, gateway, backend):
         # the subgraph is written only after the hop, so this read is stable;
         # the edge the entity was reached by, seen from this end, adds nothing
         candidates = [
-            c for c in expand_entity(entity, backend)
+            c for c in expand_entity(entity, reads)
             if any(_triplet_key(c, o) not in subgraph.triplets for o in c.sample_objects)
         ]
         # a prune of fewer than k candidates would keep every one of them
@@ -481,27 +533,31 @@ def expand_hop(subgraph, claim, k, gateway, backend):
     subgraph.frontier = new_frontier
 
 
-def init_kg_retrieval(claim, subgraph, config, gateway, backend):
+def init_kg_retrieval(claim, subgraph, config, gateway, reads):
     """extract -> link -> one expansion round into the empty ``subgraph``; the
-    episode's observation o0. ``config`` is an ``agent.EpisodeConfig``.
+    episode's observation o0. ``config`` is an ``agent.EpisodeConfig`` and
+    ``reads`` the episode's ``GraphReads``.
 
     An empty claim raises EmptyClaim. An unlinkable claim leaves the subgraph
     empty (the agent's web-search fallback handles it) instead of an error."""
     try:
         mentions = extract_mentions(claim)
-        topics = link_entities(mentions, backend)
+        topics = link_entities(mentions, reads.backend)
     except AllMentionsUnlinkable:
         return
     for topic in topics:
         subgraph.add_topic_entity(topic)
-    expand_kg(claim, subgraph, config, gateway, backend)
+    expand_kg(claim, subgraph, config, gateway, reads)
 
 
-def expand_kg(claim, subgraph, config, gateway, backend):
-    """One more hop of at most ``config.k`` expansions, unless no frontier
-    entity is left unexpanded; errors once ``config.n_hops`` hops are spent."""
+def expand_kg(claim, subgraph, config, gateway, reads, to_expand=None):
+    """One more hop of at most ``config.k`` expansions, of ``to_expand`` when
+    the caller has taken ``next_hop`` already, unless no frontier entity is
+    left unexpanded; errors once ``config.n_hops`` hops are spent."""
     if subgraph.hops_done >= config.n_hops:
         raise BudgetExhausted(f"hop budget N={config.n_hops} exhausted")
-    if subgraph.unexpanded():
-        expand_hop(subgraph, claim, config.k, gateway, backend)
+    if to_expand is None:
+        to_expand = next_hop(subgraph, claim, config.k)
+    if to_expand:
+        expand_hop(subgraph, claim, config.k, gateway, reads, to_expand)
         subgraph.hops_done += 1

@@ -52,6 +52,8 @@ REPAIR_RETRIES = 2
 # Sampling settings of every request; both enter the fingerprint.
 TEMPERATURE = 0.0
 MAX_OUTPUT_TOKENS = 1024
+# The longest Retry-After, in seconds, that a live request waits before its retry.
+MAX_RETRY_AFTER_S = 10.0
 
 # key -> first result, for the reply_memo() block in progress; None outside one
 _REPLY_MEMO = contextvars.ContextVar("claimcheck_reply_memo", default=None)
@@ -81,6 +83,12 @@ def memoized(key, fetch):
     if key in memo:
         return memo[key]
     return memo.setdefault(key, fetch())
+
+
+def memo_holds(key):
+    """Whether the ``reply_memo()`` block in progress holds ``key``."""
+    memo = _REPLY_MEMO.get()
+    return memo is not None and key in memo
 
 
 @dataclass(frozen=True)
@@ -293,18 +301,30 @@ class TokenBucket:
             time.sleep(wait)
 
 
+def _retry_pause(resp):
+    """Seconds to wait before the retry of a failed request: the ``Retry-After``
+    of a 429 or 503 ``resp`` when it is a whole number of seconds, at most
+    MAX_RETRY_AFTER_S; otherwise 0.5-1 s, jittered."""
+    if resp is not None and resp.status_code in (429, 503):
+        value = (resp.headers.get("Retry-After") or "").strip()
+        if re.fullmatch(r"[0-9]+", value):
+            return min(float(value), MAX_RETRY_AFTER_S)
+    return 0.5 + random.random() * 0.5
+
+
 def live_json(requests, send, what):
     """The JSON object a live service replies with to ``send()``, which makes
     one request through the ``requests`` module given and returns its response.
 
     A failed attempt is a ``requests`` error, a status other than 200 or a
     body that is not a JSON object, such as an HTML error page; it is tried
-    once more after a pause of 0.5-1 s. A second failure raises QueryTimeout
-    for a timeout, ProviderQuotaExceeded for a 429 and TransportError
-    otherwise, with a message that names ``what``."""
+    once more after a pause (``_retry_pause``). A second failure raises
+    QueryTimeout for a timeout, ProviderQuotaExceeded for a 429 and
+    TransportError otherwise, with a message that names ``what``."""
+    resp = None
     for attempt in range(2):
         if attempt:
-            time.sleep(0.5 + random.random() * 0.5)
+            time.sleep(_retry_pause(resp))
         try:
             resp = send()
         except requests.Timeout as exc:

@@ -330,7 +330,7 @@ class StubResponse:
     """Stands in for a ``requests`` response whose body is ``text``."""
 
     def __init__(self, text, status_code=200):
-        self.text, self.status_code = text, status_code
+        self.text, self.status_code, self.headers = text, status_code, {}
 
     def json(self):
         return json.loads(self.text)
@@ -379,9 +379,9 @@ def retry_pauses(monkeypatch):
 
 class LoopbackServer:
     """An HTTP server on 127.0.0.1 that answers each GET or POST with the next
-    of ``replies``, ``(status, body)`` pairs: a body that is not a string is
-    sent as JSON, a string as an HTML page. Records the method, path and body
-    of each request in ``requests``."""
+    of ``replies``, ``(status, body)`` pairs or ``(status, body, headers)``
+    triples: a body that is not a string is sent as JSON, a string as an HTML
+    page. Records the method, path and body of each request in ``requests``."""
 
     def __init__(self):
         server = self
@@ -406,7 +406,7 @@ class LoopbackServer:
         body = handler.rfile.read(length).decode("utf-8")
         with self._lock:
             self.requests.append((handler.command, handler.path, body))
-            status, reply = self.replies.popleft()
+            status, reply, *headers = self.replies.popleft()
         kind = "text/html"
         if not isinstance(reply, str):
             kind, reply = "application/json", json.dumps(reply)
@@ -414,6 +414,8 @@ class LoopbackServer:
         handler.send_response(status)
         handler.send_header("Content-Type", kind)
         handler.send_header("Content-Length", str(len(data)))
+        for name, value in (headers[0] if headers else {}).items():
+            handler.send_header(name, value)
         handler.end_headers()
         handler.wfile.write(data)
 
@@ -495,22 +497,29 @@ class FaultyLlm(_FaultyBackend):
 
 
 class FaultyKg(_FaultyBackend):
-    """Wraps a KG backend: entity searches and relation fetches time out, fail
-    in transport or find nothing. Counts the relation fetches."""
+    """Wraps a KG backend: entity searches and relation reads time out, fail
+    in transport or find nothing. Records each relation read as
+    ``((entity id, direction), raised)`` in ``reads``."""
 
     kinds = ("timeout", "transport", "empty")
 
     def __init__(self, backend, seed, rate=0.1):
         super().__init__(backend, seed, rate)
-        self.fetches = 0
+        self.reads = []
 
     def search_entities(self, text, limit=5):
         return [] if self.fault(text) else self.backend.search_entities(text, limit)
 
     def relations_of(self, entity_id, direction, *args, **kwargs):
+        try:
+            empty = self.fault(entity_id, direction)
+        except TransportError:
+            with self._lock:
+                self.reads.append(((entity_id, direction), True))
+            raise
         with self._lock:
-            self.fetches += 1
-        if self.fault(entity_id, direction):
+            self.reads.append(((entity_id, direction), False))
+        if empty:
             return []
         return self.backend.relations_of(entity_id, direction, *args, **kwargs)
 

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from claimcheck import kg as kg_mod
 from claimcheck.agent import (
     EXPAND_KG,
     INIT_KG,
@@ -171,13 +172,15 @@ class TestSufficiency:
     def test_unparseable_reply_is_unknown(self):
         graph, claims = build_corpus(1)
         backend = FixtureKgBackend(data=graph)
-        from claimcheck.kg import init_kg_retrieval
+        from claimcheck.kg import GraphReads, init_kg_retrieval
 
         oracle = LlmGateway(
             ScriptedBackend(responder=OracleResponder(specs=claims)), default_policy()
         )
         subgraph = KnowledgeSubgraph()
-        init_kg_retrieval(claims[0]["claim"], subgraph, EpisodeConfig(), oracle, backend)
+        init_kg_retrieval(
+            claims[0]["claim"], subgraph, EpisodeConfig(), oracle, GraphReads(backend)
+        )
         # unparseable, or an assessment that is not a string: repaired, then unknown
         for reply in ("not json", '{"assessment": []}', '{"assessment": {}}',
                       '{"assessment": ["need_kg"]}'):
@@ -694,6 +697,96 @@ class TestTransportErrors:
         assert trajectory.counters["llm_calls"] == len(prompts)
 
 
+DEPTH1_GRAPH, DEPTH1_CLAIMS = build_corpus(4, depth=1)
+
+
+class TestReadsAlongsideAssessment:
+    # after the initial hop the next hop's entity is fixed: the group M001 of
+    # the depth-2 claim, which the assessment asks to expand, and the
+    # employer O001 of the depth-1 claim, where it asks for the verdict
+
+    def faulty_episode(self, graph, claims, faults):
+        kg = FaultyKg(FixtureKgBackend(data=graph), seed=0, rate=0.0)
+        kg.faults = faults
+        llm = ScriptedBackend(responder=OracleResponder(specs=claims))
+        result, trajectory = run_episode(
+            claims[0]["claim"], default_policy(), EpisodeConfig(), llm, kg
+        )
+        return result, trajectory, kg
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_taken_expansion_sends_no_read_after_its_assessment(self, seed):
+        events = []
+
+        class LoggedLlm(SlowLlm):
+            def generate(self, text, temperature, max_tokens):
+                assessment = text.startswith("Assess whether the evidence")
+                events.append(("send", assessment))
+                reply = super().generate(text, temperature, max_tokens)
+                events.append(("reply", assessment))
+                return reply
+
+        class LoggedKg(SlowKg):
+            def relations_of(self, entity_id, direction, *args, **kwargs):
+                events.append(("read", entity_id))
+                return super().relations_of(entity_id, direction, *args, **kwargs)
+
+        llm = LoggedLlm(OracleResponder(specs=DEPTH2_CLAIMS), seed, max_ms=3.0)
+        kg = LoggedKg(DEPTH2_GRAPH, seed, max_ms=3.0)
+        _, trajectory = run_episode(
+            DEPTH2_CLAIMS[0]["claim"], default_policy(), EpisodeConfig(), llm, kg
+        )
+        assert trajectory.action_kinds() == [INIT_KG, EXPAND_KG, VERDICT_ACTION]
+        first_reply = events.index(("reply", True))
+        # the expansion's reads went out while its assessment was in flight;
+        # what is read later is the hop after it, alongside the next assessment
+        assert ("read", "M001") in events[:first_reply]
+        assert {e for kind, e in events[first_reply:] if kind == "read"} == {"O001"}
+        assert len(kg.fetches) == len(set(kg.fetches))
+
+    def test_failed_read_alongside_a_verdict_changes_nothing(self):
+        _, clean, _ = self.faulty_episode(DEPTH1_GRAPH, DEPTH1_CLAIMS, {})
+        result, trajectory, kg = self.faulty_episode(
+            DEPTH1_GRAPH, DEPTH1_CLAIMS, {("O001", "incoming"): "transport"}
+        )
+        assert kg.fired == ["transport"]
+        assert trajectory.action_kinds() == [INIT_KG, VERDICT_ACTION]
+        assert trajectory.to_json() == clean.to_json() and not result.forced
+
+    def test_failed_read_of_a_taken_expansion_is_read_again_and_ends_the_episode(self):
+        result, trajectory, kg = self.faulty_episode(
+            DEPTH2_GRAPH, DEPTH2_CLAIMS, {("M001", "outgoing"): "transport"}
+        )
+        assert [read for read in kg.reads if read[0] == ("M001", "outgoing")] == [
+            (("M001", "outgoing"), True)
+        ] * 2
+        assert trajectory.action_kinds() == [INIT_KG, EXPAND_KG, VERDICT_ACTION]
+        assert trajectory.steps[1][1].note.startswith("transport error: injected transport")
+        assert result.forced and trajectory.forced_reason == "transport_error"
+        assert trajectory.counters["sparql_queries"] == 2
+
+    def test_a_read_that_raises_a_bug_propagates(self):
+        class Broken(FixtureKgBackend):
+            def relations_of(self, entity_id, direction, *args, **kwargs):
+                if entity_id == "O001":
+                    raise KeyError("a bug in the graph client")
+                return super().relations_of(entity_id, direction, *args, **kwargs)
+
+        llm = ScriptedBackend(responder=OracleResponder(specs=DEPTH1_CLAIMS))
+        with pytest.raises(KeyError, match="a bug"):
+            run_episode(DEPTH1_CLAIMS[0]["claim"], default_policy(), EpisodeConfig(), llm,
+                        Broken(data=DEPTH1_GRAPH))
+
+    def test_each_episode_makes_its_own_reads(self):
+        records = [DatasetRecord(f"{c['id']}-{i}", c["claim"], c["gold_label"])
+                   for c in DEPTH2_CLAIMS[:2] for i in (1, 2)]
+        kg = SlowKg(DEPTH2_GRAPH)
+        runner = EpisodeRunner(default_policy(), EpisodeConfig(),
+                               ScriptedBackend(responder=OracleResponder(specs=DEPTH2_CLAIMS)), kg)
+        run_benchmark(records, runner, parallelism=2)
+        assert kg.fetches and set(Counter(kg.fetches).values()) == {2}
+
+
 def fault_environments():
     envs = []
     for depth in (1, 2):
@@ -787,13 +880,30 @@ class TestFaultInjection:
         for episode, config, llm, _, _, result, trajectory in llm_fault_episodes():
             self.check(episode, config, llm, result, trajectory)
 
-    def test_backend_faults_end_in_one_verdict_within_budget(self):
+    def test_backend_faults_end_in_one_verdict_within_budget(self, monkeypatch):
         fired = Counter()
+        expanded = []  # the entities of the episode's charged expansions
+        expand = kg_mod.expand_entity
+
+        def recorded(entity, reads):
+            expanded.append(entity.id)
+            return expand(entity, reads)
+
+        monkeypatch.setattr(kg_mod, "expand_entity", recorded)
         for episode, config, llm, kg, web, result, trajectory in backend_fault_episodes():
             self.check(episode, config, llm, result, trajectory)
-            # every charged expansion made both directional fetches
-            assert trajectory.counters["sparql_queries"] * 2 == kg.fetches, episode
+            assert len(set(expanded)) == len(expanded) == trajectory.counters["sparql_queries"]
+            raised = {}
+            for key, failed in kg.reads:
+                # a key is read again only after its earlier reads raised
+                assert all(raised.get(key, [])), (episode, key)
+                raised.setdefault(key, []).append(failed)
+            # both reads of every charged expansion reached the backend
+            assert {(e, d) for e in expanded for d in ("outgoing", "incoming")} <= set(raised)
+            # the reads sent alongside assessments cover at most one hop
+            assert len({key for key in raised if key[0] not in expanded}) <= 2 * config.k, episode
             fired.update(kg.fired + (web.fired if web else []))
+            expanded.clear()
         assert set(fired) == {"timeout", "transport", "empty", "quota"}
 
     def test_llm_script_miss_propagates(self):

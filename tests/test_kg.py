@@ -22,6 +22,7 @@ from claimcheck.errors import (
 from claimcheck.graph import EntityId, KnowledgeSubgraph, RelationId
 from claimcheck.kg import (
     EntityMention,
+    GraphReads,
     RelationCandidate,
     WikidataBackend,
     expand_entity,
@@ -57,9 +58,10 @@ def retrieve(claim, gateway, backend, hops=1, **config):
     """The subgraph ``init_kg_retrieval`` fills under ``EpisodeConfig(**config)``,
     grown by ``expand_kg`` to ``hops`` hops."""
     subgraph, config = KnowledgeSubgraph(), EpisodeConfig(**config)
-    init_kg_retrieval(claim, subgraph, config, gateway, backend)
+    reads = GraphReads(backend)
+    init_kg_retrieval(claim, subgraph, config, gateway, reads)
     for _ in range(hops - 1):
-        expand_kg(claim, subgraph, config, gateway, backend)
+        expand_kg(claim, subgraph, config, gateway, reads)
     return subgraph
 
 
@@ -140,7 +142,7 @@ class TestLinking:
 
 class TestFetchRelations:
     def test_fixture_outgoing(self, small_graph_backend):
-        candidates = fetch_relations(EntityId("Q76"), "outgoing", small_graph_backend)
+        candidates = fetch_relations(EntityId("Q76"), "outgoing", GraphReads(small_graph_backend))
         assert {(c.relation.id, c.sample_objects[0].id) for c in candidates} == {
             ("P19", "Q18094"),
             ("P27", "Q30"),
@@ -148,11 +150,11 @@ class TestFetchRelations:
         assert all(c.direction == "outgoing" for c in candidates)
 
     def test_fixture_incoming(self, small_graph_backend):
-        candidates = fetch_relations(EntityId("Q30"), "incoming", small_graph_backend)
+        candidates = fetch_relations(EntityId("Q30"), "incoming", GraphReads(small_graph_backend))
         assert [(c.relation.id, c.sample_objects[0].id) for c in candidates] == [("P27", "Q76")]
 
     def test_isolated_node(self, small_graph_backend):
-        assert fetch_relations(EntityId("Q3139"), "outgoing", small_graph_backend) == []
+        assert fetch_relations(EntityId("Q3139"), "outgoing", GraphReads(small_graph_backend)) == []
 
     def test_expansion_charges_one_query_for_both_directions(self, small_graph_backend):
         fetches = []
@@ -184,9 +186,9 @@ class TestFetchRelations:
                     time.sleep(0.01)  # the outgoing fetch finishes last
                 return small_graph_backend.relations_of(entity_id, direction, limit)
 
-        candidates = expand_entity(EntityId("Q30"), Meeting())
+        candidates = expand_entity(EntityId("Q30"), GraphReads(Meeting()))
         assert [(c.direction, c.relation.id) for c in candidates] == [("incoming", "P27")]
-        candidates = expand_entity(EntityId("Q76"), Meeting())
+        candidates = expand_entity(EntityId("Q76"), GraphReads(Meeting()))
         assert [(c.direction, c.relation.id) for c in candidates] == [
             ("outgoing", "P19"), ("outgoing", "P27")
         ]
@@ -305,7 +307,7 @@ class TestRetrieval:
         subgraph = retrieve(claim, gw, backend)
         before = set(subgraph.triplets)
         assert max(subgraph.hop_of.values()) == 1
-        expand_kg(claim, subgraph, EpisodeConfig(), gw, backend)
+        expand_kg(claim, subgraph, EpisodeConfig(), gw, GraphReads(backend))
         assert before <= set(subgraph.triplets)
         assert max(subgraph.hop_of.values()) == 2
 
@@ -315,9 +317,9 @@ class TestRetrieval:
         claim = "Barack Obama was born in Kenya."
         subgraph = retrieve(claim, gw, small_graph_backend)
         for _ in range(3):
-            expand_kg(claim, subgraph, config, gw, small_graph_backend)
+            expand_kg(claim, subgraph, config, gw, GraphReads(small_graph_backend))
         snapshot, expanded = subgraph.to_json(), set(subgraph.expanded)
-        expand_kg(claim, subgraph, config, gw, small_graph_backend)
+        expand_kg(claim, subgraph, config, gw, GraphReads(small_graph_backend))
         assert subgraph.to_json() == snapshot
         assert subgraph.expanded == expanded
 
@@ -326,9 +328,9 @@ class TestRetrieval:
         gw = oracle_gateway()
         claim = "Barack Obama was born in Kenya."
         subgraph = KnowledgeSubgraph()
-        init_kg_retrieval(claim, subgraph, config, gw, small_graph_backend)
+        init_kg_retrieval(claim, subgraph, config, gw, GraphReads(small_graph_backend))
         with pytest.raises(BudgetExhausted):
-            expand_kg(claim, subgraph, config, gw, small_graph_backend)
+            expand_kg(claim, subgraph, config, gw, GraphReads(small_graph_backend))
 
     def test_one_hop_expands_k_of_a_larger_frontier(self):
         # six linked topics; each label shares two claim tokens, so ids break
@@ -354,7 +356,7 @@ class TestRetrieval:
         gw = oracle_gateway(specs=claims)
         claim = claims[1]["claim"]
         subgraph = retrieve(claim, gw, backend)
-        expand_kg(claim, subgraph, EpisodeConfig(), gw, backend)
+        expand_kg(claim, subgraph, EpisodeConfig(), gw, GraphReads(backend))
         # brute-force BFS over the final triplet set
         adjacency = {}
         for s, _, o in subgraph.triplets:
@@ -382,7 +384,7 @@ class TestRetrieval:
             backend = FixtureKgBackend(data=graph)
             gw = oracle_gateway(specs=claims)
             subgraph = retrieve(claim, gw, backend)
-            expand_kg(claim, subgraph, EpisodeConfig(), gw, backend)
+            expand_kg(claim, subgraph, EpisodeConfig(), gw, GraphReads(backend))
             return subgraph.to_json()
 
         assert run() == run()

@@ -471,6 +471,31 @@ class TestHttpBackend:
         assert json.loads(loopback.requests[1][2])["messages"] == [{"role": "user", "content": "q"}]
         assert len(self.pauses) == 1
 
+    @pytest.mark.parametrize("status, retry_after, pause", [
+        (429, "3", 3.0),
+        (503, "0", 0.0),
+        (503, " 7 ", 7.0),
+        (429, "3600", llm.MAX_RETRY_AFTER_S),
+        (429, None, None),
+        (503, "Wed, 21 Oct 2026 07:28:00 GMT", None),
+        (503, "1.5", None),
+        (500, "3", None),
+    ], ids=["429", "503-zero", "503-spaces", "capped", "no-header", "http-date", "fraction",
+            "500"])
+    def test_retry_after_over_loopback(self, loopback, status, retry_after, pause):
+        # a whole number of seconds on a 429 or 503 sets the pause; otherwise
+        # it is the jittered 0.5-1 s
+        headers = {} if retry_after is None else {"Retry-After": retry_after}
+        loopback.replies.extend([(status, "busy", headers), (200, self.REPLY)])
+        http = self.backend(base_url=loopback.url + "/v1")
+        http._requests = requests
+        assert http.generate("q", 0.0, 1024) == "hi"
+        assert len(loopback.requests) == 2 and len(self.pauses) == 1
+        if pause is None:
+            assert 0.5 <= self.pauses[0] <= 1.0
+        else:
+            assert self.pauses == [pause]
+
     def test_two_503s_over_loopback_raise_after_two_requests(self, loopback):
         loopback.replies.extend([(503, "busy")] * 2)
         http = self.backend(base_url=loopback.url + "/v1")

@@ -581,6 +581,17 @@ class TestReplyMemo:
         assert len(after[1]) > len(set(after[1]))  # an eval's own reads repeat
         assert llm_mod._REPLY_MEMO.get() is None
 
+    @pytest.mark.parametrize("flaky_mod", [0, 3])
+    def test_reads_sent_alongside_assessments_go_out_once_too(self, flaky_mod):
+        """No episode expands an employer (O or X): its relation reads are
+        only those an episode sends alongside the assessment that picks the
+        verdict, and the memo holds them for the rest of the run."""
+        claims, llm, reads, runner_factory = self.environment(flaky_mod, seed=6)
+        optimize(flawed_policy(), claims, self.CONFIG, runner_factory, llm)
+        reads.assert_sent_once()
+        assert any(key[0] == "relations_of" and key[1].startswith(("O", "X"))
+                   for key in reads.reads)
+
     def test_a_resend_before_the_memo_stores_the_result_is_an_overlap(self):
         counting = CountingReads({"entities": [], "relations": []}, {})
 
