@@ -294,7 +294,7 @@ def select_action(requested, legal, hint, trajectory):
 
 def _validated_verdict(payload, evidence_ids, trajectory, forced):
     label = _normalize_label(payload["label"])
-    justification = str(payload.get("justification", "")).strip() or "no justification provided"
+    justification = web_mod.string_field(payload, "justification").strip() or "no justification provided"
     cites = payload.get("citations") or []
     citations = []
     for cite in cites if isinstance(cites, list) else [cites]:

@@ -14,6 +14,13 @@ LLM round trips, not on Python computation. With a width it runs the
 episodes of ``evaluation.run_benchmark`` and the training and validation
 episodes of an ``optimize.optimize`` epoch, lists too long to start at once.
 
+``start(fn, *args)`` queues one item to the workers and returns at once; its
+handle's ``result()`` runs the item inline if no worker has taken it yet, and
+otherwise waits for it. Its one caller is ``optimize._train_critiques``: each
+training episode starts its critique call and its lane goes on to the next
+episode, so ``config.parallel`` bounds the episodes and the critique calls run
+off the lanes, at most one per finished episode.
+
 A lane runs one item after another, each time taking the next item no lane
 has taken. The caller is one lane and takes the first item before the other
 lanes are queued to worker threads. The workers start on first use and stay
@@ -22,39 +29,53 @@ cost more CPU than the call's own Python work. When the caller runs out of
 items it also runs any lane no worker has started yet, which saves thread
 hand-offs when the items finish quickly.
 
-Every item runs in its own copy of the caller's context (``contextvars``),
-on whichever lane it lands. So an item sees the context variables its caller
-had set, such as ``llm.reply_memo``'s memo of an optimize run's prompts,
-graph lookups and web searches, also in nested calls on worker lanes; what an
-item sets itself stays its own, hidden from the caller and from the other
-items.
+A started item is a task on the same workers, so a lane never waits behind
+it. Every item, started ones too, runs in its own copy of the caller's
+context (``contextvars``), on whichever thread it lands. So an item sees the
+context variables its caller had set, such as ``llm.reply_memo``'s memo of an
+optimize run's prompts, graph lookups and web searches, also in nested calls
+on worker lanes; what an item sets itself stays its own, hidden from the
+caller and from the other items.
 """
 
 from __future__ import annotations
 
 import contextvars
+import functools
 import itertools
 import queue
 import threading
 
 
 class _Task:
-    __slots__ = ("fn", "lock", "finished")
+    __slots__ = ("fn", "lock", "finished", "value", "error")
 
     def __init__(self, fn):
         self.fn = fn
         self.lock = threading.Lock()
         self.finished = False
+        self.value = self.error = None
 
     def run_once(self):
-        """Run the task unless it has run; a call that finds it running waits
-        for it. Returns whether this call ran it."""
+        """Run the task unless it has run, keeping its value or error; a call
+        that finds it running waits for it. Returns whether this call ran it."""
         with self.lock:
             if self.finished:
                 return False
-            self.fn()
+            try:
+                self.value = self.fn()
+            except BaseException as exc:  # re-raised by result()
+                self.error = exc
             self.finished = True
             return True
+
+    def result(self):
+        """The task's value, or its error raised, once it has run: here, if no
+        worker has taken it yet."""
+        _workers.run(self)
+        if self.error is not None:
+            raise self.error
+        return self.value
 
 
 class _Workers:
@@ -130,3 +151,11 @@ def fan_out(fn, items, width=None):
     if errors:
         raise errors[min(errors)]
     return results
+
+
+def start(fn, *args):
+    """``fn(*args)`` queued to the workers, in a copy of the caller's context.
+    Returns its task, whose ``result()`` returns or raises what it did."""
+    task = _Task(functools.partial(contextvars.copy_context().run, fn, *args))
+    _workers.submit([task])
+    return task

@@ -8,14 +8,16 @@ validation improvement, and the best accepted candidate wins.
 
 from __future__ import annotations
 
+import contextlib
 import random
 from dataclasses import dataclass, field
 
 from .agent import EXPAND_KG, INIT_KG, SUFFICIENT, WEB_SEARCH
 from .errors import InsufficientData, ParseFailure, TransportError
-from .fanout import fan_out
+from .fanout import fan_out, start
 from .llm import LlmGateway, LlmRequest, PromptTemplate, ResponseSchema, reply_memo
 from .policy import REFLECT, SUFFICIENCY, VERDICT, PromptPolicy
+from .web import string_field
 
 INSUFFICIENT_COVERAGE = "InsufficientCoverage"
 PREMATURE_TERMINATION = "PrematureTermination"
@@ -228,7 +230,7 @@ def reflect(trajectory, gold_label, gateway=None) -> list:
             if tag not in CRITIQUE_TAGS:
                 tag = OTHER
             step_index = max(0, min(step_index, len(trajectory.steps) - 1))
-            critiques.append(Critique(tag=tag, step_index=step_index, text=str(row.get("text", ""))))
+            critiques.append(Critique(tag=tag, step_index=step_index, text=string_field(row, "text")))
     critiques.extend(rule_based_critiques(trajectory, gold_label))
     return critiques
 
@@ -312,14 +314,33 @@ def _mean_val_reward(policy, claims, runner_factory, width):
 
 def _train_critiques(policy, claims, runner_factory, reflection_backend, width):
     """Every training claim's episode under ``policy`` and its critiques,
-    concatenated in claim order."""
+    concatenated in claim order.
+
+    ``width`` episodes run at once. Each finished episode starts its critique
+    call off the lanes, so the next episode does not wait for it; at width 1
+    the call ends before the next episode starts, as a ``sequence`` script
+    needs. Every started call has ended before this returns or raises; an
+    episode's error goes before a critique's."""
     runner = runner_factory(policy)
+    started = []
 
     def critique(record):
         _, trajectory = runner.run(record["claim"])
-        return reflect(trajectory, record["gold_label"], LlmGateway(reflection_backend, policy))
+        handle = start(reflect, trajectory, record["gold_label"],
+                       LlmGateway(reflection_backend, policy))
+        started.append(handle)
+        if width == 1:
+            handle.result()
+        return handle
 
-    return [c for batch in fan_out(critique, claims, width) for c in batch]
+    try:
+        handles = fan_out(critique, claims, width)
+    except BaseException:
+        for handle in started:
+            with contextlib.suppress(Exception):  # the episode's error goes first
+                handle.result()
+        raise
+    return [c for handle in handles for c in handle.result()]
 
 
 def optimize(initial, claims, config, runner_factory, reflection_backend, meta_backend=None):
@@ -328,7 +349,9 @@ def optimize(initial, claims, config, runner_factory, reflection_backend, meta_b
     ``claims`` is a list of {"id", "claim", "gold_label"}; ``runner_factory``
     maps a policy to an episode runner whose ``run`` may be called from
     several threads at once: ``config.parallel`` training or validation
-    episodes run at a time, and the run equals a serial one. Within the run
+    episodes run at a time, and the run equals a serial one. Each training
+    episode's critique call runs off those lanes, at most one per finished
+    episode, and ends before the epoch's meta call. Within the run
     each distinct prompt text, graph lookup and web search goes to a backend
     once (``llm.reply_memo``).
     A meta call that fails to parse or to arrive leaves its epoch without a

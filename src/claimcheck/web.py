@@ -217,7 +217,7 @@ def formulate_query(claim, evidence, gateway) -> WebQuery:
     query = payload["query"]
     if not isinstance(query, str) or not query.strip():
         raise ParseFailure(f"web query must be nonempty text, got {query!r}")
-    return WebQuery(text=query, rationale=str(payload.get("rationale", "")))
+    return WebQuery(text=query, rationale=string_field(payload, "rationale"))
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from claimcheck.policy import (
     WEB_QUERY,
     default_policy,
 )
-from claimcheck.web import FixtureSearchProvider, WebDocument
+from claimcheck.web import FixtureSearchProvider, WebDocument, WebQuery
 
 from conftest import (
     FaultyKg,
@@ -1022,6 +1022,12 @@ class TestReplyShapes:
                         assert len(trajectory.steps) <= episode[1].max_steps + 1, case
                         back = trajectory_from_jsonable(json.loads(trajectory.to_json()))
                         assert back.action_kinds() == kinds, case
+                        # a text field that is not text reads as absent, not as its repr
+                        texts = [result.justification] + [
+                            action.payload.rationale for action, _ in trajectory.steps
+                            if isinstance(action.payload, WebQuery)
+                        ]
+                        assert isinstance(value, str) or str(value) not in texts, case
 
 
 class TestTrajectory:

@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from claimcheck.fanout import fan_out
+from claimcheck import fanout as fanout_mod
+from claimcheck.fanout import fan_out, start
 
 VAR = contextvars.ContextVar("test_fanout_var", default="unset")
 
@@ -257,3 +258,147 @@ class TestContext:
             assert sorted(VAR.get()) == [0, 1, 2, 3]
         finally:
             VAR.reset(token)
+
+
+def pending_settles():
+    """Whether the workers' count of unfinished tasks returns to 0; a worker
+    that ran a started item lowers it just after the item ends."""
+    deadline = time.monotonic() + 5
+    while fanout_mod._workers._pending and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return fanout_mod._workers._pending == 0
+
+
+def busy_workers(monkeypatch):
+    """Workers that count one thread and start none, in place of the pool: a
+    pool whose every thread is busy, so a queued item waits for a taker."""
+    busy = fanout_mod._Workers()
+    busy._threads = 1
+    monkeypatch.setattr(fanout_mod, "_workers", busy)
+    return busy
+
+
+class TestStart:
+    """``start`` queues one item; its handle's ``result()`` returns or raises
+    what the item did, once it has run."""
+
+    def test_runs_inline_when_no_worker_has_taken_it(self, monkeypatch):
+        busy = busy_workers(monkeypatch)
+        caller = threading.current_thread()
+        handle = start(lambda a, b: (a + b, threading.current_thread() is caller), 2, 3)
+        assert handle.result() == (5, True)
+        assert busy._pending == 0
+        assert handle.result() == (5, True)  # run once, read again
+
+    def test_waits_for_a_worker_running_it(self):
+        caller = threading.current_thread()
+        taken, release, order = threading.Event(), threading.Event(), []
+
+        def work():
+            taken.set()
+            release.wait(5)
+            order.append("item")
+            return threading.current_thread() is caller
+
+        handle = start(work)
+        assert taken.wait(5)  # a worker holds the item now
+
+        def let_go():
+            time.sleep(0.02)
+            order.append("release")
+            release.set()
+
+        releaser = threading.Thread(target=let_go)
+        releaser.start()
+        assert handle.result() is False
+        releaser.join(timeout=5)
+        assert not releaser.is_alive()
+        assert order == ["release", "item"]
+        assert pending_settles()
+
+    @pytest.mark.parametrize("taken", [False, True])
+    def test_result_raises_the_items_error(self, taken, monkeypatch):
+        if not taken:
+            busy_workers(monkeypatch)
+        ran = threading.Event()
+
+        def work():
+            ran.set()
+            raise KeyError("started item")
+
+        handle = start(work)
+        if taken:
+            assert ran.wait(5)
+        for _ in range(2):
+            with pytest.raises(KeyError, match="started item"):
+                handle.result()
+        assert pending_settles()
+
+    @pytest.mark.parametrize("taken", [False, True])
+    def test_item_sees_the_callers_variables_and_keeps_its_own(self, taken, monkeypatch):
+        if not taken:
+            busy_workers(monkeypatch)
+        ran = threading.Event()
+
+        def work():
+            before = VAR.get()
+            VAR.set("item")
+            ran.set()
+            return before, VAR.get()
+
+        token = VAR.set("caller")
+        try:
+            handle = start(work)
+            VAR.set("caller, later")  # set after the start: the item's copy is older
+            if taken:
+                assert ran.wait(5)
+            assert handle.result() == ("caller", "item")
+            assert VAR.get() == "caller, later"
+        finally:
+            VAR.reset(token)
+
+    def test_no_worker_is_left_over(self):
+        start(lambda: None).result()
+        assert pending_settles()
+        before = fanout_threads()
+        for _ in range(50):
+            handles = [start(time.sleep, 0.001) for _ in range(3)]
+            for handle in handles:
+                handle.result()
+            assert pending_settles()
+        # three items at a time need at most three threads, and the pool reuses them
+        assert fanout_threads() <= max(before, 3)
+
+    def test_every_started_item_runs_once_under_contention(self):
+        # the caller and a worker race for each item; batches keep the
+        # number of worker threads small
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            counts = [0] * 800
+            lock = threading.Lock()
+
+            def work(i):
+                with lock:
+                    counts[i] += 1
+                return i
+
+            for first in range(0, 800, 8):
+                handles = [start(work, i) for i in range(first, first + 8)]
+                assert [handle.result() for handle in handles] == list(range(first, first + 8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == [1] * 800
+        assert pending_settles()
+
+    def test_started_items_and_lanes_share_the_workers(self):
+        # every item starts one more that waits for all of them: a started
+        # item that queued behind a lane would time the barrier out
+        barrier = threading.Barrier(8, timeout=5)
+
+        def work(i):
+            return start(barrier.wait)
+
+        handles = fan_out(work, range(4), 2) + [start(barrier.wait) for _ in range(4)]
+        assert sorted(handle.result() for handle in handles) == list(range(8))
+        assert pending_settles()

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import threading
+import time
 from collections import Counter
 from types import SimpleNamespace
 
@@ -49,7 +50,7 @@ from claimcheck.optimize import (
     rule_based_critiques,
     textual_gradient,
 )
-from claimcheck.policy import SUFFICIENCY, VERDICT, default_policy
+from claimcheck.policy import REFLECT, SUFFICIENCY, VERDICT, default_policy
 
 from conftest import (
     FLAWED_MARKER,
@@ -61,6 +62,7 @@ from conftest import (
     core_requests,
     flawed_policy,
 )
+from test_acceptance import optimization_report_json
 
 
 def traj(kinds, label="Supported", citations=(), forced=False, forced_reason="",
@@ -191,6 +193,14 @@ class TestReflect:
             (REDUNDANT_RETRIEVAL, "c"),
             (PREMATURE_TERMINATION, "wrong verdict with no graph expansion beyond the initial retrieval"),
         ]
+
+    @pytest.mark.parametrize("text", [None, 3, {"a": 1}, ["a"]])
+    def test_critique_text_that_is_not_text_reads_as_empty(self, text):
+        reply = {"critiques": [{"tag": OTHER, "step_index": 0, "text": text}]}
+        gw = LlmGateway(ScriptedBackend(default=json.dumps(reply)), default_policy())
+        t = traj([INIT_KG, VERDICT_ACTION])
+        critiques = reflect(t, "Supported", gw)
+        assert [(c.tag, c.text) for c in critiques] == [(OTHER, "")]
 
     def test_reflection_failure_swallowed(self):
         gw = LlmGateway(ScriptedBackend(default="not json"), default_policy())
@@ -353,6 +363,147 @@ class TestOptimize:
         cfg = OptimizationConfig(epochs=1, train_size=5, val_size=3)
         with pytest.raises(ScriptMiss):
             optimize(default_policy(), claims, cfg, runner_factory, llm)
+
+
+REFLECT_PREFIX = default_policy().template(REFLECT).text.split("{", 1)[0]
+
+
+class DelayedCritiques:
+    """Answers from ``backend``; a critique (``reflect``) call first calls
+    ``hold()``. Records every prompt in arrival order, what each ``hold()``
+    returned, the calls running and their peak, and the calls sent after
+    ``close()``."""
+
+    def __init__(self, backend, hold):
+        self.backend, self.hold = backend, hold
+        self.prompts, self.held = [], []
+        self.running, self.peak, self.late, self.closed = 0, 0, 0, False
+        self._lock = threading.Lock()
+
+    def generate(self, text, temperature, max_tokens):
+        with self._lock:
+            self.prompts.append(text)
+            self.running += 1
+            self.peak = max(self.peak, self.running)
+            self.late += self.closed
+        try:
+            if text.startswith(REFLECT_PREFIX):
+                self.held.append(self.hold())
+            return self.backend.generate(text, temperature, max_tokens)
+        finally:
+            with self._lock:
+                self.running -= 1
+
+    def close(self):
+        """Marks the end of the run; returns how many calls were running."""
+        with self._lock:
+            self.closed = True
+            return self.running
+
+
+class CountedRunner:
+    """An EpisodeRunner that counts the episodes it starts, and raises
+    ScriptMiss in place of its ``fail_at``-th episode (from 1)."""
+
+    def __init__(self, runner, fail_at=None):
+        self.runner, self.fail_at = runner, fail_at
+        self.started = 0
+        self._lock = threading.Lock()
+
+    def run(self, claim):
+        with self._lock:
+            self.started += 1
+            fail = self.started == self.fail_at
+        if fail:
+            raise ScriptMiss("no scripted reply for this episode")
+        return self.runner.run(claim)
+
+
+class TestCritiquesOffTheLanes:
+    """Each training episode starts its critique call off the episode lanes."""
+
+    @staticmethod
+    def environment(n=8, depth=2):
+        graph, claims = build_corpus(n, depth=depth)
+        oracle = OracleResponder(specs=claims, flawed_marker=FLAWED_MARKER)
+        return FixtureKgBackend(data=graph), claims, oracle
+
+    @pytest.mark.parametrize("fail_at", [None, 3])
+    def test_no_critique_call_outlives_the_run(self, fail_at):
+        kg_backend, claims, oracle = self.environment()
+        llm = ScriptedBackend(responder=oracle)
+        critic = DelayedCritiques(ScriptedBackend(responder=oracle),
+                                  functools.partial(time.sleep, 0.03))
+        runners = itertools.count()
+
+        def runner_factory(policy):
+            # the first runner validates the initial policy; the second runs
+            # epoch 1's training episodes, of which the third raises
+            fails = fail_at if next(runners) == 1 else None
+            return CountedRunner(EpisodeRunner(policy, EpisodeConfig(), llm, kg_backend), fails)
+
+        cfg = OptimizationConfig(epochs=2, train_size=6, val_size=2, seed=1)
+        raised = contextlib.nullcontext() if fail_at is None else pytest.raises(ScriptMiss)
+        try:
+            with raised:
+                optimize(flawed_policy(), claims, cfg, runner_factory, critic)
+        finally:
+            running = critic.close()
+        assert any(p.startswith(REFLECT_PREFIX) for p in critic.prompts)
+        time.sleep(0.1)
+        assert running == 0 and critic.late == 0
+
+    @staticmethod
+    def serial_run(backend, kg_backend, claims):
+        def runner_factory(policy):
+            return EpisodeRunner(policy, EpisodeConfig(), backend, kg_backend)
+
+        cfg = OptimizationConfig(epochs=3, train_size=5, val_size=3, seed=1, parallel=1)
+        return optimize(flawed_policy(), claims, cfg, runner_factory, backend).to_jsonable()
+
+    def test_a_sequence_script_at_parallel_1_replays_a_serial_run(self):
+        # a sequence script answers in arrival order, so a critique call still
+        # running when the next episode sends would take that episode's reply;
+        # these episodes send one request at a time, so a serial run never has
+        # two in flight
+        kg_backend, claims, oracle = self.environment()
+        slow = functools.partial(time.sleep, 0.01)
+        recorded = DelayedCritiques(ScriptedBackend(responder=oracle), slow)
+        expected = self.serial_run(recorded, kg_backend, claims)
+        assert recorded.peak == 1
+        assert any(entry["accepted"] for entry in expected["history"])
+        sequence = ScriptedBackend(sequence=[oracle(p) for p in recorded.prompts])
+        replayed = DelayedCritiques(sequence, slow)
+        assert self.serial_run(replayed, kg_backend, claims) == expected
+        assert replayed.prompts == recorded.prompts and replayed.peak == 1
+        assert not sequence.sequence
+
+    def test_training_episodes_overlap_earlier_critique_calls(self):
+        # each critique call waits until every training episode has started:
+        # on the lanes the first one would hold its lane, the other lane would
+        # soon hold in its own, and no later episode could start
+        kg_backend, claims, oracle = self.environment(depth=1)
+        llm = ScriptedBackend(responder=oracle)
+        runners = []
+        all_started = threading.Event()
+
+        def runner_factory(policy):
+            runners.append(CountedRunner(EpisodeRunner(policy, EpisodeConfig(), llm, kg_backend)))
+            return runners[-1]
+
+        def hold():
+            if len(runners) == 2 and runners[1].started == 6:
+                all_started.set()  # a call made after the sixth episode started lets all go
+            return all_started.wait(5)
+
+        critic = DelayedCritiques(ScriptedBackend(responder=oracle), hold)
+        cfg = OptimizationConfig(epochs=1, train_size=6, val_size=2, seed=1, parallel=2)
+        optimize(default_policy(), claims, cfg, runner_factory, critic)
+        assert critic.held == [True] * 6
+
+    def test_acceptance_run_digest(self):
+        report = optimization_report_json()
+        assert hashlib.sha256(report.encode()).hexdigest()[:8] == "b6796d78"
 
 
 class Counting:
