@@ -8,8 +8,8 @@ one is coerced to the nearest legal action and logged as a warning. After an
 observation that leaves only the verdict (the step limit is reached, or
 ``legal_actions`` is verdict alone) no assessment is sent, and the
 observation's hint stays ``unknown``. While ``expandKG`` is legal, the graph
-reads that expansion would make go out alongside the assessment, so a taken
-expansion does not wait for them; no LLM request is sent ahead.
+reads that expansion would make start before the assessment, and no step
+waits for a read it does not use. No LLM request is sent ahead.
 """
 
 from __future__ import annotations
@@ -292,26 +292,28 @@ def select_action(requested, legal, hint, trajectory):
     return Action(kind)
 
 
-def _validated_verdict(payload, evidence_ids, trajectory, forced):
+def _verdict(template_id, claim, evidence, gateway, trajectory):
+    """The ``template_id`` request's verdict, citing only evidence items."""
+    payload = gateway.complete_structured(
+        LlmRequest(template_id=template_id, bindings={"claim": claim, "evidence": evidence.text}),
+        _VERDICT_SCHEMA,
+    )
     label = _normalize_label(payload["label"])
     justification = web_mod.string_field(payload, "justification").strip() or "no justification provided"
     cites = payload.get("citations") or []
     citations = []
     for cite in cites if isinstance(cites, list) else [cites]:
         cite = str(cite)
-        if cite in evidence_ids:
+        if cite in evidence.ids:
             citations.append(cite)
         else:
             trajectory.warnings.append(f"dropped citation {cite!r}: not in evidence")
-    return VerdictResult(label=label, justification=justification, citations=citations, forced=forced)
+    return VerdictResult(label=label, justification=justification, citations=citations,
+                         forced=template_id == FORCED_VERDICT)
 
 
 def verdict(claim, evidence, gateway, trajectory):
-    payload = gateway.complete_structured(
-        LlmRequest(template_id=VERDICT, bindings={"claim": claim, "evidence": evidence.text}),
-        _VERDICT_SCHEMA,
-    )
-    return _validated_verdict(payload, evidence.ids, trajectory, forced=False)
+    return _verdict(VERDICT, claim, evidence, gateway, trajectory)
 
 
 def _fallback_verdict():
@@ -324,15 +326,9 @@ def force_verdict(claim, evidence, gateway, trajectory):
     """Falls back to a deterministic Refuted verdict when even the forced
     prompt cannot be parsed or its transport fails."""
     try:
-        payload = gateway.complete_structured(
-            LlmRequest(
-                template_id=FORCED_VERDICT, bindings={"claim": claim, "evidence": evidence.text}
-            ),
-            _VERDICT_SCHEMA,
-        )
+        return _verdict(FORCED_VERDICT, claim, evidence, gateway, trajectory)
     except (ParseFailure, TransportError):
         return _fallback_verdict()
-    return _validated_verdict(payload, evidence.ids, trajectory, forced=True)
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +368,10 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
     At the step limit it then forces the verdict. Otherwise it assesses the
     evidence, unless the verdict is the only legal action, and runs the
     action the reply asks for, coerced onto the legal ones. The reads of the
-    hop ``expandKG`` would take go out alongside the assessment; a
+    hop ``expandKG`` would take start before the assessment; a
     TransportError among them is dropped, and a taken expansion reads that
-    key again.
+    key again. The episode waits for every read it started before it returns
+    or raises, and then raises an unused read's error if it is a bug.
 
     A TransportError, or a reply that stays unparseable or holds a field of
     the wrong type where no fallback exists (a prune, a web query, an
@@ -419,9 +416,8 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
             if legal != {VERDICT_ACTION}:
                 if EXPAND_KG in legal:
                     next_hop = kg_mod.next_hop(subgraph, claim, config.k)
-                hint, requested = reads.read_alongside(
-                    lambda: assess_sufficiency(claim, evidence, gateway), next_hop
-                )
+                    reads.start(next_hop, ahead=True)
+                hint, requested = assess_sufficiency(claim, evidence, gateway)
                 if hint == UNKNOWN:
                     hint = NEED_KG if EXPAND_KG in legal else NEED_WEB
                     requested = _HINT_ACTIONS[hint]
@@ -461,6 +457,10 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
             result = force_verdict(claim, evidence, gateway, trajectory)
         trajectory.forced_reason = failure.replace(" ", "_")
         trajectory.steps.append((Action(VERDICT_ACTION), Observation(kind="terminal", note=note)))
+    finally:
+        unused_error = reads.join()  # raised below: an error of the episode goes first
+    if unused_error is not None:
+        raise unused_error
 
     trajectory.verdict = result
     prune = gateway.requests[EXPANSION_PRUNE] + gateway.requests[RELATION_PRUNE]
@@ -471,7 +471,7 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
         "llm_calls": gateway.call_count,
         "llm_retries": gateway.retry_count,
         # entity expansions taken, each one outgoing and one incoming read;
-        # the reads sent alongside an assessment count only once expanded
+        # the reads started before an assessment count only once expanded
         "sparql_queries": len(subgraph.expanded),
         "web_searches": trajectory.action_kinds().count(WEB_SEARCH),
         # pruning + verdict requests, the quantity bounded by N + k*N + 1

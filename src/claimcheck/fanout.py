@@ -1,33 +1,27 @@
 """Run one function over independent items concurrently.
 
 ``fan_out(fn, items, width)`` runs the items on ``width`` lanes, every item
-at once when ``width`` is None. With no width it serves the KG layer's
-per-entity expand-and-prune work of a hop (``kg.expand_hop``), the outgoing
-and incoming reads of one expansion that are not held yet
-(``kg.expand_entity``), an assessment and the next hop's reads sent
-alongside it (``kg.GraphReads.read_alongside``) and the per-mention entity
-searches (``kg.link_entities``), and the web step's passage batches
-(``web.filter_evidence``), its extractions, one per distinct passage text,
-and the entity searches of its one linking round, one per distinct surface
-(``web.to_triplets``). Their items spend their time waiting on SPARQL and
-LLM round trips, not on Python computation. With a width it runs the
-episodes of ``evaluation.run_benchmark`` and the training and validation
-episodes of an ``optimize.optimize`` epoch, lists too long to start at once.
+at once when ``width`` is None. With no width it runs a hop's per-entity
+expand-and-prune work (``kg.expand_hop``), the per-mention entity searches
+(``kg.link_entities``), and the web step's passage batches
+(``web.filter_evidence``), its extractions and its linking round's entity
+searches (``web.to_triplets``): items that wait on SPARQL and LLM round
+trips, not on Python computation. With a width it runs the episodes of
+``evaluation.run_benchmark`` and of an ``optimize.optimize`` epoch, lists too
+long to start at once.
 
 ``start(fn, *args)`` queues one item to the workers and returns at once; its
 handle's ``result()`` runs the item inline if no worker has taken it yet, and
-otherwise waits for it. Its one caller is ``optimize._train_critiques``: each
-training episode starts its critique call and its lane goes on to the next
-episode, so ``config.parallel`` bounds the episodes and the critique calls run
-off the lanes, at most one per finished episode.
+otherwise waits for it. It starts every graph relation read
+(``kg.GraphReads``) and each training episode's critique call (``optimize``).
 
 A lane runs one item after another, each time taking the next item no lane
 has taken. The caller is one lane and takes the first item before the other
-lanes are queued to worker threads. The workers start on first use and stay
-for the life of the process, because starting threads for every call would
-cost more CPU than the call's own Python work. When the caller runs out of
-items it also runs any lane no worker has started yet, which saves thread
-hand-offs when the items finish quickly.
+lanes are queued to worker threads. Workers are reused, because starting
+threads for every call would cost more CPU than the call's own Python work;
+one idle for ``IDLE_EXIT_S`` exits while more threads than unfinished tasks
+are left. When the caller runs out of items it also runs any lane no worker
+has started yet, which saves thread hand-offs when the items finish quickly.
 
 A started item is a task on the same workers, so a lane never waits behind
 it. Every item, started ones too, runs in its own copy of the caller's
@@ -45,6 +39,9 @@ import functools
 import itertools
 import queue
 import threading
+
+# Seconds a worker waits for a task before it may exit.
+IDLE_EXIT_S = 1.0
 
 
 class _Task:
@@ -81,7 +78,7 @@ class _Task:
 class _Workers:
     """Daemon threads taking tasks off one queue. There are always at least
     as many threads as unfinished tasks, so a queued task never waits behind
-    another caller's task."""
+    another caller's task; an idle thread exits only while there are more."""
 
     def __init__(self):
         self._tasks = queue.SimpleQueue()
@@ -106,7 +103,13 @@ class _Workers:
 
     def _work(self):
         while True:
-            self.run(self._tasks.get())
+            try:
+                self.run(self._tasks.get(timeout=IDLE_EXIT_S))
+            except queue.Empty:  # run() raises nothing
+                with self._lock:
+                    if self._threads > self._pending:
+                        self._threads -= 1
+                        return
 
 
 _workers = _Workers()

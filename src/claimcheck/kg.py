@@ -19,11 +19,10 @@ gathered in input order (expansion, direction, mention), so they do not
 depend on timing. LLM load stays bounded by ``HttpBackend``'s semaphore and
 token bucket.
 
-Every relation read of an episode goes through its ``GraphReads`` store.
-The entities a hop expands are fixed before the agent decides to expand
-(``next_hop``), so the agent sends their ``2k`` reads alongside its
-assessment, all at once, and a hop it then takes finds them held. A hop it
-does not take leaves them unused: the graph backend may see one hop of reads
+Every relation read of an episode is started by its ``GraphReads`` store,
+and a step waits only for the reads it uses. The agent starts the ``2k``
+reads of the next hop (``next_hop``) before its assessment; a hop it does
+not take leaves them unused, so the graph backend may see one hop of reads
 more per episode than the expansions charged.
 
 An entity joins the subgraph's ``expanded`` set before its reads go out, so
@@ -54,7 +53,7 @@ from .errors import (
     ParseFailure,
     TransportError,
 )
-from .fanout import fan_out
+from .fanout import fan_out, start
 from .graph import EntityId, RelationId, Triplet
 from .llm import LlmRequest, ReplyStore, ResponseSchema, live_json, memo_holds, memoized
 from .policy import EXPANSION_PRUNE, RELATION_PRUNE
@@ -352,52 +351,59 @@ def link_entities(mentions, backend) -> list:
 
 
 class GraphReads:
-    """One episode's relation reads of the graph ``backend``, each held under
-    the key ``llm.memoized`` files it by, ``("relations_of", entity id,
-    direction)``: the entity's grouped relations in that direction, each with
-    at most ``MAX_OBJECTS_PER_RELATION`` sample neighbors. Every relation
-    read of the episode goes through the store, so a held key is never read
-    again."""
+    """One episode's relation reads of the graph ``backend``. ``held`` maps a
+    read's ``llm.memoized`` key, ``("relations_of", entity id, direction)``,
+    to the read started for it: the entity's grouped relations in that
+    direction, each with at most ``MAX_OBJECTS_PER_RELATION`` neighbors."""
 
     def __init__(self, backend):
         self.backend = backend
         self.held = {}
 
-    def read(self, key):
-        """The relations under ``key``, held from now on."""
-        grouped = self.held.get(key)
-        if grouped is None:
-            _, entity_id, direction = key
-            grouped = self.held[key] = memoized(key, lambda: tuple(
+    def start(self, entity_ids, ahead=False):
+        """Starts the reads of both directions of each of ``entity_ids`` that
+        neither the store nor the optimize run's memo holds. One started
+        ``ahead`` of its expansion that raises TransportError gives None."""
+        for entity_id in entity_ids:
+            for direction in ("outgoing", "incoming"):
+                key = ("relations_of", entity_id, direction)
+                if key not in self.held and not memo_holds(key):
+                    self.held[key] = start(self._fetch, key, ahead)
+
+    def _fetch(self, key, ahead=False):
+        try:
+            return memoized(key, lambda: tuple(
                 (rel, tuple(neighbors[:MAX_OBJECTS_PER_RELATION]))
-                for rel, neighbors in self.backend.relations_of(entity_id, direction)
+                for rel, neighbors in self.backend.relations_of(*key[1:])
             ))
+        except TransportError:
+            if not ahead:
+                raise
+            return None
+
+    def read(self, key):
+        """The relations under ``key``, waiting for that key's read only. A key
+        the optimize run's memo holds is read inline, and one whose read
+        started ahead failed is sent again."""
+        task = self.held.get(key)
+        grouped = self._fetch(key) if task is None else task.result()
+        if grouped is None:
+            task = self.held[key] = start(self._fetch, key)
+            grouped = task.result()
         return grouped
 
-    def missing(self, entity_ids):
-        """The keys of both directions of each entity that neither the store
-        nor the optimize run's memo holds, the reads that need a request."""
-        keys = (("relations_of", e, d) for e in entity_ids for d in ("outgoing", "incoming"))
-        return [key for key in keys if key not in self.held and not memo_holds(key)]
-
-    def read_alongside(self, call, entity_ids):
-        """``call()``, with the reads of ``entity_ids`` that need a request
-        sent concurrently with it; it returns once all have ended. A read
-        that raises TransportError is not held, so an expansion that needs it
-        reads it again. Any other error of a read propagates, unless
-        ``call`` raised too: then its error does, as in any ``fan_out``."""
-        keys = self.missing(entity_ids)
-
-        def run(key):
-            if key is None:
-                return call()
+    def join(self):
+        """Waits for every started read. Returns the first error, in start
+        order, that one raised and that is not a TransportError, else None."""
+        error = None
+        for task in self.held.values():
             try:
-                self.read(key)
+                task.result()
             except TransportError:
                 pass
-
-        # the caller's lane runs the first item, so ``call`` runs inline
-        return fan_out(run, [None] + keys)[0]
+            except BaseException as exc:  # raised by the caller
+                error = error or exc
+        return error
 
 
 def fetch_relations(entity, direction, reads):
@@ -417,9 +423,8 @@ def fetch_relations(entity, direction, reads):
 
 def expand_entity(entity, reads):
     """Both directional reads of one entity, outgoing candidates first. The
-    reads that need a request run concurrently; held ones are served
-    inline."""
-    fan_out(reads.read, reads.missing([entity.id]))
+    reads not held yet start together; each is waited for where it is used."""
+    reads.start([entity.id])
     return fetch_relations(entity, "outgoing", reads) + fetch_relations(entity, "incoming", reads)
 
 

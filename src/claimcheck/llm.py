@@ -146,27 +146,18 @@ def fingerprint(rendered_text: str, temperature: float, max_tokens: int) -> str:
 
 
 def extract_json(text: str):
-    """Parse the first JSON object/array embedded in ``text``."""
+    """Parse the first JSON object embedded in ``text``, else the first JSON
+    array: the value that starts at the first ``{`` (then ``[``) where one
+    parses, whatever follows it."""
     try:
         return json.loads(text)
     except (ValueError, TypeError):
         pass
-    for opener, closer in (("{", "}"), ("[", "]")):
-        start = text.find(opener)
-        while start != -1:
-            depth = 0
-            for i in range(start, len(text)):
-                ch = text[i]
-                if ch == opener:
-                    depth += 1
-                elif ch == closer:
-                    depth -= 1
-                    if depth == 0:
-                        try:
-                            return json.loads(text[start : i + 1])
-                        except ValueError:
-                            break
-            start = text.find(opener, start + 1)
+    decoder = json.JSONDecoder()
+    for opener in (r"\{", r"\["):
+        for match in re.finditer(opener, text):
+            with contextlib.suppress(ValueError):
+                return decoder.raw_decode(text, match.start())[0]
     raise ParseFailure(f"no JSON payload found in response: {text[:200]!r}")
 
 

@@ -16,12 +16,24 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from claimcheck import llm
+from claimcheck import fanout, llm
 from claimcheck.errors import ProviderQuotaExceeded, QueryTimeout, ScriptMiss, TransportError
 from claimcheck.kg import FixtureKgBackend
 from claimcheck.llm import ScriptedBackend
 from claimcheck.policy import SUFFICIENCY, default_policy
 from claimcheck.web import FixtureSearchProvider
+
+
+@pytest.fixture(autouse=True)
+def no_started_item_outlives_its_test():
+    """Fails a test after which a ``fanout`` task, such as a graph read or a
+    critique call, is still unfinished 5 s later."""
+    yield
+    deadline = time.monotonic() + 5
+    while fanout._workers._pending and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert not fanout._workers._pending, "a started item outlived its test"
+
 
 _CLAIM_RE = re.compile(r"^Claim(?: under review)?: (.*)$", re.MULTILINE)
 

@@ -1,6 +1,8 @@
 import json
 import random
 import re
+import threading
+import time
 from collections import Counter
 
 import pytest
@@ -776,6 +778,39 @@ class TestReadsAlongsideAssessment:
         with pytest.raises(KeyError, match="a bug"):
             run_episode(DEPTH1_CLAIMS[0]["claim"], default_policy(), EpisodeConfig(), llm,
                         Broken(data=DEPTH1_GRAPH))
+
+    def test_a_verdict_does_not_wait_for_a_read_it_does_not_use(self):
+        # the employer O001's reads start before the assessment, which asks
+        # for the verdict: the verdict request goes out while they run, and
+        # the episode returns only once they have ended
+        events, running, lock = [], [0], threading.Lock()
+
+        class SlowEmployer(FixtureKgBackend):
+            def relations_of(self, entity_id, direction, *args, **kwargs):
+                if entity_id == "O001":
+                    with lock:
+                        running[0] += 1
+                    time.sleep(0.1)
+                    with lock:
+                        running[0] -= 1
+                        events.append("read ends")
+                return super().relations_of(entity_id, direction, *args, **kwargs)
+
+        class Llm(ScriptedBackend):
+            def generate(self, text, temperature, max_tokens):
+                if text.startswith("Decide whether the claim"):
+                    with lock:
+                        events.append("verdict sent")
+                time.sleep(0.001)
+                return super().generate(text, temperature, max_tokens)
+
+        _, trajectory = run_episode(
+            DEPTH1_CLAIMS[0]["claim"], default_policy(), EpisodeConfig(),
+            Llm(responder=OracleResponder(specs=DEPTH1_CLAIMS)), SlowEmployer(data=DEPTH1_GRAPH),
+        )
+        assert trajectory.action_kinds() == [INIT_KG, VERDICT_ACTION]
+        assert events == ["verdict sent", "read ends", "read ends"]
+        assert running == [0]
 
     def test_each_episode_makes_its_own_reads(self):
         records = [DatasetRecord(f"{c['id']}-{i}", c["claim"], c["gold_label"])

@@ -32,7 +32,7 @@ import test_acceptance
 import test_agent
 
 # every module that imports fan_out or start, with the names it imports
-PATCHED = ((kg, "fan_out"), (web, "fan_out"), (evaluation, "fan_out"),
+PATCHED = ((kg, "fan_out"), (kg, "start"), (web, "fan_out"), (evaluation, "fan_out"),
            (optimize, "fan_out"), (optimize, "start"))
 
 

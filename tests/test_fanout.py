@@ -41,12 +41,37 @@ class TestFanOut:
         barrier = threading.Barrier(4, timeout=5)
         assert fan_out(lambda i: barrier.wait() is not None, range(4)) == [True] * 4
 
-    def test_workers_are_reused(self):
+    def test_workers_are_reused(self, monkeypatch):
+        # a pool of its own, whose threads no idle exit removes during the test
+        monkeypatch.setattr(fanout_mod, "IDLE_EXIT_S", 30.0)
+        pool = fanout_mod._Workers()
+        monkeypatch.setattr(fanout_mod, "_workers", pool)
         fan_out(lambda i: i, range(4))
-        before = fanout_threads()
+        before = pool._threads
         for _ in range(20):
             fan_out(lambda i: i, range(4))
-        assert fanout_threads() == before
+        assert pool._threads == before
+
+    def test_workers_that_exit_idle_are_replaced(self, monkeypatch):
+        # workers that exit after 1 ms idle race the next round's submit;
+        # every round's four items must still run at once, or its barrier
+        # times out
+        monkeypatch.setattr(fanout_mod, "IDLE_EXIT_S", 0.001)
+        pool = fanout_mod._Workers()
+        monkeypatch.setattr(fanout_mod, "_workers", pool)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(100):
+                barrier = threading.Barrier(4, timeout=5)
+                assert fan_out(lambda i: barrier.wait() is not None, range(4)) == [True] * 4
+                time.sleep(0.0005 * (round_ % 5))
+        finally:
+            sys.setswitchinterval(interval)
+        deadline = time.monotonic() + 5
+        while pool._threads and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert pool._threads == pool._pending == 0
 
     def test_first_error_in_input_order_after_every_item(self):
         finished = []

@@ -171,6 +171,13 @@ class TestStructured:
     def test_json_embedded_in_prose(self):
         assert extract_json('Sure! Here it is: {"x": 1} hope that helps') == {"x": 1}
 
+    @pytest.mark.parametrize("reply, payload", [
+        ('Sure: {"query": "a } b"}', {"query": "a } b"}),
+        ('Here it is: {"text": "a { b"} done', {"text": "a { b"}),
+    ])
+    def test_braces_inside_strings(self, reply, payload):
+        assert extract_json(reply) == payload
+
 
 class TestReplyMemo:
     schema = ResponseSchema(required=("action", "label"))

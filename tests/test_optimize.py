@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from claimcheck import fanout
 from claimcheck import llm as llm_mod
 from claimcheck import optimize as optimize_mod
 from claimcheck.agent import (
@@ -477,6 +478,33 @@ class TestCritiquesOffTheLanes:
         assert self.serial_run(replayed, kg_backend, claims) == expected
         assert replayed.prompts == recorded.prompts and replayed.peak == 1
         assert not sequence.sequence
+
+    def test_idle_workers_exit_after_the_run(self, monkeypatch):
+        # slow critique calls pile up on worker threads while the lanes run
+        # on; once the run has ended those threads are idle, and they exit
+        monkeypatch.setattr(fanout, "IDLE_EXIT_S", 0.05)
+        kg_backend, claims, oracle = self.environment(n=42, depth=1)
+        llm = ScriptedBackend(responder=oracle)
+        critic = DelayedCritiques(ScriptedBackend(responder=oracle),
+                                  functools.partial(time.sleep, 0.05))
+
+        def runner_factory(policy):
+            return EpisodeRunner(policy, EpisodeConfig(), llm, kg_backend)
+
+        cfg = OptimizationConfig(epochs=1, train_size=40, val_size=2, seed=1, parallel=2)
+        before = set(threading.enumerate())
+        optimize(flawed_policy(), claims, cfg, runner_factory, critic)
+        assert critic.peak > 2  # critique calls ran at once, on threads of their own
+        started = [t for t in threading.enumerate() if t not in before]
+        assert started
+        for thread in started:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        # threads older than the run may still wait out the unpatched timeout
+        deadline = time.monotonic() + 5
+        while fanout._workers._threads and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert fanout._workers._threads == 0
 
     def test_training_episodes_overlap_earlier_critique_calls(self):
         # each critique call waits until every training episode has started:
