@@ -14,6 +14,7 @@ import sys
 from . import agent, evaluation, optimize as opt
 from .agent import EpisodeRunner, INIT_KG, VERDICT_ACTION, read_trajectories
 from .config import (
+    CONFIG_KEYS,
     build_kg_backend,
     build_llm_backend,
     build_policy,
@@ -40,14 +41,7 @@ def _add_common_flags(parser):
 
 
 def _config_from_args(args):
-    overrides = {
-        key: getattr(args, key, None)
-        for key in (
-            "backend", "llm_script_path", "cassette_path", "kg", "web",
-            "policy_path", "k", "n_hops", "max_steps", "max_web_searches",
-            "seed", "parallel", "epochs", "out",
-        )
-    }
+    overrides = {key: getattr(args, key, None) for key in CONFIG_KEYS}
     cfg = load_config(args.config, overrides)
     cfg.validate()
     return cfg
@@ -82,7 +76,7 @@ def cmd_eval(args):
     cfg = _config_from_args(args)
     field_map = None
     if args.field_map:
-        field_map = evaluation.FieldMap.from_jsonable(load_file("field map", args.field_map))
+        field_map = load_file("field map", args.field_map, evaluation.FieldMap.load)
     loaded = evaluation.load_dataset(args.dataset, field_map)
     report = evaluation.run_benchmark(
         loaded.records, _build_runner(cfg), parallelism=cfg.parallel or 1

@@ -67,6 +67,8 @@ class AppConfig:
 
 _EPISODE_FIELDS = tuple(f.name for f in fields(EpisodeConfig))
 _INT_FIELDS = _EPISODE_FIELDS + ("seed", "parallel", "epochs")
+# every key a config file or a command-line flag may set
+CONFIG_KEYS = tuple(f.name for f in fields(AppConfig) if f.name != "episode") + _EPISODE_FIELDS
 
 
 def _json(path):
@@ -84,8 +86,7 @@ def load_file(what, path, load=_json):
 
 
 def _set(cfg, key, value):
-    target = cfg.episode if key in _EPISODE_FIELDS else cfg
-    if key == "episode" or not hasattr(target, key):
+    if key not in CONFIG_KEYS:
         raise ConfigError(f"unknown config key {key!r}")
     if key in _INT_FIELDS:
         try:
@@ -99,7 +100,7 @@ def _set(cfg, key, value):
     elif not isinstance(value, str):
         # a path of 5 would open file descriptor 5
         raise ConfigError(f"{key} must be a string, got {value!r}")
-    setattr(target, key, value)
+    setattr(cfg.episode if key in _EPISODE_FIELDS else cfg, key, value)
 
 
 def load_config(config_path=None, overrides=None) -> AppConfig:

@@ -65,16 +65,27 @@ class FieldMap:
     id_field: str = "id"
     claim_field: str = "claim"
     label_field: str = "label"
-    label_map: dict = field(default_factory=dict)  # raw (casefolded) -> Supported/Refuted/""
+    label_map: dict = field(default_factory=dict)  # raw (folded as read) -> Supported/Refuted/""
 
     @classmethod
     def from_jsonable(cls, data):
-        return cls(
-            id_field=data.get("id_field", "id"),
-            claim_field=data.get("claim_field", "claim"),
-            label_field=data.get("label_field", "label"),
-            label_map={k.casefold(): v for k, v in data.get("label_map", {}).items()},
-        )
+        """Raises ValueError unless ``data`` is an object whose field names are
+        strings and whose ``label_map`` object maps labels to Supported, Refuted
+        or "" (drop the record)."""
+        names = ("id_field", "claim_field", "label_field")
+        label_map = data.get("label_map", {}) if isinstance(data, dict) else None
+        if not (isinstance(label_map, dict)
+                and all(isinstance(data.get(name, ""), str) for name in names)
+                and all(label in (SUPPORTED, REFUTED, "") for label in label_map.values())):
+            raise ValueError('a field map must be an object of field names and a label_map '
+                             'object whose labels are "Supported", "Refuted" or ""')
+        return cls(**{name: data[name] for name in names if name in data},
+                   label_map={" ".join(k.casefold().split()): v for k, v in label_map.items()})
+
+    @classmethod
+    def load(cls, path):
+        with open(path, encoding="utf-8") as fh:
+            return cls.from_jsonable(json.load(fh))
 
 
 @dataclass
@@ -100,10 +111,12 @@ def load_dataset(path, field_map: FieldMap = None) -> DatasetLoadResult:
                 raise DatasetParseError(line_no, "record is not a JSON object")
             try:
                 rec_id = str(row[field_map.id_field])
-                claim = str(row[field_map.claim_field])
+                claim = row[field_map.claim_field]
                 raw_label = str(row[field_map.label_field])
             except KeyError as exc:
                 raise DatasetParseError(line_no, f"missing field {exc}") from exc
+            if not isinstance(claim, str):
+                raise DatasetParseError(line_no, f"claim {claim!r} is not a string")
             mapped = field_map.label_map.get(" ".join(raw_label.strip().casefold().split()))
             label = mapped if mapped is not None else normalize_label(raw_label)
             if label == "":

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -177,7 +178,7 @@ class FixtureKgBackend:
         ]
         return sorted(hits, key=lambda e: e.id)[:limit]
 
-    def relations_of(self, entity_id, direction, limit=RELATION_FETCH_LIMIT):
+    def relations_of(self, entity_id, direction):
         """Grouped adjacency: list of (RelationId, [neighbor EntityId])."""
         table = self._out if direction == "outgoing" else self._in
         adjacency = table.get(entity_id, {})
@@ -188,7 +189,7 @@ class FixtureKgBackend:
                 self.entities.get(n, EntityId(n, n)) for n in sorted(set(adjacency[rel_id]))
             ]
             out.append((rel, neighbors))
-            if len(out) >= limit:
+            if len(out) >= RELATION_FETCH_LIMIT:
                 break
         return out
 
@@ -291,7 +292,7 @@ class WikidataBackend:
         }
         return self._get(self.action_api, params, parse)
 
-    def relations_of(self, entity_id, direction, limit=RELATION_FETCH_LIMIT):
+    def relations_of(self, entity_id, direction):
         neighbor_var = "o" if direction == "outgoing" else "s"
 
         def parse(payload):
@@ -314,7 +315,7 @@ class WikidataBackend:
             return [grouped[rid] for rid in sorted(grouped)]
 
         template = OUTGOING_QUERY if direction == "outgoing" else INCOMING_QUERY
-        query = template.format(entity=entity_id, limit=limit)
+        query = template.format(entity=entity_id, limit=RELATION_FETCH_LIMIT)
         return self._get(self.sparql_endpoint, {"query": query, "format": "json"}, parse)
 
 
@@ -383,14 +384,11 @@ class GraphReads:
 
     def read(self, key):
         """The relations under ``key``, waiting for that key's read only. A key
-        the optimize run's memo holds is read inline, and one whose read
-        started ahead failed is sent again."""
+        the optimize run's memo holds is read inline, and so is one whose read
+        started ahead failed: it is sent again."""
         task = self.held.get(key)
-        grouped = self._fetch(key) if task is None else task.result()
-        if grouped is None:
-            task = self.held[key] = start(self._fetch, key)
-            grouped = task.result()
-        return grouped
+        grouped = None if task is None else task.result()
+        return self._fetch(key) if grouped is None else grouped
 
     def join(self):
         """Waits for every started read. Returns the first error, in start
@@ -443,7 +441,7 @@ def prune_relations(claim, candidates, k, gateway, entity=None):
     the ``RELATION_PRUNE`` of a hop's survivors.
 
     Ties break by ascending (relation id, anchor id). A reply whose scores
-    are not one number per candidate raises ParseFailure."""
+    are not one finite number per candidate raises ParseFailure."""
     if not candidates:
         raise ValueError("prune_relations requires a nonempty candidate list")
     bindings = {"claim": claim, "candidates": _candidate_lines(candidates)}
@@ -461,6 +459,8 @@ def prune_relations(claim, candidates, k, gateway, entity=None):
         values = [float(score) for score in scores]
     except (TypeError, ValueError):
         raise ParseFailure(f"expected numeric scores, got {scores!r}") from None
+    if not all(map(math.isfinite, values)):  # Python's json reads NaN and Infinity
+        raise ParseFailure(f"expected finite scores, got {scores!r}")
     ranked = sorted(
         zip(values, candidates), key=lambda vc: (-vc[0], vc[1].relation.id, vc[1].anchor.id)
     )

@@ -9,6 +9,7 @@ validation improvement, and the best accepted candidate wins.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import random
 from dataclasses import dataclass, field
 
@@ -192,45 +193,45 @@ def rule_based_critiques(trajectory, gold_label) -> list:
     return out
 
 
-def reflect(trajectory, gold_label, gateway=None) -> list:
-    """One structured critique call plus the deterministic rule-based tags.
+def reflect(trajectory, gold_label, gateway) -> list:
+    """One structured critique call on a finished episode's ``trajectory``,
+    plus the deterministic rule-based tags.
 
     A reply that cannot be parsed or a failed transport yields no LLM
     critiques; rows that are not objects or lack an integer step are skipped."""
     critiques = []
-    if gateway is not None and trajectory.verdict is not None:
-        steps_text = "\n".join(
-            f"{i}: {action.kind} (hint={obs.sufficiency_hint}, "
-            f"+{obs.added_triplets}t/+{obs.added_annotations}a)"
-            for i, (action, obs) in enumerate(trajectory.steps)
-        )
+    steps_text = "\n".join(
+        f"{i}: {action.kind} (hint={obs.sufficiency_hint}, "
+        f"+{obs.added_triplets}t/+{obs.added_annotations}a)"
+        for i, (action, obs) in enumerate(trajectory.steps)
+    )
+    try:
+        rows = gateway.complete_structured(
+            LlmRequest(
+                template_id=REFLECT,
+                bindings={
+                    "claim": trajectory.claim,
+                    "gold": gold_label,
+                    "predicted": trajectory.verdict.label,
+                    "trajectory": steps_text,
+                },
+            ),
+            _REFLECT_SCHEMA,
+        )["critiques"]
+    except (ParseFailure, TransportError):
+        rows = []
+    for row in rows if isinstance(rows, list) else ():
+        if not isinstance(row, dict):
+            continue
         try:
-            rows = gateway.complete_structured(
-                LlmRequest(
-                    template_id=REFLECT,
-                    bindings={
-                        "claim": trajectory.claim,
-                        "gold": gold_label,
-                        "predicted": trajectory.verdict.label,
-                        "trajectory": steps_text,
-                    },
-                ),
-                _REFLECT_SCHEMA,
-            )["critiques"]
-        except (ParseFailure, TransportError):
-            rows = []
-        for row in rows if isinstance(rows, list) else ():
-            if not isinstance(row, dict):
-                continue
-            try:
-                step_index = int(row.get("step_index", 0))
-            except (TypeError, ValueError, OverflowError):
-                continue
-            tag = str(row.get("tag", OTHER))
-            if tag not in CRITIQUE_TAGS:
-                tag = OTHER
-            step_index = max(0, min(step_index, len(trajectory.steps) - 1))
-            critiques.append(Critique(tag=tag, step_index=step_index, text=string_field(row, "text")))
+            step_index = int(row.get("step_index", 0))
+        except (TypeError, ValueError, OverflowError):
+            continue
+        tag = str(row.get("tag", OTHER))
+        if tag not in CRITIQUE_TAGS:
+            tag = OTHER
+        step_index = max(0, min(step_index, len(trajectory.steps) - 1))
+        critiques.append(Critique(tag=tag, step_index=step_index, text=string_field(row, "text")))
     critiques.extend(rule_based_critiques(trajectory, gold_label))
     return critiques
 
@@ -239,10 +240,12 @@ def reflect(trajectory, gold_label, gateway=None) -> list:
 # Textual-gradient prompt update
 # ---------------------------------------------------------------------------
 
-def textual_gradient(critiques, current: PromptPolicy, llm_backend, candidate_id=None):
+def textual_gradient(critiques, current: PromptPolicy, llm_backend, candidate_id):
     """One meta-model call proposing revised text for the templates implicated
-    by the batch's critique tags; untouched templates stay byte-identical.
-    A reply whose ``templates`` is not an object raises ParseFailure."""
+    by the batch's critique tags. Returns the policy ``candidate_id``, in
+    which each revised template's version is one higher and every other
+    template is the same object, or None when the reply revises none of
+    them. A reply whose ``templates`` is not an object raises ParseFailure."""
     if not critiques:
         raise ValueError("textual_gradient requires a batch with critiques")
 
@@ -269,29 +272,14 @@ def textual_gradient(critiques, current: PromptPolicy, llm_backend, candidate_id
         raise ParseFailure("meta-optimizer reply: 'templates' is not an object")
 
     candidate = current
-    changed = False
     for tid, new_text in sorted(payload["templates"].items()):
-        if tid not in targets or tid not in current.template_ids():
+        if tid not in targets:
             continue
         old = current.template(tid)
-        new_text = str(new_text)
-        if new_text == old.text:
-            continue
-        candidate = candidate.with_template(
-            PromptTemplate(
-                id=tid,
-                text=new_text,
-                version=old.version + 1,
-                expected_output=old.expected_output,
-            )
-        )
-        changed = True
-    if not changed:
-        return None
-    return PromptPolicy(
-        [candidate.template(tid) for tid in candidate.template_ids()],
-        policy_id=candidate_id or f"{current.policy_id}+1",
-    )
+        if str(new_text) != old.text:
+            revised = dataclasses.replace(old, text=str(new_text), version=old.version + 1)
+            candidate = candidate.with_template(revised, policy_id=candidate_id)
+    return None if candidate is current else candidate
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +300,7 @@ def _mean_val_reward(policy, claims, runner_factory, width):
     return total / len(claims)
 
 
-def _train_critiques(policy, claims, runner_factory, reflection_backend, width):
+def _train_critiques(policy, claims, runner_factory, llm_backend, width):
     """Every training claim's episode under ``policy`` and its critiques,
     concatenated in claim order.
 
@@ -327,7 +315,7 @@ def _train_critiques(policy, claims, runner_factory, reflection_backend, width):
     def critique(record):
         _, trajectory = runner.run(record["claim"])
         handle = start(reflect, trajectory, record["gold_label"],
-                       LlmGateway(reflection_backend, policy))
+                       LlmGateway(llm_backend, policy))
         started.append(handle)
         if width == 1:
             handle.result()
@@ -343,7 +331,7 @@ def _train_critiques(policy, claims, runner_factory, reflection_backend, width):
     return [c for handle in handles for c in handle.result()]
 
 
-def optimize(initial, claims, config, runner_factory, reflection_backend, meta_backend=None):
+def optimize(initial, claims, config, runner_factory, llm_backend):
     """Hill-climb the prompt policy over labeled claims.
 
     ``claims`` is a list of {"id", "claim", "gold_label"}; ``runner_factory``
@@ -351,7 +339,8 @@ def optimize(initial, claims, config, runner_factory, reflection_backend, meta_b
     several threads at once: ``config.parallel`` training or validation
     episodes run at a time, and the run equals a serial one. Each training
     episode's critique call runs off those lanes, at most one per finished
-    episode, and ends before the epoch's meta call. Within the run
+    episode, and ends before the epoch's meta call. The critique and meta
+    calls both go to ``llm_backend``. Within the run
     each distinct prompt text, graph lookup and web search goes to a backend
     once (``llm.reply_memo``).
     A meta call that fails to parse or to arrive leaves its epoch without a
@@ -361,7 +350,6 @@ def optimize(initial, claims, config, runner_factory, reflection_backend, meta_b
     needed = config.train_size + config.val_size
     if len(claims) < needed:
         raise InsufficientData(f"need >= {needed} labeled claims, got {len(claims)}")
-    meta_backend = meta_backend or reflection_backend
 
     rng = random.Random(config.seed)
     pool = sorted(claims, key=lambda r: str(r["id"]))
@@ -381,16 +369,15 @@ def optimize(initial, claims, config, runner_factory, reflection_backend, meta_b
         run.initial_val_reward = current_val
 
         for epoch in range(1, config.epochs + 1):
-            critiques = _train_critiques(current, train, runner_factory, reflection_backend,
+            critiques = _train_critiques(current, train, runner_factory, llm_backend,
                                          config.parallel)
 
             entry = {"epoch": epoch, "policy_id": None, "val_reward": None, "accepted": False}
             candidate = None
             if critiques:
                 try:
-                    candidate = textual_gradient(
-                        critiques, current, meta_backend, candidate_id=f"candidate-{epoch}"
-                    )
+                    candidate = textual_gradient(critiques, current, llm_backend,
+                                                 f"candidate-{epoch}")
                 except (ParseFailure, TransportError):
                     candidate = None  # as in reflect: a failed meta call proposes nothing
             if candidate is not None:

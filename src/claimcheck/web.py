@@ -229,8 +229,10 @@ def tokenize(text):
     return re.findall(r"[a-z0-9]+", text.lower())
 
 
-def bm25_scores(query_tokens, docs_tokens, k1=BM25_K1, b=BM25_B):
-    """Okapi BM25 with idf = ln(1 + (N - df + 0.5)/(df + 0.5))."""
+def bm25_scores(query_tokens, docs_tokens):
+    """Okapi BM25 with k1 = ``BM25_K1``, b = ``BM25_B`` and
+    idf = ln(1 + (N - df + 0.5)/(df + 0.5)), one score per document."""
+    k1, b = BM25_K1, BM25_B  # locals: the loops below read them per term
     n = len(docs_tokens)
     if n == 0:
         return []
@@ -352,10 +354,11 @@ def synthetic_relation(label: str) -> RelationId:
     return RelationId(id=f"WR:{digest}", label=label)
 
 
-def to_triplets(evidence, claim, gateway, kg_backend=None) -> list:
+def to_triplets(evidence, claim, gateway, kg_backend) -> list:
     """One structured extraction per distinct passage text, the texts run
     concurrently, then one concurrent linking round over the distinct subject
-    and object surfaces. Triplets come out in evidence order, each with its
+    and object surfaces, each to its top ``kg_backend`` hit, else to its
+    ``synthetic_entity``. Triplets come out in evidence order, each with its
     own item's provenance and confidence. Items whose extraction fails, or
     whose reply has a subject, relation or object that is not nonempty text,
     are skipped, so no evidence, or none that extracts, gives no triplets."""
@@ -372,7 +375,7 @@ def to_triplets(evidence, claim, gateway, kg_backend=None) -> list:
         return fields if all(f.strip() for f in fields) else None
 
     def link(surface):
-        hits = search_entities(surface, kg_backend) if kg_backend is not None else ()
+        hits = search_entities(surface, kg_backend)
         return hits[0] if hits else synthetic_entity(surface)
 
     texts = list(dict.fromkeys(item.passage.text for item in evidence))

@@ -116,6 +116,8 @@ BAD_INPUTS = {
     "web path not a string": lambda tmp: ["--config", write_text(tmp, '{"web": ["w.json"]}')],
     "max_steps 0": lambda tmp: ["--max-steps", "0"],
     "n_init is an unknown key": lambda tmp: ["--config", write_text(tmp, '{"n_init": 1}')],
+    # a name of the config's own, not a key: setting it made the run fail on a traceback
+    "validate is an unknown key": lambda tmp: ["--config", write_text(tmp, '{"validate": "x"}')],
     "negative web searches": lambda tmp: ["--max-web-searches", "-1"],
     "parallel 0 in config": lambda tmp: ["--config", write_text(tmp, '{"parallel": 0}')],
     "negative epochs in config": lambda tmp: ["--config", write_text(tmp, '{"epochs": -1}')],
@@ -277,6 +279,20 @@ class TestEval:
                      "--llm-script", script, "--parallel", "-3"])
         assert code == 2
         assert capsys.readouterr().err == "error: parallel must be at least 1, got -3\n"
+
+    @pytest.mark.parametrize("field_map", [
+        "[]", '{"label_map": []}', '{"label_map": {"true": "Yes"}}',
+    ])
+    def test_malformed_field_map_exits_2_with_one_error_line(self, workspace, capsys, field_map):
+        tmp_path, kg_path, claims = workspace
+        dataset = write_text(tmp_path, json.dumps(
+            {"id": "a", "claim": claims[0]["claim"], "label": "true"}), "data.jsonl")
+        script = write_script(tmp_path, episode_script("Supported"))
+        code = main(["eval", dataset, "--field-map", write_text(tmp_path, field_map, "map.json"),
+                     "--kg", kg_path, "--llm-script", script])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read field map ") and len(err.splitlines()) == 1
 
     def test_eval_missing_dataset_exits_2(self, workspace):
         tmp_path, kg_path, _ = workspace

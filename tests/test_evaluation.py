@@ -95,6 +95,30 @@ class TestLoading:
         rec = result.records[0]
         assert (rec.id, rec.claim, rec.gold_label) == ("7", "X", SUPPORTED)
 
+    @pytest.mark.parametrize("claim", [None, 5, ["A"], {"text": "A"}], ids=repr)
+    def test_claim_that_is_not_text_is_parse_error(self, tmp_path, claim):
+        # str() would check the claim "None"; an integer id is still read as text
+        rows = [{"id": 1, "claim": "A", "label": "true"}, {"id": 2, "claim": claim, "label": "true"}]
+        with pytest.raises(DatasetParseError, match="is not a string") as exc:
+            load_dataset(self.write(tmp_path, rows))
+        assert exc.value.line_no == 2
+        assert load_dataset(self.write(tmp_path, rows[:1])).records[0].id == "1"
+
+    @pytest.mark.parametrize("data", [
+        [], "map", {"label_map": []}, {"label_map": {"yes": "Yes"}}, {"label_map": {"yes": None}},
+        {"claim_field": 3}, {"id_field": None},
+    ], ids=repr)
+    def test_malformed_field_map_is_rejected(self, data):
+        with pytest.raises(ValueError):
+            FieldMap.from_jsonable(data)
+
+    def test_field_map_from_jsonable(self):
+        # a raw label is matched casefolded, with its spaces collapsed
+        fm = FieldMap.from_jsonable({"claim_field": "statement",
+                                     "label_map": {"Legit": SUPPORTED, " Not  Sure": ""}})
+        assert fm == FieldMap(claim_field="statement",
+                              label_map={"legit": SUPPORTED, "not sure": ""})
+
     def test_bad_json_line_numbered(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "a", "claim": "A", "label": "true"}\nnot json\n')

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import re
@@ -162,9 +163,9 @@ class TestFetchRelations:
         class Counting:
             search_entities = small_graph_backend.search_entities
 
-            def relations_of(self, entity_id, direction, limit=kg.RELATION_FETCH_LIMIT):
+            def relations_of(self, entity_id, direction):
                 fetches.append((entity_id, direction))
-                return small_graph_backend.relations_of(entity_id, direction, limit)
+                return small_graph_backend.relations_of(entity_id, direction)
 
         _, trajectory = run_episode(
             "Barack Obama was born in Kenya.", default_policy(), EpisodeConfig(max_steps=1),
@@ -180,11 +181,11 @@ class TestFetchRelations:
         barrier = threading.Barrier(2, timeout=5)
 
         class Meeting:
-            def relations_of(self, entity_id, direction, limit=kg.RELATION_FETCH_LIMIT):
+            def relations_of(self, entity_id, direction):
                 barrier.wait()
                 if direction == "outgoing":
                     time.sleep(0.01)  # the outgoing fetch finishes last
-                return small_graph_backend.relations_of(entity_id, direction, limit)
+                return small_graph_backend.relations_of(entity_id, direction)
 
         candidates = expand_entity(EntityId("Q30"), GraphReads(Meeting()))
         assert [(c.direction, c.relation.id) for c in candidates] == [("incoming", "P27")]
@@ -245,6 +246,13 @@ class TestPrune:
         with pytest.raises(ParseFailure):
             prune_relations("c", make_candidates([("P1", "Q1"), ("P2", "Q1")]), 1,
                             self.score_gateway([1, score]))
+
+    @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf, "NaN", "inf"], ids=repr)
+    def test_score_that_is_not_finite_is_a_parse_failure(self, score):
+        # json reads NaN; sorted on it, [0.1, NaN, 0.9, 0.5] kept 0.1 and NaN at k=2
+        candidates = make_candidates([("P0", "Q1"), ("P1", "Q1"), ("P2", "Q1"), ("P3", "Q1")])
+        with pytest.raises(ParseFailure, match="finite"):
+            prune_relations("c", candidates, 2, self.score_gateway([0.1, score, 0.9, 0.5]))
 
     def test_exactly_one_llm_call(self):
         gateway = self.score_gateway([1, 2])

@@ -40,6 +40,7 @@ from claimcheck.llm import LlmGateway, ScriptedBackend
 from claimcheck.optimize import (
     CONTRADICTION_MISHANDLED,
     INSUFFICIENT_COVERAGE,
+    META_OPTIMIZER_PROMPT,
     OTHER,
     PREMATURE_TERMINATION,
     REDUNDANT_RETRIEVAL,
@@ -221,8 +222,9 @@ class TestTextualGradient:
     def test_premature_termination_routes_to_sufficiency(self):
         current = default_policy()
         backend = self.meta_backend({SUFFICIENCY: "Assess whether the evidence v2"})
-        candidate = textual_gradient(records_with(PREMATURE_TERMINATION), current, backend)
-        assert candidate is not None
+        candidate = textual_gradient(records_with(PREMATURE_TERMINATION), current, backend,
+                                     "candidate-1")
+        assert candidate.policy_id == "candidate-1"
         assert candidate.template(SUFFICIENCY).text == "Assess whether the evidence v2"
         assert candidate.template(SUFFICIENCY).version == current.template(SUFFICIENCY).version + 1
         for tid in current.template_ids():
@@ -234,7 +236,8 @@ class TestTextualGradient:
         backend = self.meta_backend(
             {VERDICT: "Decide v2", SUFFICIENCY: "should be ignored"}
         )
-        candidate = textual_gradient(records_with(CONTRADICTION_MISHANDLED), current, backend)
+        candidate = textual_gradient(records_with(CONTRADICTION_MISHANDLED), current, backend,
+                                     "candidate-1")
         assert candidate.template(VERDICT).text == "Decide v2"
         # sufficiency is not a target for this tag, so the edit is discarded
         assert candidate.template(SUFFICIENCY).text == current.template(SUFFICIENCY).text
@@ -242,11 +245,20 @@ class TestTextualGradient:
     def test_identical_proposal_returns_none(self):
         current = default_policy()
         backend = self.meta_backend({SUFFICIENCY: current.template(SUFFICIENCY).text})
-        assert textual_gradient(records_with(OTHER), current, backend) is None
+        assert textual_gradient(records_with(OTHER), current, backend, "candidate-1") is None
 
     def test_empty_critique_batch_rejected(self):
         with pytest.raises(ValueError):
-            textual_gradient([], default_policy(), self.meta_backend({}))
+            textual_gradient([], default_policy(), self.meta_backend({}), "candidate-1")
+
+
+META_PREFIX = META_OPTIMIZER_PROMPT.text.split("{", 1)[0]
+
+
+def answering_meta(responder, meta):
+    """A responder that hands meta-optimizer prompts to ``meta`` and every
+    other prompt to ``responder``."""
+    return lambda text: (meta if text.startswith(META_PREFIX) else responder)(text)
 
 
 class TestOptimize:
@@ -277,17 +289,17 @@ class TestOptimize:
     def test_meta_reply_without_template_object_gives_no_candidate(self, templates):
         graph, claims = build_corpus(8, depth=2)
         kg_backend = FixtureKgBackend(data=graph)
-        llm = ScriptedBackend(
-            responder=OracleResponder(specs=claims, flawed_marker=FLAWED_MARKER)
-        )
-        meta = ScriptedBackend(default=json.dumps({"templates": templates}))
+        llm = ScriptedBackend(responder=answering_meta(
+            OracleResponder(specs=claims, flawed_marker=FLAWED_MARKER),
+            lambda text: json.dumps({"templates": templates}),
+        ))
 
         def runner_factory(policy):
             return EpisodeRunner(policy, EpisodeConfig(), llm, kg_backend)
 
         cfg = OptimizationConfig(epochs=2, train_size=5, val_size=3, seed=1)
         initial = flawed_policy()
-        run = optimize(initial, claims, cfg, runner_factory, llm, meta_backend=meta)
+        run = optimize(initial, claims, cfg, runner_factory, llm)
         assert [e["policy_id"] for e in run.history] == [None, None]
         assert run.selected is initial
 
@@ -325,29 +337,27 @@ class TestOptimize:
     def test_meta_transport_error_keeps_every_epoch(self):
         graph, claims = build_corpus(8, depth=2)
         kg_backend = FixtureKgBackend(data=graph)
-        llm = ScriptedBackend(
-            responder=OracleResponder(specs=claims, flawed_marker=FLAWED_MARKER)
-        )
+        meta_calls = []
 
-        class Down:
-            calls = 0
+        def down(text):
+            meta_calls.append(text)
+            raise TransportError("meta endpoint down")
 
-            def generate(self, text, temperature, max_tokens):
-                self.calls += 1
-                raise TransportError("meta endpoint down")
+        llm = ScriptedBackend(responder=answering_meta(
+            OracleResponder(specs=claims, flawed_marker=FLAWED_MARKER), down,
+        ))
 
         def runner_factory(policy):
             return EpisodeRunner(policy, EpisodeConfig(), llm, kg_backend)
 
-        meta = Down()
         cfg = OptimizationConfig(epochs=3, train_size=5, val_size=3, seed=1)
         initial = flawed_policy()
-        run = optimize(initial, claims, cfg, runner_factory, llm, meta_backend=meta)
+        run = optimize(initial, claims, cfg, runner_factory, llm)
         assert [e["epoch"] for e in run.history] == [1, 2, 3]
         assert [e["policy_id"] for e in run.history] == [None, None, None]
         assert run.selected is initial
         assert run.selected_val_reward == run.initial_val_reward
-        assert meta.calls == 3  # a failed call is not memoized: every epoch asks again
+        assert len(meta_calls) == 3  # a failed call is not memoized: every epoch asks again
 
     def test_training_script_miss_propagates(self):
         graph, claims = build_corpus(8, depth=1)

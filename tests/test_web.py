@@ -396,6 +396,10 @@ class TestFilter:
         assert [e.stance for e in filter_evidence("c", self.passages(1), gw)] == ["neutral"]
 
 
+# a graph that links no surface, so every web entity is a synthetic one
+EMPTY_GRAPH = FixtureKgBackend(data={"entities": [], "relations": []})
+
+
 def make_evidence(text, url="https://e.example", confidence=0.8):
     return FilteredEvidence(
         passage=Passage(text=text, source_url=url),
@@ -415,7 +419,7 @@ class TestToTriplets:
         gw = gateway(
             default=json.dumps({"subject": "Paris", "relation": "capital of", "object": "France"})
         )
-        out = to_triplets([make_evidence("Paris is the capital of France")], "c", gw)
+        out = to_triplets([make_evidence("Paris is the capital of France")], "c", gw, EMPTY_GRAPH)
         assert len(out) == 1
         t = out[0].triplet
         assert t.origin == "web" and t.confidence == 0.8
@@ -428,17 +432,17 @@ class TestToTriplets:
             return json.dumps({"subject": "A", "relation": "r", "object": "B"})
 
         gw = gateway(responder=responder)
-        out = to_triplets([make_evidence("one"), make_evidence("two")], "c", gw)
+        out = to_triplets([make_evidence("one"), make_evidence("two")], "c", gw, EMPTY_GRAPH)
         assert len(out) == 1
         assert gw.call_count == 4  # "one" fails its ask and both repairs
 
     def test_all_failed_gives_no_triplets(self):
         gw = gateway(default="not json at all")
-        assert to_triplets([make_evidence("one")], "c", gw) == []
+        assert to_triplets([make_evidence("one")], "c", gw, EMPTY_GRAPH) == []
 
     def test_no_evidence_sends_no_request(self):
         gw = gateway()
-        assert to_triplets([], "c", gw) == []
+        assert to_triplets([], "c", gw, EMPTY_GRAPH) == []
         assert gw.call_count == 0
 
     @pytest.mark.parametrize("value", [None, "", " ", {}, [], 3], ids=repr)
@@ -452,14 +456,15 @@ class TestToTriplets:
             return json.dumps(good)
 
         gw = gateway(responder=responder)
-        out = to_triplets([make_evidence("one", url="u1"), make_evidence("two", url="u2")], "c", gw)
+        out = to_triplets([make_evidence("one", url="u1"), make_evidence("two", url="u2")], "c", gw,
+                          EMPTY_GRAPH)
         assert [wt.provenance for wt in out] == ["u2"]
         assert gw.call_count == 2  # a well-formed reply is not repaired
-        assert to_triplets([make_evidence("one")], "c", gw) == []
+        assert to_triplets([make_evidence("one")], "c", gw, EMPTY_GRAPH) == []
 
     def test_reply_of_no_text_fields_makes_no_triplet(self):
         gw = gateway(default=json.dumps({"subject": None, "relation": {}, "object": 3}))
-        assert to_triplets([make_evidence("x")], "c", gw) == []
+        assert to_triplets([make_evidence("x")], "c", gw, EMPTY_GRAPH) == []
 
     def test_known_entity_reuses_kg_id(self, small_graph_backend):
         gw = gateway(
@@ -498,7 +503,7 @@ class TestOneRequestPerTextAndSurface:
             make_evidence("Barack Obama | visited | Mars Base", url="https://a.example", confidence=0.9),
             make_evidence("Barack Obama | visited | Mars Base", url="https://b.example", confidence=0.6),
         ]
-        out = to_triplets(evidence, "c", LlmGateway(llm, default_policy()))
+        out = to_triplets(evidence, "c", LlmGateway(llm, default_policy()), EMPTY_GRAPH)
         assert len(llm.prompts) == 1
         assert [(wt.provenance, wt.confidence, wt.triplet.confidence) for wt in out] == [
             ("https://a.example", 0.9, 0.9), ("https://b.example", 0.6, 0.6),
@@ -525,7 +530,7 @@ class TestOneRequestPerTextAndSurface:
         gw = gateway(responder=responder)
         evidence = [make_evidence("one", url="u1"), make_evidence("A | r | B", url="u2"),
                     make_evidence("one", url="u3")]
-        out = to_triplets(evidence, "c", gw)
+        out = to_triplets(evidence, "c", gw, EMPTY_GRAPH)
         assert [wt.provenance for wt in out] == ["u2"]
         assert gw.call_count == 4  # "one" fails its ask and both repairs, once
 
@@ -749,7 +754,7 @@ class TestConcurrentWebStep:
             return json.dumps({"subject": "A", "relation": "r", "object": "B"})
 
         evidence = [make_evidence(f"item {i}") for i in range(4)]
-        assert len(to_triplets(evidence, "c", gateway(responder=responder))) == 4
+        assert len(to_triplets(evidence, "c", gateway(responder=responder), EMPTY_GRAPH)) == 4
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_order_does_not_depend_on_latency(self, seed):
@@ -757,7 +762,7 @@ class TestConcurrentWebStep:
         gw = LlmGateway(SlowLlm(keep_statements, seed, max_ms=3.0), default_policy())
         kept = filter_evidence("c", passages, gw)
         assert [e.passage.text for e in kept] == [p.text for p in passages if "|" in p.text]
-        triplets = to_triplets(kept, "c", gw)
+        triplets = to_triplets(kept, "c", gw, EMPTY_GRAPH)
         assert [(wt.triplet.subject.label, wt.provenance) for wt in triplets] == [
             (f"S{i}", f"u{i}") for i in range(20) if i % 3 and i != 4
         ]
@@ -774,7 +779,7 @@ class TestConcurrentWebStep:
         llm = SlowLlm(responder)
         evidence = [make_evidence(f"item {i}") for i in range(4)]
         with pytest.raises(TransportError, match="item 1 failed"):
-            to_triplets(evidence, "c", LlmGateway(llm, default_policy()))
+            to_triplets(evidence, "c", LlmGateway(llm, default_policy()), EMPTY_GRAPH)
         assert len(llm.prompts) == 4  # every item still asked
 
     def test_first_failed_filter_batch_wins(self):
