@@ -77,11 +77,11 @@ def _json(path):
 
 
 def load_file(what, path, load=_json):
-    """``load(path)``; a missing, unreadable or malformed file raises a
-    ConfigError that names it."""
+    """``load(path)``; a missing, unreadable or malformed file, JSON nested
+    past the recursion limit included, raises a ConfigError that names it."""
     try:
         return load(path)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 

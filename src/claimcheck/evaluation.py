@@ -105,7 +105,7 @@ def load_dataset(path, field_map: FieldMap = None) -> DatasetLoadResult:
                 continue
             try:
                 row = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise DatasetParseError(line_no, str(exc)) from exc
             if not isinstance(row, dict):
                 raise DatasetParseError(line_no, "record is not a JSON object")

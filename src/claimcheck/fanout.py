@@ -1,4 +1,12 @@
-"""Run one function over independent items concurrently.
+"""Run work on reused worker threads, and end it before its caller goes on.
+
+Every piece of work is a task queued through one submit path, and
+``wait(tasks)`` is the one join: it returns once every task has run, running
+here, in order, each one no worker has taken yet, and raises nothing, since
+each task keeps its value or error. ``start(fn, *args)`` queues one task and
+returns it; its ``result()`` waits for it and returns or raises what it did.
+It starts every graph relation read (``kg.GraphReads``) and each training
+episode's critique call (``optimize``).
 
 ``fan_out(fn, items, width)`` runs the items on ``width`` lanes, every item
 at once when ``width`` is None. With no width it runs a hop's per-entity
@@ -10,18 +18,13 @@ trips, not on Python computation. With a width it runs the episodes of
 ``evaluation.run_benchmark`` and of an ``optimize.optimize`` epoch, lists too
 long to start at once.
 
-``start(fn, *args)`` queues one item to the workers and returns at once; its
-handle's ``result()`` runs the item inline if no worker has taken it yet, and
-otherwise waits for it. It starts every graph relation read
-(``kg.GraphReads``) and each training episode's critique call (``optimize``).
-
-A lane runs one item after another, each time taking the next item no lane
-has taken. The caller is one lane and takes the first item before the other
-lanes are queued to worker threads. Workers are reused, because starting
-threads for every call would cost more CPU than the call's own Python work;
-one idle for ``IDLE_EXIT_S`` exits while more threads than unfinished tasks
-are left. When the caller runs out of items it also runs any lane no worker
-has started yet, which saves thread hand-offs when the items finish quickly.
+A lane is a task that runs one item after another, each time taking the next
+item no lane has taken. The caller is one lane and takes the first item once
+the others are queued in one submit; when it runs out of items it waits for
+them, running any no worker has started yet, which saves thread hand-offs
+when the items finish quickly. Workers are reused, because starting threads
+for every call would cost more CPU than the call's own Python work; one idle
+for ``IDLE_EXIT_S`` exits while more threads than unfinished tasks are left.
 
 A started item is a task on the same workers, so a lane never waits behind
 it. Every item, started ones too, runs in its own copy of the caller's
@@ -53,23 +56,10 @@ class _Task:
         self.finished = False
         self.value = self.error = None
 
-    def run_once(self):
-        """Run the task unless it has run, keeping its value or error; a call
-        that finds it running waits for it. Returns whether this call ran it."""
-        with self.lock:
-            if self.finished:
-                return False
-            try:
-                self.value = self.fn()
-            except BaseException as exc:  # re-raised by result()
-                self.error = exc
-            self.finished = True
-            return True
-
     def result(self):
         """The task's value, or its error raised, once it has run: here, if no
         worker has taken it yet."""
-        _workers.run(self)
+        wait((self,))
         if self.error is not None:
             raise self.error
         return self.value
@@ -97,9 +87,18 @@ class _Workers:
             self._tasks.put(task)
 
     def run(self, task):
-        if task.run_once():
-            with self._lock:
-                self._pending -= 1
+        """Runs ``task`` unless it has run, keeping its value or error; a call
+        that finds it running waits for it."""
+        with task.lock:
+            if task.finished:
+                return
+            try:
+                task.value = task.fn()
+            except BaseException as exc:  # re-raised by result()
+                task.error = exc
+            task.finished = True
+        with self._lock:
+            self._pending -= 1
 
     def _work(self):
         while True:
@@ -125,13 +124,6 @@ def fan_out(fn, items, width=None):
     items = list(items)
     n = len(items)
     context = contextvars.copy_context()
-
-    def call(item):
-        return context.copy().run(fn, item)
-
-    if n <= 1:
-        return [call(item) for item in items]
-    lanes = n if width is None else min(width, n)
     results = [None] * n
     errors = {}
     # the caller's lane starts at item 0 and every other lane at the next
@@ -141,16 +133,16 @@ def fan_out(fn, items, width=None):
     def lane(i):
         while i < n:
             try:
-                results[i] = call(items[i])
+                results[i] = context.copy().run(fn, items[i])
             except BaseException as exc:  # re-raised below, in input order
                 errors[i] = exc
             i = take()
 
-    tasks = [_Task(lambda: lane(take())) for _ in range(lanes - 1)]
-    _workers.submit(tasks)
+    width = n if width is None else min(width, n)
+    lanes = [_Task(lambda: lane(take())) for _ in range(width - 1)]
+    _workers.submit(lanes)
     lane(0)
-    for task in tasks:
-        _workers.run(task)
+    wait(lanes)
     if errors:
         raise errors[min(errors)]
     return results
@@ -162,3 +154,10 @@ def start(fn, *args):
     task = _Task(functools.partial(contextvars.copy_context().run, fn, *args))
     _workers.submit([task])
     return task
+
+
+def wait(tasks):
+    """Returns once every one of ``tasks`` has run, running here, in order,
+    each one no worker has taken yet. Raises nothing."""
+    for task in tasks:
+        _workers.run(task)

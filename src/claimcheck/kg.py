@@ -54,7 +54,7 @@ from .errors import (
     ParseFailure,
     TransportError,
 )
-from .fanout import fan_out, start
+from .fanout import fan_out, start, wait
 from .graph import EntityId, RelationId, Triplet
 from .llm import LlmRequest, ReplyStore, ResponseSchema, live_json, memo_holds, memoized
 from .policy import EXPANSION_PRUNE, RELATION_PRUNE
@@ -257,7 +257,7 @@ class WikidataBackend:
                 payload = json.loads(cached)
                 if isinstance(payload, dict):
                     return parse(payload)
-            except (ValueError, TransportError):
+            except (ValueError, RecursionError, TransportError):
                 pass  # a stale entry
         payload = live_json(
             self._requests,
@@ -354,8 +354,10 @@ def link_entities(mentions, backend) -> list:
 class GraphReads:
     """One episode's relation reads of the graph ``backend``. ``held`` maps a
     read's ``llm.memoized`` key, ``("relations_of", entity id, direction)``,
-    to the read started for it: the entity's grouped relations in that
-    direction, each with at most ``MAX_OBJECTS_PER_RELATION`` neighbors."""
+    to the ``fanout`` task started for it: the entity's grouped relations in
+    that direction, each with at most ``MAX_OBJECTS_PER_RELATION`` neighbors.
+    ``join`` ends them all (``fanout.wait``), and the episode calls it before
+    it returns or raises."""
 
     def __init__(self, backend):
         self.backend = backend
@@ -391,17 +393,11 @@ class GraphReads:
         return self._fetch(key) if grouped is None else grouped
 
     def join(self):
-        """Waits for every started read. Returns the first error, in start
-        order, that one raised and that is not a TransportError, else None."""
-        error = None
-        for task in self.held.values():
-            try:
-                task.result()
-            except TransportError:
-                pass
-            except BaseException as exc:  # raised by the caller
-                error = error or exc
-        return error
+        """Waits for every started read, then returns the first error, in
+        start order, that is not a TransportError, else None."""
+        wait(self.held.values())
+        errors = (task.error for task in self.held.values() if task.error is not None)
+        return next((exc for exc in errors if not isinstance(exc, TransportError)), None)
 
 
 def fetch_relations(entity, direction, reads):

@@ -46,6 +46,7 @@ from .errors import (
 )
 
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_][a-z0-9_]*)\}")
+_DECODER = json.JSONDecoder()
 
 # Structured-output repair attempts on top of the first ask.
 REPAIR_RETRIES = 2
@@ -109,6 +110,9 @@ class PromptTemplate:
 
         return _PLACEHOLDER_RE.sub(_sub, self.text)
 
+    def placeholders(self) -> set:
+        return set(_PLACEHOLDER_RE.findall(self.text))
+
 
 @dataclass
 class LlmRequest:
@@ -148,16 +152,17 @@ def fingerprint(rendered_text: str, temperature: float, max_tokens: int) -> str:
 def extract_json(text: str):
     """Parse the first JSON object embedded in ``text``, else the first JSON
     array: the value that starts at the first ``{`` (then ``[``) where one
-    parses, whatever follows it."""
+    parses, whatever follows it. A value nested past the recursion limit
+    raises ParseFailure at once."""
     try:
-        return json.loads(text)
-    except (ValueError, TypeError):
-        pass
-    decoder = json.JSONDecoder()
-    for opener in (r"\{", r"\["):
-        for match in re.finditer(opener, text):
-            with contextlib.suppress(ValueError):
-                return decoder.raw_decode(text, match.start())[0]
+        with contextlib.suppress(ValueError, TypeError):
+            return json.loads(text)
+        for opener in (r"\{", r"\["):
+            for match in re.finditer(opener, text):
+                with contextlib.suppress(ValueError):
+                    return _DECODER.raw_decode(text, match.start())[0]
+    except RecursionError:
+        raise ParseFailure(f"JSON nested too deeply in response: {text[:200]!r}") from None
     raise ParseFailure(f"no JSON payload found in response: {text[:200]!r}")
 
 
@@ -230,7 +235,7 @@ class ReplyStore:
                 key, reply = entry["fp"], entry["response_text"]
                 if not (isinstance(key, str) and isinstance(reply, str)):
                     raise TypeError("fp and response_text must be strings")
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise ValueError(
                     f"{os.path.basename(self.path)} line {n} is not a reply entry: {exc!r}"
                 ) from None
@@ -330,7 +335,7 @@ def live_json(requests, send, what):
             continue
         try:
             payload = resp.json()
-        except ValueError:  # an HTML error page, say
+        except (ValueError, RecursionError):  # an HTML error page, say
             payload = None
         if isinstance(payload, dict):
             return payload

@@ -8,14 +8,13 @@ validation improvement, and the best accepted candidate wins.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import random
 from dataclasses import dataclass, field
 
 from .agent import EXPAND_KG, INIT_KG, SUFFICIENT, WEB_SEARCH
 from .errors import InsufficientData, ParseFailure, TransportError
-from .fanout import fan_out, start
+from .fanout import fan_out, start, wait
 from .llm import LlmGateway, LlmRequest, PromptTemplate, ResponseSchema, reply_memo
 from .policy import REFLECT, SUFFICIENCY, VERDICT, PromptPolicy
 from .web import string_field
@@ -245,7 +244,9 @@ def textual_gradient(critiques, current: PromptPolicy, llm_backend, candidate_id
     by the batch's critique tags. Returns the policy ``candidate_id``, in
     which each revised template's version is one higher and every other
     template is the same object, or None when the reply revises none of
-    them. A reply whose ``templates`` is not an object raises ParseFailure."""
+    them. A revision counts only if it is nonempty text whose placeholders
+    the old template has too, since an episode binds no others. A reply
+    whose ``templates`` is not an object raises ParseFailure."""
     if not critiques:
         raise ValueError("textual_gradient requires a batch with critiques")
 
@@ -273,11 +274,11 @@ def textual_gradient(critiques, current: PromptPolicy, llm_backend, candidate_id
 
     candidate = current
     for tid, new_text in sorted(payload["templates"].items()):
-        if tid not in targets:
+        if tid not in targets or not isinstance(new_text, str) or not new_text.strip():
             continue
         old = current.template(tid)
-        if str(new_text) != old.text:
-            revised = dataclasses.replace(old, text=str(new_text), version=old.version + 1)
+        revised = dataclasses.replace(old, text=new_text, version=old.version + 1)
+        if new_text != old.text and revised.placeholders() <= old.placeholders():
             candidate = candidate.with_template(revised, policy_id=candidate_id)
     return None if candidate is current else candidate
 
@@ -307,8 +308,9 @@ def _train_critiques(policy, claims, runner_factory, llm_backend, width):
     ``width`` episodes run at once. Each finished episode starts its critique
     call off the lanes, so the next episode does not wait for it; at width 1
     the call ends before the next episode starts, as a ``sequence`` script
-    needs. Every started call has ended before this returns or raises; an
-    episode's error goes before a critique's."""
+    needs. Every started call has ended (``fanout.wait``) before this returns
+    or raises. An episode's error goes first, then critique errors in claim
+    order."""
     runner = runner_factory(policy)
     started = []
 
@@ -318,16 +320,13 @@ def _train_critiques(policy, claims, runner_factory, llm_backend, width):
                        LlmGateway(llm_backend, policy))
         started.append(handle)
         if width == 1:
-            handle.result()
+            wait((handle,))
         return handle
 
     try:
-        handles = fan_out(critique, claims, width)
-    except BaseException:
-        for handle in started:
-            with contextlib.suppress(Exception):  # the episode's error goes first
-                handle.result()
-        raise
+        handles = fan_out(critique, claims, width)  # an episode's error goes first
+    finally:
+        wait(started)
     return [c for handle in handles for c in handle.result()]
 
 
@@ -339,8 +338,8 @@ def optimize(initial, claims, config, runner_factory, llm_backend):
     several threads at once: ``config.parallel`` training or validation
     episodes run at a time, and the run equals a serial one. Each training
     episode's critique call runs off those lanes, at most one per finished
-    episode, and ends before the epoch's meta call. The critique and meta
-    calls both go to ``llm_backend``. Within the run
+    episode, and ends before the epoch's meta call, or before the run raises.
+    The critique and meta calls both go to ``llm_backend``. Within the run
     each distinct prompt text, graph lookup and web search goes to a backend
     once (``llm.reply_memo``).
     A meta call that fails to parse or to arrive leaves its epoch without a

@@ -89,6 +89,8 @@ BAD_INPUTS = {
     "missing cassette": lambda tmp: ["--backend", "replay", "--cassette", str(tmp / "none.jsonl")],
     "malformed cassette": lambda tmp: [
         "--backend", "replay", "--cassette", write_text(tmp, '{"fp": "a"\n{}\n', "c.jsonl")],
+    "cassette nested too deeply": lambda tmp: [
+        "--backend", "replay", "--cassette", write_text(tmp, "[" * 100000 + "\n", "c.jsonl")],
     "malformed kg": lambda tmp: ["--kg", write_text(tmp, "{not json")],
     "malformed policy": lambda tmp: ["--policy", write_text(tmp, "{not json")],
     "policy not an object": lambda tmp: ["--policy", write_text(tmp, "[]")],
@@ -101,6 +103,7 @@ BAD_INPUTS = {
     "malformed web": lambda tmp: ["--web", write_text(tmp, "{not json")],
     "out in missing directory": lambda tmp: ["--out", str(tmp / "none" / "traj.jsonl")],
     "config not an object": lambda tmp: ["--config", write_text(tmp, "[]")],
+    "config nested too deeply": lambda tmp: ["--config", write_text(tmp, "[" * 100000)],
     "non-integer episode key": lambda tmp: ["--config", write_text(tmp, '{"episode": {"k": "x"}}')],
     "unknown episode key": lambda tmp: ["--config", write_text(tmp, '{"episode": {"kk": 4}}')],
     "episode not an object": lambda tmp: ["--config", write_text(tmp, '{"episode": 4}')],

@@ -1,12 +1,13 @@
 """No report depends on the order in which concurrent items finish.
 
-``Shuffled`` stands in for ``fanout.fan_out`` and ``fanout.start`` in every
-module that uses them. It runs everything on the calling thread: the items of
-each ``fan_out`` one at a time in an order drawn from a seeded generator, and
-each started item at a random later point, at the latest when its
-``result()`` is asked for. Each item runs in its own copy of its caller's
-context, results come back in input order, and after every item has run the
-first error in input order is raised, as ``fan_out`` does.
+``Shuffled`` stands in for ``fanout.fan_out``, ``fanout.start`` and
+``fanout.wait`` in every module that uses them. It runs everything on the
+calling thread: the items of each ``fan_out`` one at a time in an order drawn
+from a seeded generator, and each started item at a random later point, at
+the latest when it is waited for or its ``result()`` is asked for. Each item
+runs in its own copy of its caller's context, results come back in input
+order, and after every item has run the first error in input order is
+raised, as ``fan_out`` does.
 
 The three acceptance reports, the fault-injection trajectories and the set
 of prompts sent must then equal those of the natural, threaded run. This explores schedules at the
@@ -31,9 +32,10 @@ from claimcheck.llm import ScriptedBackend
 import test_acceptance
 import test_agent
 
-# every module that imports fan_out or start, with the names it imports
-PATCHED = ((kg, "fan_out"), (kg, "start"), (web, "fan_out"), (evaluation, "fan_out"),
-           (optimize, "fan_out"), (optimize, "start"))
+# every module that imports fan_out, start or wait, with the names it imports
+PATCHED = ((kg, "fan_out"), (kg, "start"), (kg, "wait"), (web, "fan_out"),
+           (evaluation, "fan_out"), (optimize, "fan_out"), (optimize, "start"),
+           (optimize, "wait"))
 
 
 class Later:
@@ -52,18 +54,16 @@ class Later:
             self.error = exc
 
     def result(self):
-        if not self.ran:
-            self.owner.waiting.remove(self)
-            self.run()
+        self.owner.wait((self,))
         if self.error is not None:
             raise self.error
         return self.value
 
 
 class Shuffled:
-    """Serial ``fan_out`` and ``start`` in a seeded order. Counts the lists
-    run out of input order and the started items run before their result
-    was asked for."""
+    """Serial ``fan_out``, ``start`` and ``wait`` in a seeded order. Counts
+    the lists run out of input order and the started items run before they
+    were waited for."""
 
     def __init__(self, seed):
         self.rng = random.Random(seed)
@@ -91,6 +91,12 @@ class Shuffled:
         item = Later(self, fn, args)
         self.waiting.append(item)
         return item
+
+    def wait(self, items):
+        for item in items:
+            if not item.ran:
+                self.waiting.remove(item)
+                item.run()
 
     def run_some_started(self):
         while self.waiting and self.rng.random() < 0.5:

@@ -126,6 +126,13 @@ class TestLoading:
             load_dataset(str(path))
         assert exc.value.line_no == 2
 
+    def test_line_nested_too_deeply_is_parse_error(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "a", "claim": "A", "label": "true"}\n' + "[" * 100000 + "\n")
+        with pytest.raises(DatasetParseError, match="recursion") as exc:
+            load_dataset(str(path))
+        assert exc.value.line_no == 2
+
     def test_missing_field_is_parse_error(self, tmp_path):
         with pytest.raises(DatasetParseError):
             load_dataset(self.write(tmp_path, [{"id": "a", "label": "true"}]))

@@ -178,6 +178,17 @@ class TestStructured:
     def test_braces_inside_strings(self, reply, payload):
         assert extract_json(reply) == payload
 
+    @pytest.mark.parametrize("reply", ["[" * 100000, "Sure: " + "[" * 100000],
+                             ids=["bare", "in prose"])
+    def test_reply_nested_too_deeply_is_a_parse_failure(self, reply):
+        # json raises RecursionError past the recursion limit; the scan stops
+        # there rather than decode again from each of the other brackets
+        gateway = LlmGateway(ScriptedBackend(default=reply),
+                             make_policy(PromptTemplate(id="q", text="Q")))
+        with pytest.raises(ParseFailure, match="nested too deeply"):
+            gateway.complete_structured(LlmRequest(template_id="q"), self.schema)
+        assert gateway.call_count == 3  # initial ask + 2 repairs
+
 
 class TestReplyMemo:
     schema = ResponseSchema(required=("action", "label"))
@@ -453,8 +464,8 @@ class TestHttpBackend:
             self.backend("timeout", "timeout").generate("q", 0.0, 1024)
 
     @pytest.mark.parametrize("first", ["timeout", (503, "busy"), (429, "slow down"),
-                                       (200, "<html>busy</html>")],
-                             ids=["timeout", "503", "429", "html"])
+                                       (200, "<html>busy</html>"), (200, "[" * 100000)],
+                             ids=["timeout", "503", "429", "html", "nested too deeply"])
     def test_one_failed_request_is_sent_again(self, first):
         http = self.backend(first, self.REPLY)
         assert http.generate("q", 0.0, 1024) == "hi"

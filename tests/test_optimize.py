@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import json
+import random
 import threading
 import time
 from collections import Counter
@@ -247,6 +248,27 @@ class TestTextualGradient:
         backend = self.meta_backend({SUFFICIENCY: current.template(SUFFICIENCY).text})
         assert textual_gradient(records_with(OTHER), current, backend, "candidate-1") is None
 
+    @pytest.mark.parametrize("text", [None, {"a": 1}, 7, "", "  \n"], ids=repr)
+    def test_revision_that_is_not_nonempty_text_is_ignored(self, text):
+        # str() would make the prompt text "None", "{'a': 1}" or "7"
+        backend = self.meta_backend({SUFFICIENCY: text, VERDICT: "Decide v2"})
+        candidate = textual_gradient(records_with(PREMATURE_TERMINATION)
+                                     + records_with(CONTRADICTION_MISHANDLED),
+                                     default_policy(), backend, "candidate-1")
+        assert candidate.template(SUFFICIENCY) is default_policy().template(SUFFICIENCY)
+        assert candidate.template(VERDICT).text == "Decide v2"
+
+    def test_revision_naming_a_placeholder_its_template_lacks_is_ignored(self):
+        # an episode binds no {last_action}: validating the candidate would
+        # raise MissingBinding and end the optimize run
+        current = default_policy()
+        old = current.template(SUFFICIENCY)
+        backend = self.meta_backend({SUFFICIENCY: old.text + " Last: {last_action}"})
+        assert textual_gradient(records_with(OTHER), current, backend, "candidate-1") is None
+        fewer = self.meta_backend({SUFFICIENCY: "Claim: {claim}. Enough?"})
+        candidate = textual_gradient(records_with(OTHER), current, fewer, "candidate-1")
+        assert candidate.template(SUFFICIENCY).text == "Claim: {claim}. Enough?"
+
     def test_empty_critique_batch_rejected(self):
         with pytest.raises(ValueError):
             textual_gradient([], default_policy(), self.meta_backend({}), "candidate-1")
@@ -439,24 +461,37 @@ class TestCritiquesOffTheLanes:
         oracle = OracleResponder(specs=claims, flawed_marker=FLAWED_MARKER)
         return FixtureKgBackend(data=graph), claims, oracle
 
-    @pytest.mark.parametrize("fail_at", [None, 3])
+    @pytest.mark.parametrize("fail_at", [None, 3, "critique"])
     def test_no_critique_call_outlives_the_run(self, fail_at):
         kg_backend, claims, oracle = self.environment()
         llm = ScriptedBackend(responder=oracle)
-        critic = DelayedCritiques(ScriptedBackend(responder=oracle),
+        cfg = OptimizationConfig(epochs=2, train_size=6, val_size=2, seed=1)
+        # the first training claim in claim order, drawn as optimize() draws it
+        pool = sorted(claims, key=lambda r: str(r["id"]))
+        random.Random(cfg.seed).shuffle(pool)
+        first = f"Claim: {pool[0]['claim']}\n"
+
+        def critique(text):
+            # with fail_at "critique", that claim's critique call raises
+            if fail_at == "critique" and first in text:
+                raise ScriptMiss("no scripted critique of the first claim")
+            return oracle(text)
+
+        critic = DelayedCritiques(ScriptedBackend(responder=critique),
                                   functools.partial(time.sleep, 0.03))
         runners = itertools.count()
 
         def runner_factory(policy):
             # the first runner validates the initial policy; the second runs
-            # epoch 1's training episodes, of which the third raises
-            fails = fail_at if next(runners) == 1 else None
+            # epoch 1's training episodes, of which the third raises at fail_at 3
+            fails = fail_at if next(runners) == 1 and fail_at != "critique" else None
             return CountedRunner(EpisodeRunner(policy, EpisodeConfig(), llm, kg_backend), fails)
 
-        cfg = OptimizationConfig(epochs=2, train_size=6, val_size=2, seed=1)
-        raised = contextlib.nullcontext() if fail_at is None else pytest.raises(ScriptMiss)
+        raised = {None: contextlib.nullcontext(),
+                  3: pytest.raises(ScriptMiss, match="episode"),
+                  "critique": pytest.raises(ScriptMiss, match="critique of the first claim")}
         try:
-            with raised:
+            with raised[fail_at]:
                 optimize(flawed_policy(), claims, cfg, runner_factory, critic)
         finally:
             running = critic.close()
