@@ -11,12 +11,11 @@ episode's critique call (``optimize``).
 ``fan_out(fn, items, width)`` runs the items on ``width`` lanes, every item
 at once when ``width`` is None. With no width it runs a hop's per-entity
 expand-and-prune work (``kg.expand_hop``), the per-mention entity searches
-(``kg.link_entities``), and the web step's passage batches
-(``web.filter_evidence``), its extractions and its linking round's entity
-searches (``web.to_triplets``): items that wait on SPARQL and LLM round
-trips, not on Python computation. With a width it runs the episodes of
-``evaluation.run_benchmark`` and of an ``optimize.optimize`` epoch, lists too
-long to start at once.
+(``kg.link_entities``), and the web step's extractions and its linking
+round's entity searches (``web.to_triplets``): items that wait on SPARQL and
+LLM round trips, not on Python computation. With a width it runs the
+episodes of ``evaluation.run_benchmark`` and of an ``optimize.optimize``
+epoch, lists too long to start at once.
 
 A lane is a task that runs one item after another, each time taking the next
 item no lane has taken. The caller is one lane and takes the first item once

@@ -1,10 +1,11 @@
 """Open-web evidence: search, BM25 coarse ranking, LLM fine filtering, and
 fusion of surviving evidence into the knowledge subgraph.
 
-The filter's passage batches run concurrently (see ``fanout``), and so do
-the triplet extractions, one per distinct passage text, and then the entity
-searches that link the extracted surfaces, one per distinct surface. Outputs
-are gathered in input order, so results do not depend on timing.
+The filter judges a search's passages in one request. The triplet
+extractions, one per distinct passage text, run concurrently (see
+``fanout``), and so do the entity searches that then link the extracted
+surfaces, one per distinct surface. Outputs are gathered in input order, so
+results do not depend on timing.
 
 Every stage takes empty input: no documents, passages or evidence give no
 passages, evidence or triplets, and send no request. An episode's web step
@@ -45,7 +46,6 @@ log = logging.getLogger(__name__)
 
 MAX_QUERY_CHARS = 256
 MAX_PASSAGE_CHARS = 1200
-FILTER_BATCH_SIZE = 8
 WEB_RESULTS = 10  # documents asked of the provider per search
 CONSISTENCY_THRESHOLD = 0.5
 BM25_K1 = 1.2
@@ -285,56 +285,49 @@ _STANCES = {"supports", "refutes", "neutral"}
 
 
 def filter_evidence(claim, passages, gateway):
-    """One batched LLM call per <=8 passages, the batches run concurrently;
-    keeps entries whose consistency confidence reaches ``CONSISTENCY_THRESHOLD``,
-    in batch order and, within a batch, in the order of the reply's judgments.
-    Only the first judgment of a passage counts, so each passage is kept at
-    most once. Judgments that are not a list raise ParseFailure; an unknown
-    stance is neutral. No passages give no evidence and send no request."""
-
-    def judge(batch):
-        listing = "\n".join(f"{i}. {p.text}" for i, p in enumerate(batch))
-        payload = gateway.complete_structured(
-            LlmRequest(
-                template_id=EVIDENCE_FILTER,
-                bindings={"claim": claim, "passages": listing},
-            ),
-            _FILTER_SCHEMA,
-        )
-        judgments = payload["judgments"]
-        if not isinstance(judgments, list):
-            raise ParseFailure(f"judgments must be a list, got {judgments!r}")
-        kept, judged = [], set()
-        for row in judgments:
-            try:
-                idx = int(row["index"])
-                confidence = float(row["confidence"])
-            except (KeyError, TypeError, ValueError):
+    """One LLM call judges every passage, listed by position from 0; keeps
+    entries whose consistency confidence reaches ``CONSISTENCY_THRESHOLD``, in
+    the order of the reply's judgments. Only the first judgment of a passage
+    counts, so each passage is kept at most once. A row whose index is not a
+    whole number or whose confidence is not a finite number is skipped; a
+    finite confidence outside [0, 1] is clamped. Judgments that are not a list
+    raise ParseFailure; an unknown stance is neutral. No passages give no
+    evidence and send no request."""
+    if not passages:
+        return []
+    listing = "\n".join(f"{i}. {p.text}" for i, p in enumerate(passages))
+    payload = gateway.complete_structured(
+        LlmRequest(template_id=EVIDENCE_FILTER, bindings={"claim": claim, "passages": listing}),
+        _FILTER_SCHEMA,
+    )
+    judgments = payload["judgments"]
+    if not isinstance(judgments, list):
+        raise ParseFailure(f"judgments must be a list, got {judgments!r}")
+    kept, judged = [], set()
+    for row in judgments:
+        try:
+            idx, confidence = row["index"], row["confidence"]
+            # a bool is a number to Python, and int() would truncate 1.7 to 1
+            if isinstance(idx, bool) or isinstance(confidence, bool) or (
+                isinstance(idx, float) and not idx.is_integer()
+            ):
                 continue
-            if not 0 <= idx < len(batch) or idx in judged:
-                continue
-            judged.add(idx)
-            if confidence < 0.0 or confidence > 1.0:
-                log.warning("clamping out-of-range consistency confidence %s", confidence)
-                confidence = min(1.0, max(0.0, confidence))
-            stance = row.get("stance", "neutral")
-            if not isinstance(stance, str) or stance not in _STANCES:
-                stance = "neutral"
-            if confidence >= CONSISTENCY_THRESHOLD:
-                kept.append(
-                    FilteredEvidence(
-                        passage=batch[idx],
-                        consistency_confidence=confidence,
-                        stance=stance,
-                    )
-                )
-        return kept
-
-    batches = [
-        passages[start : start + FILTER_BATCH_SIZE]
-        for start in range(0, len(passages), FILTER_BATCH_SIZE)
-    ]
-    return [ev for kept in fan_out(judge, batches) for ev in kept]
+            idx, confidence = int(idx), float(confidence)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            continue
+        # Python's json reads NaN and Infinity, and float() reads "inf"
+        if not math.isfinite(confidence) or not 0 <= idx < len(passages) or idx in judged:
+            continue
+        judged.add(idx)
+        if confidence < 0.0 or confidence > 1.0:
+            log.warning("clamping out-of-range consistency confidence %s", confidence)
+            confidence = min(1.0, max(0.0, confidence))
+        stance = row.get("stance", "neutral")
+        if not isinstance(stance, str) or stance not in _STANCES:
+            stance = "neutral"
+        if confidence >= CONSISTENCY_THRESHOLD:
+            kept.append(FilteredEvidence(passages[idx], confidence, stance))
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +349,8 @@ def synthetic_relation(label: str) -> RelationId:
 
 def to_triplets(evidence, claim, gateway, kg_backend) -> list:
     """One structured extraction per distinct passage text, the texts run
-    concurrently, then one concurrent linking round over the distinct subject
+    concurrently, with runs of whitespace in each extracted field collapsed to
+    one space, then one concurrent linking round over the distinct subject
     and object surfaces, each to its top ``kg_backend`` hit, else to its
     ``synthetic_entity``. Triplets come out in evidence order, each with its
     own item's provenance and confidence. Items whose extraction fails, or
@@ -371,8 +365,10 @@ def to_triplets(evidence, claim, gateway, kg_backend) -> list:
             )
         except ParseFailure:
             return None
-        fields = tuple(string_field(payload, key) for key in ("subject", "relation", "object"))
-        return fields if all(f.strip() for f in fields) else None
+        fields = tuple(
+            " ".join(string_field(payload, key).split()) for key in ("subject", "relation", "object")
+        )
+        return fields if all(fields) else None
 
     def link(surface):
         hits = search_entities(surface, kg_backend)

@@ -343,10 +343,10 @@ class TestFilter:
         assert kept[0].consistency_confidence == 1.0
         assert any("clamping" in r.message for r in caplog.records)
 
-    def test_batching_one_call_per_eight(self):
+    def test_seventeen_passages_send_one_request(self):
         gw = gateway(default=json.dumps({"judgments": []}))
         filter_evidence("c", self.passages(17), gw)
-        assert gw.call_count == 3
+        assert gw.call_count == 1
 
     def test_bogus_rows_skipped(self):
         judgments = [
@@ -359,6 +359,34 @@ class TestFilter:
         kept = filter_evidence("c", self.passages(1), gw)
         assert len(kept) == 1
         assert kept[0].stance == "neutral"
+
+    # each row is skipped, so the next row judges passage 0 (1.7 and true
+    # would read as index 1, and the bad confidences would judge passage 0)
+    @pytest.mark.parametrize("row", [
+        {"index": 0, "confidence": "inf"},
+        {"index": 0, "confidence": "-Infinity"},
+        {"index": 0, "confidence": math.nan},
+        {"index": 0, "confidence": math.inf},
+        pytest.param({"index": 0, "confidence": 10 ** 400}, id="confidence of 401 digits"),
+        {"index": 0, "confidence": True},
+        {"index": 1.7, "confidence": 0.9},
+        {"index": True, "confidence": 0.9},
+        {"index": math.inf, "confidence": 0.9},
+    ], ids=repr)
+    def test_row_of_no_whole_index_or_finite_confidence_is_skipped(self, row):
+        judgments = [row, {"index": 0, "confidence": 0.6, "stance": "refutes"}]
+        gw = gateway(default=json.dumps({"judgments": judgments}))
+        kept = filter_evidence("c", self.passages(2), gw)
+        assert [(e.passage.text, e.consistency_confidence, e.stance) for e in kept] == [
+            ("passage 0", 0.6, "refutes"),
+        ]
+
+    def test_whole_float_index_counts(self):
+        judgments = [{"index": 1.0, "confidence": 0.7, "stance": "supports"}]
+        gw = gateway(default=json.dumps({"judgments": judgments}))
+        assert [e.passage.text for e in filter_evidence("c", self.passages(2), gw)] == [
+            "passage 1",
+        ]
 
     def test_no_passages_send_no_request(self):
         gw = gateway()
@@ -465,6 +493,25 @@ class TestToTriplets:
     def test_reply_of_no_text_fields_makes_no_triplet(self):
         gw = gateway(default=json.dumps({"subject": None, "relation": {}, "object": 3}))
         assert to_triplets([make_evidence("x")], "c", gw, EMPTY_GRAPH) == []
+
+    def test_whitespace_in_fields_collapses_before_linking(self):
+        def responder(text):
+            if "Passage: spaced" in text:
+                return json.dumps(
+                    {"subject": " Barack  Obama ", "relation": "visited\t in", "object": "Mars\nBase"}
+                )
+            return json.dumps({"subject": "Barack Obama", "relation": "visited in",
+                               "object": "Mars Base"})
+
+        kg = CountingKg(SMALL_GRAPH)
+        evidence = [make_evidence("spaced"), make_evidence("plain")]
+        out = to_triplets(evidence, "c", gateway(responder=responder), kg_backend=kg)
+        assert sorted(kg.searches) == ["Barack Obama", "Mars Base"]
+        spaced, plain = (wt.triplet for wt in out)
+        assert spaced.subject.id == "Q76"
+        assert spaced.relation == plain.relation == synthetic_relation("visited in")
+        assert spaced.object == plain.object == synthetic_entity("Mars Base")
+        assert spaced.key == plain.key
 
     def test_known_entity_reuses_kg_id(self, small_graph_backend):
         gw = gateway(
@@ -654,7 +701,7 @@ class TestIntegrate:
         assert any("speech" in n for n in after.annotations["Q76"])
 
 
-# -- the web step's concurrent filter batches and extractions -------------------
+# -- the web step's filter request and concurrent extractions ------------------
 
 
 def listed_passages(text):
@@ -736,15 +783,13 @@ class TestConcurrentWebStep:
             for i in range(n)
         ]
 
-    def test_filter_batches_overlap(self):
-        # serial batches would break the barrier after its timeout
-        barrier = threading.Barrier(3, timeout=5)
-
-        def responder(text):
-            barrier.wait()
-            return json.dumps({"judgments": []})
-
-        assert filter_evidence("c", self.passages(17), gateway(responder=responder)) == []
+    def test_ten_passages_are_judged_in_one_request(self):
+        passages = self.passages(10)
+        llm = SlowLlm(keep_statements)
+        kept = filter_evidence("c", passages, LlmGateway(llm, default_policy()))
+        assert len(llm.prompts) == 1
+        assert listed_passages(llm.prompts[0]) == [(str(i), p.text) for i, p in enumerate(passages)]
+        assert [e.passage for e in kept] == [p for p in passages if "|" in p.text]
 
     def test_extractions_overlap(self):
         barrier = threading.Barrier(4, timeout=5)
@@ -782,20 +827,29 @@ class TestConcurrentWebStep:
             to_triplets(evidence, "c", LlmGateway(llm, default_policy()), EMPTY_GRAPH)
         assert len(llm.prompts) == 4  # every item still asked
 
-    def test_first_failed_filter_batch_wins(self):
+    def test_failed_filter_request_ends_the_episode_in_one_forced_verdict(self):
+        oracle = OracleResponder(specs=WEB_CLAIMS)
+
         def responder(text):
-            first = listed_passages(text)[0][1]
-            if first == "noise 0":
-                time.sleep(0.03)
-                raise TransportError("batch 0 failed")
-            if first == "S16 | r16 | O16":
-                raise TransportError("batch 2 failed")  # raises first in time
-            return json.dumps({"judgments": []})
+            if "Judge each passage" in text:
+                raise TransportError("filter failed")
+            return oracle(text)
 
         llm = SlowLlm(responder)
-        with pytest.raises(TransportError, match="batch 0 failed"):
-            filter_evidence("c", self.passages(17), LlmGateway(llm, default_policy()))
-        assert len(llm.prompts) == 3
+        result, trajectory = run_episode(
+            WEB_CLAIMS[0]["claim"], default_policy(), EpisodeConfig(), llm,
+            FixtureKgBackend(data=WEB_GRAPH), web_provider=FixtureSearchProvider(data=WEB_RESULTS),
+        )
+        assert result.forced and trajectory.forced_reason == "transport_error"
+        assert trajectory.action_kinds()[-2:] == [WEB_SEARCH, VERDICT_ACTION]
+        assert trajectory.steps[-2][1].note == "transport error: filter failed"
+
+        def sent(phrase):
+            return sum(phrase in p for p in llm.prompts)
+
+        assert sent("Judge each passage") == 1
+        assert sent("Extract the main factual statement") == 0
+        assert sent("The retrieval budget is exhausted") == 1
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_episodes_do_not_depend_on_latency(self, seed):
@@ -806,6 +860,10 @@ class TestConcurrentWebStep:
             assert WEB_SEARCH in [step["action"]["kind"] for step in trajectory["steps"]]
         kinds = reference[2]
         assert report["mean_counters"]["llm_calls"] * len(WEB_CLAIMS) == sum(kinds.values())
-        assert kinds["filter"] == 2 * len(WEB_CLAIMS)
+        searches = sum(
+            step["action"]["kind"] == WEB_SEARCH
+            for trajectory in map(json.loads, reference[1]) for step in trajectory["steps"]
+        )
+        assert kinds["filter"] == searches == len(WEB_CLAIMS)
         assert kinds["extract"] == 10 * len(WEB_CLAIMS)
         assert web_outputs(seed) == reference
