@@ -21,7 +21,7 @@ from . import kg as kg_mod
 from . import web as web_mod
 from .errors import EmptyClaim, ParseFailure, TransportError
 from .graph import KnowledgeSubgraph, passage_item_id
-from .llm import LlmGateway, LlmRequest, ResponseSchema
+from .llm import LlmGateway, LlmRequest, ResponseSchema, one_of, text
 from .policy import EXPANSION_PRUNE, FORCED_VERDICT, RELATION_PRUNE
 from .policy import SUFFICIENCY, VERDICT
 
@@ -40,10 +40,8 @@ UNKNOWN = "unknown"
 # the action an assessment asks for when its reply names none
 _HINT_ACTIONS = {SUFFICIENT: VERDICT_ACTION, NEED_KG: EXPAND_KG, NEED_WEB: WEB_SEARCH}
 
-_SUFFICIENCY_SCHEMA = ResponseSchema(
-    required=("assessment",), allowed={"assessment": {SUFFICIENT, NEED_KG, NEED_WEB}}
-)
-_VERDICT_SCHEMA = ResponseSchema(required=("label",))
+_SUFFICIENCY_SCHEMA = ResponseSchema({"assessment": one_of(SUFFICIENT, NEED_KG, NEED_WEB)})
+_VERDICT_SCHEMA = ResponseSchema({"label": text})
 
 
 @dataclass
@@ -193,9 +191,9 @@ def read_trajectories(path):
 # ---------------------------------------------------------------------------
 
 
-def _normalize_label(raw) -> str:
-    text = str(raw).strip().casefold()
-    if text in ("supported", "support", "supports", "true"):
+def _normalize_label(raw: str) -> str:
+    label = raw.strip().casefold()
+    if label in ("supported", "support", "supports", "true"):
         return "Supported"
     # binary standardization: everything partial/ambiguous collapses to Refuted
     return "Refuted"
@@ -230,7 +228,8 @@ def assess_sufficiency(claim, evidence, gateway):
     """One assess-and-act LLM call: (sufficient/need_kg/need_web, requested
     action kind). A reply without ``action`` requests the assessment's own
     action. No evidence at all short-circuits to need_web and webSearch with
-    no call; an unparseable reply gives (unknown, None)."""
+    no call; a reply whose ``assessment`` is still not one of the three after
+    its repairs gives (unknown, None)."""
     if not evidence.ids:
         return NEED_WEB, WEB_SEARCH
     try:
@@ -293,7 +292,8 @@ def select_action(requested, legal, hint, trajectory):
 
 
 def _verdict(template_id, claim, evidence, gateway, trajectory):
-    """The ``template_id`` request's verdict, citing only evidence items."""
+    """The ``template_id`` request's verdict, citing only evidence items. A
+    label still not ``llm.text`` after the repairs raises ParseFailure."""
     payload = gateway.complete_structured(
         LlmRequest(template_id=template_id, bindings={"claim": claim, "evidence": evidence.text}),
         _VERDICT_SCHEMA,

@@ -41,29 +41,21 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import re
 from dataclasses import dataclass
 from urllib.parse import urlencode
 
-from .errors import (
-    AllMentionsUnlinkable,
-    BudgetExhausted,
-    EmptyClaim,
-    ParseFailure,
-    TransportError,
-)
+from .errors import AllMentionsUnlinkable, BudgetExhausted, EmptyClaim, TransportError
 from .fanout import fan_out, start, wait
 from .graph import EntityId, RelationId, Triplet
-from .llm import LlmRequest, ReplyStore, ResponseSchema, live_json, memo_holds, memoized
+from .llm import LlmRequest, ReplyStore, ResponseSchema, list_of, live_json, memo_holds, memoized
+from .llm import number
 from .policy import EXPANSION_PRUNE, RELATION_PRUNE
 from .web import search_entities, string_field, tokenize
 
 MAX_OBJECTS_PER_RELATION = 10
 RELATION_FETCH_LIMIT = 50
-
-_SCORES_SCHEMA = ResponseSchema(required=("scores",))
 
 
 @dataclass
@@ -436,8 +428,9 @@ def prune_relations(claim, candidates, k, gateway, entity=None):
     the ``EXPANSION_PRUNE`` of ``entity``'s own relations, or with no entity
     the ``RELATION_PRUNE`` of a hop's survivors.
 
-    Ties break by ascending (relation id, anchor id). A reply whose scores
-    are not one finite number per candidate raises ParseFailure."""
+    Ties break by ascending (relation id, anchor id). The reply must hold
+    one finite number per candidate (``llm.number``); one that still does not
+    after its repairs raises ParseFailure."""
     if not candidates:
         raise ValueError("prune_relations requires a nonempty candidate list")
     bindings = {"claim": claim, "candidates": _candidate_lines(candidates)}
@@ -445,20 +438,11 @@ def prune_relations(claim, candidates, k, gateway, entity=None):
     if entity is not None:
         template_id = EXPANSION_PRUNE
         bindings["entity"] = entity.label or entity.id
-    payload = gateway.complete_structured(
-        LlmRequest(template_id=template_id, bindings=bindings), _SCORES_SCHEMA
-    )
-    scores = payload["scores"]
-    if not isinstance(scores, list) or len(scores) != len(candidates):
-        raise ParseFailure(f"expected {len(candidates)} scores, got {scores!r}")
-    try:
-        values = [float(score) for score in scores]
-    except (TypeError, ValueError):
-        raise ParseFailure(f"expected numeric scores, got {scores!r}") from None
-    if not all(map(math.isfinite, values)):  # Python's json reads NaN and Infinity
-        raise ParseFailure(f"expected finite scores, got {scores!r}")
+    schema = ResponseSchema({"scores": list_of(number, len(candidates))})
+    request = LlmRequest(template_id=template_id, bindings=bindings)
+    scores = gateway.complete_structured(request, schema)["scores"]
     ranked = sorted(
-        zip(values, candidates), key=lambda vc: (-vc[0], vc[1].relation.id, vc[1].anchor.id)
+        zip(scores, candidates), key=lambda sc: (-sc[0], sc[1].relation.id, sc[1].anchor.id)
     )
     return [cand for _, cand in ranked[:k]]
 

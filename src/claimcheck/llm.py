@@ -30,6 +30,7 @@ import json
 import os
 import random
 import re
+import sys
 import threading
 import time
 from collections import Counter, deque
@@ -47,6 +48,7 @@ from .errors import (
 
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_][a-z0-9_]*)\}")
 _DECODER = json.JSONDecoder()
+_FLOAT_MAX = sys.float_info.max
 
 # Structured-output repair attempts on top of the first ask.
 REPAIR_RETRIES = 2
@@ -120,23 +122,55 @@ class LlmRequest:
     bindings: dict = field(default_factory=dict)
 
 
+def _check(expects, test):
+    """Mark ``test``, a predicate on one JSON value, with what it ``expects``,
+    which a violation names."""
+    test.expects = expects
+    return test
+
+
+def _finite(v):
+    # no bool (a number to Python), NaN or Infinity (json reads them) or int past a float
+    return type(v) in (int, float) and -_FLOAT_MAX <= v <= _FLOAT_MAX
+
+
+text = _check("nonempty text", lambda v: isinstance(v, str) and bool(v.strip()))
+number = _check("a finite number", _finite)
+whole = _check("a whole finite number", lambda v: _finite(v) and float(v).is_integer())
+mapping = _check("an object", lambda v: isinstance(v, dict))
+
+
+def one_of(*values):
+    # compared by equality, so an unhashable value fails as a violation
+    return _check(f"one of {sorted(values)}", lambda v: v in values)
+
+
+def list_of(check=None, n=None):
+    """A list, of ``n`` items if ``n`` is given, each passing ``check`` if given."""
+    expects = "a list" if n is None else f"a list of {n} items"
+    if check is not None:
+        expects += f", each {check.expects}"
+    return _check(expects, lambda v: isinstance(v, list) and (n is None or len(v) == n)
+                  and (check is None or all(map(check, v))))
+
+
 @dataclass
 class ResponseSchema:
-    """Required top-level fields and optional allowed value sets."""
+    """Required top-level fields, each mapped to the check its value must pass
+    (``text``, ``number``, ``whole``, ``one_of``, ``list_of`` or ``mapping``);
+    a violation is a ParseFailure, so it gets the gateway's repairs."""
 
-    required: tuple
-    allowed: dict = field(default_factory=dict)
+    fields: dict
 
     def validate(self, payload):
         if not isinstance(payload, dict):
             raise SchemaViolation("<root>", "payload is not an object")
-        for name in self.required:
+        for name, check in self.fields.items():
             if name not in payload:
                 raise SchemaViolation(name, "missing required field")
-        for name, values in self.allowed.items():
-            # compared by equality, so an unhashable value fails as a violation
-            if name in payload and payload[name] not in tuple(values):
-                raise SchemaViolation(name, f"value {payload[name]!r} not in {sorted(values)}")
+            value = payload[name]
+            if not check(value):
+                raise SchemaViolation(name, f"expected {check.expects}, got {value!r:.200}")
         return payload
 
 

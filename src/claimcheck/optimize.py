@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from .agent import EXPAND_KG, INIT_KG, SUFFICIENT, WEB_SEARCH
 from .errors import InsufficientData, ParseFailure, TransportError
 from .fanout import fan_out, start, wait
-from .llm import LlmGateway, LlmRequest, PromptTemplate, ResponseSchema, reply_memo
+from .llm import LlmGateway, LlmRequest, PromptTemplate, ResponseSchema, list_of, mapping
+from .llm import reply_memo, text, whole
 from .policy import REFLECT, SUFFICIENCY, VERDICT, PromptPolicy
 from .web import string_field
 
@@ -40,8 +41,8 @@ STEP_PENALTY = 0.05
 
 RETRIEVAL_KINDS = (INIT_KG, EXPAND_KG, WEB_SEARCH)
 
-_REFLECT_SCHEMA = ResponseSchema(required=("critiques",))
-_META_SCHEMA = ResponseSchema(required=("templates",))
+_REFLECT_SCHEMA = ResponseSchema({"critiques": list_of()})
+_META_SCHEMA = ResponseSchema({"templates": mapping})
 
 # The meta-optimizer prompt is fixed machinery, not part of the trainable policy.
 META_OPTIMIZER_PROMPT = PromptTemplate(
@@ -196,8 +197,8 @@ def reflect(trajectory, gold_label, gateway) -> list:
     """One structured critique call on a finished episode's ``trajectory``,
     plus the deterministic rule-based tags.
 
-    A reply that cannot be parsed or a failed transport yields no LLM
-    critiques; rows that are not objects or lack an integer step are skipped."""
+    A failed reply or transport yields no LLM critiques; rows that are not
+    objects, or whose ``step_index`` is not ``llm.whole``, are skipped."""
     critiques = []
     steps_text = "\n".join(
         f"{i}: {action.kind} (hint={obs.sufficiency_hint}, "
@@ -219,13 +220,10 @@ def reflect(trajectory, gold_label, gateway) -> list:
         )["critiques"]
     except (ParseFailure, TransportError):
         rows = []
-    for row in rows if isinstance(rows, list) else ():
-        if not isinstance(row, dict):
+    for row in rows:
+        if not (isinstance(row, dict) and whole(row.get("step_index", 0))):
             continue
-        try:
-            step_index = int(row.get("step_index", 0))
-        except (TypeError, ValueError, OverflowError):
-            continue
+        step_index = int(row.get("step_index", 0))
         tag = str(row.get("tag", OTHER))
         if tag not in CRITIQUE_TAGS:
             tag = OTHER
@@ -244,9 +242,9 @@ def textual_gradient(critiques, current: PromptPolicy, llm_backend, candidate_id
     by the batch's critique tags. Returns the policy ``candidate_id``, in
     which each revised template's version is one higher and every other
     template is the same object, or None when the reply revises none of
-    them. A revision counts only if it is nonempty text whose placeholders
+    them. A revision counts only if it is ``llm.text`` whose placeholders
     the old template has too, since an episode binds no others. A reply
-    whose ``templates`` is not an object raises ParseFailure."""
+    whose ``templates`` is not an object after its repairs raises ParseFailure."""
     if not critiques:
         raise ValueError("textual_gradient requires a batch with critiques")
 
@@ -269,12 +267,9 @@ def textual_gradient(critiques, current: PromptPolicy, llm_backend, candidate_id
         ),
         _META_SCHEMA,
     )
-    if not isinstance(payload["templates"], dict):
-        raise ParseFailure("meta-optimizer reply: 'templates' is not an object")
-
     candidate = current
     for tid, new_text in sorted(payload["templates"].items()):
-        if tid not in targets or not isinstance(new_text, str) or not new_text.strip():
+        if tid not in targets or not text(new_text):
             continue
         old = current.template(tid)
         revised = dataclasses.replace(old, text=new_text, version=old.version + 1)

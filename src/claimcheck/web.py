@@ -39,7 +39,7 @@ from .graph import (
     Triplet,
     normalize_relation_label,
 )
-from .llm import LlmRequest, ResponseSchema, live_json, memoized
+from .llm import LlmRequest, ResponseSchema, list_of, live_json, memoized, number, text, whole
 from .policy import EVIDENCE_FILTER, TRIPLET_EXTRACT, WEB_QUERY
 
 log = logging.getLogger(__name__)
@@ -201,23 +201,21 @@ def search_entities(surface, kg_backend):
 # Query formulation
 # ---------------------------------------------------------------------------
 
-_QUERY_SCHEMA = ResponseSchema(required=("query",))
+_QUERY_SCHEMA = ResponseSchema({"query": text})
 
 
 def formulate_query(claim, evidence, gateway) -> WebQuery:
     """One LLM call targeting the gap in ``evidence``, the latest observation's
     listing (``agent.Evidence``); with no evidence at all the claim itself is
-    the query (no LLM call). A query that is not nonempty text raises ParseFailure."""
+    the query (no LLM call). A query that is not nonempty text (``llm.text``)
+    after the reply's repairs raises ParseFailure."""
     if not evidence.ids:
         return WebQuery(text=claim[:MAX_QUERY_CHARS], rationale="no evidence retrieved yet")
     payload = gateway.complete_structured(
         LlmRequest(template_id=WEB_QUERY, bindings={"claim": claim, "evidence": evidence.text}),
         _QUERY_SCHEMA,
     )
-    query = payload["query"]
-    if not isinstance(query, str) or not query.strip():
-        raise ParseFailure(f"web query must be nonempty text, got {query!r}")
-    return WebQuery(text=query, rationale=string_field(payload, "rationale"))
+    return WebQuery(text=payload["query"], rationale=string_field(payload, "rationale"))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +278,7 @@ def rank_passages(query: WebQuery, documents, first_index=0) -> list:
 # Fine-grained filtering
 # ---------------------------------------------------------------------------
 
-_FILTER_SCHEMA = ResponseSchema(required=("judgments",))
+_FILTER_SCHEMA = ResponseSchema({"judgments": list_of()})
 _STANCES = {"supports", "refutes", "neutral"}
 
 
@@ -288,11 +286,11 @@ def filter_evidence(claim, passages, gateway):
     """One LLM call judges every passage, listed by position from 0; keeps
     entries whose consistency confidence reaches ``CONSISTENCY_THRESHOLD``, in
     the order of the reply's judgments. Only the first judgment of a passage
-    counts, so each passage is kept at most once. A row whose index is not a
-    whole number or whose confidence is not a finite number is skipped; a
-    finite confidence outside [0, 1] is clamped. Judgments that are not a list
-    raise ParseFailure; an unknown stance is neutral. No passages give no
-    evidence and send no request."""
+    counts, so each passage is kept at most once. A row whose index is not
+    ``llm.whole`` or whose confidence is not ``llm.number`` is skipped, not
+    repaired; a confidence outside [0, 1] is clamped. Judgments that are not a
+    list after the reply's repairs raise ParseFailure; an unknown stance is
+    neutral. No passages give no evidence and send no request."""
     if not passages:
         return []
     listing = "\n".join(f"{i}. {p.text}" for i, p in enumerate(passages))
@@ -300,23 +298,13 @@ def filter_evidence(claim, passages, gateway):
         LlmRequest(template_id=EVIDENCE_FILTER, bindings={"claim": claim, "passages": listing}),
         _FILTER_SCHEMA,
     )
-    judgments = payload["judgments"]
-    if not isinstance(judgments, list):
-        raise ParseFailure(f"judgments must be a list, got {judgments!r}")
     kept, judged = [], set()
-    for row in judgments:
-        try:
-            idx, confidence = row["index"], row["confidence"]
-            # a bool is a number to Python, and int() would truncate 1.7 to 1
-            if isinstance(idx, bool) or isinstance(confidence, bool) or (
-                isinstance(idx, float) and not idx.is_integer()
-            ):
-                continue
-            idx, confidence = int(idx), float(confidence)
-        except (KeyError, TypeError, ValueError, OverflowError):
+    for row in payload["judgments"]:
+        if not (isinstance(row, dict) and whole(row.get("index"))
+                and number(row.get("confidence"))):
             continue
-        # Python's json reads NaN and Infinity, and float() reads "inf"
-        if not math.isfinite(confidence) or not 0 <= idx < len(passages) or idx in judged:
+        idx, confidence = int(row["index"]), float(row["confidence"])
+        if not 0 <= idx < len(passages) or idx in judged:
             continue
         judged.add(idx)
         if confidence < 0.0 or confidence > 1.0:
@@ -334,7 +322,7 @@ def filter_evidence(claim, passages, gateway):
 # Triplet conversion
 # ---------------------------------------------------------------------------
 
-_EXTRACT_SCHEMA = ResponseSchema(required=("subject", "relation", "object"))
+_EXTRACT_SCHEMA = ResponseSchema({"subject": text, "relation": text, "object": text})
 
 
 def synthetic_entity(surface: str) -> EntityId:
@@ -353,22 +341,18 @@ def to_triplets(evidence, claim, gateway, kg_backend) -> list:
     one space, then one concurrent linking round over the distinct subject
     and object surfaces, each to its top ``kg_backend`` hit, else to its
     ``synthetic_entity``. Triplets come out in evidence order, each with its
-    own item's provenance and confidence. Items whose extraction fails, or
-    whose reply has a subject, relation or object that is not nonempty text,
-    are skipped, so no evidence, or none that extracts, gives no triplets."""
+    own item's provenance and confidence. An item is skipped when its reply,
+    after the repairs, is still unparseable or lacks a subject, relation or
+    object of nonempty text (``llm.text``), so no evidence, or none that
+    extracts, gives no triplets."""
 
-    def extract(text):
+    def extract(passage):
+        request = LlmRequest(TRIPLET_EXTRACT, {"claim": claim, "passage": passage})
         try:
-            payload = gateway.complete_structured(
-                LlmRequest(template_id=TRIPLET_EXTRACT, bindings={"claim": claim, "passage": text}),
-                _EXTRACT_SCHEMA,
-            )
+            payload = gateway.complete_structured(request, _EXTRACT_SCHEMA)
         except ParseFailure:
             return None
-        fields = tuple(
-            " ".join(string_field(payload, key).split()) for key in ("subject", "relation", "object")
-        )
-        return fields if all(fields) else None
+        return tuple(" ".join(payload[key].split()) for key in ("subject", "relation", "object"))
 
     def link(surface):
         hits = search_entities(surface, kg_backend)

@@ -698,6 +698,25 @@ class TestTransportErrors:
         assert trajectory.counters["prune_llm_calls"] == n
         assert trajectory.counters["llm_calls"] == len(prompts)
 
+    # a bool is a number to Python, and float() of 401 digits raises OverflowError
+    @pytest.mark.parametrize("score", [True, 10 ** 400], ids=["True", "401 digits"])
+    def test_prune_score_that_is_no_number_ends_in_one_forced_verdict(self, score):
+        oracle = OracleResponder(specs=DEPTH2_CLAIMS)
+
+        def responder(text):
+            reply = oracle(text)
+            if text.startswith("Score each relation of entity"):
+                data = json.loads(reply)
+                data["scores"][0] = score
+                return json.dumps(data)
+            return reply
+
+        result, trajectory, _ = pruned_episode(responder)
+        assert trajectory.action_kinds() == [INIT_KG, VERDICT_ACTION]
+        assert trajectory.steps[-2][1].note.startswith("parse failure: ")
+        assert result.forced and trajectory.forced_reason == "parse_failure"
+        assert trajectory.counters["llm_retries"] == 2
+
 
 DEPTH1_GRAPH, DEPTH1_CLAIMS = build_corpus(4, depth=1)
 
@@ -1054,6 +1073,10 @@ class TestReplyShapes:
                         assert kinds.count(VERDICT_ACTION) == 1, case
                         assert result is trajectory.verdict, case
                         assert result.label in ("Supported", "Refuted"), case
+                        if (template_id, field) == (VERDICT, "label"):
+                            # a label of no text is repaired, then forced; any
+                            # other text reads Refuted (binary standardization)
+                            assert result.forced if value != "x" else result.label == "Refuted", case
                         assert len(trajectory.steps) <= episode[1].max_steps + 1, case
                         back = trajectory_from_jsonable(json.loads(trajectory.to_json()))
                         assert back.action_kinds() == kinds, case

@@ -241,7 +241,9 @@ class TestPrune:
         pruned = prune_relations("c", candidates, 1, self.score_gateway([1, 5, 2]))
         assert [c.relation.id for c in pruned] == ["P1"]
 
-    @pytest.mark.parametrize("score", ["high", None, [1], {}])
+    # a bool is a number to Python, and float() of 401 digits raises OverflowError
+    @pytest.mark.parametrize("score", ["high", None, [1], {}, pytest.param(True, id="True"),
+                                       pytest.param(10 ** 400, id="401 digits")])
     def test_score_that_is_no_number_is_a_parse_failure(self, score):
         with pytest.raises(ParseFailure):
             prune_relations("c", make_candidates([("P1", "Q1"), ("P2", "Q1")]), 1,
@@ -253,6 +255,13 @@ class TestPrune:
         candidates = make_candidates([("P0", "Q1"), ("P1", "Q1"), ("P2", "Q1"), ("P3", "Q1")])
         with pytest.raises(ParseFailure, match="finite"):
             prune_relations("c", candidates, 2, self.score_gateway([0.1, score, 0.9, 0.5]))
+
+    def test_miscounted_scores_are_repaired(self):
+        backend = ScriptedBackend(sequence=['{"scores": [1, 2]}', '{"scores": [1, 3, 2]}'])
+        gateway = LlmGateway(backend, default_policy())
+        candidates = make_candidates([("P1", "Q1"), ("P2", "Q1"), ("P3", "Q1")])
+        assert [c.relation.id for c in prune_relations("c", candidates, 2, gateway)] == ["P2", "P3"]
+        assert (gateway.call_count, gateway.retry_count) == (2, 1)
 
     def test_exactly_one_llm_call(self):
         gateway = self.score_gateway([1, 2])

@@ -1,6 +1,7 @@
 import contextvars
 import itertools
 import json
+import math
 import threading
 from collections import Counter
 
@@ -71,7 +72,7 @@ class TestRender:
         assert same == (a == b)
 
 
-ANY = ResponseSchema(required=())
+ANY = ResponseSchema({})
 
 
 class TestScriptedBackend:
@@ -128,7 +129,7 @@ class TestScriptedBackend:
         gateway = LlmGateway(backend, make_policy(PromptTemplate(id="q", text="Q")))
         gateway.retry_count = YieldingInt(0)
         gateway.requests["q"] = YieldingInt(0)
-        schema = ResponseSchema(required=("action", "label"))
+        schema = ResponseSchema({"action": llm.text, "label": llm.text})
         hammer(lambda: gateway.complete_structured(LlmRequest(template_id="q"), schema))
         assert gateway.call_count == 2 * 320
         assert gateway.retry_count == 320
@@ -136,7 +137,7 @@ class TestScriptedBackend:
 
 
 class TestStructured:
-    schema = ResponseSchema(required=("action", "label"))
+    schema = ResponseSchema({"action": llm.text, "label": llm.text})
 
     def test_well_formed(self):
         backend = ScriptedBackend(default='{"action":"verdict","label":"Supported"}')
@@ -162,11 +163,38 @@ class TestStructured:
         assert gateway.call_count == 3  # initial ask + 2 repairs
 
     def test_value_domain(self):
-        schema = ResponseSchema(required=("label",), allowed={"label": {"a", "b"}})
+        schema = ResponseSchema({"label": llm.one_of("a", "b")})
         with pytest.raises(SchemaViolation):
             schema.validate({"label": "c"})
         with pytest.raises(SchemaViolation):
             schema.validate({"label": ["a"]})  # unhashable
+
+    @pytest.mark.parametrize("check, bad, good", [
+        pytest.param(llm.text, 3, "a", id="text-3"),
+        pytest.param(llm.text, " ", "a", id="text-blank"),
+        pytest.param(llm.number, True, 0.5, id="number-true"),
+        pytest.param(llm.number, "1", 1, id="number-string"),
+        pytest.param(llm.number, math.nan, 0, id="number-nan"),
+        pytest.param(llm.number, 10 ** 400, 10 ** 300, id="number-401-digits"),
+        pytest.param(llm.whole, 1.5, 1.0, id="whole-1.5"),
+        pytest.param(llm.one_of("a", "b"), "c", "b", id="one_of-c"),
+        pytest.param(llm.list_of(llm.number, 2), [1, 2, 3], [1, 2], id="list_of-length"),
+        pytest.param(llm.list_of(llm.number, 2), [1, "x"], [1, 2], id="list_of-item"),
+        pytest.param(llm.list_of(), {}, [], id="list_of-object"),
+        pytest.param(llm.mapping, [], {}, id="mapping-list"),
+    ])
+    def test_wrong_type_is_repaired_like_a_missing_field(self, check, bad, good):
+        backend = ScriptedBackend(sequence=[json.dumps({"x": bad}), json.dumps({"x": good})])
+        gateway = LlmGateway(backend, make_policy(PromptTemplate(id="q", text="Q")))
+        payload = gateway.complete_structured(LlmRequest("q"), ResponseSchema({"x": check}))
+        assert payload == {"x": good}
+        assert (gateway.call_count, gateway.retry_count) == (2, 1)
+
+    def test_violation_names_the_field_and_what_it_expects(self):
+        schema = ResponseSchema({"scores": llm.list_of(llm.number, 2)})
+        with pytest.raises(SchemaViolation, match="each a finite number, got") as exc:
+            schema.validate({"scores": [1, True]})
+        assert exc.value.field == "scores"
 
     def test_json_embedded_in_prose(self):
         assert extract_json('Sure! Here it is: {"x": 1} hope that helps') == {"x": 1}
@@ -191,7 +219,7 @@ class TestStructured:
 
 
 class TestReplyMemo:
-    schema = ResponseSchema(required=("action", "label"))
+    schema = ResponseSchema({"action": llm.text, "label": llm.text})
     policy = make_policy(PromptTemplate(id="q", text="Q {x}"))
 
     def ask(self, backend, x="1"):

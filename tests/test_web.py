@@ -487,7 +487,7 @@ class TestToTriplets:
         out = to_triplets([make_evidence("one", url="u1"), make_evidence("two", url="u2")], "c", gw,
                           EMPTY_GRAPH)
         assert [wt.provenance for wt in out] == ["u2"]
-        assert gw.call_count == 2  # a well-formed reply is not repaired
+        assert gw.call_count == 4  # "one" gets its ask and both repairs, "two" one ask
         assert to_triplets([make_evidence("one")], "c", gw, EMPTY_GRAPH) == []
 
     def test_reply_of_no_text_fields_makes_no_triplet(self):
