@@ -195,7 +195,9 @@ def build_parser():
     p_opt.add_argument("--seed", type=int, help="train/validation split seed")
     p_opt.add_argument("--epochs", type=int, help="optimizer epochs")
     p_opt.add_argument("--parallel", type=int,
-                       help=f"episodes run at once (default {opt.OptimizationConfig.parallel})")
+                       help="training or validation episodes run at once, twice that while "
+                            "the initial validation runs beside epoch 1 "
+                            f"(default {opt.OptimizationConfig.parallel})")
     _add_common_flags(p_opt)
     p_opt.set_defaults(func=cmd_optimize)
 

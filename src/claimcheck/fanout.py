@@ -5,8 +5,8 @@ Every piece of work is a task queued through one submit path, and
 here, in order, each one no worker has taken yet, and raises nothing, since
 each task keeps its value or error. ``start(fn, *args)`` queues one task and
 returns it; its ``result()`` waits for it and returns or raises what it did.
-It starts every graph relation read (``kg.GraphReads``) and each training
-episode's critique call (``optimize``).
+It starts every graph relation read (``kg.GraphReads``), and in ``optimize``
+each training episode's critique call and the initial policy's validation.
 
 ``fan_out(fn, items, width)`` runs the items on ``width`` lanes, every item
 at once when ``width`` is None. With no width it runs a hop's per-entity

@@ -80,7 +80,9 @@ class OptimizationConfig:
     train_size: int = 100
     val_size: int = 50
     seed: int = 0
-    parallel: int = 2  # episodes run at once
+    # episodes run at once; during epoch 1 the initial policy's validation
+    # runs this many more beside the training episodes
+    parallel: int = 2
 
 
 @dataclass
@@ -331,16 +333,25 @@ def optimize(initial, claims, config, runner_factory, llm_backend):
     ``claims`` is a list of {"id", "claim", "gold_label"}; ``runner_factory``
     maps a policy to an episode runner whose ``run`` may be called from
     several threads at once: ``config.parallel`` training or validation
-    episodes run at a time, and the run equals a serial one. Each training
-    episode's critique call runs off those lanes, at most one per finished
-    episode, and ends before the epoch's meta call, or before the run raises.
-    The critique and meta calls both go to ``llm_backend``. Within the run
-    each distinct prompt text, graph lookup and web search goes to a backend
-    once (``llm.reply_memo``).
+    episodes run at a time, and the run equals a serial one. The initial
+    policy's validation is first needed at the first candidate's comparison,
+    so its lanes run beside epoch 1's training lanes, up to
+    ``2 * config.parallel`` episodes at once; at ``parallel`` 1 it ends before
+    training starts. Each training episode's critique call runs off those
+    lanes, at most one per finished episode, and ends before the epoch's meta
+    call, or before the run raises. The initial validation has ended before
+    the run returns or raises; its error is raised at the first candidate's
+    comparison, or after the last epoch if no candidate came, so an error of
+    epoch 1's training goes first. The critique and meta calls both go to
+    ``llm_backend``. Within the run each distinct prompt text, graph lookup
+    and web search goes to a backend once (``llm.reply_memo``).
     A meta call that fails to parse or to arrive leaves its epoch without a
     candidate. Returns an OptimizationRun whose selected policy never
     validates worse than the initial one.
     """
+    if config.val_size < 1 or config.parallel < 1:
+        raise ValueError(f"val_size and parallel must be at least 1, got "
+                         f"{config.val_size} and {config.parallel}")
     needed = config.train_size + config.val_size
     if len(claims) < needed:
         raise InsufficientData(f"need >= {needed} labeled claims, got {len(claims)}")
@@ -358,32 +369,41 @@ def optimize(initial, claims, config, runner_factory, llm_backend):
     # llm.reply_memo)
     with reply_memo():
         run = OptimizationRun()
-        current = initial
-        current_val = _mean_val_reward(initial, val, runner_factory, config.parallel)
-        run.initial_val_reward = current_val
+        baseline = start(_mean_val_reward, initial, val, runner_factory, config.parallel)
+        try:
+            if config.parallel == 1:
+                # nothing runs beside it, as a ``sequence`` script needs
+                wait((baseline,))
+            current, current_val = initial, None  # None: the baseline's, read when needed
 
-        for epoch in range(1, config.epochs + 1):
-            critiques = _train_critiques(current, train, runner_factory, llm_backend,
-                                         config.parallel)
+            for epoch in range(1, config.epochs + 1):
+                critiques = _train_critiques(current, train, runner_factory, llm_backend,
+                                             config.parallel)
 
-            entry = {"epoch": epoch, "policy_id": None, "val_reward": None, "accepted": False}
-            candidate = None
-            if critiques:
-                try:
-                    candidate = textual_gradient(critiques, current, llm_backend,
-                                                 f"candidate-{epoch}")
-                except (ParseFailure, TransportError):
-                    candidate = None  # as in reflect: a failed meta call proposes nothing
-            if candidate is not None:
-                cand_val = _mean_val_reward(candidate, val, runner_factory, config.parallel)
-                entry["policy_id"] = candidate.policy_id
-                entry["val_reward"] = cand_val
-                if cand_val > current_val:
-                    current, current_val = candidate, cand_val
-                    entry["accepted"] = True
-            run.history.append(entry)
+                entry = {"epoch": epoch, "policy_id": None, "val_reward": None, "accepted": False}
+                candidate = None
+                if critiques:
+                    try:
+                        candidate = textual_gradient(critiques, current, llm_backend,
+                                                     f"candidate-{epoch}")
+                    except (ParseFailure, TransportError):
+                        candidate = None  # as in reflect: a failed meta call proposes nothing
+                if candidate is not None:
+                    cand_val = _mean_val_reward(candidate, val, runner_factory, config.parallel)
+                    entry["policy_id"] = candidate.policy_id
+                    entry["val_reward"] = cand_val
+                    if current_val is None:
+                        current_val = baseline.result()
+                    if cand_val > current_val:
+                        current, current_val = candidate, cand_val
+                        entry["accepted"] = True
+                run.history.append(entry)
+
+            run.initial_val_reward = baseline.result()
+        finally:
+            wait((baseline,))
 
         # only a strict improvement moves ``current``, so it is the best policy
         run.selected = current
-        run.selected_val_reward = current_val
+        run.selected_val_reward = run.initial_val_reward if current_val is None else current_val
         return run

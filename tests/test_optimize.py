@@ -1,7 +1,6 @@
 import contextlib
 import functools
 import hashlib
-import itertools
 import json
 import random
 import threading
@@ -277,6 +276,13 @@ class TestTextualGradient:
 META_PREFIX = META_OPTIMIZER_PROMPT.text.split("{", 1)[0]
 
 
+def split(claims, cfg):
+    """The training and validation claims, drawn as optimize() draws them."""
+    pool = sorted(claims, key=lambda r: str(r["id"]))
+    random.Random(cfg.seed).shuffle(pool)
+    return pool[: cfg.train_size], pool[cfg.train_size : cfg.train_size + cfg.val_size]
+
+
 def answering_meta(responder, meta):
     """A responder that hands meta-optimizer prompts to ``meta`` and every
     other prompt to ``responder``."""
@@ -289,6 +295,18 @@ class TestOptimize:
         with pytest.raises(InsufficientData):
             optimize(default_policy(), [{"id": "1", "claim": "c", "gold_label": "Supported"}],
                      cfg, None, None)
+
+    @pytest.mark.parametrize("sizes", [{"val_size": 0}, {"val_size": -1}, {"parallel": 0},
+                                       {"parallel": -1}])
+    def test_sizes_below_1_are_rejected_before_any_runner_is_built(self, sizes):
+        # a val_size of 0 would divide by zero once epoch 1 had run, and a
+        # parallel of 0 would run serially without the width-1 rules
+        built = []
+        cfg = OptimizationConfig(**{"epochs": 1, "train_size": 2, "val_size": 2, **sizes})
+        claims = [{"id": str(i), "claim": f"c{i}", "gold_label": "Supported"} for i in range(4)]
+        with pytest.raises(ValueError, match="must be at least 1"):
+            optimize(default_policy(), claims, cfg, built.append, None)
+        assert built == []
 
     def test_flawed_sufficiency_prompt_is_repaired(self):
         graph, claims = build_corpus(8, depth=2)
@@ -385,15 +403,16 @@ class TestOptimize:
         graph, claims = build_corpus(8, depth=1)
         kg_backend = FixtureKgBackend(data=graph)
         llm = ScriptedBackend(responder=OracleResponder(specs=claims))
-        factory_calls = itertools.count()
+        cfg = OptimizationConfig(epochs=1, train_size=5, val_size=3)
+        training = {r["claim"] for r in split(claims, cfg)[0]}
 
         def runner_factory(policy):
-            # the first runner validates the initial policy; the second runs
-            # the first epoch's training episodes against an empty script
-            backend = ScriptedBackend() if next(factory_calls) == 1 else llm
-            return EpisodeRunner(policy, EpisodeConfig(), backend, kg_backend)
+            # training episodes run against an empty script, validation
+            # episodes against the oracle
+            empty = EpisodeRunner(policy, EpisodeConfig(), ScriptedBackend(), kg_backend)
+            oracle = EpisodeRunner(policy, EpisodeConfig(), llm, kg_backend)
+            return SimpleNamespace(run=lambda claim: (empty if claim in training else oracle).run(claim))
 
-        cfg = OptimizationConfig(epochs=1, train_size=5, val_size=3)
         with pytest.raises(ScriptMiss):
             optimize(default_policy(), claims, cfg, runner_factory, llm)
 
@@ -435,15 +454,18 @@ class DelayedCritiques:
 
 
 class CountedRunner:
-    """An EpisodeRunner that counts the episodes it starts, and raises
-    ScriptMiss in place of its ``fail_at``-th episode (from 1)."""
+    """An EpisodeRunner that counts the episodes it starts of ``claims``, and
+    raises ScriptMiss in place of the ``fail_at``-th of them (from 1). The
+    episodes of other claims run uncounted."""
 
-    def __init__(self, runner, fail_at=None):
-        self.runner, self.fail_at = runner, fail_at
+    def __init__(self, runner, claims, fail_at=None):
+        self.runner, self.claims, self.fail_at = runner, claims, fail_at
         self.started = 0
         self._lock = threading.Lock()
 
     def run(self, claim):
+        if claim not in self.claims:
+            return self.runner.run(claim)
         with self._lock:
             self.started += 1
             fail = self.started == self.fail_at
@@ -466,10 +488,9 @@ class TestCritiquesOffTheLanes:
         kg_backend, claims, oracle = self.environment()
         llm = ScriptedBackend(responder=oracle)
         cfg = OptimizationConfig(epochs=2, train_size=6, val_size=2, seed=1)
-        # the first training claim in claim order, drawn as optimize() draws it
-        pool = sorted(claims, key=lambda r: str(r["id"]))
-        random.Random(cfg.seed).shuffle(pool)
-        first = f"Claim: {pool[0]['claim']}\n"
+        train, _ = split(claims, cfg)
+        training = {r["claim"] for r in train}
+        first = f"Claim: {train[0]['claim']}\n"  # the first training claim in claim order
 
         def critique(text):
             # with fail_at "critique", that claim's critique call raises
@@ -479,13 +500,13 @@ class TestCritiquesOffTheLanes:
 
         critic = DelayedCritiques(ScriptedBackend(responder=critique),
                                   functools.partial(time.sleep, 0.03))
-        runners = itertools.count()
 
         def runner_factory(policy):
-            # the first runner validates the initial policy; the second runs
-            # epoch 1's training episodes, of which the third raises at fail_at 3
-            fails = fail_at if next(runners) == 1 and fail_at != "critique" else None
-            return CountedRunner(EpisodeRunner(policy, EpisodeConfig(), llm, kg_backend), fails)
+            # at fail_at 3 the third training episode of epoch 1 raises; no
+            # runner counts validation claims
+            fails = fail_at if fail_at != "critique" else None
+            return CountedRunner(EpisodeRunner(policy, EpisodeConfig(), llm, kg_backend),
+                                 training, fails)
 
         raised = {None: contextlib.nullcontext(),
                   3: pytest.raises(ScriptMiss, match="episode"),
@@ -557,20 +578,23 @@ class TestCritiquesOffTheLanes:
         # soon hold in its own, and no later episode could start
         kg_backend, claims, oracle = self.environment(depth=1)
         llm = ScriptedBackend(responder=oracle)
+        cfg = OptimizationConfig(epochs=1, train_size=6, val_size=2, seed=1, parallel=2)
+        training = {r["claim"] for r in split(claims, cfg)[0]}
         runners = []
         all_started = threading.Event()
 
         def runner_factory(policy):
-            runners.append(CountedRunner(EpisodeRunner(policy, EpisodeConfig(), llm, kg_backend)))
+            # only the runner of the epoch's training episodes counts any
+            runners.append(CountedRunner(EpisodeRunner(policy, EpisodeConfig(), llm, kg_backend),
+                                         training))
             return runners[-1]
 
         def hold():
-            if len(runners) == 2 and runners[1].started == 6:
+            if any(runner.started == 6 for runner in runners):
                 all_started.set()  # a call made after the sixth episode started lets all go
             return all_started.wait(5)
 
         critic = DelayedCritiques(ScriptedBackend(responder=oracle), hold)
-        cfg = OptimizationConfig(epochs=1, train_size=6, val_size=2, seed=1, parallel=2)
         optimize(default_policy(), claims, cfg, runner_factory, critic)
         assert critic.held == [True] * 6
 
@@ -579,13 +603,137 @@ class TestCritiquesOffTheLanes:
         assert hashlib.sha256(report.encode()).hexdigest()[:8] == "b6796d78"
 
 
+class TestInitialValidationBesideEpoch1:
+    """The initial policy's validation runs beside epoch 1's training
+    episodes, and has ended before optimize() returns or raises."""
+
+    CONFIG = OptimizationConfig(epochs=2, train_size=6, val_size=2, seed=1)
+
+    def optimize(self, cfg, episode, hold=lambda: None):
+        """optimize() from the flawed policy over TestCritiquesOffTheLanes'
+        corpus. Each episode under that policy runs as ``episode(kind, claim,
+        run)``, where ``kind`` is "val" for a validation claim (so for the
+        initial validation) and "train" for a training claim. Every LLM call
+        goes to ``self.llm``, a DelayedCritiques whose critique calls call
+        ``hold()``, closed once the run has returned or raised."""
+        kg_backend, claims, oracle = TestCritiquesOffTheLanes.environment()
+        self.train, self.val = split(claims, cfg)
+        training = {r["claim"] for r in self.train}
+        initial = flawed_policy()
+        self.llm = DelayedCritiques(ScriptedBackend(responder=oracle), hold)
+
+        def runner_factory(policy):
+            runner = EpisodeRunner(policy, EpisodeConfig(), self.llm, kg_backend)
+            if policy is not initial:
+                return runner
+            return SimpleNamespace(run=lambda claim: episode(
+                "train" if claim in training else "val", claim, runner.run))
+
+        try:
+            return optimize(initial, claims, cfg, runner_factory, self.llm)
+        finally:
+            self.running = self.llm.close()
+
+    def test_initial_validation_episodes_run_beside_training_episodes(self):
+        trained = threading.Event()
+        opened = []
+
+        def episode(kind, claim, run):
+            if kind == "train":
+                trained.set()
+            else:  # held until a training episode has started
+                opened.append(trained.wait(5))
+            return run(claim)
+
+        self.optimize(self.CONFIG, episode)
+        assert opened == [True] * self.CONFIG.val_size
+
+    @pytest.mark.parametrize("training_fails", [False, True])
+    def test_an_initial_validation_error_is_raised_once_all_work_has_ended(self, training_fails):
+        # the last validation claim's episode raises once epoch 1's training
+        # has begun; with training_fails a training episode raises too, while
+        # the initial validation still runs, and its error goes first
+        def episode(kind, claim, run):
+            if kind == "val":
+                time.sleep(0.05)
+                if claim == self.val[-1]["claim"]:
+                    raise ScriptMiss("no scripted reply for a validation episode")
+            elif training_fails and claim == self.train[2]["claim"]:
+                raise ScriptMiss("no scripted reply for a training episode")
+            return run(claim)
+
+        with pytest.raises(ScriptMiss, match="training" if training_fails else "validation"):
+            self.optimize(self.CONFIG, episode, functools.partial(time.sleep, 0.03))
+        assert any(p.startswith(REFLECT_PREFIX) for p in self.llm.prompts)
+        time.sleep(0.1)
+        assert self.running == 0 and self.llm.late == 0
+
+    def test_at_parallel_1_training_starts_once_the_initial_validation_has_ended(self):
+        events = []
+
+        def episode(kind, claim, run):
+            events.append(("start", kind))
+            if kind == "val":
+                time.sleep(0.02)  # training beside it would start meanwhile
+            try:
+                return run(claim)
+            finally:
+                events.append(("end", kind))
+
+        cfg = OptimizationConfig(epochs=1, train_size=6, val_size=2, seed=1, parallel=1)
+        self.optimize(cfg, episode)
+        first = events.index(("start", "train"))
+        assert events[:first] == [("start", "val"), ("end", "val")] * cfg.val_size
+
+
+class LookupMemo(dict):
+    """A reply memo that remembers, per thread, whether its last lookup of
+    each key missed."""
+
+    def __init__(self, items=()):
+        super().__init__(items)
+        self._local = threading.local()
+
+    def _lookups(self):
+        if not hasattr(self._local, "missed"):
+            self._local.missed = {}
+        return self._local.missed
+
+    def __contains__(self, key):
+        found = super().__contains__(key)
+        self._lookups()[key] = not found
+        return found
+
+    def missed_here(self, key):
+        """Whether this thread's last lookup of ``key`` missed."""
+        return self._lookups().get(key, False)
+
+
+class LookupMemos:
+    """Stands in for ``llm._REPLY_MEMO``, so that each memo a
+    ``reply_memo()`` block sets is a LookupMemo."""
+
+    def __init__(self, var):
+        self.var = var
+
+    def get(self):
+        return self.var.get()
+
+    def set(self, memo):
+        return self.var.set(LookupMemo(memo))
+
+    def reset(self, token):
+        self.var.reset(token)
+
+
 class Counting:
     """Records the key of every request sent through ``send``, and raises on
     the first try of each key that ``flaky`` picks. ``overlaps`` counts, per
-    key, the sends that started while the same key was in flight, or after a
-    send of it returned but before the run's reply memo stored its result
-    (``llm.memoized`` stores a result only once its fetch has returned). The
-    memo's keys are the keys recorded here."""
+    key, the sends whose lookup in the run's reply memo (a LookupMemo) missed
+    while the same key was in flight, or after a send of it returned but
+    before the memo stored its result (``llm.memoized`` stores a result only
+    once its fetch has returned, and sends only after its lookup missed).
+    The memo's keys are the keys recorded here."""
 
     def __init__(self, flaky_mod=0):
         self.flaky_mod = flaky_mod
@@ -600,8 +748,8 @@ class Counting:
         memo = llm_mod._REPLY_MEMO.get()
         with self._lock:
             self.sent.append(key)
-            unstored = memo is not None and self._returned.get(key) is memo and key not in memo
-            if self._in_flight[key] or unstored:
+            raced = memo is not None and self._returned.get(key) is memo and memo.missed_here(key)
+            if self._in_flight[key] or raced:
                 self.overlaps[key] += 1
             fail = self.flaky(key) and key not in self.failed
             if fail:
@@ -724,6 +872,10 @@ class TestReplyMemo:
 
     CONFIG = OptimizationConfig(epochs=4, train_size=6, val_size=4, seed=2)
 
+    @pytest.fixture(autouse=True)
+    def lookup_memos(self, monkeypatch):
+        monkeypatch.setattr(llm_mod, "_REPLY_MEMO", LookupMemos(llm_mod._REPLY_MEMO))
+
     @staticmethod
     def environment(flaky_mod=0, seed=None):
         graph, claims, results = web_corpus()
@@ -818,19 +970,27 @@ class TestReplyMemo:
 
     def test_a_resend_before_the_memo_stores_the_result_is_an_overlap(self):
         counting = CountingReads({"entities": [], "relations": []}, {})
+        key = ("search", "q")
 
-        def send():
-            return counting.send(("search", "q"), TransportError, lambda: ())
+        def send(store_between=False):
+            memo = llm_mod._REPLY_MEMO.get()
+            key in memo  # memoized's lookup
+            if store_between:  # another lane stores its result meanwhile
+                memo[key] = ()
+            return counting.send(key, TransportError, lambda: ())
 
         with llm_mod.reply_memo():
             send()  # returned; memoized has not stored it yet
             send()
-            assert counting.overlaps[("search", "q")] == 1
-            llm_mod._REPLY_MEMO.get()[("search", "q")] = ()
+            assert counting.overlaps[key] == 1
+            llm_mod._REPLY_MEMO.get()[key] = ()
             send()  # sent again after the store: a second request, not an overlap
+        assert counting.overlaps[key] == 1
         with llm_mod.reply_memo():
             send()  # a new run's first send
-        assert counting.overlaps[("search", "q")] == 1
+            # a lookup that missed just before another lane stored the result
+            send(store_between=True)
+        assert counting.overlaps[key] == 2
 
     def test_memo_ends_with_a_run_that_raises(self):
         claims, llm, _, runner_factory = self.environment()
