@@ -191,12 +191,19 @@ def read_trajectories(path):
 # ---------------------------------------------------------------------------
 
 
+# the labels, folded by ``fold_label``, that a verdict or a dataset record
+# gives for a supported claim
+SUPPORTED_WORDS = {"supported", "supports", "support", "true", "factual supported", "correct"}
+
+
+def fold_label(raw) -> str:
+    """``raw`` casefolded, with each run of whitespace made one space."""
+    return " ".join(str(raw).casefold().split())
+
+
 def _normalize_label(raw: str) -> str:
-    label = raw.strip().casefold()
-    if label in ("supported", "support", "supports", "true"):
-        return "Supported"
     # binary standardization: everything partial/ambiguous collapses to Refuted
-    return "Refuted"
+    return "Supported" if fold_label(raw) in SUPPORTED_WORDS else "Refuted"
 
 
 @dataclass(frozen=True)

@@ -44,10 +44,6 @@ class EmptyClaim(ClaimcheckError):
     pass
 
 
-class AllMentionsUnlinkable(ClaimcheckError):
-    pass
-
-
 class BudgetExhausted(ClaimcheckError):
     pass
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .agent import INIT_KG, VERDICT_ACTION
+from .agent import INIT_KG, SUPPORTED_WORDS, VERDICT_ACTION, fold_label
 from .errors import AllItemsFailed, DatasetParseError, SingleClassGold, UnknownLabel
 from .fanout import fan_out
 
@@ -20,11 +20,8 @@ OTHER_ERROR = "Other"
 
 ERROR_CLASSES = (INSUFFICIENT_KG, EXCEED_MAX_STEPS, OVER_CONFIDENCE, OTHER_ERROR)
 
-# binary label standardization: ambiguous / partially-true collapse to Refuted,
-# unverifiable records are dropped
-_SUPPORTED_LABELS = {
-    "supported", "supports", "support", "true", "factual supported", "correct",
-}
+# binary label standardization: the verdict's SUPPORTED_WORDS are Supported,
+# ambiguous / partially-true collapse to Refuted, unverifiable records are dropped
 _REFUTED_LABELS = {
     "refuted", "refutes", "refute", "false", "not-supported", "not supported",
     "factual refuted", "incorrect", "pants-fire", "pants on fire",
@@ -41,8 +38,8 @@ _DROPPED_LABELS = {
 
 def normalize_label(raw: str) -> str:
     """Map a dataset label to Supported/Refuted, or '' to drop the record."""
-    text = " ".join(str(raw).strip().casefold().split())
-    if text in _SUPPORTED_LABELS:
+    text = fold_label(raw)
+    if text in SUPPORTED_WORDS:
         return SUPPORTED
     if text in _REFUTED_LABELS:
         return REFUTED

@@ -13,17 +13,18 @@ them all, in fetch order, and a hop with at most ``k`` survivors keeps them
 all; neither sends a prune, since that call could drop none of them.
 
 A hop's ``k`` expand-and-prune pairs do not depend on each other and run
-concurrently (see ``fanout``), and so do each expansion's outgoing and
-incoming fetches and the claim's per-mention entity searches. Results are
-gathered in input order (expansion, direction, mention), so they do not
-depend on timing. LLM load stays bounded by ``HttpBackend``'s semaphore and
-token bucket.
+concurrently (see ``fanout``), and so do the hop's ``2k`` relation reads and
+the claim's per-mention entity searches. Results are gathered in input order
+(expansion, direction, mention), so they do not depend on timing. LLM load
+stays bounded by ``HttpBackend``'s semaphore and token bucket.
 
 Every relation read of an episode is started by its ``GraphReads`` store,
-and a step waits only for the reads it uses. The agent starts the ``2k``
-reads of the next hop (``next_hop``) before its assessment; a hop it does
-not take leaves them unused, so the graph backend may see one hop of reads
-more per episode than the expansions charged.
+from two places: the agent starts the ``2k`` reads of the next hop
+(``next_hop``) before its assessment, and ``expand_hop`` starts those of its
+entities not started yet, which on the first hop is all of them, at once.
+``expand_entity`` starts none, and a step waits only for the reads it uses.
+A hop the agent does not take leaves its reads unused, so the graph backend
+may see one hop of reads more per episode than the expansions charged.
 
 An entity joins the subgraph's ``expanded`` set before its reads go out, so
 that set counts an episode's expansions, failed ones included. A hop expands
@@ -46,7 +47,7 @@ import re
 from dataclasses import dataclass
 from urllib.parse import urlencode
 
-from .errors import AllMentionsUnlinkable, BudgetExhausted, EmptyClaim, TransportError
+from .errors import BudgetExhausted, EmptyClaim, TransportError
 from .fanout import fan_out, start, wait
 from .graph import EntityId, RelationId, Triplet
 from .llm import LlmRequest, ReplyStore, ResponseSchema, list_of, live_json, memo_holds, memoized
@@ -322,24 +323,16 @@ def _binding(row, var):
 
 
 def link_entities(mentions, backend) -> list:
-    """Top backend hit per mention, deduplicated in first-occurrence order.
-    The mentions' searches run concurrently."""
-    if not mentions:
-        raise AllMentionsUnlinkable("no mentions to link")
+    """Top backend hit per mention, deduplicated in first-occurrence order;
+    [] when none links, as with no mentions. The mentions' searches run
+    concurrently."""
     found = fan_out(lambda mention: search_entities(mention.surface, backend), mentions)
     linked = []
     seen = set()
-    for mention, hits in zip(mentions, found):
-        if not hits:
-            continue
-        top = hits[0]
-        if top.id not in seen:
-            seen.add(top.id)
-            linked.append(top)
-    if not linked:
-        raise AllMentionsUnlinkable(
-            f"none of {[m.surface for m in mentions]} linked to the graph"
-        )
+    for hits in found:
+        if hits and hits[0].id not in seen:
+            seen.add(hits[0].id)
+            linked.append(hits[0])
     return linked
 
 
@@ -348,8 +341,9 @@ class GraphReads:
     read's ``llm.memoized`` key, ``("relations_of", entity id, direction)``,
     to the ``fanout`` task started for it: the entity's grouped relations in
     that direction, each with at most ``MAX_OBJECTS_PER_RELATION`` neighbors.
-    ``join`` ends them all (``fanout.wait``), and the episode calls it before
-    it returns or raises."""
+    ``start`` is called by the agent, ``ahead`` of a hop, and by
+    ``expand_hop``. ``join`` ends them all (``fanout.wait``), and the episode
+    calls it before it returns or raises."""
 
     def __init__(self, backend):
         self.backend = backend
@@ -392,26 +386,16 @@ class GraphReads:
         return next((exc for exc in errors if not isinstance(exc, TransportError)), None)
 
 
-def fetch_relations(entity, direction, reads):
-    """All relation candidates of one entity in one direction from the
-    episode's ``reads``, each carrying at most ``MAX_OBJECTS_PER_RELATION``
-    sample neighbors."""
+def expand_entity(entity, reads):
+    """The relation candidates of both directional reads of one entity from
+    the episode's ``reads``, outgoing first, each carrying at most
+    ``MAX_OBJECTS_PER_RELATION`` sample neighbors. Starts no read: it waits
+    for the reads its hop started, and reads inline a key no one started."""
     return [
-        RelationCandidate(
-            relation=rel,
-            direction=direction,
-            anchor=entity,
-            sample_objects=neighbors,
-        )
+        RelationCandidate(relation=rel, direction=direction, anchor=entity, sample_objects=neighbors)
+        for direction in ("outgoing", "incoming")
         for rel, neighbors in reads.read(("relations_of", entity.id, direction))
     ]
-
-
-def expand_entity(entity, reads):
-    """Both directional reads of one entity, outgoing candidates first. The
-    reads not held yet start together; each is waited for where it is used."""
-    reads.start([entity.id])
-    return fetch_relations(entity, "outgoing", reads) + fetch_relations(entity, "incoming", reads)
 
 
 def _candidate_lines(candidates):
@@ -479,9 +463,11 @@ def expand_hop(subgraph, claim, k, gateway, reads, to_expand):
     more prune, which sees them in expansion order, keeps the top k;
     otherwise every survivor is kept without a call, in expansion order and
     then each entity's own order. Appends the triplets of each retained
-    relation's sample neighbors, in fetch order. Each entity joins
-    ``subgraph.expanded`` before its reads go out."""
+    relation's sample neighbors, in fetch order. The entities join
+    ``subgraph.expanded``, and then the hop starts the ``2k`` reads of theirs
+    that ``reads`` does not hold yet, all at once."""
     subgraph.expanded.update(to_expand)
+    reads.start(to_expand)
 
     def expand_and_prune(entity_id):
         entity = EntityId(entity_id, subgraph.label_of(entity_id))
@@ -521,14 +507,13 @@ def expand_hop(subgraph, claim, k, gateway, reads, to_expand):
 def init_kg_retrieval(claim, subgraph, config, gateway, reads):
     """extract -> link -> one expansion round into the empty ``subgraph``; the
     episode's observation o0. ``config`` is an ``agent.EpisodeConfig`` and
-    ``reads`` the episode's ``GraphReads``.
+    ``reads`` the episode's ``GraphReads``; the first hop's ``expand_hop``
+    starts all of its ``2k`` reads at once.
 
     An empty claim raises EmptyClaim. An unlinkable claim leaves the subgraph
-    empty (the agent's web-search fallback handles it) instead of an error."""
-    try:
-        mentions = extract_mentions(claim)
-        topics = link_entities(mentions, reads.backend)
-    except AllMentionsUnlinkable:
+    empty and starts no read (the agent's web-search fallback handles it)."""
+    topics = link_entities(extract_mentions(claim), reads.backend)
+    if not topics:
         return
     for topic in topics:
         subgraph.add_topic_entity(topic)

@@ -429,9 +429,9 @@ class LlmGateway:
     ``requests`` counts structured requests per template id, once per request
     whatever its repairs or outcome, and ``retry_count`` counts repair
     retries; both include replies taken from the reply memo. ``call_count``
-    is the backend round trips, calls that raise included, and ``memo_hits``
-    the replies the memo gave instead. The counters are safe to update from
-    concurrent calls.
+    is the backend round trips, calls that raise included, so the replies the
+    memo gave instead are ``sum(requests.values()) + retry_count -
+    call_count``. The counters are safe to update from concurrent calls.
     """
 
     def __init__(self, backend, policy):
@@ -441,11 +441,6 @@ class LlmGateway:
         self.call_count = 0
         self.requests = Counter()
         self._lock = threading.Lock()
-
-    @property
-    def memo_hits(self):
-        with self._lock:
-            return sum(self.requests.values()) + self.retry_count - self.call_count
 
     def _generate(self, text):
         def send():

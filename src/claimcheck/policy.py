@@ -38,9 +38,6 @@ class PromptPolicy:
         except KeyError:
             raise KeyError(f"policy has no template {template_id!r}") from None
 
-    def template_ids(self):
-        return sorted(self._templates)
-
     def with_template(self, template: PromptTemplate, policy_id=None) -> "PromptPolicy":
         """Return a copy with one template replaced; the receiver is untouched."""
         templates = dict(self._templates)

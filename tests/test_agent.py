@@ -30,6 +30,7 @@ from claimcheck.agent import (
     run_episode,
     select_action,
     trajectory_from_jsonable,
+    verdict,
     write_trajectories,
 )
 from claimcheck.errors import EmptyClaim, ScriptMiss, TransportError
@@ -551,6 +552,16 @@ class TestVerdictRequests:
         assert sum("Decide whether the claim" in p for p in prompts) == 1
         assert trajectory.counters["llm_calls"] == len(prompts)
         assert trajectory.counters["verdict_llm_calls"] == 1
+
+    # a dataset's "Correct" is Supported, so a verdict's is too
+    @pytest.mark.parametrize("label, expected", [
+        ("Correct", "Supported"), ("factual  supported", "Supported"),
+        ("mostly true", "Refuted"), ("not enough info", "Refuted"), ("x", "Refuted"),
+    ])
+    def test_verdict_label_folds_as_a_dataset_label(self, label, expected):
+        backend = ScriptedBackend(default=json.dumps({"label": label}))
+        result = verdict("c", Evidence(), LlmGateway(backend, default_policy()), Trajectory("c"))
+        assert result.label == expected
 
     def test_verdict_script_miss_propagates(self):
         with pytest.raises(ScriptMiss):

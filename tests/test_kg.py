@@ -13,7 +13,6 @@ import pytest
 from claimcheck import agent, kg, llm
 from claimcheck.agent import INIT_KG, VERDICT_ACTION, EpisodeConfig, run_episode
 from claimcheck.errors import (
-    AllMentionsUnlinkable,
     BudgetExhausted,
     EmptyClaim,
     ParseFailure,
@@ -29,7 +28,6 @@ from claimcheck.kg import (
     expand_entity,
     expand_kg,
     extract_mentions,
-    fetch_relations,
     init_kg_retrieval,
     link_entities,
     prune_relations,
@@ -110,8 +108,27 @@ class TestLinking:
 
     def test_all_unlinkable(self, small_graph_backend):
         mentions = extract_mentions("Zzqx Wobble said so.")
-        with pytest.raises(AllMentionsUnlinkable):
-            link_entities(mentions, small_graph_backend)
+        assert link_entities(mentions, small_graph_backend) == []
+
+    def test_no_mentions(self, small_graph_backend):
+        assert link_entities([], small_graph_backend) == []
+
+    def test_unlinkable_claim_opens_its_episode_and_reads_nothing(self, small_graph_backend):
+        reads = []
+
+        class Counting:
+            search_entities = small_graph_backend.search_entities
+
+            def relations_of(self, entity_id, direction):
+                reads.append((entity_id, direction))
+                return small_graph_backend.relations_of(entity_id, direction)
+
+        _, trajectory = run_episode(
+            "Zzqx Wobble said so.", default_policy(), EpisodeConfig(),
+            ScriptedBackend(responder=OracleResponder()), Counting(),
+        )
+        assert trajectory.action_kinds()[0] == INIT_KG
+        assert reads == [] and trajectory.counters["sparql_queries"] == 0
 
     def test_unlinkable_mentions_dropped(self, small_graph_backend):
         mentions = extract_mentions("Barack Obama met Zzqx Wobble.")
@@ -142,20 +159,23 @@ class TestLinking:
 
 
 class TestFetchRelations:
+    def fetched(self, entity_id, direction, backend):
+        candidates = expand_entity(EntityId(entity_id), GraphReads(backend))
+        return [c for c in candidates if c.direction == direction]
+
     def test_fixture_outgoing(self, small_graph_backend):
-        candidates = fetch_relations(EntityId("Q76"), "outgoing", GraphReads(small_graph_backend))
+        candidates = self.fetched("Q76", "outgoing", small_graph_backend)
         assert {(c.relation.id, c.sample_objects[0].id) for c in candidates} == {
             ("P19", "Q18094"),
             ("P27", "Q30"),
         }
-        assert all(c.direction == "outgoing" for c in candidates)
 
     def test_fixture_incoming(self, small_graph_backend):
-        candidates = fetch_relations(EntityId("Q30"), "incoming", GraphReads(small_graph_backend))
+        candidates = self.fetched("Q30", "incoming", small_graph_backend)
         assert [(c.relation.id, c.sample_objects[0].id) for c in candidates] == [("P27", "Q76")]
 
     def test_isolated_node(self, small_graph_backend):
-        assert fetch_relations(EntityId("Q3139"), "outgoing", GraphReads(small_graph_backend)) == []
+        assert self.fetched("Q3139", "outgoing", small_graph_backend) == []
 
     def test_expansion_charges_one_query_for_both_directions(self, small_graph_backend):
         fetches = []
@@ -187,12 +207,36 @@ class TestFetchRelations:
                     time.sleep(0.01)  # the outgoing fetch finishes last
                 return small_graph_backend.relations_of(entity_id, direction)
 
-        candidates = expand_entity(EntityId("Q30"), GraphReads(Meeting()))
-        assert [(c.direction, c.relation.id) for c in candidates] == [("incoming", "P27")]
-        candidates = expand_entity(EntityId("Q76"), GraphReads(Meeting()))
-        assert [(c.direction, c.relation.id) for c in candidates] == [
-            ("outgoing", "P19"), ("outgoing", "P27")
-        ]
+        def expanded(entity_id):
+            reads = GraphReads(Meeting())
+            reads.start([entity_id])  # expand_entity reads, and starts nothing
+            return [(c.direction, c.relation.id)
+                    for c in expand_entity(EntityId(entity_id), reads)]
+
+        assert expanded("Q30") == [("incoming", "P27")]
+        assert expanded("Q76") == [("outgoing", "P19"), ("outgoing", "P27")]
+
+    def test_first_hop_reads_overlap(self):
+        # the first hop starts its 2k reads at once; reads that went out in
+        # smaller groups would break the barrier after its timeout
+        graph, claim = build_dense_graph(fanout=4, depth=1, n_roots=4)
+        config = EpisodeConfig()
+        backend = FixtureKgBackend(data=graph)
+        barrier = threading.Barrier(2 * config.k, timeout=5)
+        reads = []
+
+        class Meeting:
+            search_entities = backend.search_entities
+
+            def relations_of(self, entity_id, direction):
+                reads.append((entity_id, direction))
+                barrier.wait()
+                return backend.relations_of(entity_id, direction)
+
+        subgraph = KnowledgeSubgraph()
+        init_kg_retrieval(claim, subgraph, config, oracle_gateway(), GraphReads(Meeting()))
+        assert len(set(reads)) == len(reads) == 2 * config.k
+        assert subgraph.hops_done == 1 and len(subgraph.expanded) == config.k
 
 
 def prune_oracle(candidates, scores, k):

@@ -227,7 +227,7 @@ class TestTextualGradient:
         assert candidate.policy_id == "candidate-1"
         assert candidate.template(SUFFICIENCY).text == "Assess whether the evidence v2"
         assert candidate.template(SUFFICIENCY).version == current.template(SUFFICIENCY).version + 1
-        for tid in current.template_ids():
+        for tid in sorted(current.to_jsonable()):
             if tid != SUFFICIENCY:
                 assert candidate.template(tid).text == current.template(tid).text
 
