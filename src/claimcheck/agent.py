@@ -4,12 +4,13 @@ An episode always opens with the initial KG retrieval, then alternates
 policy-selected actions with observations until a verdict is produced or the
 step limit forces one. An observation that leaves the next step a choice
 costs one assess-and-act call, whose reply names the next action; an illegal
-one is coerced to the nearest legal action and logged as a warning. After an
-observation that leaves only the verdict (the step limit is reached, or
-``legal_actions`` is verdict alone) no assessment is sent, and the
-observation's hint stays ``unknown``. While ``expandKG`` is legal, the graph
-reads that expansion would make start before the assessment, and no step
-waits for a read it does not use. No LLM request is sent ahead.
+one is coerced to the first legal action in one fixed order (see
+``coerce_action``) and logged as a warning. After an observation that leaves
+only the verdict (the step limit is reached, or ``legal_actions`` is verdict
+alone) no assessment is sent, and the observation's hint stays ``unknown``.
+While ``expandKG`` is legal, the graph reads that expansion would make start
+before the assessment, and no step waits for a read it does not use. No LLM
+request is sent ahead.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 from . import kg as kg_mod
 from . import web as web_mod
 from .errors import EmptyClaim, ParseFailure, TransportError
-from .graph import KnowledgeSubgraph, passage_item_id
+from .graph import KnowledgeSubgraph, fold, passage_item_id
 from .llm import LlmGateway, LlmRequest, ResponseSchema, one_of, text
 from .policy import EXPANSION_PRUNE, FORCED_VERDICT, RELATION_PRUNE
 from .policy import SUFFICIENCY, VERDICT
@@ -191,19 +192,14 @@ def read_trajectories(path):
 # ---------------------------------------------------------------------------
 
 
-# the labels, folded by ``fold_label``, that a verdict or a dataset record
+# the labels, folded by ``graph.fold``, that a verdict or a dataset record
 # gives for a supported claim
 SUPPORTED_WORDS = {"supported", "supports", "support", "true", "factual supported", "correct"}
 
 
-def fold_label(raw) -> str:
-    """``raw`` casefolded, with each run of whitespace made one space."""
-    return " ".join(str(raw).casefold().split())
-
-
 def _normalize_label(raw: str) -> str:
     # binary standardization: everything partial/ambiguous collapses to Refuted
-    return "Supported" if fold_label(raw) in SUPPORTED_WORDS else "Refuted"
+    return "Supported" if fold(raw) in SUPPORTED_WORDS else "Refuted"
 
 
 @dataclass(frozen=True)
@@ -265,22 +261,16 @@ def legal_actions(config, subgraph, trajectory, has_web):
 
 
 def coerce_action(requested, legal, hint):
-    """Map a (possibly illegal) requested action kind onto one of ``legal``,
-    preferring the kind the sufficiency ``hint`` asks for.
+    """Map a (possibly illegal) requested action kind onto one of ``legal``:
+    the first legal kind in the order requested kind, the kind the
+    sufficiency ``hint`` asks for, then ``expandKG`` and ``webSearch`` unless
+    the hint is ``sufficient``; ``verdict`` when none of them is legal.
 
-    Returns (kind, warning or None)."""
+    Returns (kind, warning or None); any kind but the requested one warns."""
     if requested in legal:
         return requested, None
-    if hint == NEED_KG and EXPAND_KG in legal:
-        fallback = EXPAND_KG
-    elif hint == NEED_WEB and WEB_SEARCH in legal:
-        fallback = WEB_SEARCH
-    elif EXPAND_KG in legal and hint != SUFFICIENT:
-        fallback = EXPAND_KG
-    elif WEB_SEARCH in legal and hint != SUFFICIENT:
-        fallback = WEB_SEARCH
-    else:
-        fallback = VERDICT_ACTION
+    order = (_HINT_ACTIONS.get(hint),) + (() if hint == SUFFICIENT else (EXPAND_KG, WEB_SEARCH))
+    fallback = next((kind for kind in order if kind in legal), VERDICT_ACTION)
     if requested in (EXPAND_KG, WEB_SEARCH, INIT_KG):
         return fallback, f"coerced {requested!r} to {fallback} (budget/ordering rule)"
     return fallback, f"coerced unrecognized action {requested!r} to {fallback}"

@@ -15,6 +15,7 @@ from . import agent, evaluation, optimize as opt
 from .agent import EpisodeRunner, INIT_KG, VERDICT_ACTION, read_trajectories
 from .config import (
     CONFIG_KEYS,
+    _json,
     build_kg_backend,
     build_llm_backend,
     build_policy,
@@ -76,8 +77,10 @@ def cmd_eval(args):
     cfg = _config_from_args(args)
     field_map = None
     if args.field_map:
-        field_map = load_file("field map", args.field_map, evaluation.FieldMap.load)
-    loaded = evaluation.load_dataset(args.dataset, field_map)
+        field_map = load_file("field map", args.field_map,
+                              lambda path: evaluation.FieldMap.from_jsonable(_json(path)))
+    loaded = load_file("dataset", args.dataset,
+                       lambda path: evaluation.load_dataset(path, field_map))
     report = evaluation.run_benchmark(
         loaded.records, _build_runner(cfg), parallelism=cfg.parallel or 1
     )
@@ -97,28 +100,26 @@ def cmd_eval(args):
 
 def cmd_optimize(args):
     cfg = _config_from_args(args)
-    loaded = evaluation.load_dataset(args.claims)
+    loaded = load_file("dataset", args.claims, evaluation.load_dataset)
     claims = [
         {"id": r.id, "claim": r.claim, "gold_label": r.gold_label}
         for r in loaded.records
     ]
-    initial = build_policy(cfg)
-    llm_backend = build_llm_backend(cfg)
-    kg_backend = build_kg_backend(cfg)
-    web_provider = build_web_provider(cfg)
+    initial = _build_runner(cfg)
 
     def runner_factory(policy):
-        return EpisodeRunner(policy, cfg.episode, llm_backend, kg_backend, web_provider)
+        return EpisodeRunner(policy, cfg.episode, initial.llm_backend, initial.kg_backend,
+                             initial.web_provider)
 
     run = opt.optimize(
-        initial,
+        initial.policy,
         claims,
         opt.OptimizationConfig(
             epochs=cfg.epochs, seed=cfg.seed,
             parallel=cfg.parallel or opt.OptimizationConfig.parallel,
         ),
         runner_factory,
-        llm_backend,
+        initial.llm_backend,
     )
     print(f"initial val reward: {run.initial_val_reward:.4f}")
     print(f"selected val reward: {run.selected_val_reward:.4f} "

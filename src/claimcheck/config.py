@@ -77,8 +77,10 @@ def _json(path):
 
 
 def load_file(what, path, load=_json):
-    """``load(path)``; a missing, unreadable or malformed file, JSON nested
-    past the recursion limit included, raises a ConfigError that names it."""
+    """``load(path)``, by default the file's JSON data; every input file is
+    read through here. A missing, unreadable, non-UTF-8 or malformed file,
+    JSON nested past the recursion limit included, raises a ConfigError that
+    names it."""
     try:
         return load(path)
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
@@ -133,7 +135,8 @@ def load_config(config_path=None, overrides=None) -> AppConfig:
 
 def build_policy(cfg: AppConfig):
     if cfg.policy_path:
-        return load_file("policy", cfg.policy_path, PromptPolicy.load)
+        return load_file("policy", cfg.policy_path,
+                         lambda path: PromptPolicy.from_jsonable(_json(path)))
     return default_policy()
 
 
@@ -183,7 +186,7 @@ def build_kg_backend(cfg: AppConfig):
             action_api=cfg.kg_action_api,
             cache_dir=cache_dir or None,
         ))
-    return load_file("kg fixture", cfg.kg, lambda path: FixtureKgBackend(path=path))
+    return load_file("kg fixture", cfg.kg, lambda path: FixtureKgBackend(_json(path)))
 
 
 def build_web_provider(cfg: AppConfig):
@@ -191,4 +194,4 @@ def build_web_provider(cfg: AppConfig):
         return None
     if cfg.web == "live":
         return SerperProvider(api_key_env=cfg.web_api_key_env)
-    return load_file("web fixture", cfg.web, lambda path: FixtureSearchProvider(path=path))
+    return load_file("web fixture", cfg.web, lambda path: FixtureSearchProvider(_json(path)))

@@ -4,11 +4,12 @@ taxonomy over episode trajectories."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .agent import INIT_KG, SUPPORTED_WORDS, VERDICT_ACTION, fold_label
+from .agent import INIT_KG, SUPPORTED_WORDS, VERDICT_ACTION
 from .errors import AllItemsFailed, DatasetParseError, SingleClassGold, UnknownLabel
 from .fanout import fan_out
+from .graph import fold
 
 SUPPORTED = "Supported"
 REFUTED = "Refuted"
@@ -38,7 +39,7 @@ _DROPPED_LABELS = {
 
 def normalize_label(raw: str) -> str:
     """Map a dataset label to Supported/Refuted, or '' to drop the record."""
-    text = fold_label(raw)
+    text = fold(raw)
     if text in SUPPORTED_WORDS:
         return SUPPORTED
     if text in _REFUTED_LABELS:
@@ -62,7 +63,7 @@ class FieldMap:
     id_field: str = "id"
     claim_field: str = "claim"
     label_field: str = "label"
-    label_map: dict = field(default_factory=dict)  # raw (folded as read) -> Supported/Refuted/""
+    label_map: dict = field(default_factory=dict)  # raw (folded) -> Supported/Refuted/""
 
     @classmethod
     def from_jsonable(cls, data):
@@ -77,12 +78,7 @@ class FieldMap:
             raise ValueError('a field map must be an object of field names and a label_map '
                              'object whose labels are "Supported", "Refuted" or ""')
         return cls(**{name: data[name] for name in names if name in data},
-                   label_map={" ".join(k.casefold().split()): v for k, v in label_map.items()})
-
-    @classmethod
-    def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_jsonable(json.load(fh))
+                   label_map={fold(k): v for k, v in label_map.items()})
 
 
 @dataclass
@@ -92,9 +88,14 @@ class DatasetLoadResult:
 
 
 def load_dataset(path, field_map: FieldMap = None) -> DatasetLoadResult:
+    """The UTF-8 JSONL records of ``path``, sorted by id, and the count of
+    those whose label drops them. A line that is not a JSON object with the
+    mapped fields, or whose id an earlier line has, raises DatasetParseError;
+    an unknown label raises UnknownLabel."""
     field_map = field_map or FieldMap()
     records = []
     dropped = 0
+    first_line = {}  # record id -> the line that gave it
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -114,7 +115,11 @@ def load_dataset(path, field_map: FieldMap = None) -> DatasetLoadResult:
                 raise DatasetParseError(line_no, f"missing field {exc}") from exc
             if not isinstance(claim, str):
                 raise DatasetParseError(line_no, f"claim {claim!r} is not a string")
-            mapped = field_map.label_map.get(" ".join(raw_label.strip().casefold().split()))
+            if rec_id in first_line:
+                raise DatasetParseError(
+                    line_no, f"id {rec_id!r} repeats the id of line {first_line[rec_id]}")
+            first_line[rec_id] = line_no
+            mapped = field_map.label_map.get(fold(raw_label))
             label = mapped if mapped is not None else normalize_label(raw_label)
             if label == "":
                 dropped += 1
@@ -185,15 +190,7 @@ class EvalReport:
     dropped: int = 0
 
     def to_jsonable(self):
-        return {
-            "n": self.n,
-            "balanced_accuracy": self.balanced_accuracy,
-            "per_class_recall": {k: self.per_class_recall[k] for k in sorted(self.per_class_recall)},
-            "error_counts": {k: self.error_counts[k] for k in ERROR_CLASSES},
-            "mean_counters": {k: self.mean_counters[k] for k in sorted(self.mean_counters)},
-            "failed_records": list(self.failed_records),
-            "dropped": self.dropped,
-        }
+        return asdict(self)
 
     def to_json(self):
         return json.dumps(self.to_jsonable(), sort_keys=True, ensure_ascii=False)

@@ -57,8 +57,11 @@ class Triplet:
         )
 
 
-def normalize_relation_label(label: str) -> str:
-    return " ".join(label.casefold().split())
+def fold(raw) -> str:
+    """``raw`` as a string, casefolded, with each run of whitespace made one
+    space: the form in which labels of verdicts, datasets and relations are
+    compared."""
+    return " ".join(str(raw).casefold().split())
 
 
 class KnowledgeSubgraph:
@@ -121,7 +124,7 @@ class KnowledgeSubgraph:
         for t in self.triplets.values():
             if t.origin != "kg":
                 continue
-            norm = normalize_relation_label(t.relation.label)
+            norm = fold(t.relation.label)
             if norm and norm not in out:
                 out[norm] = t.relation
         return out

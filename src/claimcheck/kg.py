@@ -53,7 +53,7 @@ from .graph import EntityId, RelationId, Triplet
 from .llm import LlmRequest, ReplyStore, ResponseSchema, list_of, live_json, memo_holds, memoized
 from .llm import number
 from .policy import EXPANSION_PRUNE, RELATION_PRUNE
-from .web import search_entities, string_field, tokenize
+from .web import string_field, tokenize, top_entity
 
 MAX_OBJECTS_PER_RELATION = 10
 RELATION_FETCH_LIMIT = 50
@@ -128,15 +128,12 @@ def extract_mentions(claim_text: str) -> list:
 
 
 class FixtureKgBackend:
-    """In-memory graph loaded from the fixture JSON schema:
-    {entities: [{id,label}], relations: [{id,label}], triples: [[s,p,o]],
+    """In-memory graph built from the data of a fixture file (``config`` reads
+    it): {entities: [{id,label}], relations: [{id,label}], triples: [[s,p,o]],
     links: {surface -> entity id}}. Data of another shape raises ValueError.
     """
 
-    def __init__(self, data=None, path=None):
-        if data is None:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
+    def __init__(self, data):
         if not isinstance(data, dict):
             raise ValueError("a KG fixture must be a JSON object")
         try:
@@ -326,14 +323,9 @@ def link_entities(mentions, backend) -> list:
     """Top backend hit per mention, deduplicated in first-occurrence order;
     [] when none links, as with no mentions. The mentions' searches run
     concurrently."""
-    found = fan_out(lambda mention: search_entities(mention.surface, backend), mentions)
-    linked = []
-    seen = set()
-    for hits in found:
-        if hits and hits[0].id not in seen:
-            seen.add(hits[0].id)
-            linked.append(hits[0])
-    return linked
+    found = fan_out(lambda mention: top_entity(mention.surface, backend), mentions)
+    # an EntityId is its id, so the first hit of each id is kept
+    return list(dict.fromkeys(hit for hit in found if hit is not None))
 
 
 class GraphReads:

@@ -330,21 +330,22 @@ def _train_critiques(policy, claims, runner_factory, llm_backend, width):
 def optimize(initial, claims, config, runner_factory, llm_backend):
     """Hill-climb the prompt policy over labeled claims.
 
-    ``claims`` is a list of {"id", "claim", "gold_label"}; ``runner_factory``
-    maps a policy to an episode runner whose ``run`` may be called from
-    several threads at once: ``config.parallel`` training or validation
-    episodes run at a time, and the run equals a serial one. The initial
-    policy's validation is first needed at the first candidate's comparison,
-    so its lanes run beside epoch 1's training lanes, up to
-    ``2 * config.parallel`` episodes at once; at ``parallel`` 1 it ends before
-    training starts. Each training episode's critique call runs off those
-    lanes, at most one per finished episode, and ends before the epoch's meta
-    call, or before the run raises. The initial validation has ended before
-    the run returns or raises; its error is raised at the first candidate's
-    comparison, or after the last epoch if no candidate came, so an error of
-    epoch 1's training goes first. The critique and meta calls both go to
-    ``llm_backend``. Within the run each distinct prompt text, graph lookup
-    and web search goes to a backend once (``llm.reply_memo``).
+    ``claims`` is a list of {"id", "claim", "gold_label"} with unique ids (a
+    repeated one raises ValueError); ``runner_factory`` maps a policy to an
+    episode runner whose ``run`` may be called from several threads at once:
+    ``config.parallel`` training or validation episodes run at a time, and the
+    run equals a serial one. The initial policy's validation is first needed at
+    the first candidate's comparison, so its lanes run beside epoch 1's
+    training lanes, up to ``2 * config.parallel`` episodes at once; at
+    ``parallel`` 1 it ends before training starts. Each training episode's
+    critique call runs off those lanes, at most one per finished episode, and
+    ends before the epoch's meta call, or before the run raises. The initial
+    validation has ended before the run returns or raises; its error is raised
+    at the first candidate's comparison, or after the last epoch if no
+    candidate came, so an error of epoch 1's training goes first. The critique
+    and meta calls both go to ``llm_backend``. Within the run each distinct
+    prompt text, graph lookup and web search goes to a backend once
+    (``llm.reply_memo``).
     A meta call that fails to parse or to arrive leaves its epoch without a
     candidate. Returns an OptimizationRun whose selected policy never
     validates worse than the initial one.
@@ -352,6 +353,9 @@ def optimize(initial, claims, config, runner_factory, llm_backend):
     if config.val_size < 1 or config.parallel < 1:
         raise ValueError(f"val_size and parallel must be at least 1, got "
                          f"{config.val_size} and {config.parallel}")
+    if len({r["id"] for r in claims}) < len(claims):
+        # a repeated id could put one claim in both training and validation
+        raise ValueError("claim ids must be unique")
     needed = config.train_size + config.val_size
     if len(claims) < needed:
         raise InsufficientData(f"need >= {needed} labeled claims, got {len(claims)}")
@@ -361,7 +365,6 @@ def optimize(initial, claims, config, runner_factory, llm_backend):
     rng.shuffle(pool)
     train = pool[: config.train_size]
     val = pool[config.train_size : needed]
-    assert not ({r["id"] for r in train} & {r["id"] for r in val})
 
     # every request is at temperature 0, so each distinct prompt, graph lookup
     # and web search goes to a backend once per run: later epochs that replay

@@ -2,15 +2,14 @@
 
 Only the optimizer produces modified policies; everywhere else templates are
 read-only. Policies serialize as ``{template_id: {"version": int, "text": str}}``.
-A loaded policy must name exactly the default template ids, so a file written
-for another set of prompts is rejected rather than half-applied.
+A policy read back (``PromptPolicy.from_jsonable``, given the data of a policy
+file by ``config``) must name exactly the default template ids, so a file
+written for another set of prompts is rejected rather than half-applied.
 """
 
 from __future__ import annotations
 
-import json
-
-from .llm import PromptTemplate
+from .llm import PromptTemplate, whole
 
 SUFFICIENCY = "sufficiency"
 RELATION_PRUNE = "relation_prune"
@@ -51,15 +50,20 @@ class PromptPolicy:
         }
 
     @classmethod
-    def from_jsonable(cls, data, policy_id="loaded"):
-        """Raises ValueError unless ``data`` maps exactly the default template
-        ids to objects with a string ``text``."""
+    def from_jsonable(cls, data):
+        """The policy, with id "loaded", that ``data`` describes. Raises
+        ValueError unless ``data`` maps exactly the default template ids to
+        objects with a string ``text`` and, if given, a ``version`` that is
+        ``llm.whole``."""
         expected = sorted(t.id for t in _DEFAULTS)
         if not isinstance(data, dict) or sorted(data) != expected:
             raise ValueError(f"a policy must be a JSON object with the template ids {expected}")
         for tid, spec in data.items():
             if not isinstance(spec, dict) or not isinstance(spec.get("text"), str):
                 raise ValueError(f"policy template {tid!r} has no string 'text'")
+            if not whole(spec.get("version", 1)):
+                raise ValueError(f"policy template {tid!r} has version {spec['version']!r}, "
+                                 f"not a whole number")
         templates = [
             PromptTemplate(
                 id=tid,
@@ -69,12 +73,7 @@ class PromptPolicy:
             )
             for tid, spec in data.items()
         ]
-        return cls(templates, policy_id=policy_id)
-
-    @classmethod
-    def load(cls, path, policy_id="loaded"):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_jsonable(json.load(fh), policy_id=policy_id)
+        return cls(templates, policy_id="loaded")
 
 
 _DEFAULTS = [

@@ -23,7 +23,6 @@ provider once, and each surface form linked to the graph (here or by
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import math
 import re
@@ -32,13 +31,7 @@ from dataclasses import dataclass
 
 from .errors import ParseFailure, TransportError
 from .fanout import fan_out
-from .graph import (
-    EntityId,
-    KnowledgeSubgraph,
-    RelationId,
-    Triplet,
-    normalize_relation_label,
-)
+from .graph import EntityId, KnowledgeSubgraph, RelationId, Triplet, fold
 from .llm import LlmRequest, ResponseSchema, list_of, live_json, memoized, number, text, whole
 from .policy import EVIDENCE_FILTER, TRIPLET_EXTRACT, WEB_QUERY
 
@@ -99,13 +92,11 @@ class WebTriplet:
 
 
 class FixtureSearchProvider:
-    """Canned results: JSON mapping query text -> [{url,title,snippet}].
-    Data of another shape raises ValueError."""
+    """Canned results from the data of a fixture file (``config`` reads it):
+    query text -> [{url,title,snippet}]. Data of another shape raises
+    ValueError."""
 
-    def __init__(self, data=None, path=None):
-        if data is None:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
+    def __init__(self, data):
         if not (
             isinstance(data, dict)
             and all(isinstance(rows, list) for rows in data.values())
@@ -192,9 +183,11 @@ def search(query: WebQuery, provider):
     return list(memoized(("search", query.text), fetch))
 
 
-def search_entities(surface, kg_backend):
-    """The graph's entity hits for ``surface``, best first."""
-    return memoized(("search_entities", surface), lambda: tuple(kg_backend.search_entities(surface)))
+def top_entity(surface, kg_backend):
+    """The graph's best entity hit for ``surface``, or None."""
+    hits = memoized(("search_entities", surface),
+                    lambda: tuple(kg_backend.search_entities(surface)))
+    return hits[0] if hits else None
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +318,17 @@ def filter_evidence(claim, passages, gateway):
 _EXTRACT_SCHEMA = ResponseSchema({"subject": text, "relation": text, "object": text})
 
 
+def _synthetic_id(prefix, name):
+    # case-blind, so "Paris" and "paris" name one node
+    return prefix + hashlib.sha256(name.casefold().encode("utf-8")).hexdigest()[:12]
+
+
 def synthetic_entity(surface: str) -> EntityId:
-    digest = hashlib.sha256(surface.casefold().encode("utf-8")).hexdigest()[:12]
-    return EntityId(id=f"W:{digest}", label=surface)
+    return EntityId(id=_synthetic_id("W:", surface), label=surface)
 
 
 def synthetic_relation(label: str) -> RelationId:
-    digest = hashlib.sha256(label.casefold().encode("utf-8")).hexdigest()[:12]
-    return RelationId(id=f"WR:{digest}", label=label)
+    return RelationId(id=_synthetic_id("WR:", label), label=label)
 
 
 def to_triplets(evidence, claim, gateway, kg_backend) -> list:
@@ -354,16 +350,14 @@ def to_triplets(evidence, claim, gateway, kg_backend) -> list:
             return None
         return tuple(" ".join(payload[key].split()) for key in ("subject", "relation", "object"))
 
-    def link(surface):
-        hits = search_entities(surface, kg_backend)
-        return hits[0] if hits else synthetic_entity(surface)
-
     texts = list(dict.fromkeys(item.passage.text for item in evidence))
     extracted = dict(zip(texts, fan_out(extract, texts)))
     surfaces = list(dict.fromkeys(
         surface for fields in extracted.values() if fields for surface in (fields[0], fields[2])
     ))
-    linked = dict(zip(surfaces, fan_out(link, surfaces)))
+    linked = dict(zip(surfaces, fan_out(
+        lambda surface: top_entity(surface, kg_backend) or synthetic_entity(surface), surfaces
+    )))
     out = []
     for item in evidence:
         fields = extracted[item.passage.text]
@@ -409,7 +403,7 @@ def integrate(subgraph: KnowledgeSubgraph, web_triplets, evidence=()) -> Knowled
         if t.relation.id in kg_relation_ids:
             aligned = t.relation
         else:
-            aligned = label_map.get(normalize_relation_label(t.relation.label))
+            aligned = label_map.get(fold(t.relation.label))
 
         if aligned is not None:
             candidate = Triplet(

@@ -71,6 +71,25 @@ def make_runner(claims, graph, responder=None, **config_kwargs):
     return EpisodeRunner(default_policy(), EpisodeConfig(**config_kwargs), llm, backend)
 
 
+def ladder_coerce(requested, legal, hint):
+    """The reference for ``coerce_action``: its rule as a ladder of branches."""
+    if requested in legal:
+        return requested, None
+    if hint == NEED_KG and EXPAND_KG in legal:
+        fallback = EXPAND_KG
+    elif hint == NEED_WEB and WEB_SEARCH in legal:
+        fallback = WEB_SEARCH
+    elif EXPAND_KG in legal and hint != SUFFICIENT:
+        fallback = EXPAND_KG
+    elif WEB_SEARCH in legal and hint != SUFFICIENT:
+        fallback = WEB_SEARCH
+    else:
+        fallback = VERDICT_ACTION
+    if requested in (EXPAND_KG, WEB_SEARCH, INIT_KG):
+        return fallback, f"coerced {requested!r} to {fallback} (budget/ordering rule)"
+    return fallback, f"coerced unrecognized action {requested!r} to {fallback}"
+
+
 def legal(hops_done=1, frontier=("Q1",), expanded=(), web_steps=0, has_web=True, **config):
     """The legal action kinds after ``hops_done`` hops and ``web_steps`` searches."""
     subgraph = KnowledgeSubgraph()
@@ -113,6 +132,15 @@ class TestCoercion:
         assert kind == WEB_SEARCH and warning
         no_web = legal(expanded=("Q1",), has_web=False)
         assert coerce_action(EXPAND_KG, no_web, NEED_KG)[0] == VERDICT_ACTION
+
+    @pytest.mark.parametrize("requested", [INIT_KG, EXPAND_KG, WEB_SEARCH, VERDICT_ACTION, "dance"])
+    @pytest.mark.parametrize("hint", [SUFFICIENT, NEED_KG, NEED_WEB, UNKNOWN])
+    def test_matches_the_branch_ladder(self, requested, hint):
+        # every subset of the kinds an assessment may pick from, verdict too
+        kinds = (EXPAND_KG, WEB_SEARCH, VERDICT_ACTION)
+        for mask in range(2 ** len(kinds)):
+            legal = {kind for i, kind in enumerate(kinds) if mask >> i & 1}
+            assert coerce_action(requested, legal, hint) == ladder_coerce(requested, legal, hint)
 
     def test_action_kind_validated(self):
         with pytest.raises(ValueError):

@@ -100,6 +100,11 @@ BAD_INPUTS = {
     # a policy file optimized when action selection was a prompt of its own
     "policy with an unknown template": lambda tmp: [
         "--policy", policy_file(tmp, action_select={"version": 1, "text": "Choose."})],
+    # int() overflowed on the first and read the others as 2, 1 and 2
+    "policy version 1e400": lambda tmp: ["--policy", policy_file(tmp, version="1e400")],
+    "policy version a string": lambda tmp: ["--policy", policy_file(tmp, version='"2"')],
+    "policy version true": lambda tmp: ["--policy", policy_file(tmp, version="true")],
+    "policy version 2.5": lambda tmp: ["--policy", policy_file(tmp, version="2.5")],
     "malformed web": lambda tmp: ["--web", write_text(tmp, "{not json")],
     "out in missing directory": lambda tmp: ["--out", str(tmp / "none" / "traj.jsonl")],
     "config not an object": lambda tmp: ["--config", write_text(tmp, "[]")],
@@ -135,15 +140,19 @@ BAD_INPUTS = {
 }
 
 
-def policy_file(tmp_path, **specs):
-    """The default policy's file with ``specs`` set, or removed where None."""
+def policy_file(tmp_path, version=None, **specs):
+    """The default policy's file with ``specs`` set, or removed where None,
+    and with ``version``, JSON text, as the first template's version."""
     data = default_policy().to_jsonable()
     for tid, spec in specs.items():
         if spec is None:
             del data[tid]
         else:
             data[tid] = spec
-    return write_text(tmp_path, json.dumps(data), "policy.json")
+    text = json.dumps(data)
+    if version is not None:
+        text = text.replace('"version": 1', '"version": ' + version, 1)
+    return write_text(tmp_path, text, "policy.json")
 
 
 def write_text(tmp_path, text, name="input.json"):
@@ -527,6 +536,32 @@ class TestDatasetNotAnObject:
         assert main([command, str(dataset), "--kg", kg_path, "--llm-script", script]) == 2
         assert capsys.readouterr().err == (
             "error: bad dataset record at line 2: record is not a JSON object\n"
+        )
+
+
+class TestDatasetReadLikeEveryInput:
+    @pytest.mark.parametrize("command", ["eval", "optimize"])
+    def test_not_utf8_exits_2_with_one_error_line(self, workspace, capsys, command):
+        tmp_path, kg_path, claims = workspace
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_bytes(b'{"id": "a", "claim": "Caf\xe9", "label": "true"}\n')
+        script = write_script(tmp_path, episode_script("Supported"))
+        assert main([command, str(dataset), "--kg", kg_path, "--llm-script", script]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read dataset {dataset}: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["eval", "optimize"])
+    def test_repeated_id_exits_2_with_one_error_line(self, workspace, capsys, command):
+        tmp_path, kg_path, claims = workspace
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text("".join(
+            json.dumps({"id": "a", "claim": c["claim"], "label": c["gold_label"]}) + "\n"
+            for c in claims))
+        script = write_script(tmp_path, episode_script("Supported"))
+        assert main([command, str(dataset), "--kg", kg_path, "--llm-script", script]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad dataset record at line 2: id 'a' repeats the id of line 1\n"
         )
 
 

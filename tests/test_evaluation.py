@@ -119,6 +119,14 @@ class TestLoading:
         assert fm == FieldMap(claim_field="statement",
                               label_map={"legit": SUPPORTED, "not sure": ""})
 
+    def test_repeated_id_is_parse_error_naming_both_lines(self, tmp_path):
+        # ids are read as text, so 1 and "1" are one id
+        rows = [{"id": 1, "claim": "A", "label": "true"}, {"id": "2", "claim": "B", "label": "NEI"},
+                {"id": "1", "claim": "C", "label": "false"}]
+        with pytest.raises(DatasetParseError, match="id '1' repeats the id of line 1") as exc:
+            load_dataset(self.write(tmp_path, rows))
+        assert exc.value.line_no == 3
+
     def test_bad_json_line_numbered(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "a", "claim": "A", "label": "true"}\nnot json\n')

@@ -308,6 +308,16 @@ class TestOptimize:
             optimize(default_policy(), claims, cfg, built.append, None)
         assert built == []
 
+    def test_repeated_ids_are_rejected_before_any_runner_is_built(self):
+        # a check that holds under python -O, where an assert is dropped
+        built = []
+        cfg = OptimizationConfig(epochs=1, train_size=2, val_size=2)
+        claims = [{"id": str(i % 3), "claim": f"c{i}", "gold_label": "Supported"}
+                  for i in range(4)]
+        with pytest.raises(ValueError, match="claim ids must be unique"):
+            optimize(default_policy(), claims, cfg, built.append, None)
+        assert built == []
+
     def test_flawed_sufficiency_prompt_is_repaired(self):
         graph, claims = build_corpus(8, depth=2)
         kg_backend = FixtureKgBackend(data=graph)
