@@ -16,7 +16,7 @@ request is sent ahead.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from . import kg as kg_mod
 from . import web as web_mod
@@ -24,7 +24,7 @@ from .errors import EmptyClaim, ParseFailure, TransportError
 from .graph import KnowledgeSubgraph, fold, passage_item_id
 from .llm import LlmGateway, LlmRequest, ResponseSchema, one_of, text
 from .policy import EXPANSION_PRUNE, FORCED_VERDICT, RELATION_PRUNE
-from .policy import SUFFICIENCY, VERDICT
+from .policy import SUFFICIENCY, VERDICT, PromptPolicy
 
 INIT_KG = "initKGRetrieval"
 EXPAND_KG = "expandKG"
@@ -132,39 +132,30 @@ def _payload_jsonable(payload):
     return str(payload)
 
 
+def _entries_of(cls, data):
+    """The entries of ``data`` that name a field of the dataclass ``cls``."""
+    return {f.name: data[f.name] for f in fields(cls) if f.name in data}
+
+
 def trajectory_from_jsonable(data) -> Trajectory:
-    """The trajectory ``to_jsonable`` wrote; an observation that is not an
-    object or a sufficiency hint that is not a string raises ValueError."""
+    """The trajectory ``to_jsonable`` wrote. Each observation and verdict is
+    built from its entries that name a field, so a missing one takes the
+    dataclass default; ``kind`` and ``justification``, which have none, read
+    as "subgraph_delta" and "". An observation that is not an object or a
+    sufficiency hint that is not a string raises ValueError."""
     traj = Trajectory(claim=data["claim"])
     for step in data.get("steps", []):
         action = Action(step["action"]["kind"], step["action"].get("payload"))
         obs_data = step.get("observation", {})
         if not isinstance(obs_data, dict):
             raise ValueError(f"observation {obs_data!r} is not a JSON object")
-        hint = obs_data.get("sufficiency_hint", UNKNOWN)
-        if not isinstance(hint, str):
-            raise ValueError(f"sufficiency hint {hint!r} is not a string")
-        traj.steps.append(
-            (
-                action,
-                Observation(
-                    kind=obs_data.get("kind", "subgraph_delta"),
-                    added_triplets=obs_data.get("added_triplets", 0),
-                    added_annotations=obs_data.get("added_annotations", 0),
-                    sufficiency_hint=hint,
-                    added_item_ids=obs_data.get("added_item_ids", []),
-                    note=obs_data.get("note", ""),
-                ),
-            )
-        )
+        observation = Observation(**{"kind": "subgraph_delta", **_entries_of(Observation, obs_data)})
+        if not isinstance(observation.sufficiency_hint, str):
+            raise ValueError(f"sufficiency hint {observation.sufficiency_hint!r} is not a string")
+        traj.steps.append((action, observation))
     v = data.get("verdict")
     if v:
-        traj.verdict = VerdictResult(
-            label=v["label"],
-            justification=v.get("justification", ""),
-            citations=v.get("citations", []),
-            forced=v.get("forced", False),
-        )
+        traj.verdict = VerdictResult(**{"justification": "", **_entries_of(VerdictResult, v)})
     traj.counters = dict(data.get("counters", {}))
     traj.warnings = list(data.get("warnings", []))
     traj.forced_reason = data.get("forced_reason", "")
@@ -333,25 +324,20 @@ def force_verdict(claim, evidence, gateway, trajectory):
 # ---------------------------------------------------------------------------
 
 
+@dataclass
 class EpisodeRunner:
-    """Runs independent verification episodes against shared backends."""
+    """Runs independent verification episodes against shared backends; its
+    fields are ``run_episode``'s arguments after the claim."""
 
-    def __init__(self, policy, config, llm_backend, kg_backend, web_provider=None):
-        self.policy = policy
-        self.config = config
-        self.llm_backend = llm_backend
-        self.kg_backend = kg_backend
-        self.web_provider = web_provider
+    policy: PromptPolicy
+    config: EpisodeConfig
+    llm_backend: object
+    kg_backend: object
+    web_provider: object = None
 
     def run(self, claim):
-        return run_episode(
-            claim,
-            self.policy,
-            self.config,
-            self.llm_backend,
-            self.kg_backend,
-            self.web_provider,
-        )
+        return run_episode(claim, self.policy, self.config, self.llm_backend, self.kg_backend,
+                           self.web_provider)
 
 
 def _observation_kind(action):
@@ -389,6 +375,7 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
     ranked = 0  # passages ranked so far, so that every passage id is new
     evidence = Evidence()  # listed by the latest observation
     action = Action(INIT_KG, claim)  # the step in progress
+    terminal = Observation(kind="terminal")  # the verdict step's, whatever the ending
     try:
         kg_mod.init_kg_retrieval(claim, subgraph, config, gateway, reads)
         while True:
@@ -404,9 +391,7 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
             if len(trajectory.steps) >= config.max_steps:
                 result = force_verdict(claim, evidence, gateway, trajectory)
                 trajectory.forced_reason = "step_limit"
-                trajectory.steps.append(
-                    (Action(VERDICT_ACTION), Observation(kind="terminal", note="step limit"))
-                )
+                terminal.note = "step limit"
                 break
             legal = legal_actions(config, subgraph, trajectory, has_web)
             hint, requested, next_hop = UNKNOWN, None, []
@@ -424,7 +409,7 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
             action = select_action(requested, legal, hint, trajectory)
             if action.kind == VERDICT_ACTION:
                 result = verdict(claim, evidence, gateway, trajectory)
-                trajectory.steps.append((action, Observation(kind="terminal", sufficiency_hint=hint)))
+                terminal.sufficiency_hint = hint
                 break
             if action.kind == EXPAND_KG:
                 kg_mod.expand_kg(claim, subgraph, config, gateway, reads, next_hop)
@@ -443,22 +428,22 @@ def run_episode(claim, policy, config, llm_backend, kg_backend, web_provider=Non
             web_passages.extend(new_evidence)
     except (ParseFailure, TransportError) as exc:
         failure = "transport error" if isinstance(exc, TransportError) else "parse failure"
-        note = f"{failure}: {exc}"
+        terminal.note = f"{failure}: {exc}"
         if action.kind == VERDICT_ACTION:
             result = _fallback_verdict()  # the verdict request itself failed
         else:
             if not trajectory.steps or trajectory.steps[-1][0] is not action:
                 # the action failed before its observation was recorded
                 trajectory.steps.append((action, Observation(kind=_observation_kind(action))))
-            trajectory.steps[-1][1].note = note
+            trajectory.steps[-1][1].note = terminal.note
             result = force_verdict(claim, evidence, gateway, trajectory)
         trajectory.forced_reason = failure.replace(" ", "_")
-        trajectory.steps.append((Action(VERDICT_ACTION), Observation(kind="terminal", note=note)))
     finally:
         unused_error = reads.join()  # raised below: an error of the episode goes first
     if unused_error is not None:
         raise unused_error
 
+    trajectory.steps.append((Action(VERDICT_ACTION), terminal))
     trajectory.verdict = result
     prune = gateway.requests[EXPANSION_PRUNE] + gateway.requests[RELATION_PRUNE]
     verdicts = gateway.requests[VERDICT] + gateway.requests[FORCED_VERDICT]

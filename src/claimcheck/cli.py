@@ -8,10 +8,13 @@ success, 1 on validation findings (replay), 2 on errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
+from dataclasses import asdict, replace
 
-from . import agent, evaluation, optimize as opt
+from . import evaluation, optimize as opt
 from .agent import EpisodeRunner, INIT_KG, VERDICT_ACTION, read_trajectories
 from .config import (
     CONFIG_KEYS,
@@ -58,11 +61,42 @@ def _build_runner(cfg):
     )
 
 
+@contextlib.contextmanager
+def _output(what, path):
+    """A ``write(text)`` that replaces the content of ``path``, or None when
+    there is no path. The file is opened before the first episode, so a path
+    that cannot be written raises a ConfigError naming it before any LLM
+    call is sent. A run that fails before writing leaves an existing file as
+    it was and removes one it created."""
+    if not path:
+        yield None
+        return
+    created = not os.path.exists(path)
+    try:
+        fh = open(path, "a", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {what} {path}: {exc}") from exc
+
+    def write(text):
+        fh.truncate(0)
+        fh.write(text)
+
+    with fh:
+        try:
+            yield write
+        except BaseException:
+            if created and fh.tell() == 0:
+                os.remove(path)
+            raise
+
+
 def cmd_check(args):
     cfg = _config_from_args(args)
-    verdict_result, trajectory = _build_runner(cfg).run(args.claim)
-    if cfg.out:
-        agent.write_trajectories(cfg.out, [trajectory])
+    runner = _build_runner(cfg)
+    with _output("trajectory", cfg.out) as write:
+        verdict_result, trajectory = runner.run(args.claim)
+        if write:
+            write(trajectory.to_json() + "\n")
     print(f"Verdict: {verdict_result.label}" + (" (forced)" if verdict_result.forced else ""))
     print(f"Justification: {verdict_result.justification}")
     if verdict_result.citations:
@@ -81,53 +115,42 @@ def cmd_eval(args):
                               lambda path: evaluation.FieldMap.from_jsonable(_json(path)))
     loaded = load_file("dataset", args.dataset,
                        lambda path: evaluation.load_dataset(path, field_map))
-    report = evaluation.run_benchmark(
-        loaded.records, _build_runner(cfg), parallelism=cfg.parallel or 1
-    )
-    report.dropped = loaded.dropped
-    print(f"balanced_accuracy: {report.balanced_accuracy:.4f}  (n={report.n}, "
-          f"dropped={report.dropped})")
-    print("error taxonomy:")
-    for cls in evaluation.ERROR_CLASSES:
-        print(f"  {cls}: {report.error_counts[cls]}")
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
-    else:
-        print(report.to_json())
+    runner = _build_runner(cfg)
+    with _output("report", cfg.out) as write:
+        report = evaluation.run_benchmark(loaded.records, runner, parallelism=cfg.parallel or 1)
+        report.dropped = loaded.dropped
+        print(f"balanced_accuracy: {report.balanced_accuracy:.4f}  (n={report.n}, "
+              f"dropped={report.dropped})")
+        print("error taxonomy:")
+        for cls in evaluation.ERROR_CLASSES:
+            print(f"  {cls}: {report.error_counts[cls]}")
+        if write:
+            write(report.to_json() + "\n")
+        else:
+            print(report.to_json())
     return 0
 
 
 def cmd_optimize(args):
     cfg = _config_from_args(args)
     loaded = load_file("dataset", args.claims, evaluation.load_dataset)
-    claims = [
-        {"id": r.id, "claim": r.claim, "gold_label": r.gold_label}
-        for r in loaded.records
-    ]
     initial = _build_runner(cfg)
-
-    def runner_factory(policy):
-        return EpisodeRunner(policy, cfg.episode, initial.llm_backend, initial.kg_backend,
-                             initial.web_provider)
-
-    run = opt.optimize(
-        initial.policy,
-        claims,
-        opt.OptimizationConfig(
-            epochs=cfg.epochs, seed=cfg.seed,
-            parallel=cfg.parallel or opt.OptimizationConfig.parallel,
-        ),
-        runner_factory,
-        initial.llm_backend,
-    )
-    print(f"initial val reward: {run.initial_val_reward:.4f}")
-    print(f"selected val reward: {run.selected_val_reward:.4f} "
-          f"({run.selected.policy_id})")
     out = cfg.out or "optimization_run.json"
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(run.to_jsonable(), fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+    with _output("optimization report", out) as write:
+        run = opt.optimize(
+            initial.policy,
+            [asdict(record) for record in loaded.records],
+            opt.OptimizationConfig(
+                epochs=cfg.epochs, seed=cfg.seed,
+                parallel=cfg.parallel or opt.OptimizationConfig.parallel,
+            ),
+            lambda policy: replace(initial, policy=policy),
+            initial.llm_backend,
+        )
+        print(f"initial val reward: {run.initial_val_reward:.4f}")
+        print(f"selected val reward: {run.selected_val_reward:.4f} "
+              f"({run.selected.policy_id})")
+        write(json.dumps(run.to_jsonable(), indent=2, sort_keys=True, ensure_ascii=False) + "\n")
     print(f"report written to {out}")
     return 0
 

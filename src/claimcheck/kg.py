@@ -455,7 +455,9 @@ def expand_hop(subgraph, claim, k, gateway, reads, to_expand):
     more prune, which sees them in expansion order, keeps the top k;
     otherwise every survivor is kept without a call, in expansion order and
     then each entity's own order. Appends the triplets of each retained
-    relation's sample neighbors, in fetch order. The entities join
+    relation's sample neighbors, in fetch order; ``add_triplet`` places a
+    neighbor new to the subgraph one hop past its anchor, and the new
+    neighbors are the next frontier. The entities join
     ``subgraph.expanded``, and then the hop starts the ``2k`` reads of theirs
     that ``reads`` does not hold yet, all at once."""
     subgraph.expanded.update(to_expand)
@@ -482,17 +484,14 @@ def expand_hop(subgraph, claim, k, gateway, reads, to_expand):
 
     new_frontier = set()
     for cand in retained:
-        anchor_hop = subgraph.hop_of.get(cand.anchor.id, 0)
         for neighbor in cand.sample_objects:
             if cand.direction == "outgoing":
                 triplet = Triplet(cand.anchor, cand.relation, neighbor)
             else:
                 triplet = Triplet(neighbor, cand.relation, cand.anchor)
-            is_new_entity = neighbor.id not in subgraph.hop_of
-            subgraph.register_entity(neighbor, anchor_hop + 1)
-            subgraph.add_triplet(triplet)
-            if is_new_entity:
+            if neighbor.id not in subgraph.hop_of:
                 new_frontier.add(neighbor.id)
+            subgraph.add_triplet(triplet)
     subgraph.frontier = new_frontier
 
 

@@ -96,12 +96,13 @@ def memo_holds(key):
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """A named, versioned prompt with ``{placeholder}`` slots."""
+    """A named, versioned prompt with ``{placeholder}`` slots. Every template
+    asks for a JSON reply, and no code reads ``expected_output``."""
 
     id: str
     text: str
     version: int = 1
-    expected_output: str = "free_text"  # free_text | structured
+    expected_output: str = "structured"
 
     def render(self, bindings: dict) -> str:
         def _sub(match):

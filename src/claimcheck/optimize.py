@@ -47,7 +47,6 @@ _META_SCHEMA = ResponseSchema({"templates": mapping})
 # The meta-optimizer prompt is fixed machinery, not part of the trainable policy.
 META_OPTIMIZER_PROMPT = PromptTemplate(
     id="meta_optimizer",
-    expected_output="structured",
     text=(
         "You are improving the decision prompts of a fact-checking agent.\n"
         "Observed failure critiques:\n{critiques}\n"

@@ -54,7 +54,8 @@ class PromptPolicy:
         """The policy, with id "loaded", that ``data`` describes. Raises
         ValueError unless ``data`` maps exactly the default template ids to
         objects with a string ``text`` and, if given, a ``version`` that is
-        ``llm.whole``."""
+        ``llm.whole``. Any other key, ``expected_output`` included, is
+        ignored: every template is structured."""
         expected = sorted(t.id for t in _DEFAULTS)
         if not isinstance(data, dict) or sorted(data) != expected:
             raise ValueError(f"a policy must be a JSON object with the template ids {expected}")
@@ -65,12 +66,7 @@ class PromptPolicy:
                 raise ValueError(f"policy template {tid!r} has version {spec['version']!r}, "
                                  f"not a whole number")
         templates = [
-            PromptTemplate(
-                id=tid,
-                text=spec["text"],
-                version=int(spec.get("version", 1)),
-                expected_output=spec.get("expected_output", "free_text"),
-            )
+            PromptTemplate(id=tid, text=spec["text"], version=int(spec.get("version", 1)))
             for tid, spec in data.items()
         ]
         return cls(templates, policy_id="loaded")
@@ -79,7 +75,6 @@ class PromptPolicy:
 _DEFAULTS = [
     PromptTemplate(
         id=SUFFICIENCY,
-        expected_output="structured",
         text=(
             "Assess whether the evidence below is enough to decide the claim, "
             "then choose the next action: give the verdict, expand the knowledge "
@@ -92,7 +87,6 @@ _DEFAULTS = [
     ),
     PromptTemplate(
         id=RELATION_PRUNE,
-        expected_output="structured",
         text=(
             "Score each candidate relation for relevance to the claim "
             "(higher = more relevant).\n"
@@ -103,7 +97,6 @@ _DEFAULTS = [
     ),
     PromptTemplate(
         id=EXPANSION_PRUNE,
-        expected_output="structured",
         text=(
             "Score each relation of entity {entity} for relevance to the claim "
             "(higher = more relevant).\n"
@@ -114,7 +107,6 @@ _DEFAULTS = [
     ),
     PromptTemplate(
         id=WEB_QUERY,
-        expected_output="structured",
         text=(
             "The structured evidence below is not enough to decide the claim.\n"
             "Claim: {claim}\n"
@@ -125,7 +117,6 @@ _DEFAULTS = [
     ),
     PromptTemplate(
         id=EVIDENCE_FILTER,
-        expected_output="structured",
         text=(
             "Judge each passage for factual consistency with the claim.\n"
             "Claim: {claim}\n"
@@ -137,7 +128,6 @@ _DEFAULTS = [
     ),
     PromptTemplate(
         id=TRIPLET_EXTRACT,
-        expected_output="structured",
         text=(
             "Extract the main factual statement of the passage as one triplet.\n"
             "Claim under review: {claim}\n"
@@ -147,7 +137,6 @@ _DEFAULTS = [
     ),
     PromptTemplate(
         id=VERDICT,
-        expected_output="structured",
         text=(
             "Decide whether the claim is Supported or Refuted by the evidence, "
             "citing the evidence item ids you relied on.\n"
@@ -159,7 +148,6 @@ _DEFAULTS = [
     ),
     PromptTemplate(
         id=FORCED_VERDICT,
-        expected_output="structured",
         text=(
             "The retrieval budget is exhausted. You MUST give a final verdict now, "
             "using only the evidence already gathered, even if it feels incomplete.\n"
@@ -171,7 +159,6 @@ _DEFAULTS = [
     ),
     PromptTemplate(
         id=REFLECT,
-        expected_output="structured",
         text=(
             "Review this completed verification episode and critique the retrieval "
             "decisions.\n"

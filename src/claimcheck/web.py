@@ -406,12 +406,10 @@ def integrate(subgraph: KnowledgeSubgraph, web_triplets, evidence=()) -> Knowled
             aligned = label_map.get(fold(t.relation.label))
 
         if aligned is not None:
-            candidate = Triplet(
-                t.subject, aligned, t.object, origin="web", confidence=wt.confidence
+            # a fact already known keeps its KG version
+            result.add_triplet(
+                Triplet(t.subject, aligned, t.object, origin="web", confidence=wt.confidence)
             )
-            if candidate.key in result.triplets:
-                continue  # already known, KG version wins
-            result.add_triplet(candidate)
         elif t.key in result.triplets:
             continue  # already merged on a previous pass
         elif t.subject.id in result.hop_of or t.object.id in result.hop_of:

@@ -21,6 +21,7 @@ from claimcheck.agent import (
     EpisodeConfig,
     Evidence,
     EpisodeRunner,
+    Observation,
     Trajectory,
     VerdictResult,
     assess_sufficiency,
@@ -760,6 +761,7 @@ class TestTransportErrors:
 DEPTH1_GRAPH, DEPTH1_CLAIMS = build_corpus(4, depth=1)
 
 
+@pytest.mark.thread_timing
 class TestReadsAlongsideAssessment:
     # after the initial hop the next hop's entity is fixed: the group M001 of
     # the depth-2 claim, which the assessment asks to expand, and the
@@ -1168,3 +1170,30 @@ class TestSerialization:
     def test_verdict_fields(self):
         v = VerdictResult(label="Supported", justification="j", citations=["t:a|b|c"])
         assert not v.forced
+
+    def test_fault_trajectories_round_trip_byte_for_byte(self, tmp_path):
+        trajectories = [run[-1] for episodes in (llm_fault_episodes, backend_fault_episodes)
+                        for run in episodes()]
+        # the set carries every field a reader could drop: notes, forced
+        # verdicts and sufficiency hints
+        observations = [obs for t in trajectories for _, obs in t.steps]
+        assert any(obs.note and obs.kind != "terminal" for obs in observations)
+        assert any(obs.note and obs.kind == "terminal" for obs in observations)
+        assert any(t.verdict.forced for t in trajectories)
+        assert any(t.verdict.citations for t in trajectories)
+        assert {obs.sufficiency_hint for obs in observations} >= {SUFFICIENT, NEED_KG, NEED_WEB}
+        path = tmp_path / "faults.jsonl"
+        write_trajectories(str(path), trajectories)
+        loaded = read_trajectories(str(path))
+        assert [t.to_json() for t in loaded] == [t.to_json() for t in trajectories]
+
+    def test_missing_fields_read_as_the_dataclass_defaults(self):
+        back = trajectory_from_jsonable({
+            "claim": "c",
+            "steps": [{"action": {"kind": INIT_KG}, "observation": {}}],
+            "verdict": {"label": "Supported"},
+        })
+        assert back.steps == [(Action(INIT_KG), Observation(kind="subgraph_delta"))]
+        assert back.verdict == VerdictResult(label="Supported", justification="")
+        assert back.steps[0][1].sufficiency_hint == UNKNOWN
+        assert back.verdict.citations == [] and not back.verdict.forced

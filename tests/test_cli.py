@@ -9,7 +9,7 @@ import requests
 from claimcheck import cli
 from claimcheck.agent import EpisodeConfig, EpisodeRunner, write_trajectories
 from claimcheck.cli import build_parser, main
-from claimcheck.config import load_config
+from claimcheck.config import build_policy, load_config
 from claimcheck.errors import InsufficientData
 from claimcheck.evaluation import load_dataset, run_benchmark
 from claimcheck.kg import FixtureKgBackend
@@ -523,6 +523,91 @@ class TestReplay:
         assert main(["replay", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read trajectories") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("verdict", ["label", [1], 5, {"justification": "no label"}],
+                             ids=["string", "list", "number", "no-label"])
+    def test_malformed_verdict_exits_2_with_one_error_line(self, tmp_path, capsys, verdict):
+        row = {"claim": "c", "steps": [], "verdict": verdict}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(row) + "\n")
+        assert main(["replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read trajectories") and len(err.splitlines()) == 1
+
+
+
+class TestPolicyOutputKind:
+    @pytest.mark.parametrize("expected_output", [5, "free_text", None],
+                             ids=["number", "free-text", "absent"])
+    def test_every_loaded_template_is_structured(self, tmp_path, expected_output):
+        data = default_policy().to_jsonable()
+        for spec in data.values():
+            if expected_output is None:
+                del spec["expected_output"]
+            else:
+                spec["expected_output"] = expected_output
+        path = write_text(tmp_path, json.dumps(data), "policy.json")
+        policy = build_policy(load_config(overrides={"policy_path": path}))
+        assert {policy.template(tid).expected_output for tid in data} == {"structured"}
+        assert policy.to_jsonable() == default_policy().to_jsonable()
+
+
+def two_claim_dataset(tmp_path, claims):
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text("".join(
+        json.dumps({"id": c["id"], "claim": c["claim"], "label": c["gold_label"]}) + "\n"
+        for c in claims))
+    return str(dataset)
+
+
+class TestOutputOpenedFirst:
+    @pytest.mark.parametrize("command", ["eval", "optimize"])
+    def test_missing_directory_exits_2_before_any_llm_request(self, workspace, capsys,
+                                                             monkeypatch, command):
+        tmp_path, kg_path, claims = workspace
+        prompts = []
+        generate = ScriptedBackend.generate
+
+        def recorded(self, text, temperature, max_tokens):
+            prompts.append(text)
+            return generate(self, text, temperature, max_tokens)
+
+        monkeypatch.setattr(ScriptedBackend, "generate", recorded)
+        script = write_script(tmp_path, episode_script("Supported") + episode_script("Refuted"))
+        out = tmp_path / "missing" / "report.json"
+        code = main([command, two_claim_dataset(tmp_path, claims), "--kg", kg_path,
+                     "--llm-script", script, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and f" {out}: " in err
+        assert len(err.splitlines()) == 1
+        assert prompts == []
+
+    def test_report_replaces_a_longer_file(self, workspace):
+        tmp_path, kg_path, claims = workspace
+        script = write_script(tmp_path, episode_script("Supported") + episode_script("Refuted"))
+        out = tmp_path / "report.json"
+        out.write_text("x" * 10000)
+        assert main(["eval", two_claim_dataset(tmp_path, claims), "--kg", kg_path,
+                     "--llm-script", script, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["n"] == 2
+
+    # two claims are too few for optimize's split, so the run fails once
+    # the report is open
+    def test_failed_run_removes_the_file_it_created(self, workspace):
+        tmp_path, kg_path, claims = workspace
+        out = tmp_path / "run.json"
+        assert main(["optimize", two_claim_dataset(tmp_path, claims), "--kg", kg_path,
+                     "--llm-script", write_script(tmp_path, []), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_failed_run_keeps_an_existing_file(self, workspace):
+        tmp_path, kg_path, claims = workspace
+        out = tmp_path / "run.json"
+        out.write_text("an earlier report\n")
+        assert main(["optimize", two_claim_dataset(tmp_path, claims), "--kg", kg_path,
+                     "--llm-script", write_script(tmp_path, []), "--out", str(out)]) == 2
+        assert out.read_text() == "an earlier report\n"
 
 
 class TestDatasetNotAnObject:

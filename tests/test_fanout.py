@@ -8,6 +8,8 @@ import pytest
 from claimcheck import fanout as fanout_mod
 from claimcheck.fanout import fan_out, start
 
+pytestmark = pytest.mark.thread_timing
+
 VAR = contextvars.ContextVar("test_fanout_var", default="unset")
 
 

@@ -196,6 +196,7 @@ class TestFetchRelations:
         ]
         assert trajectory.counters["sparql_queries"] == 2
 
+    @pytest.mark.thread_timing
     def test_directional_fetches_overlap(self, small_graph_backend):
         # serial fetches would break the barrier after its timeout
         barrier = threading.Barrier(2, timeout=5)
@@ -216,6 +217,7 @@ class TestFetchRelations:
         assert expanded("Q30") == [("incoming", "P27")]
         assert expanded("Q76") == [("outgoing", "P19"), ("outgoing", "P27")]
 
+    @pytest.mark.thread_timing
     def test_first_hop_reads_overlap(self):
         # the first hop starts its 2k reads at once; reads that went out in
         # smaller groups would break the barrier after its timeout

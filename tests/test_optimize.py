@@ -484,6 +484,7 @@ class CountedRunner:
         return self.runner.run(claim)
 
 
+@pytest.mark.thread_timing
 class TestCritiquesOffTheLanes:
     """Each training episode starts its critique call off the episode lanes."""
 
@@ -613,6 +614,7 @@ class TestCritiquesOffTheLanes:
         assert hashlib.sha256(report.encode()).hexdigest()[:8] == "b6796d78"
 
 
+@pytest.mark.thread_timing
 class TestInitialValidationBesideEpoch1:
     """The initial policy's validation runs beside epoch 1's training
     episodes, and has ended before optimize() returns or raises."""
@@ -874,6 +876,7 @@ class EpisodeLog:
         return result, trajectory
 
 
+@pytest.mark.thread_timing
 class TestReplyMemo:
     """Within one optimize() call each distinct prompt text, graph lookup and
     web search goes to a backend once, or again only if its first try raised
